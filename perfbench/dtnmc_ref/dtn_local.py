@@ -1,0 +1,480 @@
+"""Local (one-process) reachability in arbitrary-size networks.
+
+Layers: W_l holds every (location, region) a process can exhibit while the
+global time sits in the l-th slot, assuming arbitrarily many peers.  A layer
+is closed under in-slot delay and under discrete steps whose location guard
+is witnessed inside the same layer; boundary edges carry the layer into the
+next slot.  Construction stops at the first layer that repeats an earlier
+singleton-slot layer up to a slot shift; redirecting the last boundary onto
+the repeated layer yields a finite automaton (the DRA) whose paths cover one
+process's behaviors in the infinite family of networks.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Optional
+
+from .model import Atom, Automaton, BudgetExceeded, Transition, relabel_unique, unguard
+from .region_graph import RegionContext, RegionEdge, immediate_time_successor
+from .regions import T, Region, RegionState, Slot
+
+
+@dataclass
+class Layer:
+    number: int
+    slot: Slot
+    states: dict  # key -> RegionState, insertion ordered
+
+    def base_keys(self):
+        return frozenset(
+            (rs.loc, rs.unbounded, rs.base.key()) for rs in self.states.values()
+        )
+
+    def locations(self):
+        return {rs.loc for rs in self.states.values()}
+
+    def digest(self) -> str:
+        body = "\n".join(sorted(map(repr, self.base_keys())))
+        return hashlib.sha256(body.encode()).hexdigest()
+
+
+def approx_equal(wi: Layer, wj: Layer):
+    """Slot shift k with wj = wi + k when the layers match, else None."""
+    if wi.slot.kind != wj.slot.kind:
+        return None
+    if wi.base_keys() != wj.base_keys():
+        return None
+    return wj.slot.index - wi.slot.index
+
+
+@dataclass
+class LayerBuild:
+    layers: list
+    edges: list
+    i0: Optional[int]
+    l0: Optional[int]
+    shift: Optional[int]
+    ctx: RegionContext
+    relabel_map: dict
+    automaton: Automaton  # relabeled input, location guards intact
+    hit: Optional[tuple] = None  # (src, tr, dst) for a watched label
+    parent: dict = field(default_factory=dict)
+    layer_of: dict = field(default_factory=dict)
+    states_total: int = 0
+
+
+@dataclass
+class DtnRegionAutomaton:
+    layers: list
+    edges: list  # intra-layer, cross, and loop edges among kept layers
+    i0: Optional[int]
+    l0: Optional[int]
+    shift: Optional[int]
+    ctx: RegionContext
+    relabel_map: dict
+    automaton: Automaton
+
+    def state_names(self) -> dict:
+        """Deterministic display names, key -> wLnI."""
+        names = {}
+        for layer in self.layers:
+            for i, rs in enumerate(layer.states.values()):
+                names[rs.key()] = f"w{layer.number}n{i}"
+        return names
+
+
+class _Builder:
+    def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
+                 streaming=False):
+        self.automaton, self.relabel_map = relabel_unique(a)
+        self.ta = unguard(self.automaton)
+        self.ctx = RegionContext(self.ta)
+        self.locguard = {
+            tr.label: tr.locguard for tr in self.automaton.transitions
+        }
+        self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
+        self.max_states = max_states
+        self.watch = watch
+        self.streaming = streaming
+        self.layers = []
+        self.edges = []
+        self._edge_seen = set()
+        self.parent = {}
+        self.layer_of = {}
+        self.i0 = self.l0 = self.shift = None
+        self.hit = None
+        self.states_total = 0
+        self.peak_layers_held = 0
+
+    def _watch_match(self, tr: Transition) -> bool:
+        if self.watch is None:
+            return False
+        return tr.label == self.watch or self.relabel_map.get(tr.label) == self.watch
+
+    def _edge(self, src, kind, tr, dst):
+        if self.streaming:
+            return
+        k = (src.key(), kind, tr.label if tr else None, dst.key())
+        if k not in self._edge_seen:
+            self._edge_seen.add(k)
+            self.edges.append(RegionEdge(src, kind, tr, dst))
+
+    def _close_layer(self, number: int, seeds) -> Layer:
+        """Close a layer under in-slot delay and witness-guarded discrete steps.
+
+        seeds: list of (source state or None, state) pairs; sources are in the
+        previous layer and contribute the boundary edges.
+        """
+        states, waiting, locs = {}, {}, set()
+        wl = deque()
+
+        def add(rs, src=None, kind=None, tr=None):
+            if src is not None:
+                self._edge(src, kind, tr, rs)
+            key = rs.key()
+            if key in states:
+                return
+            states[key] = rs
+            if not self.streaming:
+                if key not in self.parent:
+                    self.parent[key] = (src, kind, tr)
+                self.layer_of[key] = number
+            self.states_total += 1
+            if self.max_states is not None and self.states_total > self.max_states:
+                raise BudgetExceeded(f"layer construction exceeds {self.max_states} states")
+            wl.append(rs)
+            if rs.loc not in locs:
+                locs.add(rs.loc)
+                for wkey in waiting.pop(rs.loc, ()):
+                    if wkey in states:
+                        wl.append(states[wkey])
+            if tr is not None and self._watch_match(tr) and self.hit is None:
+                self.hit = (src, tr, rs)
+
+        for src, rs in seeds:
+            add(rs, src, "cross" if src is not None else None)
+        while wl:
+            rs = wl.popleft()
+            step = immediate_time_successor(rs, self.ctx)
+            if step is not None and step[0] == "delay":
+                add(step[1], rs, "delay")
+            for tr in self.ctx.trans_from.get(rs.loc, ()):
+                if not rs.base.satisfies(tr.guard):
+                    continue
+                nb = rs.base.reset(tr.resets)
+                if not nb.satisfies(self.ctx.invariant(tr.dst)):
+                    continue
+                lg = self.locguard[tr.label]
+                if lg is not None and lg not in locs:
+                    waiting.setdefault(lg, set()).add(rs.key())
+                    continue
+                nxt = RegionState(tr.dst, nb, rs.index, rs.unbounded)
+                if nxt.key() in states:
+                    self._edge(rs, "trans", tr, nxt)
+                    if self._watch_match(tr) and self.hit is None:
+                        self.hit = (rs, tr, states[nxt.key()])
+                else:
+                    add(nxt, rs, "trans", tr)
+        slot = next(iter(states.values())).slot(self.ctx.tmax)
+        return Layer(number, slot, states)
+
+    def _boundary(self, layer: Layer):
+        seeds, seen = [], set()
+        for rs in layer.states.values():
+            step = immediate_time_successor(rs, self.ctx)
+            if step is None or step[0] != "cross":
+                continue
+            nxt = step[1]
+            if nxt.key() in seen:
+                self._edge(rs, "cross", None, nxt)  # keep the extra boundary edge
+                seeds.append((rs, nxt))
+            else:
+                seen.add(nxt.key())
+                seeds.append((rs, nxt))
+        return seeds
+
+    def build(self):
+        seeds = [(None, self.ctx.initial_state())]
+        digests = []  # (layer number, slot index, digest) of singleton-slot layers
+        number = 0
+        while True:
+            if number > self.cap:
+                raise BudgetExceeded(f"layer count exceeds cap {self.cap}")
+            layer = self._close_layer(number, seeds)
+            self.layers.append(layer)
+            self.peak_layers_held = max(
+                self.peak_layers_held, 1 if self.streaming else len(self.layers)
+            )
+            if layer.slot.kind == "point":
+                sig = layer.digest() if self.streaming else layer.base_keys()
+                for i, idx, d in digests:
+                    if d == sig:
+                        self.i0, self.l0 = i, number
+                        self.shift = layer.slot.index - idx
+                        break
+                if self.l0 is not None:
+                    break
+                digests.append((number, layer.slot.index, sig))
+            if self.hit is not None:
+                break
+            seeds = self._boundary(layer)
+            if self.streaming:
+                self.layers.pop()
+            if not seeds:
+                break  # nothing can cross this slot boundary; network is done
+            number += 1
+        return self
+
+    def result(self) -> LayerBuild:
+        return LayerBuild(self.layers, self.edges, self.i0, self.l0, self.shift,
+                          self.ctx, self.relabel_map, self.automaton, self.hit,
+                          self.parent, self.layer_of, self.states_total)
+
+
+def build_layers(a: Automaton, cap=None, max_states=None) -> LayerBuild:
+    """Run the layer construction to termination (no early label stop)."""
+    return _Builder(a, cap, max_states).build().result()
+
+
+def apply_loopback(build: LayerBuild) -> DtnRegionAutomaton:
+    """Trim to layers 0..l0-1 and redirect the last boundary onto W_i0."""
+    if build.l0 is None:
+        return DtnRegionAutomaton(build.layers, build.edges, None, None, None,
+                                  build.ctx, build.relabel_map, build.automaton)
+    kept = build.layers[: build.l0]
+    target = build.layers[build.i0]
+    by_base = {
+        (rs.loc, rs.unbounded, rs.base.key()): rs for rs in target.states.values()
+    }
+    edges = []
+    for e in build.edges:
+        ls = build.layer_of[e.src.key()]
+        ld = build.layer_of[e.dst.key()]
+        if ls < build.l0 and ld < build.l0:
+            edges.append(e)
+        elif e.kind == "cross" and ls == build.l0 - 1 and ld == build.l0:
+            back = by_base[(e.dst.loc, e.dst.unbounded, e.dst.base.key())]
+            edges.append(RegionEdge(e.src, "loop", None, back))
+    return DtnRegionAutomaton(kept, edges, build.i0, build.l0, build.shift,
+                              build.ctx, build.relabel_map, build.automaton)
+
+
+def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
+    """User labels some process can fire, at some network size."""
+    b = _Builder(a, cap, max_states).build()
+    out = set()
+    for e in b.edges:
+        if e.kind == "trans" and e.tr is not None:
+            user = b.relabel_map.get(e.tr.label, e.tr.label)
+            if user is not None:
+                out.add(user)
+    return out
+
+
+def check_label_reachable(a: Automaton, label: str, streaming=False, cap=None,
+                          max_states=None) -> dict:
+    """Decide whether some process can ever fire `label`, at any network size."""
+    known = set()
+    for internal, user in relabel_unique(a)[1].items():
+        known.add(internal)
+        if user is not None:
+            known.add(user)
+    if label not in known:
+        raise ValueError(f"unknown label {label!r}")
+    b = _Builder(a, cap, max_states, watch=label, streaming=streaming).build()
+    if streaming:
+        built = b.layers[-1].number + 1 if b.layers else 0
+    else:
+        built = len(b.layers)
+    out = {
+        "query": label,
+        "mode": "streaming" if streaming else "dra",
+        "result": "reachable" if b.hit is not None else "unreachable",
+        "layers_built": built,
+        "i0": b.i0,
+        "l0": b.l0,
+        "shift": b.shift,
+        "states_total": b.states_total,
+        "peak_layers_held": b.peak_layers_held,
+        "witness": None,
+    }
+    if b.hit is not None and not streaming:
+        out["witness"] = _witness_path(b)
+    return out
+
+
+def _witness_path(b: _Builder):
+    src, tr, dst = b.hit
+    chain = []
+    cur = src
+    while cur is not None:
+        key = cur.key()
+        psrc, kind, ptr = b.parent.get(key, (None, None, None))
+        chain.append((kind, ptr, cur))
+        cur = psrc
+    chain.reverse()
+    steps = []
+    for kind, ptr, state in chain:
+        steps.append(_step_json(b, kind or "init", ptr, state))
+    steps.append(_step_json(b, "trans", tr, dst))
+    return steps
+
+
+def _step_json(b: _Builder, kind, tr, state: RegionState):
+    out = {
+        "kind": kind,
+        "loc": state.loc,
+        "region": state.base.eliminate((T,)).pretty() or "true",
+        "slot": str(state.slot(b.ctx.tmax)),
+    }
+    if tr is not None:
+        out["internal_label"] = tr.label
+        out["label"] = b.relabel_map.get(tr.label)
+    return out
+
+
+# -- summary automaton and products ---------------------------------------------
+
+
+def region_to_atoms(region: Region) -> tuple:
+    """A conjunction of atoms whose solution set is exactly the region."""
+    atoms = []
+    for c in region.clocks:
+        v = region.val(c)
+        if v is None:
+            atoms.append(Atom(c, ">", None, region.bound(c)))
+        elif v[1]:
+            atoms.append(Atom(c, "==", None, v[0]))
+        else:
+            atoms.append(Atom(c, ">", None, v[0]))
+            atoms.append(Atom(c, "<", None, v[0] + 1))
+    for i, c in enumerate(region.clocks):
+        for c2 in region.clocks[i + 1 :]:
+            v, v2 = region.val(c), region.val(c2)
+            if v is None or v2 is None or v[1] or v2[1]:
+                continue  # implied by the single-clock atoms
+            lo, _, hi, _ = region.diff_range(c, c2)
+            if lo == hi:
+                if lo >= 0:
+                    atoms.append(Atom(c, "==", c2, lo))
+                else:
+                    atoms.append(Atom(c2, "==", c, -lo))
+            elif lo >= 0:
+                atoms.append(Atom(c, ">", c2, lo))
+                atoms.append(Atom(c, "<", c2, lo + 1))
+            else:
+                atoms.append(Atom(c2, ">", c, -lo - 1))
+                atoms.append(Atom(c2, "<", c, -lo))
+    return tuple(atoms)
+
+
+def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
+    """One timed automaton over C whose runs mirror DRA paths.
+
+    Silent edges (delay, cross, loop) are guarded by the target's C-projection
+    and reset nothing; labeled edges are guarded by the source's C-projection
+    and reset exactly the clocks that are 0 in the target.
+    """
+    names = dra.state_names()
+    ctx = dra.ctx
+    trs = []
+    for e in dra.edges:
+        src, dst = names[e.src.key()], names[e.dst.key()]
+        if e.kind == "trans":
+            cproj = e.src.base.eliminate((T,))
+            resets = tuple(
+                c for c in ctx.cclocks if e.dst.base.val(c) == (0, True)
+            )
+            trs.append(Transition(src, dst, e.tr.label, region_to_atoms(cproj), resets))
+        else:
+            cproj = e.dst.base.eliminate((T,))
+            trs.append(Transition(src, dst, None, region_to_atoms(cproj), ()))
+    initial = names[dra.ctx.initial_state().key()]
+    locations = tuple(
+        names[rs.key()] for layer in dra.layers for rs in layer.states.values()
+    )
+    return Automaton("ta", f"{dra.automaton.name}_summary", ctx.cclocks,
+                     locations, initial, {}, tuple(trs))
+
+
+def k_product(s: Automaton, k: int, max_states=None) -> Automaton:
+    """Asynchronous product of k copies of a timed automaton.
+
+    Locations are k-tuples reachable in the location graph; clock c of copy i
+    becomes c_p{i}; labels are kept as-is (several copies may share them).
+    """
+    def ren(c, i):
+        return f"{c}_p{i + 1}"
+
+    trans_from = {}
+    for tr in s.transitions:
+        trans_from.setdefault(tr.src, []).append(tr)
+    start = (s.initial,) * k
+    seen = {start}
+    order = [start]
+    queue = deque([start])
+    out_trs = []
+    while queue:
+        tup = queue.popleft()
+        for i in range(k):
+            for tr in trans_from.get(tup[i], ()):
+                nxt = tup[:i] + (tr.dst,) + tup[i + 1 :]
+                guard = tuple(
+                    Atom(ren(a.left, i), a.op,
+                         ren(a.right, i) if a.right else None, a.d)
+                    for a in tr.guard
+                )
+                resets = tuple(ren(c, i) for c in tr.resets)
+                out_trs.append(Transition("__".join(tup), "__".join(nxt),
+                                          tr.label, guard, resets))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+                    queue.append(nxt)
+                    if max_states is not None and len(seen) > max_states:
+                        raise BudgetExceeded(
+                            f"product exceeds {max_states} locations"
+                        )
+    invariants = {}
+    for tup in order:
+        atoms = []
+        for i, q in enumerate(tup):
+            for a in s.invariant(q):
+                atoms.append(Atom(ren(a.left, i), a.op, None, a.d))
+        if atoms:
+            invariants["__".join(tup)] = tuple(atoms)
+    clocks = tuple(ren(c, i) for i in range(k) for c in s.clocks)
+    return Automaton("ta", f"{s.name}_x{k}", clocks,
+                     tuple("__".join(t) for t in order), "__".join(start),
+                     invariants, tuple(out_trs))
+
+
+def dra_to_dot(dra: DtnRegionAutomaton) -> str:
+    return "\n".join(_dot_lines(dra)) + "\n"
+
+
+def _dot_lines(dra: DtnRegionAutomaton):
+    names = dra.state_names()
+    yield "digraph dra {"
+    yield "  rankdir=LR;"
+    yield '  node [shape=box, fontsize=10];'
+    for layer in dra.layers:
+        yield f"  subgraph cluster_{layer.number} {{"
+        yield f'    label="W{layer.number} t in {layer.slot}";'
+        for rs in layer.states.values():
+            label = f"{rs.loc}\\n{rs.base.eliminate((T,)).pretty() or 'true'}"
+            yield f'    {names[rs.key()]} [label="{label}"];'
+        yield "  }"
+    for e in dra.edges:
+        src, dst = names[e.src.key()], names[e.dst.key()]
+        if e.kind == "trans":
+            user = dra.relabel_map.get(e.tr.label)
+            text = user if user is not None else "eps"
+            yield f'  {src} -> {dst} [label="{text}"];'
+        else:
+            extra = "" if e.kind != "loop" else f', label="back {dra.shift}"'
+            yield f"  {src} -> {dst} [style=dashed{extra}];"
+    yield "}"

@@ -1,0 +1,269 @@
+"""Region automaton of a timed automaton, slot-aware when the global clock
+is present, plus the time-divergence (timelock-freedom) check.
+
+States are RegionState values: the global clock t, when present, is rebased
+so its integer part is 0 and the real slot index rides along as a plain int.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import NamedTuple, Optional
+
+from .model import Automaton, BudgetExceeded, Transition, compute_bounds
+from .regions import (
+    T,
+    Region,
+    RegionState,
+    count_regions,
+    initial_region,
+)
+
+
+class RegionEdge(NamedTuple):
+    src: RegionState
+    kind: str  # "delay" (in-slot), "cross" (into the next slot) or "trans"
+    tr: Optional[Transition]  # the discrete transition, for kind "trans"
+    dst: RegionState
+
+
+class RegionContext:
+    """Precomputed data for exploring one timed automaton's region states."""
+
+    def __init__(self, ta: Automaton):
+        self.automaton = ta
+        self.has_t = ta.tclock is not None
+        cclocks = tuple(sorted(c for c in ta.clocks if c != ta.tclock))
+        self.cclocks = cclocks
+        self.clocks = cclocks + ((T,) if self.has_t else ())
+        self.cbounds = {
+            c: b for c, b in compute_bounds(ta).items() if c != ta.tclock
+        }
+        self.bounds = dict(self.cbounds)
+        if self.has_t:
+            self.bounds[T] = 1  # rebased; the real slot index lives in RegionState
+        self.na = len(ta.locations) * count_regions(
+            {c: self.cbounds[c] for c in cclocks}
+        )
+        self.tmax = 2 ** (self.na + 1) if self.has_t else None
+        self.trans_from = {}
+        for tr in ta.transitions:
+            self.trans_from.setdefault(tr.src, []).append(tr)
+
+    def initial_state(self) -> RegionState:
+        return RegionState(
+            self.automaton.initial, initial_region(self.clocks, self.bounds), 0
+        )
+
+    def invariant(self, q: str) -> tuple:
+        return self.automaton.invariant(q)
+
+
+def immediate_time_successor(rs: RegionState, ctx: RegionContext):
+    """The unique next region in time, or None when delay is blocked/idempotent.
+
+    Returns (kind, state): kind "delay" stays in the slot, "cross" enters the
+    next one.  A successor violating the location invariant blocks delay.
+    """
+    if ctx.has_t:
+        res = rs.advance(ctx.tmax)
+        if res is None:
+            return None
+        kind, nxt = res
+        kind = "delay" if kind == "in" else "cross"
+    else:
+        succ = rs.base.delay_successor()
+        if succ == rs.base:
+            return None
+        kind, nxt = "delay", rs.with_base(succ)
+    if not nxt.base.satisfies(ctx.invariant(rs.loc)):
+        return None
+    return kind, nxt
+
+
+def discrete_successors(rs: RegionState, ctx: RegionContext):
+    """All enabled discrete steps as (transition, successor) pairs.
+
+    A transition fires when the region satisfies its guard uniformly and the
+    reset image satisfies the target invariant; the slot never changes.
+    """
+    out = []
+    for tr in ctx.trans_from.get(rs.loc, ()):
+        if not rs.base.satisfies(tr.guard):
+            continue
+        nb = rs.base.reset(tr.resets)
+        if not nb.satisfies(ctx.invariant(tr.dst)):
+            continue
+        out.append((tr, RegionState(tr.dst, nb, rs.index, rs.unbounded)))
+    return out
+
+
+def reachable_region_states(
+    ta: Automaton, slot_cap=None, max_states=None
+):
+    """BFS over region states.  Returns (states in visit order, edges, ctx)."""
+    ctx = RegionContext(ta)
+    start = ctx.initial_state()
+    seen = {start.key(): start}
+    order = [start]
+    edges = []
+    queue = deque([start])
+    while queue:
+        rs = queue.popleft()
+        succs = []
+        step = immediate_time_successor(rs, ctx)
+        if step is not None:
+            kind, nxt = step
+            crossing_out = (
+                kind == "cross"
+                and slot_cap is not None
+                and (nxt.index > slot_cap or nxt.unbounded)
+            )
+            if not crossing_out:
+                succs.append((kind, None, nxt))
+        for tr, nxt in discrete_successors(rs, ctx):
+            succs.append(("trans", tr, nxt))
+        for kind, tr, nxt in succs:
+            edges.append(RegionEdge(rs, kind, tr, nxt))
+            k = nxt.key()
+            if k not in seen:
+                seen[k] = nxt
+                order.append(nxt)
+                queue.append(nxt)
+                if max_states is not None and len(seen) > max_states:
+                    raise BudgetExceeded(
+                        f"region graph exceeds {max_states} states"
+                    )
+    return order, edges, ctx
+
+
+# -- timelock-freedom (time divergence from every reachable state) -------------
+
+
+def fresh_name(base: str, taken) -> str:
+    name, i = base, 0
+    while name in taken:
+        i += 1
+        name = f"{base}_{i}"
+    return name
+
+
+def check_timelock_free(a: Automaton, max_states=None):
+    """Divergence check on a plain timed automaton (no location guards).
+
+    Augments the automaton with a unit tick clock z held below 1: delaying
+    past z=1 is replaced by a tick edge that resets z, so any run letting one
+    time unit pass must tick.  Time can diverge from a state iff it reaches a
+    cycle through a tick edge.  Returns ("proved", None) or
+    ("refuted", (location, region text)).
+    """
+    z = fresh_name("z", a.clocks)
+    bounds = compute_bounds(a)
+    bounds[z] = 1
+    clocks = tuple(sorted(a.clocks)) + (z,)
+    trans_from = {}
+    for tr in a.transitions:
+        trans_from.setdefault(tr.src, []).append(tr)
+
+    start = (a.initial, initial_region(clocks, bounds))
+    adj = {}  # node -> list of (successor, is_tick)
+    order = []
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        loc, r = queue.popleft()
+        order.append((loc, r))
+        succs = []
+        d = r.delay_successor()
+        if d != r and d.val(z) is not None and d.satisfies(a.invariant(loc)):
+            succs.append(((loc, d), False))
+        for tr in trans_from.get(loc, ()):
+            if not r.satisfies(tr.guard):
+                continue
+            nb = r.reset(tr.resets)
+            if nb.satisfies(a.invariant(tr.dst)):
+                succs.append(((tr.dst, nb), False))
+        if r.val(z) == (1, True):
+            succs.append(((loc, r.reset((z,))), True))
+        adj[(loc, r)] = succs
+        for node, _ in succs:
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+                if max_states is not None and len(seen) > max_states:
+                    raise BudgetExceeded(
+                        f"timelock check exceeds {max_states} states"
+                    )
+
+    comp = _scc(adj)
+    good = {
+        comp[u]
+        for u, succs in adj.items()
+        for v, tick in succs
+        if tick and comp[u] == comp[v]
+    }
+    # nodes that can reach a good component
+    rev = {u: [] for u in adj}
+    for u, succs in adj.items():
+        for v, _ in succs:
+            rev[v].append(u)
+    capable = {u for u in adj if comp[u] in good}
+    queue = deque(capable)
+    while queue:
+        v = queue.popleft()
+        for u in rev[v]:
+            if u not in capable:
+                capable.add(u)
+                queue.append(u)
+
+    bad = [u for u in order if u not in capable]
+    if not bad:
+        return ("proved", None)
+    stuck = [u for u in bad if not adj[u]]
+    loc, r = stuck[0] if stuck else bad[0]
+    return ("refuted", (loc, r.eliminate((z,)).pretty()))
+
+
+def _scc(adj):
+    """Iterative Tarjan; returns node -> component id."""
+    index, low, comp = {}, {}, {}
+    stack, on_stack = [], set()
+    counter = [0]
+    cid = [0]
+    for root in adj:
+        if root in index:
+            continue
+        work = [(root, iter(adj[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for succ, _ in it:
+                if succ not in index:
+                    index[succ] = low[succ] = counter[0]
+                    counter[0] += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(adj[succ])))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp[w] = cid[0]
+                    if w == node:
+                        break
+                cid[0] += 1
+    return comp
