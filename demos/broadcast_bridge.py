@@ -11,7 +11,7 @@ from pathlib import Path
 
 from dtnmc import gta_to_lbta, lbta_to_gta, parse_file, pretty_model
 from dtnmc.dtn_local import reachable_labels
-from dtnmc.oracle import explore_lbta_network, explore_network
+from dtnmc.oracle import explore_network
 
 ROOT = Path(__file__).resolve().parent.parent
 a = parse_file(ROOT / "models" / "fig1.gta")
@@ -23,7 +23,7 @@ print(pretty_model(b))
 print("== three processes, both semantics ==")
 user = lambda labels: sorted(l for l in labels if l)
 print("gTA fires: ", ", ".join(user(explore_network(a, 3, slot_cap=2).labels)))
-print("LBTA fires:", ", ".join(user(explore_lbta_network(b, 3, slot_cap=2).labels)))
+print("LBTA fires:", ", ".join(user(explore_network(b, 3, slot_cap=2).labels)))
 
 print()
 print("== and back again ==")

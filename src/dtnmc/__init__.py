@@ -29,7 +29,7 @@ from .dtn_local import (
 )
 from .dtn_global import check_global, find_guard_timelock, parse_constraint
 from .lbta_bridge import gta_to_lbta, lbta_to_gta
-from .oracle import explore_network, explore_lbta_network, project_trace
+from .oracle import explore_network, project_trace
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "build_layers",
     "check_global",
     "check_label_reachable",
-    "explore_lbta_network",
     "explore_network",
     "find_guard_timelock",
     "gta_to_lbta",

@@ -2,8 +2,8 @@
 
 Subcommands: validate, check-local, check-global, build-dra, summary,
 product, translate, oracle.  Every subcommand accepts --max-layers,
---max-states, --threads, --json <path> and --dot <path>; results printed to
-stdout are JSON (sorted keys) unless the artifact is a model or a report.
+--max-states, --json <path> and --dot <path>; results printed to stdout
+are JSON (sorted keys) unless the artifact is a model or a report.
 Exit codes: 0 query answered, 1 unreachable under --fail-on-unreachable,
 2 usage or model error, 3 budget exceeded.
 """
@@ -58,9 +58,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-states", type=int, default=None,
                         help="abort after this many stored states "
                              "(env DTNMC_MAX_STATES)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap; 1 is the reproducible mode "
-                             "(exploration is currently sequential)")
         sp.add_argument("--json", metavar="PATH", default=None,
                         help="also write the result object to PATH")
         sp.add_argument("--dot", metavar="PATH", default=None,

@@ -5,7 +5,8 @@ A network state fuses the n per-process clock blocks and the shared global
 clock t into one product region; delays are the region's immediate time
 successors, discrete steps move one process (or, for broadcast models, a
 sender plus any subset of receivers in the same instant).  States are
-deduplicated up to process permutation.
+deduplicated up to process permutation by sorting per-process signatures
+(Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003); see `_Net.canon`.
 
 Witness traces are found without symmetry reduction and then concretized:
 each delay edge admits a non-empty rational interval of durations, from
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from collections import deque
 
 from .model import Automaton, compute_bounds
@@ -43,6 +44,10 @@ class _Net:
         self.bounds = {_pclock(c, i): self.cbounds[c]
                        for i in range(n) for c in self.cclocks}
         self.bounds[T] = 1
+        k = len(self.cclocks)
+        self.blocks = tuple(slice(i * k, (i + 1) * k) for i in range(n))
+        self.local = tuple({**dict(zip(self.clocks[blk], self.cclocks)), T: T}
+                           for blk in self.blocks)
         self.trans_from = {}
         for tr in a.transitions:
             self.trans_from.setdefault(tr.src, []).append(tr)
@@ -85,30 +90,30 @@ class _Net:
             return None
         return nxt
 
-    def canon(self, state: RegionState) -> RegionState:
-        best = None
-        for perm in permutations(range(self.n)):
-            locs = tuple(state.loc[p] for p in perm)
-            mapping = {
-                _pclock(c, p): _pclock(c, new)
-                for new, p in enumerate(perm)
-                for c in self.cclocks
-            }
-            reg = state.base.rename(mapping, order=self.clocks)
-            cand = (locs, repr(reg.key()))  # repr: None entries are not orderable
-            if best is None or cand < best[0]:
-                best = (cand, RegionState(locs, reg, state.index, state.unbounded))
-        return best[1]
+    def canon(self, state: RegionState):
+        """Orbit key of `state` under permutations of the processes.
+
+        Each clock becomes a cell: its value class ((-1, False) if collapsed)
+        and the rank of its fractional class (-1 if none).  The cells give the
+        region back, the rank-r clocks being its r-th fractional class.  A
+        permutation only permutes the process signatures (location, cells of
+        its clocks), so the sorted signatures with t's cell, index and
+        unbounded flag are equal exactly for states in one orbit.
+        """
+        rank = {c: r for r, cls in enumerate(state.base.fracs) for c in cls}
+        cells = tuple(((-1, False) if v is None else v, rank.get(c, -1))
+                      for c, v in zip(self.clocks, state.base.vals))
+        sigs = sorted((q,) + cells[blk] for q, blk in zip(state.loc, self.blocks))
+        return (tuple(sigs), cells[-1], state.index, state.unbounded)
 
     def member_project(self, state: RegionState, i: int):
-        drop = [
-            _pclock(c, j) for j in range(self.n) if j != i for c in self.cclocks
-        ]
-        reg = state.base.eliminate(drop).rename(
-            {_pclock(c, i): c for c in self.cclocks},
-            order=self.cclocks + (T,),
-        )
-        return (state.loc[i], state.unbounded, reg.key())
+        """Process i and t as a one-process region key over cclocks + (t,)."""
+        local = self.local[i]
+        fracs = (tuple(sorted(local[c] for c in cls if c in local))
+                 for cls in state.base.fracs)
+        vals = state.base.vals[self.blocks[i]] + state.base.vals[-1:]
+        return (state.loc[i], state.unbounded,
+                (vals, tuple(cls for cls in fracs if cls), self.cclocks + (T,)))
 
     def support_of(self, state: RegionState):
         return frozenset(self.member_project(state, i) for i in range(self.n))
@@ -194,8 +199,8 @@ class OracleResult:
 def _explore(a: Automaton, n, slot_cap, max_states, moves_fn) -> OracleResult:
     net = _Net(a, n, slot_cap)
     res = OracleResult(n, slot_cap)
-    start = net.canon(net.initial())
-    seen = {start.key()}
+    start = net.initial()
+    seen = {net.canon(start)}
     queue = deque([start])
 
     def record(state):
@@ -217,15 +222,14 @@ def _explore(a: Automaton, n, slot_cap, max_states, moves_fn) -> OracleResult:
                     res.labels.add(tr.label)
             succs.append(nxt)
         for nxt in succs:
-            cn = net.canon(nxt)
-            k = cn.key()
+            k = net.canon(nxt)
             if k not in seen:
                 if len(seen) >= max_states:
                     res.exhausted = True
                     return res
                 seen.add(k)
-                record(cn)
-                queue.append(cn)
+                record(nxt)
+                queue.append(nxt)
     return res
 
 
@@ -235,11 +239,6 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
     if a.kind == "lbta":
         return _explore(a, n, slot_cap, max_states, _lbta_moves)
     return _explore(a, n, slot_cap, max_states, _gta_moves)
-
-
-def explore_lbta_network(b: Automaton, n: int, slot_cap: int = 8,
-                         max_states: int = 10 ** 6) -> OracleResult:
-    return _explore(b, n, slot_cap, max_states, _lbta_moves)
 
 
 # -- witness traces -------------------------------------------------------------

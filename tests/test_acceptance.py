@@ -19,7 +19,6 @@ from dtnmc.model import Atom, Automaton, Transition, compute_bounds, parse_file
 from dtnmc.oracle import (
     concretize,
     eval_constraint_on_locs,
-    explore_lbta_network,
     explore_network,
     simulate_trace,
     witness_region_path,
@@ -293,11 +292,11 @@ def test_criterion_8_translations_preserve_label_sets():
         b = gta_to_lbta(a)
         fired = set()
         for n in (1, 2, 3):
-            fired |= explore_lbta_network(b, n, slot_cap=4, max_states=200_000).labels
+            fired |= explore_network(b, n, slot_cap=4, max_states=200_000).labels
         if _user_labels(fired) != direct:
             for n in (2, 3):  # widen the horizon before judging
-                fired |= explore_lbta_network(b, n, slot_cap=8,
-                                              max_states=400_000).labels
+                fired |= explore_network(b, n, slot_cap=8,
+                                         max_states=400_000).labels
         back = _user_labels(reachable_labels(lbta_to_gta(b)))
         if not (_user_labels(fired) == direct == back):
             bad.append((a.name, sorted(direct), sorted(_user_labels(fired)),

@@ -4,7 +4,7 @@ from conftest import random_gta
 from dtnmc.dtn_local import reachable_labels
 from dtnmc.lbta_bridge import gta_to_lbta, lbta_to_gta
 from dtnmc.model import Atom, parse_model, validate
-from dtnmc.oracle import explore_lbta_network, explore_network
+from dtnmc.oracle import explore_network
 
 
 def test_gta_to_lbta_structure(fig1):
@@ -69,7 +69,7 @@ def test_round_trip_preserves_user_labels(fig1):
 def test_lbta_oracle_agrees_on_labels(fig1):
     b = gta_to_lbta(fig1)
     direct = explore_network(fig1, 3, slot_cap=2)
-    lossy = explore_lbta_network(b, 3, slot_cap=2)
+    lossy = explore_network(b, 3, slot_cap=2)
     user = lambda labels: {l for l in labels if l is not None}
     assert user(lossy.labels) == user(direct.labels)
 
@@ -81,5 +81,5 @@ def test_round_trip_random_labels():
         back = lbta_to_gta(b)
         assert validate(back, skip_timelock=True)
         fired_a = {l for l in explore_network(a, 2, slot_cap=3).labels if l}
-        fired_b = {l for l in explore_lbta_network(b, 2, slot_cap=3).labels if l}
+        fired_b = {l for l in explore_network(b, 2, slot_cap=3).labels if l}
         assert fired_a == fired_b, seed

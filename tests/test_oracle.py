@@ -1,12 +1,18 @@
+import random
+from collections import deque
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from dtnmc.model import parse_model
+from conftest import MODELS, random_gta, random_region
+from dtnmc.lbta_bridge import gta_to_lbta
+from dtnmc.model import parse_file, parse_model
 from dtnmc.oracle import (
     _Net,
     _gta_moves,
     _lbta_moves,
+    _pclock,
     concretize,
     eval_constraint_on_locs,
     explore_network,
@@ -27,9 +33,85 @@ trans p -> ps label: snd sync: a!!
 trans q -> qs label: rcv sync: a??
 """
 
+TWO_CLOCKS = """gta W
+clocks x, y
+location a initial
+location b inv: y <= 2
+trans a -> b guard: x >= 1 reset: y
+trans b -> a guard: y > 1 && x < 3 reset: x
+"""
 
-def test_labels_grow_with_network_size(fig1):
-    fired = {n: explore_network(fig1, n, slot_cap=2).labels for n in (1, 2, 3)}
+# (model, n) -> states_explored, labels, len(loc_sets) and the number of
+# supports per (slot kind, slot index) of explore_network at slot cap 2
+PINNED = {
+    ("fig1", 1): (80, {"s0", "s1", "s2"}, 3,
+                  {("point", 0): 3, ("open", 0): 9, ("point", 1): 9,
+                   ("open", 1): 19, ("point", 2): 13, ("open", 2): 27}),
+    ("fig1", 2): (1162, {"s0", "s1", "s2", "s4", "s5", "s6"}, 12,
+                  {("point", 0): 6, ("open", 0): 45, ("point", 1): 52,
+                   ("open", 1): 229, ("point", 2): 129, ("open", 2): 516}),
+    ("fig1", 3): (18702, {"s0", "s1", "s2", "s4", "s5", "s6", "serr"}, 34,
+                  {("point", 0): 7, ("open", 0): 129, ("point", 1): 171,
+                   ("open", 1): 1697, ("point", 2): 892, ("open", 2): 7523}),
+    ("fig3", 1): (26, set(), 2,
+                  {("point", 0): 2, ("open", 0): 4, ("point", 1): 4,
+                   ("open", 1): 6, ("point", 2): 4, ("open", 2): 6}),
+    ("fig3", 2): (197, set(), 3,
+                  {("point", 0): 3, ("open", 0): 18, ("point", 1): 18,
+                   ("open", 1): 56, ("point", 2): 25, ("open", 2): 56}),
+    ("fig3", 3): (1020, set(), 3,
+                  {("point", 0): 3, ("open", 0): 40, ("point", 1): 40,
+                   ("open", 1): 221, ("point", 2): 62, ("open", 2): 221}),
+}
+
+
+@pytest.fixture(scope="module")
+def explored():
+    """explore_network(model, n, slot_cap=2), computed once per (model, n)."""
+    cache = {}
+
+    def get(name, n):
+        if (name, n) not in cache:
+            a = parse_file(MODELS / f"{name}.gta")
+            cache[name, n] = explore_network(a, n, slot_cap=2)
+        return cache[name, n]
+
+    return get
+
+
+def _permuted(net, state, perm):
+    """The state with process perm[j] renamed to j."""
+    mapping = {_pclock(c, p): _pclock(c, j)
+               for j, p in enumerate(perm) for c in net.cclocks}
+    return RegionState(tuple(state.loc[p] for p in perm),
+                       state.base.rename(mapping, order=net.clocks),
+                       state.index, state.unbounded)
+
+
+def _reference_canon(net, state):
+    """Key of the least renamed copy over all n! process permutations."""
+    copies = (_permuted(net, state, perm) for perm in permutations(range(net.n)))
+    # repr: None entries of region keys are not orderable
+    return min((s.loc, repr(s.base.key()), s.key()) for s in copies)[2]
+
+
+def _bfs_states(net, moves_fn, limit):
+    """The first `limit` states of an unreduced breadth-first search."""
+    seen = {}
+    queue = deque([net.initial()])
+    while queue and len(seen) < limit:
+        state = queue.popleft()
+        if state.key() in seen:
+            continue
+        seen[state.key()] = state
+        d = net.delay_succ(state)
+        queue.extend([d] if d is not None else [])
+        queue.extend(nxt for _, nxt in moves_fn(net, state))
+    return list(seen.values())
+
+
+def test_labels_grow_with_network_size(explored):
+    fired = {n: explored("fig1", n).labels for n in (1, 2, 3)}
     assert fired[1] == {"s0", "s1", "s2"}
     assert fired[2] == {"s0", "s1", "s2", "s4", "s5", "s6"}
     assert fired[3] == fired[2] | {"serr"}
@@ -54,15 +136,57 @@ def test_witness_absent(fig1):
     assert witness_region_path(fig1, 3, "serr", slot_cap=2, max_states=50) is None
 
 
+@pytest.mark.parametrize("name,n", sorted(PINNED))
+def test_pinned_exploration_outcomes(explored, name, n):
+    states, labels, loc_sets, supports = PINNED[name, n]
+    res = explored(name, n)
+    assert res.states_explored == states
+    assert res.labels == labels
+    assert len(res.loc_sets) == loc_sets
+    assert {slot: len(sups) for slot, sups in res.supports.items()} == supports
+    assert not res.exhausted
+
+
 def test_canon_collapses_process_symmetry(fig3):
     net = _Net(fig3, 2, 2)
     start = net.initial()
     moves = _gta_moves(net, start)
-    # the same transition fired by either process reaches one canonical state
+    # the same transition fired by either process reaches one orbit key
     by_desc = {desc[0][0]: nxt for desc, nxt in moves}
     assert set(by_desc) == {0, 1}
-    assert net.canon(by_desc[0]).key() == net.canon(by_desc[1]).key()
+    assert net.canon(by_desc[0]) == net.canon(by_desc[1])
     assert by_desc[0].key() != by_desc[1].key()
+
+
+def test_canon_partition_matches_permutation_search():
+    rng = random.Random(7)
+    groups = []
+    # seeds whose networks fire some transition by slot 2
+    for seed in (3, 18, 19, 20, 32, 34, 35, 38):
+        a = random_gta(seed)
+        for b in (a, gta_to_lbta(a)):
+            for n in (2, 3):
+                net = _Net(b, n, 2)
+                moves_fn = _lbta_moves if b.kind == "lbta" else _gta_moves
+                groups.append((net, _bfs_states(net, moves_fn, 150)))
+    # two clocks per process, arbitrary (not necessarily reachable) regions
+    net = _Net(parse_model(TWO_CLOCKS), 3, 2)
+    groups.append((net, [
+        RegionState(tuple(rng.choice(("a", "b")) for _ in range(3)),
+                    random_region(rng, net.clocks, net.bounds), rng.randint(0, 2))
+        for _ in range(150)
+    ]))
+    ref, key = [], []
+    for g, (net, states) in enumerate(groups):
+        for state in states:
+            perm = list(range(net.n))
+            rng.shuffle(perm)
+            for s in (state, _permuted(net, state, perm)):
+                ref.append((g, _reference_canon(net, s)))
+                key.append((g, net.canon(s)))
+    # equal partitions: each reference class is one key class and vice versa
+    assert len(set(ref)) == len(set(key)) == len(set(zip(ref, key)))
+    assert len(set(key)) < len(key)
 
 
 def test_supports_shape(fig3):
