@@ -21,6 +21,15 @@ slot.  Supports evolve by three kinds of steps:
 Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
 up to a slot shift, exactly as in the local algorithm.
+
+Members are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): each builder's `MemberTable` gives every member key
+(location, unbounded flag, base region) an int id and keeps, per id, the
+RegionState, its sort rank, location and slot flags, and, computed on first
+use, its delay step (which depends on the slot index only through
+index >= tmax) and its discrete steps, both as ids.  A support is a frozenset
+of ids and is its own key; the slot index, shared by all members, travels
+beside it.  `support_key` remains the index-free key of a RegionState support.
 """
 
 from __future__ import annotations
@@ -28,11 +37,10 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .model import Automaton, BudgetExceeded, relabel_unique, unguard
-from .region_graph import RegionContext, immediate_time_successor
+from .region_graph import RegionContext, discrete_successors, immediate_time_successor
 from .regions import T, RegionState, Slot
 
 
@@ -44,22 +52,18 @@ def support_key(support):
     return frozenset(_member_key(m) for m in support)
 
 
-def _sorted_members(support):
-    # region keys contain None entries, so order by repr
-    return sorted(support, key=lambda m: repr(_member_key(m)))
-
-
 @dataclass
 class GlobalLayer:
     number: int
     slot: Slot
-    supports: dict  # support_key -> frozenset of RegionState
+    supports: dict  # support (frozenset of member ids) -> None, in discovery order
 
     def base_keys(self):
-        return frozenset(self.supports.keys())
+        return frozenset(self.supports)
 
     def digest(self) -> str:
-        body = "\n".join(sorted(repr(sorted(k, key=repr)) for k in self.supports))
+        # ids are one-to-one with member keys within a builder
+        body = repr(sorted(sorted(s) for s in self.supports))
         return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -177,81 +181,124 @@ def guard_timelock_constraint(a: Automaton):
 # -- the global layer algorithm ---------------------------------------------------
 
 
-def _is_point_slot(member: RegionState) -> bool:
-    return not member.unbounded and member.base.val(T)[1]
+class MemberTable:
+    """Int ids for support members, with their successors computed once."""
+
+    def __init__(self, ctx: RegionContext, locguard: dict):
+        self.ctx = ctx
+        self.locguard = locguard  # transition label -> location guard or None
+        self.ids = {}  # member key -> id
+        self.states = []  # id -> RegionState at the slot index it was first seen
+        self.rank = []  # id -> repr of its member key, the visiting order
+        self.loc = []  # id -> location
+        self.point = []  # id -> t sits on an integer: a singleton slot
+        self.punctual = []  # id -> any positive delay moves a clock other than t
+        self._delay = {}  # (id, index >= tmax) -> (kind, id, slot shift) or None
+        self._discrete = {}  # id -> [(transition, id, location guard)]
+
+    def intern(self, m: RegionState) -> int:
+        key = _member_key(m)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.states)
+            self.states.append(m)
+            self.rank.append(repr(key))
+            self.loc.append(m.loc)
+            self.point.append(not m.unbounded and m.base.val(T)[1])
+            self.punctual.append(m.base.is_time_punctual(skip=(T,)))
+        return i
+
+    def state(self, i: int, index: int) -> RegionState:
+        m = self.states[i]
+        return RegionState(m.loc, m.base, index, m.unbounded)
+
+    def ordered(self, support) -> list:
+        return sorted(support, key=self.rank.__getitem__)
+
+    def delay(self, i: int, index: int):
+        """immediate_time_successor of member i in slot `index`, as ids."""
+        late = index >= self.ctx.tmax
+        if (i, late) not in self._delay:
+            probe = self.ctx.tmax if late else 0
+            step = immediate_time_successor(self.state(i, probe), self.ctx)
+            if step is not None:
+                kind, nxt = step
+                step = (kind, self.intern(nxt), nxt.index - probe)
+            self._delay[i, late] = step
+        return self._delay[i, late]
+
+    def discrete(self, i: int) -> list:
+        if i not in self._discrete:
+            self._discrete[i] = [
+                (tr, self.intern(nxt), self.locguard[tr.label])
+                for tr, nxt in discrete_successors(self.states[i], self.ctx)
+            ]
+        return self._discrete[i]
 
 
-def rule1_steps(support, ctx: RegionContext):
+def rule1_steps(support, index, members: MemberTable):
     """In-slot delay outcomes of a support (empty in a singleton slot)."""
-    members = _sorted_members(support)
-    if _is_point_slot(members[0]):
+    ids = members.ordered(support)
+    if members.point[ids[0]]:
         return []
-    punctual = [m for m in members if m.base.is_time_punctual(skip=(T,))]
+    punctual = [i for i in ids if members.punctual[i]]
     if punctual:
         succs = []
-        for m in punctual:
-            step = immediate_time_successor(m, ctx)
+        for i in punctual:
+            step = members.delay(i, index)
             if step is None:
                 return []  # an invariant pins a punctual member: time is stuck
             assert step[0] == "delay"
             succs.append(step[1])
-        return [frozenset(m for m in support if m not in punctual) | frozenset(succs)]
+        return [support.difference(punctual).union(succs)]
     movers = []
-    for m in members:
-        step = immediate_time_successor(m, ctx)
+    for i in ids:
+        step = members.delay(i, index)
         if step is not None and step[0] == "delay":
-            movers.append((m, step[1]))
+            movers.append((i, step[1]))
     # any nonempty set of members whose clocks share a fractional phase can hit
     # the next region together; within each, processes may all move or some lag
-    out, seen = [], set()
-    k0 = support_key(support)
+    out, seen = [], {support}
     for mask in range(1, 1 << len(movers)):
         chosen = [mv for b, mv in enumerate(movers) if mask >> b & 1]
         added = frozenset(s for _, s in chosen)
         for amask in range(1 << len(chosen)):
-            gone = {m for b, (m, _) in enumerate(chosen) if amask >> b & 1}
+            gone = {i for b, (i, _) in enumerate(chosen) if amask >> b & 1}
             nxt = (support - gone) | added
-            k = support_key(nxt)
-            if k != k0 and k not in seen:
-                seen.add(k)
+            if nxt not in seen:
+                seen.add(nxt)
                 out.append(nxt)
     return out
 
 
-def rule2_steps(support, ctx: RegionContext, locguard):
-    """Discrete outcomes: (transition, mover, successor support) triples."""
-    locs = {m.loc for m in support}
+def rule2_steps(support, members: MemberTable):
+    """Discrete outcomes: (transition, mover id, successor support) triples."""
+    loc = members.loc
+    locs = {loc[i] for i in support}
     out = []
-    for m in _sorted_members(support):
-        for tr in ctx.trans_from.get(m.loc, ()):
-            if not m.base.satisfies(tr.guard):
-                continue
-            nb = m.base.reset(tr.resets)
-            if not nb.satisfies(ctx.invariant(tr.dst)):
-                continue
-            lg = locguard[tr.label]
+    for i in members.ordered(support):
+        for tr, j, lg in members.discrete(i):
             if lg is not None and lg not in locs:
                 continue
-            m2 = RegionState(tr.dst, nb, m.index, m.unbounded)
-            keep = support | {m2}
-            if keep != support:
-                out.append((tr, m, keep))
-            if _member_key(m2) != _member_key(m):
-                drop = (support - {m}) | {m2}
-                if lg is None or lg in {x.loc for x in drop}:
-                    out.append((tr, m, drop))
+            if j not in support:
+                out.append((tr, i, support | {j}))
+            if j != i:
+                drop = (support - {i}) | {j}
+                if lg is None or lg in {loc[x] for x in drop}:
+                    out.append((tr, i, drop))
     return out
 
 
-def boundary_support(support, ctx: RegionContext):
-    """The crossed support when every member's next change enters the next slot."""
+def boundary_support(support, index, members: MemberTable):
+    """(crossed support, its slot index) when every member's next change enters
+    the next slot, else None."""
     crossed = []
-    for m in support:
-        step = immediate_time_successor(m, ctx)
+    for i in support:
+        step = members.delay(i, index)
         if step is None or step[0] != "cross":
             return None
         crossed.append(step[1])
-    return frozenset(crossed)
+    return frozenset(crossed), index + step[2]
 
 
 class _GlobalBuilder:
@@ -260,31 +307,32 @@ class _GlobalBuilder:
         self.automaton, self.relabel_map = relabel_unique(a)
         self.ta = unguard(self.automaton)
         self.ctx = RegionContext(self.ta)
-        self.locguard = {tr.label: tr.locguard for tr in self.automaton.transitions}
+        self.members = MemberTable(
+            self.ctx, {tr.label: tr.locguard for tr in self.automaton.transitions})
         self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
         self.max_states = max_states
         self.watch = watch  # parsed constraint or None
         self.streaming = streaming
         self.layers = []
-        self.parent = {}  # support_key -> (parent key or None, step kind, layer no)
+        self.parent = {}  # support -> (parent support or None, step kind, layer no)
         self.i0 = self.l0 = self.shift = None
-        self.hit = None  # (layer number, support)
+        self.hit = None  # (layer number, slot index, support)
         self.supports_total = 0
         self.peak_layers_held = 0
-        self.time_capable = {}  # support_key -> bool, for timelock analysis
-        self.rule2_edges = []  # (layer no, src key, dst key), for timelock analysis
+        self.time_capable = {}  # support -> bool, for timelock analysis
+        self.rule2_edges = []  # (src support, dst support), for timelock analysis
 
-    def _close_layer(self, number, seeds):
+    def _close_layer(self, number, index, seeds):
         supports = {}
         wl = deque()
+        loc = self.members.loc
 
-        def add(sup, src_key, kind):
-            k = support_key(sup)
-            if k in supports:
+        def add(sup, src, kind):
+            if sup in supports:
                 return
-            supports[k] = sup
-            if not self.streaming and k not in self.parent:
-                self.parent[k] = (src_key, kind, number)
+            supports[sup] = None
+            if not self.streaming and sup not in self.parent:
+                self.parent[sup] = (src, kind, number)
             self.supports_total += 1
             if self.max_states is not None and self.supports_total > self.max_states:
                 raise BudgetExceeded(
@@ -292,51 +340,48 @@ class _GlobalBuilder:
                 )
             wl.append(sup)
             if self.hit is None and self.watch is not None and \
-                    eval_constraint(sup, self.watch):
-                self.hit = (number, sup)
+                    _eval_on({loc[i] for i in sup}, self.watch):
+                self.hit = (number, index, sup)
 
-        for src_key, sup in seeds:
-            add(sup, src_key, "cross" if src_key is not None else "init")
+        for sup, src in seeds.items():
+            add(sup, src, "cross" if src is not None else "init")
         while wl:
             sup = wl.popleft()
-            k = support_key(sup)
-            steps = rule1_steps(sup, self.ctx)
+            steps = rule1_steps(sup, index, self.members)
             for nxt in steps:
-                add(nxt, k, "delay")
+                add(nxt, sup, "delay")
             if not self.streaming:
-                self.time_capable[k] = bool(steps)
-            for tr, mover, nxt in rule2_steps(sup, self.ctx, self.locguard):
-                nk = support_key(nxt)
+                self.time_capable[sup] = bool(steps)
+            for tr, _, nxt in rule2_steps(sup, self.members):
                 if not self.streaming:
-                    self.rule2_edges.append((k, nk))
-                add(nxt, k, f"trans {tr.label}")
-        first = next(iter(supports.values()))
-        slot = _sorted_members(first)[0].slot(self.ctx.tmax)
+                    self.rule2_edges.append((sup, nxt))
+                add(nxt, sup, f"trans {tr.label}")
+        first = next(iter(next(iter(supports))))
+        slot = self.members.state(first, index).slot(self.ctx.tmax)
         return GlobalLayer(number, slot, supports)
 
     def _boundary(self, layer):
-        seeds, seen = [], set()
-        for k, sup in layer.supports.items():
-            crossed = boundary_support(sup, self.ctx)
+        """The next layer's seeds (crossed support -> source) and slot index."""
+        seeds, index = {}, None
+        for sup in layer.supports:
+            crossed = boundary_support(sup, layer.slot.index, self.members)
             if crossed is None:
                 continue
             if not self.streaming:
-                self.time_capable[k] = True
-            ck = support_key(crossed)
-            if ck not in seen:
-                seen.add(ck)
-                seeds.append((k, crossed))
-        return seeds
+                self.time_capable[sup] = True
+            seeds.setdefault(crossed[0], sup)
+            index = crossed[1]
+        return seeds, index
 
     def build(self):
-        init = frozenset({self.ctx.initial_state()})
-        seeds = [(None, init)]
+        init = frozenset({self.members.intern(self.ctx.initial_state())})
+        seeds, index = {init: None}, 0
         sigs = []
         number = 0
         while True:
             if number > self.cap:
                 raise BudgetExceeded(f"global layer count exceeds cap {self.cap}")
-            layer = self._close_layer(number, seeds)
+            layer = self._close_layer(number, index, seeds)
             self.layers.append(layer)
             self.peak_layers_held = max(
                 self.peak_layers_held, 1 if self.streaming else len(self.layers)
@@ -353,7 +398,7 @@ class _GlobalBuilder:
                 sigs.append((number, layer.slot.index, sig))
             if self.hit is not None:
                 break
-            seeds = self._boundary(layer)
+            seeds, index = self._boundary(layer)
             if self.streaming:
                 self.layers.pop()
             if not seeds:
@@ -391,42 +436,40 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
         "witness": None,
     }
     if b.hit is not None:
-        number, sup = b.hit
-        out["support"] = _support_json(sup, b.ctx)
+        number, index, sup = b.hit
+        out["support"] = _support_json(sup, index, b.members)
         out["layer"] = number
         if not streaming:
             out["witness"] = _witness_chain(b, sup)
     return out
 
 
-def _support_json(sup, ctx):
-    members = []
-    for m in _sorted_members(sup):
-        members.append({
+def _support_json(sup, index, members: MemberTable):
+    out = []
+    for i in members.ordered(sup):
+        m = members.state(i, index)
+        out.append({
             "loc": m.loc,
             "region": m.base.eliminate((T,)).pretty() or "true",
-            "slot": str(m.slot(ctx.tmax)),
+            "slot": str(m.slot(members.ctx.tmax)),
         })
-    return members
+    return out
 
 
 def _witness_chain(b: _GlobalBuilder, sup):
-    by_key = {}
-    for layer in b.layers:
-        by_key.update(layer.supports)
     chain = []
-    key = support_key(sup)
-    while key is not None:
-        src, kind, number = b.parent[key]
+    while sup is not None:
+        src, kind, number = b.parent[sup]
+        index = b.layers[number].slot.index
         step = {"kind": kind, "layer": number,
-                "support": _support_json(by_key[key], b.ctx)}
+                "support": _support_json(sup, index, b.members)}
         if kind.startswith("trans "):
             internal = kind.split(" ", 1)[1]
             step["kind"] = "trans"
             step["internal_label"] = internal
             step["label"] = b.relabel_map.get(internal)
         chain.append(step)
-        key = src
+        sup = src
     chain.reverse()
     return chain
 
@@ -440,25 +483,24 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     "found", and the support and layer when found.
     """
     b = build_global_layers(a, cap, max_states)
-    by_key = {}
     layer_of = {}
     for layer in b.layers:
         # rebased supports recur across slots; keep the earliest occurrence
-        for k, sup in layer.supports.items():
-            if k not in by_key:
-                by_key[k] = sup
-                layer_of[k] = layer.number
+        for sup in layer.supports:
+            layer_of.setdefault(sup, layer.number)
     # the last layer's boundary step never ran during construction
     if b.layers:
-        for k, sup in b.layers[-1].supports.items():
-            if not b.time_capable.get(k) and boundary_support(sup, b.ctx) is not None:
-                b.time_capable[k] = True
+        last = b.layers[-1]
+        for sup in last.supports:
+            if not b.time_capable.get(sup) and \
+                    boundary_support(sup, last.slot.index, b.members) is not None:
+                b.time_capable[sup] = True
     # a support is safe if it reaches, through discrete steps, one that can delay
-    rev = {k: [] for k in by_key}
+    rev = {k: [] for k in layer_of}
     for src, dst in b.rule2_edges:
         if dst in rev:
             rev[dst].append(src)
-    safe = {k for k in by_key if b.time_capable.get(k, False)}
+    safe = {k for k in layer_of if b.time_capable.get(k, False)}
     queue = deque(safe)
     while queue:
         v = queue.popleft()
@@ -466,12 +508,15 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
             if u not in safe:
                 safe.add(u)
                 queue.append(u)
-    stuck = [k for k in by_key if k not in safe]
+    stuck = [k for k in layer_of if k not in safe]
     if not stuck:
         return {"found": False, "support": None, "layer": None}
-    k = min(stuck, key=lambda x: (layer_of[x], sorted(x, key=repr)))
+    states, ordered = b.members.states, b.members.ordered
+    k = min(stuck, key=lambda x: (
+        layer_of[x], [_member_key(states[i]) for i in ordered(x)]))
+    number = layer_of[k]
     return {
         "found": True,
-        "support": _support_json(by_key[k], b.ctx),
-        "layer": layer_of[k],
+        "support": _support_json(k, b.layers[number].slot.index, b.members),
+        "layer": number,
     }

@@ -41,15 +41,6 @@ class Layer:
         return hashlib.sha256(body.encode()).hexdigest()
 
 
-def approx_equal(wi: Layer, wj: Layer):
-    """Slot shift k with wj = wi + k when the layers match, else None."""
-    if wi.slot.kind != wj.slot.kind:
-        return None
-    if wi.base_keys() != wj.base_keys():
-        return None
-    return wj.slot.index - wi.slot.index
-
-
 @dataclass
 class LayerBuild:
     layers: list

@@ -409,16 +409,6 @@ def compute_bounds(a: Automaton) -> dict:
     return bounds
 
 
-def check_timelock_free(a: Automaton):
-    """Tri-state divergence check on a guard-free automaton.
-
-    Returns ("proved", None) or ("refuted", (location, region text)).
-    """
-    from . import region_graph
-
-    return region_graph.check_timelock_free(a)
-
-
 def validate(a: Automaton, skip_timelock: bool = False) -> ValidationReport:
     diagnostics = []
     if a.kind == "lbta":
@@ -432,8 +422,10 @@ def validate(a: Automaton, skip_timelock: bool = False) -> ValidationReport:
     _, relabel_map = relabel_unique(a)
     if skip_timelock:
         return ValidationReport("skipped", None, relabel_map, diagnostics)
+    from . import region_graph
+
     stripped = strip_guarded(a) if a.kind != "lbta" else strip_receives(a)
-    verdict, witness = check_timelock_free(stripped)
+    verdict, witness = region_graph.check_timelock_free(stripped)
     if verdict == "refuted":
         diagnostics.append(
             "Assumption 1 does not hold; layer construction may under-approximate"

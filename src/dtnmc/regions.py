@@ -339,9 +339,6 @@ class Slot:
     kind: str  # "point", "open" or "inf"
     index: int  # [k,k] / (k,k+1) / (tmax,inf)
 
-    def is_singleton(self) -> bool:
-        return self.kind == "point"
-
     def inf_sup(self):
         if self.kind == "point":
             return (self.index, self.index)

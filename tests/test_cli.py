@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +95,28 @@ def test_json_is_byte_deterministic(capsys, tmp_path):
     assert out1 == out2
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == json.loads(out1)
+
+
+@pytest.mark.parametrize("mode", [[], ["--streaming"]], ids=["dra", "streaming"])
+@pytest.mark.parametrize("query", ["#q1>=1 && #init==0",
+                                   "#q1>=1 && #init>=1 && #q1==0"])
+def test_check_global_json_is_byte_deterministic_across_processes(tmp_path, mode,
+                                                                  query):
+    # fresh interpreters differ in string hashing and object addresses, so
+    # this catches output that follows set iteration order
+    src = str(MODELS.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        path = tmp_path / f"{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtnmc.cli", "check-global", FIG3,
+             "--constraint", query, "--json", str(path), *mode],
+            env=env, capture_output=True, timeout=120, check=True)
+        outs.append((proc.stdout, path.read_bytes()))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][1])["query"] == query
 
 
 def test_build_dra_and_dot(capsys, tmp_path):

