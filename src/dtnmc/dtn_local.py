@@ -160,7 +160,7 @@ class _Builder:
                     continue
                 lg = self.locguard[tr.label]
                 if lg is not None and lg not in locs:
-                    waiting.setdefault(lg, set()).add(rs.key())
+                    waiting.setdefault(lg, {})[rs.key()] = None
                     continue
                 nxt = RegionState(tr.dst, nb, rs.index, rs.unbounded)
                 if nxt.key() in states:

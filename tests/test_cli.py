@@ -119,6 +119,26 @@ def test_check_global_json_is_byte_deterministic_across_processes(tmp_path, mode
     assert json.loads(outs[0][1])["query"] == query
 
 
+@pytest.mark.parametrize("command", [["build-dra", "--dot"], ["summary", "--json"]],
+                         ids=["build-dra", "summary"])
+@pytest.mark.parametrize("model", [FIG1, FIG3], ids=["fig1", "fig3"])
+def test_local_outputs_are_byte_deterministic_across_processes(tmp_path, command,
+                                                               model):
+    src = str(MODELS.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        path = tmp_path / f"{seed}.out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtnmc.cli", command[0], model, command[1],
+             str(path)],
+            env=env, capture_output=True, timeout=120, check=True)
+        outs.append((proc.stdout, path.read_bytes()))
+    assert outs[0] == outs[1]
+    assert outs[0][1]
+
+
 def test_build_dra_and_dot(capsys, tmp_path):
     dot = tmp_path / "dra.dot"
     rc, out, _ = run(capsys, "build-dra", FIG3, "--dot", str(dot))
