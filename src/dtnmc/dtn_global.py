@@ -22,14 +22,11 @@ Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
 up to a slot shift, exactly as in the local algorithm.
 
-Members are hash-consed (Filliatre & Conchon, "Type-safe modular
-hash-consing", 2006): each builder's `MemberTable` gives every member key
-(location, unbounded flag, base region) an int id and keeps, per id, the
-RegionState, its sort rank, location and slot flags, and, computed on first
-use, its delay step (which depends on the slot index only through
-index >= tmax) and its discrete steps, both as ids.  A support is a frozenset
-of ids and is its own key; the slot index, shared by all members, travels
-beside it.  `support_key` remains the index-free key of a RegionState support.
+Members are the ids of region_graph's shared `MemberTable`; `SupportMembers`
+adds, per id, the sort rank and the slot flags rule 1 reads.  A support is a
+frozenset of ids and is its own key; the slot index, shared by all members,
+travels beside it.  `support_key` is the index-free key of a RegionState
+support.
 """
 
 from __future__ import annotations
@@ -40,16 +37,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .model import Automaton, BudgetExceeded, relabel_unique, unguard
-from .region_graph import RegionContext, discrete_successors, immediate_time_successor
-from .regions import T, RegionState, Slot
-
-
-def _member_key(m: RegionState):
-    return (m.loc, m.unbounded, m.base.key())
+from .region_graph import MemberTable, RegionContext, member_key
+from .regions import T, Slot
 
 
 def support_key(support):
-    return frozenset(_member_key(m) for m in support)
+    return frozenset(member_key(m) for m in support)
 
 
 @dataclass
@@ -181,62 +174,25 @@ def guard_timelock_constraint(a: Automaton):
 # -- the global layer algorithm ---------------------------------------------------
 
 
-class MemberTable:
-    """Int ids for support members, with their successors computed once."""
+class SupportMembers(MemberTable):
+    """The shared member table plus the per-id fields supports need."""
 
-    def __init__(self, ctx: RegionContext, locguard: dict):
-        self.ctx = ctx
-        self.locguard = locguard  # transition label -> location guard or None
-        self.ids = {}  # member key -> id
-        self.states = []  # id -> RegionState at the slot index it was first seen
+    def __init__(self, ctx, locguard: dict):
+        super().__init__(ctx, locguard)
         self.rank = []  # id -> repr of its member key, the visiting order
-        self.loc = []  # id -> location
         self.point = []  # id -> t sits on an integer: a singleton slot
         self.punctual = []  # id -> any positive delay moves a clock other than t
-        self._delay = {}  # (id, index >= tmax) -> (kind, id, slot shift) or None
-        self._discrete = {}  # id -> [(transition, id, location guard)]
 
-    def intern(self, m: RegionState) -> int:
-        key = _member_key(m)
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.states)
-            self.states.append(m)
-            self.rank.append(repr(key))
-            self.loc.append(m.loc)
-            self.point.append(not m.unbounded and m.base.val(T)[1])
-            self.punctual.append(m.base.is_time_punctual(skip=(T,)))
-        return i
-
-    def state(self, i: int, index: int) -> RegionState:
-        m = self.states[i]
-        return RegionState(m.loc, m.base, index, m.unbounded)
+    def _added(self, key, m) -> None:
+        self.rank.append(repr(key))
+        self.point.append(not m.unbounded and m.base.val(T)[1])
+        self.punctual.append(m.base.is_time_punctual(skip=(T,)))
 
     def ordered(self, support) -> list:
         return sorted(support, key=self.rank.__getitem__)
 
-    def delay(self, i: int, index: int):
-        """immediate_time_successor of member i in slot `index`, as ids."""
-        late = index >= self.ctx.tmax
-        if (i, late) not in self._delay:
-            probe = self.ctx.tmax if late else 0
-            step = immediate_time_successor(self.state(i, probe), self.ctx)
-            if step is not None:
-                kind, nxt = step
-                step = (kind, self.intern(nxt), nxt.index - probe)
-            self._delay[i, late] = step
-        return self._delay[i, late]
 
-    def discrete(self, i: int) -> list:
-        if i not in self._discrete:
-            self._discrete[i] = [
-                (tr, self.intern(nxt), self.locguard[tr.label])
-                for tr, nxt in discrete_successors(self.states[i], self.ctx)
-            ]
-        return self._discrete[i]
-
-
-def rule1_steps(support, index, members: MemberTable):
+def rule1_steps(support, index, members: SupportMembers):
     """In-slot delay outcomes of a support (empty in a singleton slot)."""
     ids = members.ordered(support)
     if members.point[ids[0]]:
@@ -271,7 +227,7 @@ def rule1_steps(support, index, members: MemberTable):
     return out
 
 
-def rule2_steps(support, members: MemberTable):
+def rule2_steps(support, members: SupportMembers):
     """Discrete outcomes: (transition, mover id, successor support) triples."""
     loc = members.loc
     locs = {loc[i] for i in support}
@@ -289,7 +245,7 @@ def rule2_steps(support, members: MemberTable):
     return out
 
 
-def boundary_support(support, index, members: MemberTable):
+def boundary_support(support, index, members: SupportMembers):
     """(crossed support, its slot index) when every member's next change enters
     the next slot, else None."""
     crossed = []
@@ -307,7 +263,7 @@ class _GlobalBuilder:
         self.automaton, self.relabel_map = relabel_unique(a)
         self.ta = unguard(self.automaton)
         self.ctx = RegionContext(self.ta)
-        self.members = MemberTable(
+        self.members = SupportMembers(
             self.ctx, {tr.label: tr.locguard for tr in self.automaton.transitions})
         self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
         self.max_states = max_states
@@ -319,8 +275,6 @@ class _GlobalBuilder:
         self.hit = None  # (layer number, slot index, support)
         self.supports_total = 0
         self.peak_layers_held = 0
-        self.time_capable = {}  # support -> bool, for timelock analysis
-        self.rule2_edges = []  # (src support, dst support), for timelock analysis
 
     def _close_layer(self, number, index, seeds):
         supports = {}
@@ -347,14 +301,9 @@ class _GlobalBuilder:
             add(sup, src, "cross" if src is not None else "init")
         while wl:
             sup = wl.popleft()
-            steps = rule1_steps(sup, index, self.members)
-            for nxt in steps:
+            for nxt in rule1_steps(sup, index, self.members):
                 add(nxt, sup, "delay")
-            if not self.streaming:
-                self.time_capable[sup] = bool(steps)
             for tr, _, nxt in rule2_steps(sup, self.members):
-                if not self.streaming:
-                    self.rule2_edges.append((sup, nxt))
                 add(nxt, sup, f"trans {tr.label}")
         first = next(iter(next(iter(supports))))
         slot = self.members.state(first, index).slot(self.ctx.tmax)
@@ -367,8 +316,6 @@ class _GlobalBuilder:
             crossed = boundary_support(sup, layer.slot.index, self.members)
             if crossed is None:
                 continue
-            if not self.streaming:
-                self.time_capable[sup] = True
             seeds.setdefault(crossed[0], sup)
             index = crossed[1]
         return seeds, index
@@ -444,7 +391,7 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
     return out
 
 
-def _support_json(sup, index, members: MemberTable):
+def _support_json(sup, index, members: SupportMembers):
     out = []
     for i in members.ordered(sup):
         m = members.state(i, index)
@@ -483,24 +430,22 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     "found", and the support and layer when found.
     """
     b = build_global_layers(a, cap, max_states)
-    layer_of = {}
+    layer_of, last = {}, {}  # support -> number of its first / index of its last layer
     for layer in b.layers:
         # rebased supports recur across slots; keep the earliest occurrence
         for sup in layer.supports:
             layer_of.setdefault(sup, layer.number)
-    # the last layer's boundary step never ran during construction
-    if b.layers:
-        last = b.layers[-1]
-        for sup in last.supports:
-            if not b.time_capable.get(sup) and \
-                    boundary_support(sup, last.slot.index, b.members) is not None:
-                b.time_capable[sup] = True
-    # a support is safe if it reaches, through discrete steps, one that can delay
+            last[sup] = layer.slot.index
+    # a support is safe if it reaches, through discrete steps, one that can
+    # delay in the last layer holding it; rule 2 does not read the slot index
     rev = {k: [] for k in layer_of}
-    for src, dst in b.rule2_edges:
-        if dst in rev:
-            rev[dst].append(src)
-    safe = {k for k in layer_of if b.time_capable.get(k, False)}
+    safe = set()
+    for k, index in last.items():
+        for _, _, nxt in rule2_steps(k, b.members):
+            rev[nxt].append(k)
+        if rule1_steps(k, index, b.members) or \
+                boundary_support(k, index, b.members) is not None:
+            safe.add(k)
     queue = deque(safe)
     while queue:
         v = queue.popleft()
@@ -513,7 +458,7 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
         return {"found": False, "support": None, "layer": None}
     states, ordered = b.members.states, b.members.ordered
     k = min(stuck, key=lambda x: (
-        layer_of[x], [_member_key(states[i]) for i in ordered(x)]))
+        layer_of[x], [member_key(states[i]) for i in ordered(x)]))
     number = layer_of[k]
     return {
         "found": True,

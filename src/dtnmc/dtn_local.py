@@ -8,6 +8,12 @@ next slot.  Construction stops at the first layer that repeats an earlier
 singleton-slot layer up to a slot shift; redirecting the last boundary onto
 the repeated layer yields a finite automaton (the DRA) whose paths cover one
 process's behaviors in the infinite family of networks.
+
+Steps come from region_graph's shared `MemberTable`, so the successors of a
+(location, region) pair are computed once however many layers it recurs in.
+All states of a layer share its slot index, so inside the builder a state is
+its member id; edge dedup and loop-back signatures compare ids, and
+`Layer.states` keeps the public RegionState keys.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition, relabel_unique, unguard
-from .region_graph import RegionContext, RegionEdge, immediate_time_successor
+from .region_graph import MemberTable, RegionContext, RegionEdge, member_key
 from .regions import T, Region, RegionState, Slot
 
 
@@ -29,16 +35,7 @@ class Layer:
     states: dict  # key -> RegionState, insertion ordered
 
     def base_keys(self):
-        return frozenset(
-            (rs.loc, rs.unbounded, rs.base.key()) for rs in self.states.values()
-        )
-
-    def locations(self):
-        return {rs.loc for rs in self.states.values()}
-
-    def digest(self) -> str:
-        body = "\n".join(sorted(map(repr, self.base_keys())))
-        return hashlib.sha256(body.encode()).hexdigest()
+        return frozenset(map(member_key, self.states.values()))
 
 
 @dataclass
@@ -83,16 +80,18 @@ class _Builder:
         self.automaton, self.relabel_map = relabel_unique(a)
         self.ta = unguard(self.automaton)
         self.ctx = RegionContext(self.ta)
-        self.locguard = {
-            tr.label: tr.locguard for tr in self.automaton.transitions
-        }
+        self.members = MemberTable(
+            self.ctx, {tr.label: tr.locguard for tr in self.automaton.transitions})
         self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
         self.max_states = max_states
-        self.watch = watch
+        self.watched = {
+            internal for internal, user in self.relabel_map.items()
+            if watch is not None and watch in (internal, user)
+        }
         self.streaming = streaming
         self.layers = []
         self.edges = []
-        self._edge_seen = set()
+        self._edge_seen = set()  # (dst layer number, kind, src id, label, dst id)
         self.parent = {}
         self.layer_of = {}
         self.i0 = self.l0 = self.shift = None
@@ -100,118 +99,109 @@ class _Builder:
         self.states_total = 0
         self.peak_layers_held = 0
 
-    def _watch_match(self, tr: Transition) -> bool:
-        if self.watch is None:
-            return False
-        return tr.label == self.watch or self.relabel_map.get(tr.label) == self.watch
-
-    def _edge(self, src, kind, tr, dst):
+    def _edge(self, number, src, i, kind, tr, dst, j):
         if self.streaming:
             return
-        k = (src.key(), kind, tr.label if tr else None, dst.key())
+        k = (number, kind, i, tr.label if tr else None, j)
         if k not in self._edge_seen:
             self._edge_seen.add(k)
             self.edges.append(RegionEdge(src, kind, tr, dst))
 
-    def _close_layer(self, number: int, seeds) -> Layer:
+    def _close_layer(self, number: int, index: int, seeds):
         """Close a layer under in-slot delay and witness-guarded discrete steps.
 
-        seeds: list of (source state or None, state) pairs; sources are in the
-        previous layer and contribute the boundary edges.
+        Every state of the layer sits in slot `index`, so it is identified by
+        its member id.  seeds: list of (source state or None, its id, id)
+        triples; sources are in the previous layer and contribute the
+        boundary edges.  Returns the layer and its states by id.
         """
-        states, waiting, locs = {}, {}, set()
+        members = self.members
+        states, by_id, waiting, locs = {}, {}, {}, set()
         wl = deque()
 
-        def add(rs, src=None, kind=None, tr=None):
-            if src is not None:
-                self._edge(src, kind, tr, rs)
-            key = rs.key()
-            if key in states:
-                return
-            states[key] = rs
-            if not self.streaming:
-                if key not in self.parent:
+        def add(j, src=None, i=None, kind=None, tr=None):
+            rs = by_id.get(j)
+            if rs is None:
+                rs = by_id[j] = members.state(j, index)
+                key = rs.key()
+                states[key] = rs
+                if not self.streaming:
                     self.parent[key] = (src, kind, tr)
-                self.layer_of[key] = number
-            self.states_total += 1
-            if self.max_states is not None and self.states_total > self.max_states:
-                raise BudgetExceeded(f"layer construction exceeds {self.max_states} states")
-            wl.append(rs)
-            if rs.loc not in locs:
-                locs.add(rs.loc)
-                for wkey in waiting.pop(rs.loc, ()):
-                    if wkey in states:
-                        wl.append(states[wkey])
-            if tr is not None and self._watch_match(tr) and self.hit is None:
+                    self.layer_of[key] = number
+                self.states_total += 1
+                if self.max_states is not None and self.states_total > self.max_states:
+                    raise BudgetExceeded(
+                        f"layer construction exceeds {self.max_states} states")
+                wl.append(j)
+                if rs.loc not in locs:
+                    locs.add(rs.loc)
+                    wl.extend(waiting.pop(rs.loc, ()))
+            if src is not None:
+                self._edge(number, src, i, kind, tr, rs, j)
+            if tr is not None and tr.label in self.watched and self.hit is None:
                 self.hit = (src, tr, rs)
 
-        for src, rs in seeds:
-            add(rs, src, "cross" if src is not None else None)
+        for src, i, j in seeds:
+            add(j, src, i, "cross" if src is not None else None)
         while wl:
-            rs = wl.popleft()
-            step = immediate_time_successor(rs, self.ctx)
+            i = wl.popleft()
+            rs = by_id[i]
+            step = members.delay(i, index)
             if step is not None and step[0] == "delay":
-                add(step[1], rs, "delay")
-            for tr in self.ctx.trans_from.get(rs.loc, ()):
-                if not rs.base.satisfies(tr.guard):
-                    continue
-                nb = rs.base.reset(tr.resets)
-                if not nb.satisfies(self.ctx.invariant(tr.dst)):
-                    continue
-                lg = self.locguard[tr.label]
+                add(step[1], rs, i, "delay")
+            for tr, j, lg in members.discrete(i):
                 if lg is not None and lg not in locs:
-                    waiting.setdefault(lg, {})[rs.key()] = None
-                    continue
-                nxt = RegionState(tr.dst, nb, rs.index, rs.unbounded)
-                if nxt.key() in states:
-                    self._edge(rs, "trans", tr, nxt)
-                    if self._watch_match(tr) and self.hit is None:
-                        self.hit = (rs, tr, states[nxt.key()])
+                    waiting.setdefault(lg, {})[i] = None
                 else:
-                    add(nxt, rs, "trans", tr)
+                    add(j, rs, i, "trans", tr)
         slot = next(iter(states.values())).slot(self.ctx.tmax)
-        return Layer(number, slot, states)
+        return Layer(number, slot, states), by_id
 
-    def _boundary(self, layer: Layer):
-        seeds, seen = [], set()
-        for rs in layer.states.values():
-            step = immediate_time_successor(rs, self.ctx)
+    def _boundary(self, number: int, index: int, by_id: dict):
+        """The next layer's seeds and slot index."""
+        seeds, seen, nxt_index = [], set(), None
+        for i, rs in by_id.items():
+            step = self.members.delay(i, index)
             if step is None or step[0] != "cross":
                 continue
-            nxt = step[1]
-            if nxt.key() in seen:
-                self._edge(rs, "cross", None, nxt)  # keep the extra boundary edge
-                seeds.append((rs, nxt))
-            else:
-                seen.add(nxt.key())
-                seeds.append((rs, nxt))
-        return seeds
+            _, j, shift = step
+            nxt_index = index + shift
+            if j in seen:  # keep the extra boundary edge
+                self._edge(number + 1, rs, i, "cross", None,
+                           self.members.state(j, nxt_index), j)
+            seen.add(j)
+            seeds.append((rs, i, j))
+        return seeds, nxt_index
 
     def build(self):
-        seeds = [(None, self.ctx.initial_state())]
-        digests = []  # (layer number, slot index, digest) of singleton-slot layers
+        seeds = [(None, None, self.members.intern(self.ctx.initial_state()))]
+        index = 0
+        sigs = []  # (layer number, slot index, signature) of singleton-slot layers
         number = 0
         while True:
             if number > self.cap:
                 raise BudgetExceeded(f"layer count exceeds cap {self.cap}")
-            layer = self._close_layer(number, seeds)
+            layer, by_id = self._close_layer(number, index, seeds)
             self.layers.append(layer)
             self.peak_layers_held = max(
                 self.peak_layers_held, 1 if self.streaming else len(self.layers)
             )
             if layer.slot.kind == "point":
-                sig = layer.digest() if self.streaming else layer.base_keys()
-                for i, idx, d in digests:
+                # ids are one-to-one with base keys within a builder
+                sig = frozenset(by_id)
+                if self.streaming:
+                    sig = hashlib.sha256(repr(sorted(sig)).encode()).hexdigest()
+                for i, idx, d in sigs:
                     if d == sig:
                         self.i0, self.l0 = i, number
                         self.shift = layer.slot.index - idx
                         break
                 if self.l0 is not None:
                     break
-                digests.append((number, layer.slot.index, sig))
+                sigs.append((number, layer.slot.index, sig))
             if self.hit is not None:
                 break
-            seeds = self._boundary(layer)
+            seeds, index = self._boundary(number, index, by_id)
             if self.streaming:
                 self.layers.pop()
             if not seeds:
@@ -237,9 +227,7 @@ def apply_loopback(build: LayerBuild) -> DtnRegionAutomaton:
                                   build.ctx, build.relabel_map, build.automaton)
     kept = build.layers[: build.l0]
     target = build.layers[build.i0]
-    by_base = {
-        (rs.loc, rs.unbounded, rs.base.key()): rs for rs in target.states.values()
-    }
+    by_base = {member_key(rs): rs for rs in target.states.values()}
     edges = []
     for e in build.edges:
         ls = build.layer_of[e.src.key()]
@@ -247,7 +235,7 @@ def apply_loopback(build: LayerBuild) -> DtnRegionAutomaton:
         if ls < build.l0 and ld < build.l0:
             edges.append(e)
         elif e.kind == "cross" and ls == build.l0 - 1 and ld == build.l0:
-            back = by_base[(e.dst.loc, e.dst.unbounded, e.dst.base.key())]
+            back = by_base[member_key(e.dst)]
             edges.append(RegionEdge(e.src, "loop", None, back))
     return DtnRegionAutomaton(kept, edges, build.i0, build.l0, build.shift,
                               build.ctx, build.relabel_map, build.automaton)
@@ -371,18 +359,28 @@ def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
     """
     names = dra.state_names()
     ctx = dra.ctx
+    guards, resets = {}, {}  # base key -> C-projection atoms / clocks at 0
+
+    def guard(base):
+        k = base.key()
+        if k not in guards:
+            guards[k] = region_to_atoms(base.eliminate((T,)))
+        return guards[k]
+
+    def zeros(base):
+        k = base.key()
+        if k not in resets:
+            resets[k] = tuple(c for c in ctx.cclocks if base.val(c) == (0, True))
+        return resets[k]
+
     trs = []
     for e in dra.edges:
         src, dst = names[e.src.key()], names[e.dst.key()]
         if e.kind == "trans":
-            cproj = e.src.base.eliminate((T,))
-            resets = tuple(
-                c for c in ctx.cclocks if e.dst.base.val(c) == (0, True)
-            )
-            trs.append(Transition(src, dst, e.tr.label, region_to_atoms(cproj), resets))
+            trs.append(Transition(src, dst, e.tr.label, guard(e.src.base),
+                                  zeros(e.dst.base)))
         else:
-            cproj = e.dst.base.eliminate((T,))
-            trs.append(Transition(src, dst, None, region_to_atoms(cproj), ()))
+            trs.append(Transition(src, dst, None, guard(e.dst.base), ()))
     initial = names[dra.ctx.initial_state().key()]
     locations = tuple(
         names[rs.key()] for layer in dra.layers for rs in layer.states.values()

@@ -3,6 +3,14 @@ is present, plus the time-divergence (timelock-freedom) check.
 
 States are RegionState values: the global clock t, when present, is rebased
 so its integer part is 0 and the real slot index rides along as a plain int.
+
+`MemberTable` is the successor cache both layer engines share.  It
+hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
+each member key (location, unbounded flag, base region), the index-free part
+of a RegionState, to an int id, and computes each id's delay step once per
+side of the slot bound tmax and its discrete steps once.  The local engine
+keys a layer's states by id, the global engine its supports by frozensets of
+ids; both carry the slot index beside them.
 """
 
 from __future__ import annotations
@@ -96,6 +104,61 @@ def discrete_successors(rs: RegionState, ctx: RegionContext):
             continue
         out.append((tr, RegionState(tr.dst, nb, rs.index, rs.unbounded)))
     return out
+
+
+def member_key(m: RegionState):
+    return (m.loc, m.unbounded, m.base.key())
+
+
+class MemberTable:
+    """Int ids for members, with their successors computed once."""
+
+    def __init__(self, ctx: RegionContext, locguard: dict):
+        self.ctx = ctx
+        self.locguard = locguard  # transition label -> location guard or None
+        self.ids = {}  # member key -> id
+        self.states = []  # id -> RegionState at the slot index it was first seen
+        self.loc = []  # id -> location
+        self._delay = {}  # (id, index >= tmax) -> (kind, id, slot shift) or None
+        self._discrete = {}  # id -> [(transition, id, location guard)]
+
+    def intern(self, m: RegionState) -> int:
+        key = member_key(m)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.states)
+            self.states.append(m)
+            self.loc.append(m.loc)
+            self._added(key, m)
+        return i
+
+    def _added(self, key, m: RegionState) -> None:
+        """Hook for subclasses keeping more per-id fields."""
+
+    def state(self, i: int, index: int) -> RegionState:
+        m = self.states[i]
+        return RegionState(m.loc, m.base, index, m.unbounded)
+
+    def delay(self, i: int, index: int):
+        """immediate_time_successor of member i in slot `index`, as ids."""
+        late = index >= self.ctx.tmax
+        if (i, late) not in self._delay:
+            probe = self.ctx.tmax if late else 0
+            step = immediate_time_successor(self.state(i, probe), self.ctx)
+            if step is not None:
+                kind, nxt = step
+                step = (kind, self.intern(nxt), nxt.index - probe)
+            self._delay[i, late] = step
+        return self._delay[i, late]
+
+    def discrete(self, i: int) -> list:
+        """discrete_successors of member i, as ids with their location guards."""
+        if i not in self._discrete:
+            self._discrete[i] = [
+                (tr, self.intern(nxt), self.locguard[tr.label])
+                for tr, nxt in discrete_successors(self.states[i], self.ctx)
+            ]
+        return self._discrete[i]
 
 
 def reachable_region_states(
