@@ -176,7 +176,7 @@ class _Builder:
     def build(self):
         seeds = [(None, None, self.members.intern(self.ctx.initial_state()))]
         index = 0
-        sigs = []  # (layer number, slot index, signature) of singleton-slot layers
+        digests = []  # (layer number, slot index, digest) of singleton-slot layers
         number = 0
         while True:
             if number > self.cap:
@@ -191,14 +191,14 @@ class _Builder:
                 sig = frozenset(by_id)
                 if self.streaming:
                     sig = hashlib.sha256(repr(sorted(sig)).encode()).hexdigest()
-                for i, idx, d in sigs:
+                for i, idx, d in digests:
                     if d == sig:
                         self.i0, self.l0 = i, number
                         self.shift = layer.slot.index - idx
                         break
                 if self.l0 is not None:
                     break
-                sigs.append((number, layer.slot.index, sig))
+                digests.append((number, layer.slot.index, sig))
             if self.hit is not None:
                 break
             seeds, index = self._boundary(number, index, by_id)
