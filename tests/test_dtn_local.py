@@ -1,16 +1,21 @@
+import hashlib
+import importlib.util
+import json
+
 import pytest
 
-from conftest import random_gta
+from conftest import MODELS, random_gta
 from dtnmc.dtn_local import (
     apply_loopback,
     build_layers,
     check_label_reachable,
+    dra_to_dot,
     k_product,
     reachable_labels,
     region_to_atoms,
     summary_automaton,
 )
-from dtnmc.model import BudgetExceeded, parse_model
+from dtnmc.model import BudgetExceeded, parse_file, parse_model, relabel_unique
 from dtnmc.regions import T, initial_region
 
 
@@ -163,3 +168,41 @@ def test_k_product():
     assert tr0.resets == (tr0.guard[0].left,)
     with pytest.raises(BudgetExceeded):
         k_product(s, 4, max_states=3)
+
+
+def two_clock_gta(seed):
+    """A seeded two-clock gTA, drawn as the benchmark's local-random models are."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", MODELS.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return parse_model(gen.random_gta_text(seed, 2, 6, 12, 4))
+
+
+# sha256 prefixes of the summary automaton's repr, the DRA's dot text and the
+# dra-mode JSON answers (witnesses included) for every transition's internal
+# label
+GOLDEN = {
+    "fig1": ("b4c8ca76de11da98", "72e69d948a074392", "4e6540109258f374"),
+    "fig3": ("d968bd74dd926b50", "c0d71ddabd4e5bd5", "7455afe000ca88dd"),
+    "r3": ("2960920d6979e023", "25db445ae934667e", "f45ecdf2a2c6ea99"),
+    "r20": ("d626104d128ce5f7", "cfade9d32acba8e5", "198b85bc569ec5a0"),
+    "r21": ("388aedd6b1e663d7", "433436071c28d535", "674e27ff74b63717"),
+    "r22": ("aaa0c5f86c79cde5", "a5e061a8d2543ac7", "050ba2432929232f"),
+    "r26": ("31fbac2aa223a87d", "8b5c9204e0e64d96", "635e4aede5515f8b"),
+    "r33": ("c819a45f41f27a0f", "2f518355faa9a3c0", "46f15e68f0379749"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_local_outputs_match_golden_digests(name):
+    if name.startswith("fig"):
+        a = parse_file(MODELS / f"{name}.gta")
+    else:
+        a = two_clock_gta(int(name[1:]))
+    dra = apply_loopback(build_layers(a))
+    answers = "\n".join(json.dumps(check_label_reachable(a, label))
+                        for label in sorted(relabel_unique(a)[1]))
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()[:16]
+                for text in (repr(summary_automaton(dra)), dra_to_dot(dra), answers))
+    assert got == GOLDEN[name]
