@@ -11,9 +11,11 @@ process's behaviors in the infinite family of networks.
 
 Steps come from region_graph's shared `MemberTable`, so the successors of a
 (location, region) pair are computed once however many layers it recurs in.
-All states of a layer share its slot index, so inside the builder a state is
-its member id; edge dedup and loop-back signatures compare ids, and
-`Layer.states` keeps the public RegionState keys.
+All states of a layer share its slot index, so a state is named by its layer
+number and member id: `Layer.states` maps id -> RegionState in discovery
+order, and a DRA edge is the tuple (src layer, src id, kind, internal label,
+dst layer, dst id), kept once in an insertion-ordered dict.  Internal labels
+are unique after `relabel_unique`, so the label gives back the transition.
 """
 
 from __future__ import annotations
@@ -24,40 +26,36 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition, relabel_unique, unguard
-from .region_graph import MemberTable, RegionContext, RegionEdge, member_key
-from .regions import T, Region, RegionState, Slot
+from .region_graph import MemberTable, RegionContext, RegionEdge
+from .regions import T, Region, Slot
 
 
 @dataclass
 class Layer:
     number: int
     slot: Slot
-    states: dict  # key -> RegionState, insertion ordered
-
-    def base_keys(self):
-        return frozenset(map(member_key, self.states.values()))
+    states: dict  # member id -> RegionState, insertion ordered
 
 
 @dataclass
 class LayerBuild:
     layers: list
-    edges: list
+    edges: dict  # (src layer, src id, kind, label, dst layer, dst id) -> None
     i0: Optional[int]
     l0: Optional[int]
     shift: Optional[int]
     ctx: RegionContext
     relabel_map: dict
     automaton: Automaton  # relabeled input, location guards intact
-    hit: Optional[tuple] = None  # (src, tr, dst) for a watched label
-    parent: dict = field(default_factory=dict)
-    layer_of: dict = field(default_factory=dict)
+    hit: Optional[tuple] = None  # ((layer, id), tr, (layer, id)) for a watched label
+    parent: dict = field(default_factory=dict)  # (layer, id) -> (layer, id, kind, tr)
     states_total: int = 0
 
 
 @dataclass
 class DtnRegionAutomaton:
     layers: list
-    edges: list  # intra-layer, cross, and loop edges among kept layers
+    arcs: list  # intra-layer, cross and loop edges among kept layers, as id tuples
     i0: Optional[int]
     l0: Optional[int]
     shift: Optional[int]
@@ -65,13 +63,20 @@ class DtnRegionAutomaton:
     relabel_map: dict
     automaton: Automaton
 
-    def state_names(self) -> dict:
-        """Deterministic display names, key -> wLnI."""
-        names = {}
-        for layer in self.layers:
-            for i, rs in enumerate(layer.states.values()):
-                names[rs.key()] = f"w{layer.number}n{i}"
-        return names
+    @property
+    def edges(self) -> list:
+        """The arcs as RegionEdge values, built on each call."""
+        by_label = {tr.label: tr for tr in self.ctx.automaton.transitions}
+        return [
+            RegionEdge(self.layers[ls].states[i], kind, by_label.get(label),
+                       self.layers[ld].states[j])
+            for ls, i, kind, label, ld, j in self.arcs
+        ]
+
+    def state_names(self) -> list:
+        """Deterministic display names: per layer number, id -> wLnI."""
+        return [{i: f"w{layer.number}n{pos}" for pos, i in enumerate(layer.states)}
+                for layer in self.layers]
 
 
 class _Builder:
@@ -90,44 +95,30 @@ class _Builder:
         }
         self.streaming = streaming
         self.layers = []
-        self.edges = []
-        self._edge_seen = set()  # (dst layer number, kind, src id, label, dst id)
+        self.edges = {}  # DRA edge tuple -> None, in first-seen order
         self.parent = {}
-        self.layer_of = {}
         self.i0 = self.l0 = self.shift = None
         self.hit = None
         self.states_total = 0
         self.peak_layers_held = 0
 
-    def _edge(self, number, src, i, kind, tr, dst, j):
-        if self.streaming:
-            return
-        k = (number, kind, i, tr.label if tr else None, j)
-        if k not in self._edge_seen:
-            self._edge_seen.add(k)
-            self.edges.append(RegionEdge(src, kind, tr, dst))
-
-    def _close_layer(self, number: int, index: int, seeds):
+    def _close_layer(self, number: int, index: int, seeds) -> Layer:
         """Close a layer under in-slot delay and witness-guarded discrete steps.
 
         Every state of the layer sits in slot `index`, so it is identified by
-        its member id.  seeds: list of (source state or None, its id, id)
-        triples; sources are in the previous layer and contribute the
-        boundary edges.  Returns the layer and its states by id.
+        its member id.  seeds: list of (source layer, source id, id) triples;
+        sources are in the previous layer (None for the initial state) and
+        contribute the boundary edges.
         """
-        members = self.members
-        states, by_id, waiting, locs = {}, {}, {}, set()
+        members, edges, record = self.members, self.edges, not self.streaming
+        states, waiting, locs = {}, {}, set()
         wl = deque()
 
-        def add(j, src=None, i=None, kind=None, tr=None):
-            rs = by_id.get(j)
-            if rs is None:
-                rs = by_id[j] = members.state(j, index)
-                key = rs.key()
-                states[key] = rs
-                if not self.streaming:
-                    self.parent[key] = (src, kind, tr)
-                    self.layer_of[key] = number
+        def add(j, ls=None, i=None, kind=None, tr=None):
+            if j not in states:
+                rs = states[j] = members.state(j, index)
+                if record:
+                    self.parent[number, j] = (ls, i, kind, tr)
                 self.states_total += 1
                 if self.max_states is not None and self.states_total > self.max_states:
                     raise BudgetExceeded(
@@ -136,41 +127,42 @@ class _Builder:
                 if rs.loc not in locs:
                     locs.add(rs.loc)
                     wl.extend(waiting.pop(rs.loc, ()))
-            if src is not None:
-                self._edge(number, src, i, kind, tr, rs, j)
+            if record and ls is not None:
+                edges[ls, i, kind, tr.label if tr else None, number, j] = None
             if tr is not None and tr.label in self.watched and self.hit is None:
-                self.hit = (src, tr, rs)
+                self.hit = ((ls, i), tr, (number, j))
 
-        for src, i, j in seeds:
-            add(j, src, i, "cross" if src is not None else None)
+        for ls, i, j in seeds:
+            add(j, ls, i, "cross" if ls is not None else None)
         while wl:
             i = wl.popleft()
-            rs = by_id[i]
             step = members.delay(i, index)
             if step is not None and step[0] == "delay":
-                add(step[1], rs, i, "delay")
+                add(step[1], number, i, "delay")
             for tr, j, lg in members.discrete(i):
                 if lg is not None and lg not in locs:
                     waiting.setdefault(lg, {})[i] = None
                 else:
-                    add(j, rs, i, "trans", tr)
+                    add(j, number, i, "trans", tr)
         slot = next(iter(states.values())).slot(self.ctx.tmax)
-        return Layer(number, slot, states), by_id
+        return Layer(number, slot, states)
 
-    def _boundary(self, number: int, index: int, by_id: dict):
+    def _boundary(self, layer: Layer, index: int):
         """The next layer's seeds and slot index."""
         seeds, seen, nxt_index = [], set(), None
-        for i, rs in by_id.items():
+        for i in layer.states:
             step = self.members.delay(i, index)
             if step is None or step[0] != "cross":
                 continue
             _, j, shift = step
             nxt_index = index + shift
-            if j in seen:  # keep the extra boundary edge
-                self._edge(number + 1, rs, i, "cross", None,
-                           self.members.state(j, nxt_index), j)
+            if j in seen and not self.streaming:
+                # _close_layer records every seed's edge as well; recording a
+                # repeated target's edge here puts it first, the edge order
+                # the golden digests in tests/test_dtn_local.py pin
+                self.edges[layer.number, i, "cross", None, layer.number + 1, j] = None
             seen.add(j)
-            seeds.append((rs, i, j))
+            seeds.append((layer.number, i, j))
         return seeds, nxt_index
 
     def build(self):
@@ -181,14 +173,14 @@ class _Builder:
         while True:
             if number > self.cap:
                 raise BudgetExceeded(f"layer count exceeds cap {self.cap}")
-            layer, by_id = self._close_layer(number, index, seeds)
+            layer = self._close_layer(number, index, seeds)
             self.layers.append(layer)
             self.peak_layers_held = max(
                 self.peak_layers_held, 1 if self.streaming else len(self.layers)
             )
             if layer.slot.kind == "point":
                 # ids are one-to-one with base keys within a builder
-                sig = frozenset(by_id)
+                sig = frozenset(layer.states)
                 if self.streaming:
                     sig = hashlib.sha256(repr(sorted(sig)).encode()).hexdigest()
                 for i, idx, d in digests:
@@ -201,7 +193,7 @@ class _Builder:
                 digests.append((number, layer.slot.index, sig))
             if self.hit is not None:
                 break
-            seeds, index = self._boundary(number, index, by_id)
+            seeds, index = self._boundary(layer, index)
             if self.streaming:
                 self.layers.pop()
             if not seeds:
@@ -212,7 +204,7 @@ class _Builder:
     def result(self) -> LayerBuild:
         return LayerBuild(self.layers, self.edges, self.i0, self.l0, self.shift,
                           self.ctx, self.relabel_map, self.automaton, self.hit,
-                          self.parent, self.layer_of, self.states_total)
+                          self.parent, self.states_total)
 
 
 def build_layers(a: Automaton, cap=None, max_states=None) -> LayerBuild:
@@ -221,23 +213,23 @@ def build_layers(a: Automaton, cap=None, max_states=None) -> LayerBuild:
 
 
 def apply_loopback(build: LayerBuild) -> DtnRegionAutomaton:
-    """Trim to layers 0..l0-1 and redirect the last boundary onto W_i0."""
+    """Trim to layers 0..l0-1 and redirect the last boundary onto W_i0.
+
+    W_l0 holds the same ids as W_i0, so a cross edge into (l0, id) becomes a
+    loop edge onto (i0, id).
+    """
     if build.l0 is None:
-        return DtnRegionAutomaton(build.layers, build.edges, None, None, None,
+        return DtnRegionAutomaton(build.layers, list(build.edges), None, None, None,
                                   build.ctx, build.relabel_map, build.automaton)
-    kept = build.layers[: build.l0]
-    target = build.layers[build.i0]
-    by_base = {member_key(rs): rs for rs in target.states.values()}
-    edges = []
+    l0, i0 = build.l0, build.i0
+    arcs = []
     for e in build.edges:
-        ls = build.layer_of[e.src.key()]
-        ld = build.layer_of[e.dst.key()]
-        if ls < build.l0 and ld < build.l0:
-            edges.append(e)
-        elif e.kind == "cross" and ls == build.l0 - 1 and ld == build.l0:
-            back = by_base[member_key(e.dst)]
-            edges.append(RegionEdge(e.src, "loop", None, back))
-    return DtnRegionAutomaton(kept, edges, build.i0, build.l0, build.shift,
+        ls, i, _, _, ld, j = e
+        if ld < l0:
+            arcs.append(e)
+        elif ls < l0:  # a cross edge from W_l0-1 into W_l0
+            arcs.append((ls, i, "loop", None, i0, j))
+    return DtnRegionAutomaton(build.layers[:l0], arcs, build.i0, l0, build.shift,
                               build.ctx, build.relabel_map, build.automaton)
 
 
@@ -245,9 +237,9 @@ def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
     """User labels some process can fire, at some network size."""
     b = _Builder(a, cap, max_states).build()
     out = set()
-    for e in b.edges:
-        if e.kind == "trans" and e.tr is not None:
-            user = b.relabel_map.get(e.tr.label, e.tr.label)
+    for _, _, kind, label, _, _ in b.edges:
+        if kind == "trans":
+            user = b.relabel_map.get(label, label)
             if user is not None:
                 out.add(user)
     return out
@@ -289,20 +281,21 @@ def _witness_path(b: _Builder):
     src, tr, dst = b.hit
     chain = []
     cur = src
-    while cur is not None:
-        key = cur.key()
-        psrc, kind, ptr = b.parent.get(key, (None, None, None))
+    while cur[0] is not None:
+        ls, i, kind, ptr = b.parent[cur]
         chain.append((kind, ptr, cur))
-        cur = psrc
+        cur = (ls, i)
     chain.reverse()
     steps = []
-    for kind, ptr, state in chain:
-        steps.append(_step_json(b, kind or "init", ptr, state))
+    for kind, ptr, node in chain:
+        steps.append(_step_json(b, kind or "init", ptr, node))
     steps.append(_step_json(b, "trans", tr, dst))
     return steps
 
 
-def _step_json(b: _Builder, kind, tr, state: RegionState):
+def _step_json(b: _Builder, kind, tr, node):
+    number, i = node
+    state = b.layers[number].states[i]
     out = {
         "kind": kind,
         "loc": state.loc,
@@ -359,34 +352,31 @@ def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
     """
     names = dra.state_names()
     ctx = dra.ctx
-    guards, resets = {}, {}  # base key -> C-projection atoms / clocks at 0
+    guards, resets = {}, {}  # member id -> C-projection atoms / clocks at 0
 
-    def guard(base):
-        k = base.key()
-        if k not in guards:
-            guards[k] = region_to_atoms(base.eliminate((T,)))
-        return guards[k]
+    def guard(number, i):
+        if i not in guards:
+            base = dra.layers[number].states[i].base
+            guards[i] = region_to_atoms(base.eliminate((T,)))
+        return guards[i]
 
-    def zeros(base):
-        k = base.key()
-        if k not in resets:
-            resets[k] = tuple(c for c in ctx.cclocks if base.val(c) == (0, True))
-        return resets[k]
+    def zeros(number, i):
+        if i not in resets:
+            base = dra.layers[number].states[i].base
+            resets[i] = tuple(c for c in ctx.cclocks if base.val(c) == (0, True))
+        return resets[i]
 
     trs = []
-    for e in dra.edges:
-        src, dst = names[e.src.key()], names[e.dst.key()]
-        if e.kind == "trans":
-            trs.append(Transition(src, dst, e.tr.label, guard(e.src.base),
-                                  zeros(e.dst.base)))
+    for ls, i, kind, label, ld, j in dra.arcs:
+        src, dst = names[ls][i], names[ld][j]
+        if kind == "trans":
+            trs.append(Transition(src, dst, label, guard(ls, i), zeros(ld, j)))
         else:
-            trs.append(Transition(src, dst, None, guard(e.dst.base), ()))
-    initial = names[dra.ctx.initial_state().key()]
-    locations = tuple(
-        names[rs.key()] for layer in dra.layers for rs in layer.states.values()
-    )
+            trs.append(Transition(src, dst, None, guard(ld, j), ()))
+    locations = tuple(name for layer in names for name in layer.values())
+    # the initial state seeds W0, so it comes first
     return Automaton("ta", f"{dra.automaton.name}_summary", ctx.cclocks,
-                     locations, initial, {}, tuple(trs))
+                     locations, locations[0], {}, tuple(trs))
 
 
 def k_product(s: Automaton, k: int, max_states=None) -> Automaton:
@@ -453,17 +443,17 @@ def _dot_lines(dra: DtnRegionAutomaton):
     for layer in dra.layers:
         yield f"  subgraph cluster_{layer.number} {{"
         yield f'    label="W{layer.number} t in {layer.slot}";'
-        for rs in layer.states.values():
+        for i, rs in layer.states.items():
             label = f"{rs.loc}\\n{rs.base.eliminate((T,)).pretty() or 'true'}"
-            yield f'    {names[rs.key()]} [label="{label}"];'
+            yield f'    {names[layer.number][i]} [label="{label}"];'
         yield "  }"
-    for e in dra.edges:
-        src, dst = names[e.src.key()], names[e.dst.key()]
-        if e.kind == "trans":
-            user = dra.relabel_map.get(e.tr.label)
+    for ls, i, kind, label, ld, j in dra.arcs:
+        src, dst = names[ls][i], names[ld][j]
+        if kind == "trans":
+            user = dra.relabel_map.get(label)
             text = user if user is not None else "eps"
             yield f'  {src} -> {dst} [label="{text}"];'
         else:
-            extra = "" if e.kind != "loop" else f', label="back {dra.shift}"'
+            extra = "" if kind != "loop" else f', label="back {dra.shift}"'
             yield f"  {src} -> {dst} [style=dashed{extra}];"
     yield "}"

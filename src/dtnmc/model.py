@@ -298,14 +298,16 @@ def pretty_model(a: Automaton) -> str:
             line += " initial"
         inv = a.invariants.get(q)
         if inv:
-            line += " inv: " + " && ".join(x.text() for x in sorted(inv))
+            line += " inv: " + " && ".join(
+                x.text() for x in sorted(inv, key=_atom_key))
         out.append(line)
     for tr in sorted(a.transitions, key=_trans_key):
         line = f"trans {tr.src} -> {tr.dst}"
         if tr.label is not None:
             line += f" label: {tr.label}"
         if tr.guard:
-            line += " guard: " + " && ".join(x.text() for x in sorted(tr.guard))
+            line += " guard: " + " && ".join(
+                x.text() for x in sorted(tr.guard, key=_atom_key))
         if tr.resets:
             line += " reset: " + ", ".join(sorted(tr.resets))
         if tr.locguard is not None:
@@ -316,12 +318,17 @@ def pretty_model(a: Automaton) -> str:
     return "\n".join(out) + "\n"
 
 
+def _atom_key(x: Atom):
+    """Atoms in tuple order; a single-clock atom (right None) sorts as right ""."""
+    return (x.left, x.op, x.right or "", x.d)
+
+
 def _trans_key(tr: Transition):
     return (
         tr.src,
         tr.dst,
         tr.label or "",
-        tuple(sorted(tr.guard)),
+        tuple(sorted(map(_atom_key, tr.guard))),
         tuple(sorted(tr.resets)),
         tr.locguard or "",
         tr.sync or ("", ""),

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gta
+from dtnmc.dtn_local import apply_loopback, build_layers, summary_automaton
 from dtnmc.model import (
     Atom,
     ModelError,
@@ -51,8 +52,24 @@ def same_model(a, b):
     )
 
 
+MIXED_TEXT = """gta mixed
+clocks c, d
+location p initial
+location q
+trans p -> q label: a reset: d
+trans q -> p label: b guard: c < 1 && d < 1
+"""
+
+
 def test_parse_pretty_round_trip(fig1, fig3):
-    for a in (fig1, fig3):
+    # after `a` resets d inside (0,1), the summary guards edges with both c>0
+    # and the diagonal c>d+0: one `right` is None, the other a clock
+    mixed = summary_automaton(apply_loopback(build_layers(parse_model(MIXED_TEXT))))
+    assert any(
+        Atom("c", ">", None, 0) in tr.guard and Atom("c", ">", "d", 0) in tr.guard
+        for tr in mixed.transitions
+    )
+    for a in (fig1, fig3, mixed):
         text = pretty_model(a)
         again = parse_model(text)
         assert same_model(again, a)
