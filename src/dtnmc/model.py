@@ -298,8 +298,7 @@ def pretty_model(a: Automaton) -> str:
             line += " initial"
         inv = a.invariants.get(q)
         if inv:
-            line += " inv: " + " && ".join(
-                x.text() for x in sorted(inv, key=_atom_key))
+            line += " inv: " + " && ".join(x.text() for x in sorted(inv))
         out.append(line)
     for tr in sorted(a.transitions, key=_trans_key):
         line = f"trans {tr.src} -> {tr.dst}"
