@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 from fractions import Fraction
@@ -39,6 +40,19 @@ location a initial
 location b inv: y <= 2
 trans a -> b guard: x >= 1 reset: y
 trans b -> a guard: y > 1 && x < 3 reset: x
+"""
+
+# diagonal guards; every clock stays under its bound, so they are uniform
+DIAG = """gta D
+clocks x, y
+location a initial inv: x <= 3 && y <= 3
+location b inv: x <= 2 && y <= 3
+location c inv: x <= 3 && y <= 2
+trans a -> a guard: y == 3 reset: x, y
+trans a -> b label: go guard: y >= 1 reset: x
+trans b -> a label: back guard: y < x + 2 reset: y
+trans b -> c label: fin guard: y >= x + 1 && x == 1 locguard: b
+trans c -> a label: loop guard: x < y + 1 reset: x
 """
 
 # (model, n) -> states_explored, labels, len(loc_sets) and the number of
@@ -108,6 +122,87 @@ def _bfs_states(net, moves_fn, limit):
         queue.extend([d] if d is not None else [])
         queue.extend(nxt for _, nxt in moves_fn(net, state))
     return list(seen.values())
+
+
+def _golden_model(name):
+    """fig1/fig3, rS = random_gta(S), mS its max_const=3 draw, lS = the lbta
+    translation of random_gta(S), W = TWO_CLOCKS, D = DIAG."""
+    if name.startswith("fig"):
+        return parse_file(MODELS / f"{name}.gta")
+    if name in ("W", "D"):
+        return parse_model(TWO_CLOCKS if name == "W" else DIAG)
+    seed = int(name[1:])
+    if name[0] == "m":
+        return random_gta(seed, max_const=3)
+    a = random_gta(seed)
+    return gta_to_lbta(a) if name[0] == "l" else a
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of (states_explored, sorted labels, sorted loc_sets, sorted
+# reprs of the supports per slot, exhausted) of explore_network, keyed by
+# (model, n, slot cap), and of repr(witness_region_path(...)), keyed by
+# (model, n, label, slot cap)
+GOLDEN_EXPLORE = {
+    ("fig1", 1, 2): "46294e01ca2d3012",
+    ("fig1", 2, 2): "c98152113eafbcc4",
+    ("fig1", 3, 2): "81f753acc78f6d11",
+    ("fig3", 1, 2): "15a94b2c6e4a8b26",
+    ("fig3", 2, 2): "c7f7c9693f5fa64b",
+    ("fig3", 3, 2): "c0af0d3463735b8f",
+    ("r3", 2, 3): "1eb763fc680c42a5",
+    ("r3", 3, 3): "edfb5baf820bdc15",
+    ("l3", 2, 3): "1eb763fc680c42a5",
+    ("l3", 3, 3): "edfb5baf820bdc15",
+    ("r18", 2, 3): "5dd6bfd971144a91",
+    ("r18", 3, 3): "5dad82e0422fea09",
+    ("l18", 2, 3): "5dd6bfd971144a91",
+    ("l18", 3, 3): "5dad82e0422fea09",
+    ("r20", 2, 3): "0d965dee89ca1316",
+    ("r20", 3, 3): "29926f7ffcccecf5",
+    ("l20", 2, 3): "0d965dee89ca1316",
+    ("l20", 3, 3): "29926f7ffcccecf5",
+    ("m18", 2, 3): "7ab5cf72a8f1972c",
+    ("m18", 3, 3): "9e60aa579e2146bc",
+    ("W", 2, 3): "0c26cde851af8c2e",
+    ("W", 3, 3): "5d84cffb71aa0dcc",
+    ("D", 2, 2): "1d16c4bbffbe5f84",
+    ("D", 3, 1): "77fb30a34c9abd8a",
+}
+GOLDEN_WITNESS = {
+    ("fig1", 3, "serr", 2): "73c20ad6d6ef61c4",
+    ("r20", 3, "b", 3): "471e0d08f8b4b886",
+    ("l20", 3, "b", 3): "7fe13397f8aa3396",
+    # None, though "b" fires: its self-loop only reaches states already seen
+    ("r18", 3, "b", 3): "dc937b59892604f5",
+    ("D", 2, "fin", 2): "bb16fca5112f6711",
+    ("D", 2, "back", 2): "00c7261cb2497173",
+}
+GOLDEN_CASES = [("explore",) + k for k in GOLDEN_EXPLORE] + \
+    [("witness",) + k for k in GOLDEN_WITNESS]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES,
+                         ids=["-".join(map(str, c)) for c in GOLDEN_CASES])
+def test_oracle_outputs_match_golden_digests(explored, case):
+    if case[0] == "witness":
+        _, name, n, label, cap = case
+        steps = witness_region_path(_golden_model(name), n, label, slot_cap=cap)
+        assert _sha(repr(steps)) == GOLDEN_WITNESS[case[1:]]
+        return
+    _, name, n, cap = case
+    if name.startswith("fig"):
+        res = explored(name, n)
+    else:
+        res = explore_network(_golden_model(name), n, slot_cap=cap)
+    supports = sorted((slot, sorted(sorted(map(repr, sup)) for sup in sups))
+                      for slot, sups in res.supports.items())
+    payload = (res.states_explored, sorted(res.labels),
+               sorted(sorted(ls) for ls in res.loc_sets), supports, res.exhausted)
+    assert _sha(repr(payload)) == GOLDEN_EXPLORE[case[1:]]
 
 
 def test_labels_grow_with_network_size(explored):
