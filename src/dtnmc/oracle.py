@@ -1,189 +1,207 @@
 """Brute-force exploration of fixed-size networks, used to cross-check the
 layer algorithms on small instances.
 
-A network state fuses the n per-process clock blocks and the shared global
-clock t into one product region; delays are the region's immediate time
-successors, discrete steps move one process (or, for broadcast models, a
-sender plus any subset of receivers in the same instant).  States are
-deduplicated up to process permutation by sorting per-process signatures
-(Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003); see `_Net.canon`.
+A network state is (sigs, tcell, index): one signature per process, the cell
+of the global clock t (rebased to integer part 0) and the slot index.  A
+signature is a location and one cell per clock: its value class, (integer
+part, is integer) or (-1, False) above the bound, and the rank of its
+fractional part among all clocks and t (-1 if none).  Delays, resets and
+guards act on the cells, and guards and invariants read only one process's
+cells, so `_Net` judges them once per signature.  Permuting processes
+permutes `sigs` and nothing else, so the state with sorted signatures is its
+orbit key (Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003).
 
-Witness traces are found without symmetry reduction and then concretized:
-each delay edge admits a non-empty rational interval of durations, from
-which the midpoint (or the forced exact value) is taken.
+Witness traces are found without symmetry reduction, on unsorted signatures;
+only their steps become `RegionState`s, which `concretize` turns into a timed
+trace: each delay edge admits a non-empty rational interval of durations,
+from which the midpoint (or the forced exact value) is taken.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from collections import deque
 
 from .model import Automaton, compute_bounds
-from .regions import T, Region, RegionState, initial_region
+from .regions import T, Region, RegionState
+
+COLLAPSED = ((-1, False), -1)  # the cell of a clock above its bound
+RESET = ((0, True), -1)
 
 
 def _pclock(c: str, i: int) -> str:
     return f"{c}@{i + 1}"
 
 
+def _region(names, bounds, cells) -> Region:
+    """The region of the named cells; fractional classes sorted by name."""
+    by_rank = {}
+    for c, (_, r) in zip(names, cells):
+        by_rank.setdefault(r, []).append(c)
+    vals = tuple(None if cell == COLLAPSED else cell[0] for cell in cells)
+    return Region(names, bounds, vals,
+                  tuple(tuple(sorted(by_rank[r])) for r in sorted(by_rank) if r >= 0))
+
+
+def _close_up(cells, gone):
+    """The cells with the emptied ranks in sorted `gone` closed up."""
+    return tuple((v, r - bisect(gone, r)) if r > 0 else (v, r) for v, r in cells)
+
+
+class _Memo(dict):
+    """A table that computes a missing entry from its key, once."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 class _Net:
-    """Shared plumbing for product-region exploration of n copies."""
+    """The clock layout of A^n and its per-signature steps, built lazily."""
 
     def __init__(self, a: Automaton, n: int, slot_cap: int):
-        self.a = a
-        self.n = n
-        self.slot_cap = slot_cap
-        self.tmax = slot_cap + 2  # never reached: crossings are pruned at the cap
+        self.a, self.n, self.slot_cap = a, n, slot_cap
         self.cclocks = tuple(sorted(a.clocks))
-        self.cbounds = compute_bounds(a)
-        self.clocks = tuple(
-            _pclock(c, i) for i in range(n) for c in self.cclocks
-        ) + (T,)
-        self.bounds = {_pclock(c, i): self.cbounds[c]
-                       for i in range(n) for c in self.cclocks}
-        self.bounds[T] = 1
-        k = len(self.cclocks)
-        self.blocks = tuple(slice(i * k, (i + 1) * k) for i in range(n))
-        self.local = tuple({**dict(zip(self.clocks[blk], self.cclocks)), T: T}
-                           for blk in self.blocks)
-        self.trans_from = {}
-        for tr in a.transitions:
-            self.trans_from.setdefault(tr.src, []).append(tr)
-        self.inv_cache = {}
+        self.cbounds = tuple(map(compute_bounds(a).get, self.cclocks))
+        self.clocks = tuple(_pclock(c, i) for i in range(n)
+                            for c in self.cclocks) + (T,)
+        self.bounds = self.cbounds * n + (1,)
+        self.moves = _lbta_moves if a.kind == "lbta" else _gta_moves
+        self.enabled = _Memo(self._enabled)
+        self.inv_ok = _Memo(lambda sig: _region(
+            self.cclocks, self.cbounds, sig[1:]).satisfies(a.invariant(sig[0])))
+        self.kind = _Memo(self._kind)  # sig -> (delay kind, top rank)
+        self.step = _Memo(self._step)  # (sig, delay mode) -> sig' or False
+        self.member = _Memo(self._member)  # (sig, tcell) -> member key
 
-    def initial(self) -> RegionState:
-        locs = (self.a.initial,) * self.n
-        return RegionState(locs, initial_region(self.clocks, self.bounds), 0)
+    def initial(self):
+        sig = (self.a.initial,) + (RESET,) * len(self.cclocks)
+        return ((sig,) * self.n, RESET, 0)
 
-    def inv_atoms(self, loc: str, i: int):
-        key = (loc, i)
-        if key not in self.inv_cache:
-            self.inv_cache[key] = tuple(
-                (_pclock(at.left, i), at.op, None, at.d)
-                for at in self.a.invariant(loc)
-            )
-        return self.inv_cache[key]
+    def _enabled(self, sig):
+        """(tr, sig after tr, ranks its resets may free, tr.dst's invariant
+        holds) for each transition from sig's location whose guard holds."""
+        region = _region(self.cclocks, self.cbounds, sig[1:])
+        out = []
+        for tr in self.a.transitions:
+            if tr.src == sig[0] and region.satisfies(tr.guard):
+                cells = list(sig[1:])
+                resets = [self.cclocks.index(c) for c in tr.resets]
+                freed = {cells[p][1] for p in resets}
+                for p in resets:
+                    cells[p] = RESET
+                nsig = (tr.dst,) + tuple(cells)
+                freed = tuple(freed - {-1} - {r for _, r in cells})
+                out.append((tr, nsig, freed, self.inv_ok[nsig]))
+        return tuple(out)
 
-    def invariants_ok(self, locs, region: Region) -> bool:
-        return all(
-            region.satisfies(self.inv_atoms(q, i)) for i, q in enumerate(locs)
-        )
+    def settle(self, sigs, tcell, index, freed):
+        """The state after resets, closing up freed ranks that no clock holds."""
+        if freed:
+            held = {r for sig in sigs for _, r in sig[1:]}
+            gone = sorted(set(freed) - held - {tcell[1]})
+            if gone:
+                sigs = tuple((s[0],) + _close_up(s[1:], gone) for s in sigs)
+                tcell = _close_up((tcell,), gone)[0]
+        return (sigs, tcell, index)
 
-    def ren_atoms(self, atoms, i: int):
-        return tuple(
-            (_pclock(at.left, i), at.op,
-             _pclock(at.right, i) if at.right else None, at.d)
-            for at in atoms
-        )
+    def _kind(self, sig):
+        """2 if an integer clock opens, 1 if all of them collapse, 0 if none."""
+        ints = [v[0] < b for (v, _), b in zip(sig[1:], self.cbounds) if v[1]]
+        return (2 if any(ints) else 1 if ints else 0,
+                max(r for _, r in sig[1:] + (COLLAPSED,)))
 
-    def delay_succ(self, state: RegionState):
-        """One immediate time successor, or None (blocked or beyond the cap)."""
-        res = state.advance(self.tmax)
-        if res is None:
-            return None
-        kind, nxt = res
-        if kind == "cross" and (nxt.index > self.slot_cap or nxt.unbounded):
-            return None
-        if not self.invariants_ok(state.loc, nxt.base):
-            return None
-        return nxt
+    def _step(self, key):
+        """Mode 0 or 1: integer clocks open into rank 0 and the other ranks
+        shift by the mode; mode -1 - r: the rank-r class lands."""
+        sig, mode = key
+        land, cells = mode < 0, []
+        for (v, r), b in zip(sig[1:], self.cbounds):
+            if r == -1 - mode if land else v[1]:  # the clock lands or opens
+                cells.append(COLLAPSED if v[0] >= b else ((v[0] + land, land), -land))
+            else:
+                cells.append((v, r + mode) if mode > 0 and r >= 0 else (v, r))
+        nsig = (sig[0],) + tuple(cells)
+        return self.inv_ok[nsig] and nsig
 
-    def canon(self, state: RegionState):
-        """Orbit key of `state` under permutations of the processes.
+    def delay(self, state):
+        """The immediate time successor, or None if an invariant breaks or t
+        crosses past the slot cap."""
+        sigs, tcell, index = state
+        kinds = [self.kind[sig] for sig in sigs]
+        if tcell[0][1] or any(k for k, _ in kinds):
+            mode = 1 if tcell[0][1] or any(k == 2 for k, _ in kinds) else 0
+            tcell = ((0, False), 0) if tcell[0][1] else (tcell[0], tcell[1] + mode)
+        else:
+            mode = -1 - max(tcell[1], *(r for _, r in kinds))
+            if tcell[1] == -1 - mode:  # t lands on the next integer: a new slot
+                if index >= self.slot_cap:
+                    return None
+                tcell, index = RESET, index + 1
+        sigs = tuple(self.step[sig, mode] for sig in sigs)
+        return None if False in sigs else (sigs, tcell, index)
 
-        Each clock becomes a cell: its value class ((-1, False) if collapsed)
-        and the rank of its fractional class (-1 if none).  The cells give the
-        region back, the rank-r clocks being its r-th fractional class.  A
-        permutation only permutes the process signatures (location, cells of
-        its clocks), so the sorted signatures with t's cell, index and
-        unbounded flag are equal exactly for states in one orbit.
-        """
-        rank = {c: r for r, cls in enumerate(state.base.fracs) for c in cls}
-        cells = tuple(((-1, False) if v is None else v, rank.get(c, -1))
-                      for c, v in zip(self.clocks, state.base.vals))
-        sigs = sorted((q,) + cells[blk] for q, blk in zip(state.loc, self.blocks))
-        return (tuple(sigs), cells[-1], state.index, state.unbounded)
+    def _member(self, key):
+        """The process and t as a one-process `region_graph.member_key`."""
+        sig, tcell = key
+        region = _region(self.cclocks + (T,), None, sig[1:] + (tcell,))
+        return (sig[0], False, region.key())
 
-    def member_project(self, state: RegionState, i: int):
-        """Process i and t as a one-process region key over cclocks + (t,)."""
-        local = self.local[i]
-        fracs = (tuple(sorted(local[c] for c in cls if c in local))
-                 for cls in state.base.fracs)
-        vals = state.base.vals[self.blocks[i]] + state.base.vals[-1:]
-        return (state.loc[i], state.unbounded,
-                (vals, tuple(cls for cls in fracs if cls), self.cclocks + (T,)))
+    def successors(self, state):
+        """(step, state) pairs: ("delay",) first, then ("fire", descriptor)."""
+        d = self.delay(state)
+        out = [(("delay",), d)] if d is not None else []
+        return out + [(("fire", desc), nxt) for desc, nxt in self.moves(self, state)]
 
-    def support_of(self, state: RegionState):
-        return frozenset(self.member_project(state, i) for i in range(self.n))
+    def region_state(self, state) -> RegionState:
+        sigs, tcell, index = state
+        cells = tuple(c for sig in sigs for c in sig[1:]) + (tcell,)
+        return RegionState(tuple(sig[0] for sig in sigs),
+                           _region(self.clocks, self.bounds, cells), index)
 
 
-def _gta_moves(net: _Net, state: RegionState):
+def _gta_moves(net: _Net, state):
     """(descriptor, new state) pairs; a descriptor is a tuple of (i, tr) movers."""
     out = []
-    locs = state.loc
-    for i in range(net.n):
-        for tr in net.trans_from.get(locs[i], ()):
-            if tr.locguard is not None and not any(
-                j != i and locs[j] == tr.locguard for j in range(net.n)
-            ):
-                continue
-            if not state.base.satisfies(net.ren_atoms(tr.guard, i)):
-                continue
-            nb = state.base.reset([_pclock(c, i) for c in tr.resets])
-            if not nb.satisfies(net.inv_atoms(tr.dst, i)):
-                continue
-            nlocs = locs[:i] + (tr.dst,) + locs[i + 1 :]
-            out.append((((i, tr),),
-                        RegionState(nlocs, nb, state.index, state.unbounded)))
+    sigs, tcell, index = state
+    locs = [sig[0] for sig in sigs]
+    for i, sig in enumerate(sigs):
+        for tr, nsig, freed, inv in net.enabled[sig]:
+            g = tr.locguard
+            if inv and (g is None or locs.count(g) > (sig[0] == g)):
+                nsigs = sigs[:i] + (nsig,) + sigs[i + 1 :]
+                out.append((((i, tr),), net.settle(nsigs, tcell, index, freed)))
     return out
 
 
-def _lbta_moves(net: _Net, state: RegionState):
+def _lbta_moves(net: _Net, state):
     """Broadcast macro steps: sender plus every subset of enabled receivers."""
     out = []
-    locs = state.loc
-    for i in range(net.n):
-        for tr in net.trans_from.get(locs[i], ()):
+    sigs, tcell, index = state
+    for i, sig in enumerate(sigs):
+        for sent in net.enabled[sig]:
+            tr = sent[0]
             if tr.sync is None or tr.sync[1] != "!!":
                 continue
-            if not state.base.satisfies(net.ren_atoms(tr.guard, i)):
-                continue
-            chan = tr.sync[0]
-            options = []
-            for j in range(net.n):
-                if j == i:
-                    continue
-                opts = [None]
-                for rt in net.trans_from.get(locs[j], ()):
-                    if rt.sync and rt.sync == (chan, "??") and \
-                            state.base.satisfies(net.ren_atoms(rt.guard, j)):
-                        opts.append((j, rt))
-                options.append(opts)
+            options = [[(i,) + sent] if j == i else [None] + [
+                (j,) + got for got in net.enabled[sj]
+                if got[0].sync == (tr.sync[0], "??")] for j, sj in enumerate(sigs)]
             for combo in product(*options):
-                resets = [_pclock(c, i) for c in tr.resets]
-                nlocs = list(locs)
-                nlocs[i] = tr.dst
-                receivers = []
-                for choice in combo:
-                    if choice is None:
-                        continue
-                    j, rt = choice
-                    resets.extend(_pclock(c, j) for c in rt.resets)
-                    nlocs[j] = rt.dst
-                    receivers.append((j, rt))
-                nb = state.base.reset(resets)
-                if not all(
-                    nb.satisfies(net.inv_atoms(q, j)) for j, q in enumerate(nlocs)
-                ):
-                    continue
-                receivers.sort(key=lambda m: m[0])
-                desc = tuple([(i, tr)] + receivers)
-                out.append((desc, RegionState(tuple(nlocs), nb,
-                                              state.index, state.unbounded)))
+                nsigs, freed, desc = list(sigs), [], [(i, tr)]
+                for j, mt, nsig, mfreed, _ in filter(None, combo):
+                    nsigs[j] = nsig
+                    freed.extend(mfreed)
+                    desc += [(j, mt)] if j != i else []
+                if all(net.inv_ok[s] for s in nsigs):
+                    out.append((tuple(desc),
+                                net.settle(tuple(nsigs), tcell, index, freed)))
     return out
-
 
 @dataclass
 class OracleResult:
@@ -196,49 +214,39 @@ class OracleResult:
     exhausted: bool = False
 
 
-def _explore(a: Automaton, n, slot_cap, max_states, moves_fn) -> OracleResult:
+def explore_network(a: Automaton, n: int, slot_cap: int = 8,
+                    max_states: int = 10 ** 6) -> OracleResult:
+    """All reachable product-region states of A^n with slot index <= slot_cap."""
     net = _Net(a, n, slot_cap)
     res = OracleResult(n, slot_cap)
     start = net.initial()
-    seen = {net.canon(start)}
+    seen = {start}
     queue = deque([start])
 
     def record(state):
-        res.loc_sets.add(frozenset(state.loc))
-        kind = "point" if state.base.val(T)[1] else "open"
-        res.supports.setdefault((kind, state.index), set()).add(net.support_of(state))
+        sigs, tcell, index = state
+        res.loc_sets.add(frozenset(sig[0] for sig in sigs))
+        kind = "point" if tcell[0][1] else "open"
+        res.supports.setdefault((kind, index), set()).add(
+            frozenset(net.member[sig, tcell] for sig in sigs))
 
     record(start)
     while queue:
         state = queue.popleft()
         res.states_explored += 1
-        succs = []
-        d = net.delay_succ(state)
-        if d is not None:
-            succs.append(d)
-        for desc, nxt in moves_fn(net, state):
-            for _, tr in desc:
-                if tr.label is not None:
-                    res.labels.add(tr.label)
-            succs.append(nxt)
-        for nxt in succs:
-            k = net.canon(nxt)
+        succs = net.successors(state)
+        res.labels.update(tr.label for step, _ in succs if step[0] == "fire"
+                          for _, tr in step[1] if tr.label is not None)
+        for _, nxt in succs:
+            k = (tuple(sorted(nxt[0])), nxt[1], nxt[2])
             if k not in seen:
                 if len(seen) >= max_states:
                     res.exhausted = True
                     return res
                 seen.add(k)
                 record(nxt)
-                queue.append(nxt)
+                queue.append(nxt)  # as first reached; only the key is sorted
     return res
-
-
-def explore_network(a: Automaton, n: int, slot_cap: int = 8,
-                    max_states: int = 10 ** 6) -> OracleResult:
-    """All reachable product-region states of A^n with slot index <= slot_cap."""
-    if a.kind == "lbta":
-        return _explore(a, n, slot_cap, max_states, _lbta_moves)
-    return _explore(a, n, slot_cap, max_states, _gta_moves)
 
 
 # -- witness traces -------------------------------------------------------------
@@ -248,41 +256,32 @@ def witness_region_path(a: Automaton, n: int, label: str, slot_cap: int = 8,
                         max_states: int = 10 ** 6):
     """BFS without symmetry reduction until `label` fires; returns the step list.
 
-    Steps are ("delay", state) and ("fire", descriptor, state); None if the
-    label does not fire within the bounds.
+    Steps are ("delay", state) and ("fire", descriptor, state), each state a
+    RegionState; None if the label does not fire within the bounds.
     """
     net = _Net(a, n, slot_cap)
-    moves_fn = _lbta_moves if a.kind == "lbta" else _gta_moves
     start = net.initial()
-    parent = {start.key(): None}
+    parent = {start: None}
     queue = deque([start])
     goal = None
     while queue and goal is None:
         state = queue.popleft()
-        d = net.delay_succ(state)
-        cands = [(("delay",), d)] if d is not None else []
-        for desc, nxt in moves_fn(net, state):
-            cands.append((("fire", desc), nxt))
-        for step, nxt in cands:
-            k = nxt.key()
-            if k not in parent:
+        for step, nxt in net.successors(state):
+            if nxt not in parent:
                 if len(parent) >= max_states:
                     return None
-                parent[k] = (state, step, nxt)
+                parent[nxt] = (state, step)
                 queue.append(nxt)
-                if step[0] == "fire" and any(
-                    tr.label == label for _, tr in step[1]
-                ):
+                if step[0] == "fire" and any(tr.label == label for _, tr in step[1]):
                     goal = nxt
                     break
     if goal is None:
         return None
     steps = []
-    k = goal.key()
-    while parent[k] is not None:
-        prev, step, state = parent[k]
-        steps.append((step, state))
-        k = prev.key()
+    while parent[goal] is not None:
+        prev, step = parent[goal]
+        steps.append((step, net.region_state(goal)))
+        goal = prev
     steps.reverse()
     return steps
 
@@ -294,8 +293,7 @@ def concretize(a: Automaton, n: int, steps):
     or None} entries; receivers of a broadcast appear right after their sender
     with delta 0.
     """
-    net = _Net(a, n, 0)
-    vals = {c: Fraction(0) for c in net.clocks}
+    vals = dict.fromkeys(_Net(a, n, 0).clocks, Fraction(0))
     pending = Fraction(0)
     trace = []
     for step, state in steps:

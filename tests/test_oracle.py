@@ -21,7 +21,7 @@ from dtnmc.oracle import (
     simulate_trace,
     witness_region_path,
 )
-from dtnmc.regions import RegionState, initial_region
+from dtnmc.regions import RegionState
 
 LOSSY = """lbta B
 clocks c
@@ -93,6 +93,21 @@ def explored():
     return get
 
 
+def _orbit_key(state):
+    sigs, tcell, index = state
+    return (tuple(sorted(sigs)), tcell, index)
+
+
+def _cells(net, rs):
+    """A product RegionState as an oracle state (sigs, tcell, index)."""
+    rank = {c: r for r, cls in enumerate(rs.base.fracs) for c in cls}
+    cells = [((-1, False) if v is None else v, rank.get(c, -1))
+             for c, v in zip(net.clocks, rs.base.vals)]
+    k = len(net.cclocks)
+    sigs = tuple((q,) + tuple(cells[i * k:(i + 1) * k]) for i, q in enumerate(rs.loc))
+    return (sigs, cells[-1], rs.index)
+
+
 def _permuted(net, state, perm):
     """The state with process perm[j] renamed to j."""
     mapping = {_pclock(c, p): _pclock(c, j)
@@ -109,19 +124,17 @@ def _reference_canon(net, state):
     return min((s.loc, repr(s.base.key()), s.key()) for s in copies)[2]
 
 
-def _bfs_states(net, moves_fn, limit):
+def _bfs_states(net, limit):
     """The first `limit` states of an unreduced breadth-first search."""
     seen = {}
     queue = deque([net.initial()])
     while queue and len(seen) < limit:
         state = queue.popleft()
-        if state.key() in seen:
+        if state in seen:
             continue
-        seen[state.key()] = state
-        d = net.delay_succ(state)
-        queue.extend([d] if d is not None else [])
-        queue.extend(nxt for _, nxt in moves_fn(net, state))
-    return list(seen.values())
+        seen[state] = None
+        queue.extend(nxt for _, nxt in net.successors(state))
+    return list(seen)
 
 
 def _golden_model(name):
@@ -249,8 +262,8 @@ def test_canon_collapses_process_symmetry(fig3):
     # the same transition fired by either process reaches one orbit key
     by_desc = {desc[0][0]: nxt for desc, nxt in moves}
     assert set(by_desc) == {0, 1}
-    assert net.canon(by_desc[0]) == net.canon(by_desc[1])
-    assert by_desc[0].key() != by_desc[1].key()
+    assert _orbit_key(by_desc[0]) == _orbit_key(by_desc[1])
+    assert by_desc[0] != by_desc[1]
 
 
 def test_canon_partition_matches_permutation_search():
@@ -262,13 +275,14 @@ def test_canon_partition_matches_permutation_search():
         for b in (a, gta_to_lbta(a)):
             for n in (2, 3):
                 net = _Net(b, n, 2)
-                moves_fn = _lbta_moves if b.kind == "lbta" else _gta_moves
-                groups.append((net, _bfs_states(net, moves_fn, 150)))
+                states = [net.region_state(s) for s in _bfs_states(net, 150)]
+                groups.append((net, states))
     # two clocks per process, arbitrary (not necessarily reachable) regions
     net = _Net(parse_model(TWO_CLOCKS), 3, 2)
+    bounds = dict(zip(net.clocks, net.bounds))
     groups.append((net, [
         RegionState(tuple(rng.choice(("a", "b")) for _ in range(3)),
-                    random_region(rng, net.clocks, net.bounds), rng.randint(0, 2))
+                    random_region(rng, net.clocks, bounds), rng.randint(0, 2))
         for _ in range(150)
     ]))
     ref, key = [], []
@@ -277,8 +291,9 @@ def test_canon_partition_matches_permutation_search():
             perm = list(range(net.n))
             rng.shuffle(perm)
             for s in (state, _permuted(net, state, perm)):
+                assert net.region_state(_cells(net, s)) == s
                 ref.append((g, _reference_canon(net, s)))
-                key.append((g, net.canon(s)))
+                key.append((g, _orbit_key(_cells(net, s))))
     # equal partitions: each reference class is one key class and vice versa
     assert len(set(ref)) == len(set(key)) == len(set(zip(ref, key)))
     assert len(set(key)) < len(key)
@@ -312,9 +327,11 @@ def test_eval_constraint_on_locs(fig3):
 def test_lossy_receiver_subsets():
     b = parse_model(LOSSY)
     net = _Net(b, 3, 2)
-    state = RegionState(("p", "q", "q"), initial_region(net.clocks, net.bounds), 0)
+    sigs, tcell, index = net.initial()
+    state = (tuple((q,) + sig[1:] for q, sig in zip(("p", "q", "q"), sigs)),
+             tcell, index)
     moves = _lbta_moves(net, state)
-    outcomes = {nxt.loc for _, nxt in moves}
+    outcomes = {tuple(sig[0] for sig in nxt[0]) for _, nxt in moves}
     assert outcomes == {
         ("ps", "q", "q"), ("ps", "qs", "q"), ("ps", "q", "qs"), ("ps", "qs", "qs"),
     }
