@@ -6,7 +6,8 @@ Three kinds of automata share one record type:
   - "lbta": transitions carry a broadcast send (a!!) or receive (a??) instead,
   - "ta":   plain timed automaton, the output of unguard/strip_guarded.
 
-The format is line oriented, one declaration per line, `#` starts a comment:
+The format is line oriented, one declaration per line; a `#` at the start of
+a line or after whitespace starts a comment:
 
     gta Name                      (or: lbta Name)
     clocks c, d
@@ -17,7 +18,8 @@ The format is line oriented, one declaration per line, `#` starts a comment:
     trans idle -> busy label: go guard: c>=1 reset: c sync: a!!   (lbta)
 
 Atoms are `c <op> d` or `c <op> c2 + d` with op in < <= == >= > and d a
-non-negative integer.  A transition without `label:` is silent.
+non-negative integer.  A transition without `label:` is silent; a label may
+end in `#k` (k digits), as the ones `relabel_unique` gives summary automata.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class ValidationReport:
 
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_LABEL = rf"{_ID}(?:#\d+)?"  # relabel_unique adds #k suffixes
+_COMMENT = re.compile(r"(?:^|(?<=\s))#")  # a `#` at line start or after whitespace
 _ATOM_RE = re.compile(
     rf"^\s*({_ID})\s*(<=|==|>=|<|>)\s*(?:({_ID})\s*\+\s*)?(\d+)\s*$"
 )
@@ -142,7 +146,7 @@ def parse_model(text: str) -> Automaton:
         return items
 
     for lno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = _COMMENT.split(raw, 1)[0].rstrip()
         if not line.strip():
             continue
         words = line.split(None, 1)
@@ -212,7 +216,7 @@ def parse_model(text: str) -> Automaton:
             label = guard = resets = locguard = sync = None
             if "label" in fields:
                 val, col = fields["label"]
-                if not re.fullmatch(_ID, val):
+                if not re.fullmatch(_LABEL, val):
                     raise ModelError(f"bad label {val!r}", lno, col)
                 label = val
             if "guard" in fields:

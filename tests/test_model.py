@@ -69,7 +69,10 @@ def test_parse_pretty_round_trip(fig1, fig3):
         Atom("c", ">", None, 0) in tr.guard and Atom("c", ">", "d", 0) in tr.guard
         for tr in mixed.transitions
     )
-    for a in (fig1, fig3, mixed):
+    # fig1's summary carries relabeled labels such as s4#1
+    summary = summary_automaton(apply_loopback(build_layers(fig1)))
+    assert any("#" in tr.label for tr in summary.transitions if tr.label)
+    for a in (fig1, fig3, mixed, summary):
         text = pretty_model(a)
         again = parse_model(text)
         assert same_model(again, a)
