@@ -13,8 +13,10 @@ from dtnmc.dtn_global import (
     rule1_steps,
     support_key,
 )
+from dtnmc.dtn_local import build_layers
 from dtnmc.model import BudgetExceeded, parse_file
 from dtnmc.oracle import explore_network
+from dtnmc.region_graph import member_key
 
 MODELS = __import__("pathlib").Path(__file__).parent.parent / "models"
 
@@ -208,6 +210,24 @@ def test_global_supports_contained_in_oracle_reachability(fig3, fig3_build):
             c, m = missing_oracle_supports(b, res)
             checked, missing = checked + c, missing + m
     assert (checked, missing) == (1697, 0)
+
+
+def test_global_layers_union_to_local_layers(fig3, fig3_build):
+    # the members of global layer i's supports are exactly local layer W_i,
+    # and both constructions loop back at the same layers
+    layers = 0
+    for seed in [None] + list(range(30)):
+        a = fig3 if seed is None else random_gta(seed)
+        g = fig3_build if seed is None else build_global_layers(a, max_states=50_000)
+        loc = build_layers(a)
+        assert (g.i0, g.l0, g.shift) == (loc.i0, loc.l0, loc.shift)
+        assert [l.slot for l in g.layers] == [l.slot for l in loc.layers]
+        for gl, ll in zip(g.layers, loc.layers):
+            members = {member_key(g.members.state(i, gl.slot.index))
+                       for sup in gl.supports for i in sup}
+            assert members == set(map(member_key, ll.states.values())), (seed, gl.number)
+        layers += len(g.layers)
+    assert layers == 233
 
 
 def test_global_agrees_with_oracle_on_random_gtas():
