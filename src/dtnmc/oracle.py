@@ -6,15 +6,14 @@ of the global clock t (rebased to integer part 0) and the slot index.  A
 signature is a location and one cell per clock: its value class, (integer
 part, is integer) or (-1, False) above the bound, and the rank of its
 fractional part among all clocks and t (-1 if none).  Delays, resets and
-guards act on the cells, and guards and invariants read only one process's
-cells, so `_Net` judges them once per signature.  Permuting processes
+guards act on the cells; guards and invariants read one process's cells
+only, so `_Net` judges them once per signature.  Permuting processes
 permutes `sigs` and nothing else, so the state with sorted signatures is its
 orbit key (Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003).
 
-Witness traces are found without symmetry reduction, on unsorted signatures;
-only their steps become `RegionState`s, which `concretize` turns into a timed
-trace: each delay edge admits a non-empty rational interval of durations,
-from which the midpoint (or the forced exact value) is taken.
+Witness traces are found without symmetry reduction, on unsorted signatures.
+Only their steps become `RegionState`s, which `concretize` turns into a timed
+trace, taking the midpoint (or the forced value) of each delay's interval.
 """
 
 from __future__ import annotations
@@ -193,15 +192,16 @@ def _lbta_moves(net: _Net, state):
                 (j,) + got for got in net.enabled[sj]
                 if got[0].sync == (tr.sync[0], "??")] for j, sj in enumerate(sigs)]
             for combo in product(*options):
-                nsigs, freed, desc = list(sigs), [], [(i, tr)]
-                for j, mt, nsig, mfreed, _ in filter(None, combo):
+                movers = [m for m in combo if m is not None]
+                nsigs, freed = list(sigs), []
+                for j, _, nsig, mfreed, _ in movers:
                     nsigs[j] = nsig
                     freed.extend(mfreed)
-                    desc += [(j, mt)] if j != i else []
                 if all(net.inv_ok[s] for s in nsigs):
-                    out.append((tuple(desc),
-                                net.settle(tuple(nsigs), tcell, index, freed)))
+                    desc = ((i, tr),) + tuple((j, m) for j, m, *_ in movers if j != i)
+                    out.append((desc, net.settle(tuple(nsigs), tcell, index, freed)))
     return out
+
 
 @dataclass
 class OracleResult:
