@@ -149,7 +149,7 @@ class _Net:
     def _member(self, key):
         """The process and t as a one-process `region_graph.member_key`."""
         sig, tcell = key
-        region = _region(self.cclocks + (T,), None, sig[1:] + (tcell,))
+        region = _region(self.cclocks + (T,), self.cbounds + (1,), sig[1:] + (tcell,))
         return (sig[0], False, region.key())
 
     def successors(self, state):
