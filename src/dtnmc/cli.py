@@ -53,8 +53,10 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(sp, unreachable=False, streaming=False):
         sp.add_argument("file", help="model file")
-        sp.add_argument("--max-layers", type=int, default=None,
-                        help="abort after this many layers")
+        sp.add_argument("--max-layers", type=int, default=None, metavar="N",
+                        help="build layers 0..N at most (N+1 layers); exit 3 "
+                             "if layer N+1 is needed (default 2^(na+1), na = "
+                             "locations x clock regions)")
         sp.add_argument("--max-states", type=int, default=None,
                         help="abort after this many stored states "
                              "(env DTNMC_MAX_STATES)")

@@ -20,7 +20,9 @@ slot.  Supports evolve by three kinds of steps:
 
 Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
-up to a slot shift, exactly as in the local algorithm.
+up to a slot shift.  The loop is region_graph's `LayeredBuild`, the one the
+local algorithm runs; `_GlobalBuilder` supplies the support closure, the
+boundary and the signature of a singleton-slot layer, its set of supports.
 
 Members are the ids of region_graph's shared `MemberTable`; `SupportMembers`
 adds, per id, the sort rank and the slot flags rule 1 reads.  A support is a
@@ -36,8 +38,8 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
-from .model import Automaton, BudgetExceeded, relabel_unique, unguard
-from .region_graph import MemberTable, RegionContext, member_key
+from .model import Automaton, BudgetExceeded
+from .region_graph import LayeredBuild, MemberTable, member_key
 from .regions import T, Slot
 
 
@@ -50,14 +52,6 @@ class GlobalLayer:
     number: int
     slot: Slot
     supports: dict  # support (frozenset of member ids) -> None, in discovery order
-
-    def base_keys(self):
-        return frozenset(self.supports)
-
-    def digest(self) -> str:
-        # ids are one-to-one with member keys within a builder
-        body = repr(sorted(sorted(s) for s in self.supports))
-        return hashlib.sha256(body.encode()).hexdigest()
 
 
 # -- constraints ----------------------------------------------------------------
@@ -257,24 +251,18 @@ def boundary_support(support, index, members: SupportMembers):
     return frozenset(crossed), index + step[2]
 
 
-class _GlobalBuilder:
+class _GlobalBuilder(LayeredBuild):
+    table = SupportMembers
+
     def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
                  streaming=False):
-        self.automaton, self.relabel_map = relabel_unique(a)
-        self.ta = unguard(self.automaton)
-        self.ctx = RegionContext(self.ta)
-        self.members = SupportMembers(
-            self.ctx, {tr.label: tr.locguard for tr in self.automaton.transitions})
-        self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
-        self.max_states = max_states
-        self.watch = watch  # parsed constraint or None
-        self.streaming = streaming
-        self.layers = []
+        super().__init__(a, cap, max_states, streaming)
+        self.watch = watch  # parsed constraint or None; hit: (layer, index, support)
         self.parent = {}  # support -> (parent support or None, step kind, layer no)
-        self.i0 = self.l0 = self.shift = None
-        self.hit = None  # (layer number, slot index, support)
         self.supports_total = 0
-        self.peak_layers_held = 0
+
+    def _initial_seeds(self):
+        return {frozenset({self.members.intern(self.ctx.initial_state())}): None}
 
     def _close_layer(self, number, index, seeds):
         supports = {}
@@ -289,9 +277,8 @@ class _GlobalBuilder:
                 self.parent[sup] = (src, kind, number)
             self.supports_total += 1
             if self.max_states is not None and self.supports_total > self.max_states:
-                raise BudgetExceeded(
-                    f"global construction exceeds {self.max_states} supports"
-                )
+                raise BudgetExceeded(f"global construction exceeds {self.max_states}"
+                                     f" supports while building layer {number}")
             wl.append(sup)
             if self.hit is None and self.watch is not None and \
                     _eval_on({loc[i] for i in sup}, self.watch):
@@ -320,38 +307,13 @@ class _GlobalBuilder:
             index = crossed[1]
         return seeds, index
 
-    def build(self):
-        init = frozenset({self.members.intern(self.ctx.initial_state())})
-        seeds, index = {init: None}, 0
-        sigs = []
-        number = 0
-        while True:
-            if number > self.cap:
-                raise BudgetExceeded(f"global layer count exceeds cap {self.cap}")
-            layer = self._close_layer(number, index, seeds)
-            self.layers.append(layer)
-            self.peak_layers_held = max(
-                self.peak_layers_held, 1 if self.streaming else len(self.layers)
-            )
-            if layer.slot.kind == "point":
-                sig = layer.digest() if self.streaming else layer.base_keys()
-                for i, idx, s in sigs:
-                    if s == sig:
-                        self.i0, self.l0 = i, number
-                        self.shift = layer.slot.index - idx
-                        break
-                if self.l0 is not None:
-                    break
-                sigs.append((number, layer.slot.index, sig))
-            if self.hit is not None:
-                break
-            seeds, index = self._boundary(layer)
-            if self.streaming:
-                self.layers.pop()
-            if not seeds:
-                break
-            number += 1
-        return self
+    def _signature(self, layer):
+        if self.streaming:
+            # frozensets have no total order, so each support is sorted first;
+            # ids are one-to-one with member keys within a build
+            body = repr(sorted(sorted(s) for s in layer.supports))
+            return hashlib.sha256(body.encode()).hexdigest()
+        return frozenset(layer.supports)
 
 
 def build_global_layers(a: Automaton, cap=None, max_states=None):
@@ -368,20 +330,9 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
         if q not in locs:
             raise ValueError(f"unknown location {q!r} in constraint")
     b = _GlobalBuilder(a, cap, max_states, watch=node, streaming=streaming).build()
-    built = (b.layers[-1].number + 1 if b.layers else 0) if streaming else len(b.layers)
-    out = {
-        "query": constraint if isinstance(constraint, str) else repr(constraint),
-        "mode": "streaming" if streaming else "dra",
-        "result": "reachable" if b.hit is not None else "unreachable",
-        "layers_built": built,
-        "i0": b.i0,
-        "l0": b.l0,
-        "shift": b.shift,
-        "supports_total": b.supports_total,
-        "peak_layers_held": b.peak_layers_held,
-        "support": None,
-        "witness": None,
-    }
+    query = constraint if isinstance(constraint, str) else repr(constraint)
+    out = b.report(query, "supports_total", b.supports_total, support=None,
+                   witness=None)
     if b.hit is not None:
         number, index, sup = b.hit
         out["support"] = _support_json(sup, index, b.members)

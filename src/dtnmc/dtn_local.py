@@ -9,7 +9,9 @@ singleton-slot layer up to a slot shift; redirecting the last boundary onto
 the repeated layer yields a finite automaton (the DRA) whose paths cover one
 process's behaviors in the infinite family of networks.
 
-Steps come from region_graph's shared `MemberTable`, so the successors of a
+The loop is region_graph's `LayeredBuild`; `_Builder` supplies the layer
+closure, the boundary and the signature of a singleton-slot layer, its set of
+member ids.  Steps come from the shared `MemberTable`, so the successors of a
 (location, region) pair are computed once however many layers it recurs in.
 All states of a layer share its slot index, so a state is named by its layer
 number and member id: `Layer.states` maps id -> RegionState in discovery
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .model import Atom, Automaton, BudgetExceeded, Transition, relabel_unique, unguard
-from .region_graph import MemberTable, RegionContext, RegionEdge
+from .model import Atom, Automaton, BudgetExceeded, Transition
+from .region_graph import LayeredBuild, RegionContext, RegionEdge
 from .regions import T, Region, Slot
 
 
@@ -35,21 +37,6 @@ class Layer:
     number: int
     slot: Slot
     states: dict  # member id -> RegionState, insertion ordered
-
-
-@dataclass
-class LayerBuild:
-    layers: list
-    edges: dict  # (src layer, src id, kind, label, dst layer, dst id) -> None
-    i0: Optional[int]
-    l0: Optional[int]
-    shift: Optional[int]
-    ctx: RegionContext
-    relabel_map: dict
-    automaton: Automaton  # relabeled input, location guards intact
-    hit: Optional[tuple] = None  # ((layer, id), tr, (layer, id)) for a watched label
-    parent: dict = field(default_factory=dict)  # (layer, id) -> (layer, id, kind, tr)
-    states_total: int = 0
 
 
 @dataclass
@@ -79,28 +66,21 @@ class DtnRegionAutomaton:
                 for layer in self.layers]
 
 
-class _Builder:
+class _Builder(LayeredBuild):
     def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
                  streaming=False):
-        self.automaton, self.relabel_map = relabel_unique(a)
-        self.ta = unguard(self.automaton)
-        self.ctx = RegionContext(self.ta)
-        self.members = MemberTable(
-            self.ctx, {tr.label: tr.locguard for tr in self.automaton.transitions})
-        self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
-        self.max_states = max_states
+        super().__init__(a, cap, max_states, streaming)
+        # hit: ((layer, id), tr, (layer, id)), the first firing of a watched label
         self.watched = {
             internal for internal, user in self.relabel_map.items()
             if watch is not None and watch in (internal, user)
         }
-        self.streaming = streaming
-        self.layers = []
         self.edges = {}  # DRA edge tuple -> None, in first-seen order
-        self.parent = {}
-        self.i0 = self.l0 = self.shift = None
-        self.hit = None
+        self.parent = {}  # (layer, id) -> (layer, id, kind, tr)
         self.states_total = 0
-        self.peak_layers_held = 0
+
+    def _initial_seeds(self):
+        return [(None, None, self.members.intern(self.ctx.initial_state()))]
 
     def _close_layer(self, number: int, index: int, seeds) -> Layer:
         """Close a layer under in-slot delay and witness-guarded discrete steps.
@@ -121,8 +101,8 @@ class _Builder:
                     self.parent[number, j] = (ls, i, kind, tr)
                 self.states_total += 1
                 if self.max_states is not None and self.states_total > self.max_states:
-                    raise BudgetExceeded(
-                        f"layer construction exceeds {self.max_states} states")
+                    raise BudgetExceeded(f"layer construction exceeds {self.max_states}"
+                                         f" states while building layer {number}")
                 wl.append(j)
                 if rs.loc not in locs:
                     locs.add(rs.loc)
@@ -147,9 +127,9 @@ class _Builder:
         slot = next(iter(states.values())).slot(self.ctx.tmax)
         return Layer(number, slot, states)
 
-    def _boundary(self, layer: Layer, index: int):
+    def _boundary(self, layer: Layer):
         """The next layer's seeds and slot index."""
-        seeds, seen, nxt_index = [], set(), None
+        seeds, seen, index, nxt_index = [], set(), layer.slot.index, None
         for i in layer.states:
             step = self.members.delay(i, index)
             if step is None or step[0] != "cross":
@@ -165,54 +145,25 @@ class _Builder:
             seeds.append((layer.number, i, j))
         return seeds, nxt_index
 
-    def build(self):
-        seeds = [(None, None, self.members.intern(self.ctx.initial_state()))]
-        index = 0
-        digests = []  # (layer number, slot index, digest) of singleton-slot layers
-        number = 0
-        while True:
-            if number > self.cap:
-                raise BudgetExceeded(f"layer count exceeds cap {self.cap}")
-            layer = self._close_layer(number, index, seeds)
-            self.layers.append(layer)
-            self.peak_layers_held = max(
-                self.peak_layers_held, 1 if self.streaming else len(self.layers)
-            )
-            if layer.slot.kind == "point":
-                # ids are one-to-one with base keys within a builder
-                sig = frozenset(layer.states)
-                if self.streaming:
-                    sig = hashlib.sha256(repr(sorted(sig)).encode()).hexdigest()
-                for i, idx, d in digests:
-                    if d == sig:
-                        self.i0, self.l0 = i, number
-                        self.shift = layer.slot.index - idx
-                        break
-                if self.l0 is not None:
-                    break
-                digests.append((number, layer.slot.index, sig))
-            if self.hit is not None:
-                break
-            seeds, index = self._boundary(layer, index)
-            if self.streaming:
-                self.layers.pop()
-            if not seeds:
-                break  # nothing can cross this slot boundary; network is done
-            number += 1
-        return self
-
-    def result(self) -> LayerBuild:
-        return LayerBuild(self.layers, self.edges, self.i0, self.l0, self.shift,
-                          self.ctx, self.relabel_map, self.automaton, self.hit,
-                          self.parent, self.states_total)
+    def _signature(self, layer: Layer):
+        # ids are one-to-one with member keys within a build
+        if self.streaming:
+            return hashlib.sha256(repr(sorted(layer.states)).encode()).hexdigest()
+        return frozenset(layer.states)
 
 
-def build_layers(a: Automaton, cap=None, max_states=None) -> LayerBuild:
-    """Run the layer construction to termination (no early label stop)."""
-    return _Builder(a, cap, max_states).build().result()
+def build_layers(a: Automaton, cap=None, max_states=None) -> _Builder:
+    """Run the layer construction to termination (no early label stop).
+
+    The member table is dropped: nothing reads it after the build, and the
+    result then holds no more than its layers, edges and parent links.
+    """
+    b = _Builder(a, cap, max_states).build()
+    b.members = None
+    return b
 
 
-def apply_loopback(build: LayerBuild) -> DtnRegionAutomaton:
+def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
     """Trim to layers 0..l0-1 and redirect the last boundary onto W_i0.
 
     W_l0 holds the same ids as W_i0, so a cross edge into (l0, id) becomes a
@@ -248,30 +199,11 @@ def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
 def check_label_reachable(a: Automaton, label: str, streaming=False, cap=None,
                           max_states=None) -> dict:
     """Decide whether some process can ever fire `label`, at any network size."""
-    known = set()
-    for internal, user in relabel_unique(a)[1].items():
-        known.add(internal)
-        if user is not None:
-            known.add(user)
-    if label not in known:
+    b = _Builder(a, cap, max_states, watch=label, streaming=streaming)
+    if not b.watched:
         raise ValueError(f"unknown label {label!r}")
-    b = _Builder(a, cap, max_states, watch=label, streaming=streaming).build()
-    if streaming:
-        built = b.layers[-1].number + 1 if b.layers else 0
-    else:
-        built = len(b.layers)
-    out = {
-        "query": label,
-        "mode": "streaming" if streaming else "dra",
-        "result": "reachable" if b.hit is not None else "unreachable",
-        "layers_built": built,
-        "i0": b.i0,
-        "l0": b.l0,
-        "shift": b.shift,
-        "states_total": b.states_total,
-        "peak_layers_held": b.peak_layers_held,
-        "witness": None,
-    }
+    b.build()
+    out = b.report(label, "states_total", b.states_total, witness=None)
     if b.hit is not None and not streaming:
         out["witness"] = _witness_path(b)
     return out

@@ -256,34 +256,32 @@ def witness_region_path(a: Automaton, n: int, label: str, slot_cap: int = 8,
                         max_states: int = 10 ** 6):
     """BFS without symmetry reduction until `label` fires; returns the step list.
 
-    Steps are ("delay", state) and ("fire", descriptor, state), each state a
+    Every fired edge is tested for the label, also one back to a state
+    already seen, and the list ends with the firing step.  Steps are
+    ("delay", state) and ("fire", descriptor, state), each state a
     RegionState; None if the label does not fire within the bounds.
     """
     net = _Net(a, n, slot_cap)
     start = net.initial()
     parent = {start: None}
     queue = deque([start])
-    goal = None
-    while queue and goal is None:
+    while queue:
         state = queue.popleft()
         for step, nxt in net.successors(state):
+            if step[0] == "fire" and any(tr.label == label for _, tr in step[1]):
+                steps = [(step, net.region_state(nxt))]
+                while parent[state] is not None:
+                    prev, pstep = parent[state]
+                    steps.append((pstep, net.region_state(state)))
+                    state = prev
+                steps.reverse()
+                return steps
             if nxt not in parent:
                 if len(parent) >= max_states:
                     return None
                 parent[nxt] = (state, step)
                 queue.append(nxt)
-                if step[0] == "fire" and any(tr.label == label for _, tr in step[1]):
-                    goal = nxt
-                    break
-    if goal is None:
-        return None
-    steps = []
-    while parent[goal] is not None:
-        prev, step = parent[goal]
-        steps.append((step, net.region_state(goal)))
-        goal = prev
-    steps.reverse()
-    return steps
+    return None
 
 
 def concretize(a: Automaton, n: int, steps):

@@ -11,6 +11,10 @@ of a RegionState, to an int id, and computes each id's delay step once per
 side of the slot bound tmax and its discrete steps once.  The local engine
 keys a layer's states by id, the global engine its supports by frozensets of
 ids; both carry the slot index beside them.
+
+`LayeredBuild` is the layered fixpoint both engines run: close a layer in
+its slot, stop once a singleton-slot layer repeats an earlier one up to a
+slot shift, else cross the slot boundary into the next layer.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Optional
 
-from .model import Automaton, BudgetExceeded, Transition, compute_bounds
+from .model import (Automaton, BudgetExceeded, Transition, compute_bounds,
+                    relabel_unique, unguard)
 from .regions import (
     T,
     Region,
@@ -159,6 +164,80 @@ class MemberTable:
                 for tr, nxt in discrete_successors(self.states[i], self.ctx)
             ]
         return self._discrete[i]
+
+
+class LayeredBuild:
+    """The layered fixpoint; subclasses supply the layers it chains.
+
+    Subclasses define `table` (the member table class), `_initial_seeds()`,
+    `_close_layer(number, index, seeds)` returning a layer with a `slot`,
+    `_boundary(layer)` returning the next layer's seeds and slot index, and
+    `_signature(layer)`, which identifies a singleton-slot layer up to its
+    slot index (a frozenset, or its sha256 when streaming).  `_close_layer`
+    sets `hit` to stop the build at the end of the layer.
+
+    Layers 0..cap may be built; the default cap 2^(na+1) bounds the layers
+    before a loop-back.  A streaming build keeps only the layer being closed.
+    """
+
+    table = MemberTable
+
+    def __init__(self, a: Automaton, cap=None, max_states=None, streaming=False):
+        self.automaton, self.relabel_map = relabel_unique(a)
+        self.ctx = RegionContext(unguard(self.automaton))
+        self.members = self.table(
+            self.ctx, {tr.label: tr.locguard for tr in self.automaton.transitions})
+        self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
+        self.max_states = max_states
+        self.streaming = streaming
+        self.layers = []
+        self.layers_built = 0
+        self.peak_layers_held = 0
+        self.i0 = self.l0 = self.shift = None
+        self.hit = None
+
+    def build(self):
+        seeds, index = self._initial_seeds(), 0
+        sigs = []  # (layer number, slot index, signature) of singleton-slot layers
+        while True:
+            number = self.layers_built
+            if number > self.cap:
+                raise BudgetExceeded(f"building layer {number} would pass the layer "
+                                     f"cap {self.cap} (layers 0..{self.cap})")
+            layer = self._close_layer(number, index, seeds)
+            self.layers_built += 1
+            self.layers.append(layer)
+            self.peak_layers_held = max(self.peak_layers_held, len(self.layers))
+            if layer.slot.kind == "point":
+                sig = self._signature(layer)
+                for i, idx, s in sigs:
+                    if s == sig:
+                        self.i0, self.l0 = i, number
+                        self.shift = layer.slot.index - idx
+                        return self
+                sigs.append((number, layer.slot.index, sig))
+            if self.hit is not None:
+                return self
+            seeds, index = self._boundary(layer)
+            if self.streaming:
+                self.layers.pop()
+            if not seeds:
+                return self  # nothing can cross this slot boundary; network is done
+
+    def report(self, query, total_key: str, total: int, **rest) -> dict:
+        """A check's result: the build's outcome, then `rest` in its order."""
+        return {
+            "query": query,
+            "mode": "streaming" if self.streaming else "dra",
+            "result": "unreachable" if self.hit is None else "reachable",
+            "layers_built": self.layers_built,
+            "i0": self.i0,
+            "l0": self.l0,
+            "shift": self.shift,
+            total_key: total,
+            "peak_layers_held": self.peak_layers_held,
+            **rest,
+        }
 
 
 def reachable_region_states(

@@ -17,6 +17,16 @@ from dtnmc.regions import T, Region
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
+# fails the timelock-freedom assumption: init's invariant stops time at c == 1
+# and its only c == 1 step resets nothing, so no layer crosses slot [1,1]
+LOCK2 = """gta lock2
+clocks c
+location init initial inv: c <= 1
+location q
+trans init -> init label: a guard: c == 1
+trans init -> q label: b locguard: q
+"""
+
 LABEL_POOL = ("a", "b", "d", "e")
 OPS = ("<", "<=", "==", ">=", ">")
 

@@ -71,6 +71,15 @@ def test_budget_exit_code(capsys):
     assert err.startswith("budget exceeded:")
 
 
+def test_max_layers_builds_layers_zero_to_n(capsys):
+    # the unreachable fig3 query loops back at layer 6, so it needs 7 layers
+    query = ("check-global", FIG3, "--constraint", "#q1>=1 && #q1==0")
+    rc, _, err = run(capsys, *query, "--max-layers", "5")
+    assert rc == 3 and "building layer 6" in err
+    rc, out, _ = run(capsys, *query, "--max-layers", "6")
+    assert rc == 0 and json.loads(out)["layers_built"] == 7
+
+
 def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("DTNMC_MAX_STATES", "10")
     rc, _, err = run(capsys, "check-local", FIG1, "--label", "serr")

@@ -1,6 +1,8 @@
+from itertools import permutations
+
 import pytest
 
-from conftest import random_gta
+from conftest import LOCK2, random_gta
 from dtnmc.dtn_global import (
     build_global_layers,
     boundary_support,
@@ -14,7 +16,7 @@ from dtnmc.dtn_global import (
     support_key,
 )
 from dtnmc.dtn_local import build_layers
-from dtnmc.model import BudgetExceeded, parse_file
+from dtnmc.model import BudgetExceeded, parse_file, parse_model
 from dtnmc.oracle import explore_network
 from dtnmc.region_graph import member_key
 
@@ -141,10 +143,14 @@ def test_check_global_unknown_location(fig3):
 
 
 def test_check_global_streaming_agrees(fig3):
-    for text in ("#q1>=1 && #init==0", "#q1>=1 && #q1==0", "#init==0"):
-        full = check_global(fig3, text)
-        slim = check_global(fig3, text, streaming=True)
-        assert slim["result"] == full["result"]
+    lock2 = parse_model(LOCK2)
+    cases = [(fig3, text) for text in
+             ("#q1>=1 && #init==0", "#q1>=1 && #q1==0", "#init==0")]
+    for a, text in cases + [(lock2, "#q>=1")]:
+        full = check_global(a, text)
+        slim = check_global(a, text, streaming=True)
+        for key in ("result", "layers_built", "i0", "l0", "shift"):
+            assert slim[key] == full[key], (a.name, text, key)
         assert slim["peak_layers_held"] == 1 and slim["witness"] is None
 
 
@@ -230,10 +236,22 @@ def test_global_layers_union_to_local_layers(fig3, fig3_build):
     assert layers == 233
 
 
+def differential_constraints(locations):
+    """Per ordered pair of distinct locations q, q': `#q>=1 && #q'==0`, its
+    `||` with the swapped pair and `#q>=1 && #q'>=1`; per ordered triple of
+    distinct locations, `#q>=1 && #q'>=1 && #q''==0`."""
+    for q, q2 in permutations(locations, 2):
+        yield f"#{q}>=1 && #{q2}==0"
+        yield f"#{q}>=1 && #{q2}==0 || #{q2}>=1 && #{q}==0"
+        yield f"#{q}>=1 && #{q2}>=1"
+    for q, q2, q3 in permutations(locations, 3):
+        yield f"#{q}>=1 && #{q2}>=1 && #{q3}==0"
+
+
 def test_global_agrees_with_oracle_on_random_gtas():
-    # every `#q>=1 && #q'==0` some network of n <= 3 processes satisfies is
-    # reported reachable; hits the oracle cannot confirm, budget overruns and
-    # exhausted explorations are counted and pinned
+    # every differential constraint some network of n <= 3 processes satisfies
+    # is reported reachable; hits the oracle cannot confirm, budget overruns
+    # and exhausted explorations are counted and pinned
     queries = misses = engine_only = budget_hits = exhausted = 0
     for seed in range(30):
         a = random_gta(seed)
@@ -242,21 +260,17 @@ def test_global_agrees_with_oracle_on_random_gtas():
             res = explore_network(a, n, slot_cap=4, max_states=200_000)
             loc_sets |= res.loc_sets
             exhausted += res.exhausted
-        for q in a.locations:
-            for q2 in a.locations:
-                if q == q2:
-                    continue
-                text = f"#{q}>=1 && #{q2}==0"
-                node = parse_constraint(text)
-                queries += 1
-                try:
-                    reported = check_global(a, text, max_states=50_000)["result"]
-                except BudgetExceeded:
-                    budget_hits += 1
-                    continue
-                seen = any(eval_constraint(ls, node) for ls in loc_sets)
-                if seen and reported != "reachable":
-                    misses += 1
-                engine_only += not seen and reported == "reachable"
-    assert (queries, misses) == (196, 0)
+        for text in differential_constraints(a.locations):
+            node = parse_constraint(text)
+            queries += 1
+            try:
+                reported = check_global(a, text, max_states=50_000)["result"]
+            except BudgetExceeded:
+                budget_hits += 1
+                continue
+            seen = any(eval_constraint(ls, node) for ls in loc_sets)
+            if seen and reported != "reachable":
+                misses += 1
+            engine_only += not seen and reported == "reachable"
+    assert (queries, misses) == (196 + 686, 0)
     assert (engine_only, budget_hits, exhausted) == (0, 0, 0)

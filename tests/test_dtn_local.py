@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import MODELS, random_gta
+from conftest import LOCK2, MODELS, random_gta
 from dtnmc.dtn_local import (
     apply_loopback,
     build_layers,
@@ -121,14 +121,16 @@ def test_reachable_labels(fig1):
 
 
 def test_streaming_agrees_and_holds_one_layer(fig1, fig3):
-    cases = [(fig1, l) for l in fig1.labels()]
+    lock2 = parse_model(LOCK2)
+    cases = [(fig1, l) for l in fig1.labels()] + [(lock2, l) for l in lock2.labels()]
     for seed in range(6):
         a = random_gta(seed)
         cases.extend((a, l) for l in a.labels())
     for a, label in cases:
         full = check_label_reachable(a, label)
         slim = check_label_reachable(a, label, streaming=True)
-        assert slim["result"] == full["result"], (a.name, label)
+        for key in ("result", "layers_built", "i0", "l0", "shift"):
+            assert slim[key] == full[key], (a.name, label, key)
         assert slim["peak_layers_held"] == 1
         assert slim["witness"] is None
 

@@ -189,8 +189,8 @@ GOLDEN_WITNESS = {
     ("fig1", 3, "serr", 2): "73c20ad6d6ef61c4",
     ("r20", 3, "b", 3): "471e0d08f8b4b886",
     ("l20", 3, "b", 3): "7fe13397f8aa3396",
-    # None, though "b" fires: its self-loop only reaches states already seen
-    ("r18", 3, "b", 3): "dc937b59892604f5",
+    # "b" is a self-loop whose every firing reaches a state already seen
+    ("r18", 3, "b", 3): "b44fb0a2f4f20de1",
     ("D", 2, "fin", 2): "bb16fca5112f6711",
     ("D", 2, "back", 2): "00c7261cb2497173",
 }
@@ -216,6 +216,24 @@ def test_oracle_outputs_match_golden_digests(explored, case):
     payload = (res.states_explored, sorted(res.labels),
                sorted(sorted(ls) for ls in res.loc_sets), supports, res.exhausted)
     assert _sha(repr(payload)) == GOLDEN_EXPLORE[case[1:]]
+
+
+def test_every_fired_label_has_a_replaying_witness(explored):
+    # a label explore_network reports fired gets a witness ending in its firing
+    # step, even when every firing leads back to a state already seen
+    witnesses = 0
+    for name, n, cap in GOLDEN_EXPLORE:
+        a = _golden_model(name)
+        res = explored(name, n) if name.startswith("fig") else \
+            explore_network(a, n, slot_cap=cap)
+        for label in sorted(res.labels):
+            steps = witness_region_path(a, n, label, slot_cap=cap)
+            assert steps is not None, (name, n, label)
+            (kind, movers), _ = steps[-1]
+            assert kind == "fire" and label in {tr.label for _, tr in movers}
+            simulate_trace(a, n, concretize(a, n, steps))
+            witnesses += 1
+    assert witnesses == 56
 
 
 def test_labels_grow_with_network_size(explored):
