@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, check-local, check-global, build-dra, summary,
-product, translate, oracle.  Every subcommand accepts --max-layers,
---max-states, --json <path> and --dot <path>; results printed to stdout
-are JSON (sorted keys) unless the artifact is a model or a report.
+product, translate, oracle.  Every subcommand accepts --json <path> and
+--dot <path>; the layer builders (check-local, check-global, build-dra,
+summary, product) also take --max-layers and --max-states, and oracle takes
+--max-states.  Results printed to stdout are JSON (sorted keys) unless the
+artifact is a model or a report.
 Exit codes: 0 query answered, 1 unreachable under --fail-on-unreachable,
 2 usage or model error, 3 budget exceeded.
 """
@@ -51,15 +53,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"dtnmc {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, unreachable=False, streaming=False):
+    def common(sp, layers=False, states=False, unreachable=False, streaming=False):
         sp.add_argument("file", help="model file")
-        sp.add_argument("--max-layers", type=int, default=None, metavar="N",
-                        help="build layers 0..N at most (N+1 layers); exit 3 "
-                             "if layer N+1 is needed (default 2^(na+1), na = "
-                             "locations x clock regions)")
-        sp.add_argument("--max-states", type=int, default=None,
-                        help="abort after this many stored states "
-                             "(env DTNMC_MAX_STATES)")
+        if layers:
+            sp.add_argument("--max-layers", type=int, default=None, metavar="N",
+                            help="build layers 0..N at most (N+1 layers); exit 3 "
+                                 "if layer N+1 is needed (default 2^(na+1), na = "
+                                 "locations x clock regions)")
+        if states:
+            sp.add_argument("--max-states", type=int, default=None,
+                            help="abort after this many stored states "
+                                 "(env DTNMC_MAX_STATES)")
         sp.add_argument("--json", metavar="PATH", default=None,
                         help="also write the result object to PATH")
         sp.add_argument("--dot", metavar="PATH", default=None,
@@ -76,22 +80,22 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-local", help="label reachability for one process")
     sp.add_argument("--label", required=True)
-    common(sp, unreachable=True, streaming=True)
+    common(sp, layers=True, states=True, unreachable=True, streaming=True)
 
     sp = sub.add_parser("check-global", help="counting-constraint reachability")
     sp.add_argument("--constraint", required=True,
                     help='e.g. "#q1>=1 && #init==0"')
-    common(sp, unreachable=True, streaming=True)
+    common(sp, layers=True, states=True, unreachable=True, streaming=True)
 
     sp = sub.add_parser("build-dra", help="build the looping region automaton")
-    common(sp)
+    common(sp, layers=True, states=True)
 
     sp = sub.add_parser("summary", help="print the one-process summary automaton")
-    common(sp)
+    common(sp, layers=True, states=True)
 
     sp = sub.add_parser("product", help="print the k-fold asynchronous product")
     sp.add_argument("-k", type=int, required=True)
-    common(sp)
+    common(sp, layers=True, states=True)
 
     sp = sub.add_parser("translate", help="convert between gta and lbta")
     sp.add_argument("--to", choices=("gta", "lbta"), required=True, dest="to")
@@ -102,11 +106,16 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--label", default=None)
     sp.add_argument("--constraint", default=None)
     sp.add_argument("--slot-cap", type=int, default=8)
-    common(sp, unreachable=True)
+    common(sp, states=True, unreachable=True)
     return p
 
 
 def _budgets(args):
+    """(--max-layers, --max-states or DTNMC_MAX_STATES), None where the
+    subcommand has no such flag."""
+    cap = getattr(args, "max_layers", None)
+    if not hasattr(args, "max_states"):
+        return cap, None
     max_states = args.max_states
     if max_states is None:
         env = os.environ.get("DTNMC_MAX_STATES")
@@ -115,7 +124,7 @@ def _budgets(args):
                 max_states = int(env)
             except ValueError:
                 raise ValueError(f"DTNMC_MAX_STATES is not an integer: {env!r}")
-    return args.max_layers, max_states
+    return cap, max_states
 
 
 def _model_dot(a: Automaton) -> str:

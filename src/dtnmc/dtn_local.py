@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition
-from .region_graph import LayeredBuild, RegionContext, RegionEdge
+from .region_graph import LayeredBuild, RegionContext
 from .regions import T, Region, Slot
 
 
@@ -49,16 +49,6 @@ class DtnRegionAutomaton:
     ctx: RegionContext
     relabel_map: dict
     automaton: Automaton
-
-    @property
-    def edges(self) -> list:
-        """The arcs as RegionEdge values, built on each call."""
-        by_label = {tr.label: tr for tr in self.ctx.automaton.transitions}
-        return [
-            RegionEdge(self.layers[ls].states[i], kind, by_label.get(label),
-                       self.layers[ld].states[j])
-            for ls, i, kind, label, ld, j in self.arcs
-        ]
 
     def state_names(self) -> list:
         """Deterministic display names: per layer number, id -> wLnI."""

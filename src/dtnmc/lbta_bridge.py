@@ -18,7 +18,14 @@ are copied once per matching sender.
 from __future__ import annotations
 
 from .model import Atom, Automaton, Transition, relabel_unique
-from .region_graph import fresh_name
+
+
+def fresh_name(base: str, taken) -> str:
+    name, i = base, 0
+    while name in taken:
+        i += 1
+        name = f"{base}_{i}"
+    return name
 
 
 def gta_to_lbta(a: Automaton) -> Automaton:

@@ -162,7 +162,7 @@ def parse_model(text: str) -> Automaton:
             raise ModelError("first line must be `gta <Name>` or `lbta <Name>`", lno, 1)
         if kw == "clocks":
             for c in _idlist(rest, lno, len(kw) + 2):
-                if c == "t" and kind != "ta":
+                if c == "t":
                     raise ModelError(
                         "clock name t is reserved for the global clock", lno, 1
                     )

@@ -1,8 +1,9 @@
-"""Region automaton of a timed automaton, slot-aware when the global clock
-is present, plus the time-divergence (timelock-freedom) check.
+"""Region states of an unguarded timed automaton, their successors, the
+member table and layered fixpoint both layer engines run, and the
+time-divergence (timelock-freedom) check.
 
-States are RegionState values: the global clock t, when present, is rebased
-so its integer part is 0 and the real slot index rides along as a plain int.
+States are RegionState values: the global clock t is rebased so its integer
+part is 0 and the real slot index rides along as a plain int.
 
 `MemberTable` is the successor cache both layer engines share.  It
 hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
@@ -15,50 +16,38 @@ ids; both carry the slot index beside them.
 `LayeredBuild` is the layered fixpoint both engines run: close a layer in
 its slot, stop once a singleton-slot layer repeats an earlier one up to a
 slot shift, else cross the slot boundary into the next layer.
+
+`check_timelock_free` walks a member table too: ids are interned in BFS
+order, and the rebased t serves as the tick clock, a delay step with slot
+shift 1 being one tick.  Time diverges from a state iff it reaches a cycle
+through a tick (Tarjan's components on the id graph, then a backward pass).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import NamedTuple, Optional
-
-from .model import (Automaton, BudgetExceeded, Transition, compute_bounds,
-                    relabel_unique, unguard)
-from .regions import (
-    T,
-    Region,
-    RegionState,
-    count_regions,
-    initial_region,
-)
-
-
-class RegionEdge(NamedTuple):
-    src: RegionState
-    kind: str  # "delay" (in-slot), "cross" (into the next slot) or "trans"
-    tr: Optional[Transition]  # the discrete transition, for kind "trans"
-    dst: RegionState
+from .model import (Automaton, BudgetExceeded, compute_bounds, relabel_unique,
+                    unguard)
+from .regions import T, RegionState, count_regions, initial_region
 
 
 class RegionContext:
-    """Precomputed data for exploring one timed automaton's region states."""
+    """Precomputed data for exploring the region states of an automaton whose
+    global clock t (added by unguard) is rebased into the slot index."""
 
     def __init__(self, ta: Automaton):
         self.automaton = ta
-        self.has_t = ta.tclock is not None
         cclocks = tuple(sorted(c for c in ta.clocks if c != ta.tclock))
         self.cclocks = cclocks
-        self.clocks = cclocks + ((T,) if self.has_t else ())
+        self.clocks = cclocks + (T,)
         self.cbounds = {
             c: b for c, b in compute_bounds(ta).items() if c != ta.tclock
         }
-        self.bounds = dict(self.cbounds)
-        if self.has_t:
-            self.bounds[T] = 1  # rebased; the real slot index lives in RegionState
+        # t is rebased; the real slot index lives in RegionState
+        self.bounds = {**self.cbounds, T: 1}
         self.na = len(ta.locations) * count_regions(
             {c: self.cbounds[c] for c in cclocks}
         )
-        self.tmax = 2 ** (self.na + 1) if self.has_t else None
+        self.tmax = 2 ** (self.na + 1)
         self.trans_from = {}
         for tr in ta.transitions:
             self.trans_from.setdefault(tr.src, []).append(tr)
@@ -68,9 +57,6 @@ class RegionContext:
             self.automaton.initial, initial_region(self.clocks, self.bounds), 0
         )
 
-    def invariant(self, q: str) -> tuple:
-        return self.automaton.invariant(q)
-
 
 def immediate_time_successor(rs: RegionState, ctx: RegionContext):
     """The unique next region in time, or None when delay is blocked/idempotent.
@@ -78,18 +64,12 @@ def immediate_time_successor(rs: RegionState, ctx: RegionContext):
     Returns (kind, state): kind "delay" stays in the slot, "cross" enters the
     next one.  A successor violating the location invariant blocks delay.
     """
-    if ctx.has_t:
-        res = rs.advance(ctx.tmax)
-        if res is None:
-            return None
-        kind, nxt = res
-        kind = "delay" if kind == "in" else "cross"
-    else:
-        succ = rs.base.delay_successor()
-        if succ == rs.base:
-            return None
-        kind, nxt = "delay", rs.with_base(succ)
-    if not nxt.base.satisfies(ctx.invariant(rs.loc)):
+    res = rs.advance(ctx.tmax)
+    if res is None:
+        return None
+    kind, nxt = res
+    kind = "delay" if kind == "in" else "cross"
+    if not nxt.base.satisfies(ctx.automaton.invariant(rs.loc)):
         return None
     return kind, nxt
 
@@ -105,7 +85,7 @@ def discrete_successors(rs: RegionState, ctx: RegionContext):
         if not rs.base.satisfies(tr.guard):
             continue
         nb = rs.base.reset(tr.resets)
-        if not nb.satisfies(ctx.invariant(tr.dst)):
+        if not nb.satisfies(ctx.automaton.invariant(tr.dst)):
             continue
         out.append((tr, RegionState(tr.dst, nb, rs.index, rs.unbounded)))
     return out
@@ -240,172 +220,96 @@ class LayeredBuild:
         }
 
 
-def reachable_region_states(
-    ta: Automaton, slot_cap=None, max_states=None
-):
-    """BFS over region states.  Returns (states in visit order, edges, ctx)."""
-    ctx = RegionContext(ta)
-    start = ctx.initial_state()
-    seen = {start.key(): start}
-    order = [start]
-    edges = []
-    queue = deque([start])
-    while queue:
-        rs = queue.popleft()
-        succs = []
-        step = immediate_time_successor(rs, ctx)
-        if step is not None:
-            kind, nxt = step
-            crossing_out = (
-                kind == "cross"
-                and slot_cap is not None
-                and (nxt.index > slot_cap or nxt.unbounded)
-            )
-            if not crossing_out:
-                succs.append((kind, None, nxt))
-        for tr, nxt in discrete_successors(rs, ctx):
-            succs.append(("trans", tr, nxt))
-        for kind, tr, nxt in succs:
-            edges.append(RegionEdge(rs, kind, tr, nxt))
-            k = nxt.key()
-            if k not in seen:
-                seen[k] = nxt
-                order.append(nxt)
-                queue.append(nxt)
-                if max_states is not None and len(seen) > max_states:
-                    raise BudgetExceeded(
-                        f"region graph exceeds {max_states} states"
-                    )
-    return order, edges, ctx
-
-
 # -- timelock-freedom (time divergence from every reachable state) -------------
-
-
-def fresh_name(base: str, taken) -> str:
-    name, i = base, 0
-    while name in taken:
-        i += 1
-        name = f"{base}_{i}"
-    return name
 
 
 def check_timelock_free(a: Automaton, max_states=None):
     """Divergence check on a plain timed automaton (no location guards).
 
-    Augments the automaton with a unit tick clock z held below 1: delaying
-    past z=1 is replaced by a tick edge that resets z, so any run letting one
-    time unit pass must tick.  Time can diverge from a state iff it reaches a
-    cycle through a tick edge.  Returns ("proved", None) or
-    ("refuted", (location, region text)).
+    Explores the member table of unguard(a).  The rebased global clock t is
+    the tick clock: a delay step whose slot shift is 1 lets t pass an integer,
+    so any run letting one time unit pass takes such a tick.  Time can
+    diverge from a state iff it reaches a cycle through a tick.  Returns
+    ("proved", None) or ("refuted", (location, region text without t)).
     """
-    z = fresh_name("z", a.clocks)
-    bounds = compute_bounds(a)
-    bounds[z] = 1
-    clocks = tuple(sorted(a.clocks)) + (z,)
-    trans_from = {}
-    for tr in a.transitions:
-        trans_from.setdefault(tr.src, []).append(tr)
-
-    start = (a.initial, initial_region(clocks, bounds))
-    adj = {}  # node -> list of (successor, is_tick)
-    order = []
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        loc, r = queue.popleft()
-        order.append((loc, r))
-        succs = []
-        d = r.delay_successor()
-        if d != r and d.val(z) is not None and d.satisfies(a.invariant(loc)):
-            succs.append(((loc, d), False))
-        for tr in trans_from.get(loc, ()):
-            if not r.satisfies(tr.guard):
-                continue
-            nb = r.reset(tr.resets)
-            if nb.satisfies(a.invariant(tr.dst)):
-                succs.append(((tr.dst, nb), False))
-        if r.val(z) == (1, True):
-            succs.append(((loc, r.reset((z,))), True))
-        adj[(loc, r)] = succs
-        for node, _ in succs:
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
-                if max_states is not None and len(seen) > max_states:
-                    raise BudgetExceeded(
-                        f"timelock check exceeds {max_states} states"
-                    )
+    ctx = RegionContext(unguard(a))
+    members = MemberTable(ctx, dict.fromkeys(tr.label for tr in a.transitions))
+    members.intern(ctx.initial_state())
+    adj = []  # id -> [(successor id, is tick)]; ids are interned in BFS order
+    while len(adj) < len(members.states):
+        i = len(adj)
+        step = members.delay(i, 0)
+        succs = [] if step is None else [(step[1], step[2] == 1)]
+        succs += [(j, False) for _, j, _ in members.discrete(i)]
+        adj.append(succs)
+        if max_states is not None and len(members.states) > max_states:
+            raise BudgetExceeded(f"timelock check exceeds {max_states} states")
 
     comp = _scc(adj)
     good = {
         comp[u]
-        for u, succs in adj.items()
+        for u, succs in enumerate(adj)
         for v, tick in succs
         if tick and comp[u] == comp[v]
     }
-    # nodes that can reach a good component
-    rev = {u: [] for u in adj}
-    for u, succs in adj.items():
+    # ids that can reach a good component
+    rev = [[] for _ in adj]
+    for u, succs in enumerate(adj):
         for v, _ in succs:
             rev[v].append(u)
-    capable = {u for u in adj if comp[u] in good}
-    queue = deque(capable)
-    while queue:
-        v = queue.popleft()
-        for u in rev[v]:
-            if u not in capable:
-                capable.add(u)
-                queue.append(u)
+    capable = [c in good for c in comp]
+    stack = [u for u, ok in enumerate(capable) if ok]
+    while stack:
+        for u in rev[stack.pop()]:
+            if not capable[u]:
+                capable[u] = True
+                stack.append(u)
 
-    bad = [u for u in order if u not in capable]
+    bad = [u for u, ok in enumerate(capable) if not ok]
     if not bad:
         return ("proved", None)
     stuck = [u for u in bad if not adj[u]]
-    loc, r = stuck[0] if stuck else bad[0]
-    return ("refuted", (loc, r.eliminate((z,)).pretty()))
+    m = members.states[(stuck or bad)[0]]
+    return ("refuted", (m.loc, m.base.eliminate((T,)).pretty()))
 
 
 def _scc(adj):
-    """Iterative Tarjan; returns node -> component id."""
-    index, low, comp = {}, {}, {}
-    stack, on_stack = [], set()
-    counter = [0]
-    cid = [0]
-    for root in adj:
-        if root in index:
+    """Iterative Tarjan on an id adjacency list; returns id -> component id.
+
+    A visited id is on Tarjan's stack exactly while it has no component.
+    """
+    n = len(adj)
+    index, low, comp = [None] * n, [0] * n, [None] * n
+    stack = []
+    counter = cid = 0
+    for root in range(n):
+        if index[root] is not None:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for succ, _ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
+                if index[succ] is None:
+                    index[succ] = low[succ] = counter
+                    counter += 1
                     stack.append(succ)
-                    on_stack.add(succ)
                     work.append((succ, iter(adj[succ])))
-                    advanced = True
                     break
-                if succ in on_stack:
+                if comp[succ] is None:
                     low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid[0]
-                    if w == node:
-                        break
-                cid[0] += 1
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = cid
+                        if w == node:
+                            break
+                    cid += 1
     return comp

@@ -80,6 +80,18 @@ def test_max_layers_builds_layers_zero_to_n(capsys):
     assert rc == 0 and json.loads(out)["layers_built"] == 7
 
 
+def test_budget_flags_only_where_read(capsys, monkeypatch):
+    # the oracle has no layers, and validate and translate build nothing
+    assert main(["oracle", FIG3, "-n", "2", "--max-layers", "0"]) == 2
+    assert main(["validate", FIG3, "--max-states", "5"]) == 2
+    assert main(["translate", FIG1, "--to", "lbta", "--max-layers", "1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    # nor does the environment's state budget reach them
+    monkeypatch.setenv("DTNMC_MAX_STATES", "lots")
+    rc, out, _ = run(capsys, "validate", FIG3)
+    assert rc == 0 and "timelock-free: refuted" in out
+
+
 def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("DTNMC_MAX_STATES", "10")
     rc, _, err = run(capsys, "check-local", FIG1, "--label", "serr")

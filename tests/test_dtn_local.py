@@ -47,16 +47,17 @@ def test_fig3_loopback(fig3):
     ]
     assert sum(len(l.states) for l in dra.layers) == 43
     keys = {rs.key() for l in dra.layers for rs in l.states.values()}
-    loops = [e for e in dra.edges if e.kind == "loop"]
+    loops = [arc for arc in dra.arcs if arc[2] == "loop"]
     assert loops, "the last boundary must fold back onto W_i0"
     layer_of = {
         rs.key(): l.number for l in dra.layers for rs in l.states.values()
     }
-    for e in dra.edges:
-        assert e.src.key() in keys and e.dst.key() in keys
-        if e.kind == "loop":
-            assert layer_of[e.src.key()] == dra.l0 - 1
-            assert layer_of[e.dst.key()] == dra.i0
+    for src_layer, i, kind, _, dst_layer, j in dra.arcs:
+        src, dst = dra.layers[src_layer].states[i], dra.layers[dst_layer].states[j]
+        assert src.key() in keys and dst.key() in keys
+        if kind == "loop":
+            assert layer_of[src.key()] == dra.l0 - 1
+            assert layer_of[dst.key()] == dra.i0
 
 
 def base_keys(layer):

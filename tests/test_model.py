@@ -1,9 +1,16 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gta
-from dtnmc.dtn_local import apply_loopback, build_layers, summary_automaton
+from dtnmc.dtn_local import (
+    apply_loopback,
+    build_layers,
+    check_label_reachable,
+    summary_automaton,
+)
 from dtnmc.model import (
     Atom,
     ModelError,
@@ -29,13 +36,12 @@ trans busy -> idle sync: stop?? label: b
 
 
 def _norm_trans(trs):
-    return sorted(
-        (
-            (t.src, t.dst, t.label, frozenset(t.guard), frozenset(t.resets),
-             t.locguard, t.sync)
-            for t in trs
-        ),
-        key=repr,
+    # a multiset: sorting by repr would follow the iteration order of the
+    # frozensets, which varies between processes
+    return Counter(
+        (t.src, t.dst, t.label, frozenset(t.guard), frozenset(t.resets),
+         t.locguard, t.sync)
+        for t in trs
     )
 
 
@@ -124,6 +130,25 @@ def test_atom_text():
 def test_parse_errors(snippet, msg):
     with pytest.raises(ModelError, match=msg):
         parse_model("gta M\nclocks c\n" + snippet + "\n")
+
+
+TA_OWN_T = """ta M
+clocks t
+location q initial inv: t <= 2
+location r
+trans q -> r label: go guard: t >= 1 reset: t
+"""
+
+
+def test_ta_model_cannot_declare_t():
+    # a ta model's own t would be aliased with the engines' global clock
+    with pytest.raises(ModelError, match="reserved for the global clock"):
+        parse_model(TA_OWN_T)
+    renamed = parse_model(
+        TA_OWN_T.replace("clocks t", "clocks c").replace("t <=", "c <=")
+        .replace("t >=", "c >=").replace("reset: t", "reset: c"))
+    assert renamed.clocks == ("c",)
+    assert check_label_reachable(renamed, "go")["result"] == "reachable"
 
 
 def test_parse_errors_header():

@@ -1,15 +1,27 @@
+import random
+from collections import deque
+
 import pytest
 
-from dtnmc.model import BudgetExceeded, parse_model, strip_guarded, unguard
+from conftest import LABEL_POOL, OPS
+from dtnmc.lbta_bridge import fresh_name
+from dtnmc.model import (
+    Atom,
+    Automaton,
+    BudgetExceeded,
+    Transition,
+    compute_bounds,
+    parse_model,
+    strip_guarded,
+    unguard,
+)
 from dtnmc.region_graph import (
     RegionContext,
     check_timelock_free,
     discrete_successors,
-    fresh_name,
     immediate_time_successor,
-    reachable_region_states,
 )
-from dtnmc.regions import T
+from dtnmc.regions import T, initial_region
 
 
 def test_fresh_name():
@@ -39,6 +51,16 @@ def test_timelock_sink_refuted():
     assert witness == ("sink", "c=1")
 
 
+def test_timelock_zeno_cycle_refuted():
+    # the reset loop cycles through delay steps, but d < 1 keeps a whole
+    # time unit from passing, so no cycle takes a tick
+    a = parse_model(
+        "gta M\nclocks c, d\nlocation q initial inv: d < 1\n"
+        "trans q -> q reset: c\n"
+    )
+    assert check_timelock_free(strip_guarded(a)) == ("refuted", ("q", "c=0 d=0"))
+
+
 def test_timelock_bounded_cycle_proved():
     # the invariant forces motion but the loop resets, so time still diverges
     a = parse_model(
@@ -63,7 +85,7 @@ def test_timelock_budget():
 
 def test_region_context_shape(fig3):
     ctx = RegionContext(unguard(fig3))
-    assert ctx.has_t and ctx.clocks == ("c", T)
+    assert ctx.automaton.tclock == T and ctx.clocks == ("c", T)
     assert ctx.bounds == {"c": 1, T: 1}
     assert ctx.na == 2 * 4  # two locations, four one-clock regions at bound 1
     assert ctx.tmax == 2 ** (ctx.na + 1)
@@ -96,29 +118,99 @@ def test_immediate_time_successor_blocked_by_invariant(fig3):
     assert seen_block and rs.base.val("c") == (1, True)
 
 
-def test_reachable_region_states_slot_cap(fig3):
-    ta = unguard(fig3)
-    states, edges, ctx = reachable_region_states(ta, slot_cap=2)
-    assert states[0] == ctx.initial_state()
-    assert all(s.index <= 2 and not s.unbounded for s in states)
-    keys = {s.key() for s in states}
-    for e in edges:
-        assert e.kind in ("delay", "cross", "trans")
-        assert e.src.key() in keys
-        if e.kind == "trans":
-            assert e.tr is not None and e.dst.key() in keys
-        if e.kind == "cross":
-            # point slots open at the same index; open slots land on the next
-            src_slot, dst_slot = e.src.slot(ctx.tmax), e.dst.slot(ctx.tmax)
-            assert (dst_slot.kind, dst_slot.index) == (
-                ("open", src_slot.index) if src_slot.kind == "point"
-                else ("point", src_slot.index + 1)
-            )
-
-    bigger, _, _ = reachable_region_states(ta, slot_cap=3)
-    assert len(bigger) > len(states)
+# -- differential check against the tick-clock construction --------------------
 
 
-def test_reachable_region_states_budget(fig3):
-    with pytest.raises(BudgetExceeded):
-        reachable_region_states(unguard(fig3), slot_cap=4, max_states=5)
+def tick_clock_bad_states(a):
+    """The states of a plain TA from which time cannot diverge, by the
+    tick-clock construction: a fresh clock z is held at most 1, and at z=1 a
+    tick edge resets it, so letting one time unit pass takes a tick.  Time
+    diverges from a state iff it reaches a tick edge lying on a cycle.
+    Returns {(location, region text without z)}.
+    """
+    z = fresh_name("z", a.clocks)
+    bounds = compute_bounds(a)
+    bounds[z] = 1
+    clocks = tuple(sorted(a.clocks)) + (z,)
+    trans_from = {}
+    for tr in a.transitions:
+        trans_from.setdefault(tr.src, []).append(tr)
+
+    start = (a.initial, initial_region(clocks, bounds))
+    adj = {}  # node -> list of (successor, is_tick)
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        loc, r = node = queue.popleft()
+        succs = []
+        d = r.delay_successor()
+        if d != r and d.val(z) is not None and d.satisfies(a.invariant(loc)):
+            succs.append(((loc, d), False))
+        for tr in trans_from.get(loc, ()):
+            if not r.satisfies(tr.guard):
+                continue
+            nb = r.reset(tr.resets)
+            if nb.satisfies(a.invariant(tr.dst)):
+                succs.append(((tr.dst, nb), False))
+        if r.val(z) == (1, True):
+            succs.append(((loc, r.reset((z,))), True))
+        adj[node] = succs
+        for nxt, _ in succs:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+
+    def reach(src):
+        out, stack = {src}, [src]
+        while stack:
+            for v, _ in adj[stack.pop()]:
+                if v not in out:
+                    out.add(v)
+                    stack.append(v)
+        return out
+
+    reach_of = {u: reach(u) for u in adj}
+    cycling = {u for u, succs in adj.items()
+               if any(tick and u in reach_of[v] for v, tick in succs)}
+    return {(loc, r.eliminate((z,)).pretty())
+            for (loc, r), out in reach_of.items() if not out & cycling}
+
+
+def random_plain_ta(seed) -> Automaton:
+    """A plain TA over one or two clocks.  Unlike conftest's random gTAs its
+    invariant locations get no escape edge, so time may lock."""
+    rng = random.Random(seed)
+    clocks = ("c", "d")[: rng.randint(1, 2)]
+    locs = tuple(f"q{i}" for i in range(rng.randint(2, 4)))
+    inv = {}
+    for q in locs:
+        if rng.random() < 0.5:
+            op = rng.choice(("<", "<="))
+            d = rng.randint(1 if op == "<" else 0, 2)
+            inv[q] = (Atom(rng.choice(clocks), op, None, d),)
+    trans = tuple(
+        Transition(
+            rng.choice(locs), rng.choice(locs), rng.choice(LABEL_POOL + (None,)),
+            tuple(Atom(rng.choice(clocks), rng.choice(OPS), None, rng.randint(0, 2))
+                  for _ in range(rng.randint(0, 2))),
+            tuple(c for c in clocks if rng.random() < 0.4),
+        )
+        for _ in range(rng.randint(1, 5))
+    )
+    return Automaton("ta", f"p{seed}", clocks, locs, "q0", inv, trans)
+
+
+def test_timelock_check_matches_tick_clock_reference(fig1, fig3):
+    models = [strip_guarded(fig1), strip_guarded(fig3)]
+    models += [random_plain_ta(seed) for seed in range(300)]
+    verdicts = []
+    for a in models:
+        bad = tick_clock_bad_states(a)
+        verdict, witness = check_timelock_free(a)
+        if bad:
+            assert verdict == "refuted" and witness in bad, a.name
+        else:
+            assert (verdict, witness) == ("proved", None), a.name
+        verdicts.append(verdict)
+    assert verdicts[:2] == ["proved", "refuted"]
+    assert verdicts[2:].count("refuted") == 129
