@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import permutations
 
 import pytest
@@ -274,3 +276,42 @@ def test_global_agrees_with_oracle_on_random_gtas():
             engine_only += not seen and reported == "reachable"
     assert (queries, misses) == (196 + 686, 0)
     assert (engine_only, budget_hits, exhausted) == (0, 0, 0)
+
+
+def _golden_global_model(name):
+    """fig3, LOCK2, or rS = random_gta(S)."""
+    if name == "fig3":
+        return parse_file(MODELS / "fig3.gta")
+    if name == "LOCK2":
+        return parse_model(LOCK2)
+    return random_gta(int(name[1:]))
+
+
+# sha256 prefixes of the dra-mode JSON answers (witness chains included) and
+# the streaming ones for every ordered `#q>=1 && #q'==0`, of the
+# find_guard_timelock JSON, and of (i0, l0, shift, per-layer support counts,
+# supports_total) of build_global_layers
+GOLDEN = {
+    "fig3": ("809c35f5461732df", "2d49dcd52b0fe2d3", "60f5cf86474784f9", "586e8aad7f03f55d"),
+    "LOCK2": ("ea14a255e7b5bdf1", "281df394e15dcbaf", "1fa7917a5786b327", "ddab55e0888cd85c"),
+    "r3": ("78ac94ccaea2eedc", "c44e8b32cdf1499c", "f26955ad3b22271e", "51652b5518725250"),
+    "r6": ("be69dd92d34269eb", "9fe0fd368a3359c8", "f26955ad3b22271e", "5084786a5346cbc8"),
+    "r13": ("c8467d54c48e522f", "7009e1e714673c20", "f26955ad3b22271e", "5a881277faeaa023"),
+    "r18": ("d6d205e177efe4e5", "317c46386d9f2b2c", "f26955ad3b22271e", "6dfdc8983199a39f"),
+    "r19": ("74262797fe007ca0", "7cbb41fe3772635b", "f26955ad3b22271e", "4d4da7a23722266d"),
+    "r21": ("f05dfd71222a1a28", "4861e5e1d0bd9c64", "f26955ad3b22271e", "f46b0789f1e1ba5e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_global_outputs_match_golden_digests(name):
+    a = _golden_global_model(name)
+    queries = [f"#{q}>=1 && #{q2}==0" for q, q2 in permutations(sorted(a.locations), 2)]
+    dra, slim = ("\n".join(json.dumps(check_global(a, text, streaming=streaming))
+                           for text in queries) for streaming in (False, True))
+    b = build_global_layers(a)
+    layers = repr((b.i0, b.l0, b.shift, [len(l.supports) for l in b.layers],
+                   b.supports_total))
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in
+                (dra, slim, json.dumps(find_guard_timelock(a)), layers))
+    assert got == GOLDEN[name]
