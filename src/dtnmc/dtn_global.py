@@ -25,10 +25,10 @@ local algorithm runs; `_GlobalBuilder` supplies the support closure, the
 boundary and the signature of a singleton-slot layer, its set of supports.
 
 Members are the ids of region_graph's shared `MemberTable`; `SupportMembers`
-adds, per id, the sort rank and the slot flags rule 1 reads.  A support is a
-frozenset of ids and is its own key; the slot index, shared by all members,
-travels beside it.  `support_key` is the index-free key of a RegionState
-support.
+adds the sort rank and slot flags per id and the mask of ids per location.  A
+support is an int with bit i set for member i; the slot index travels beside
+it.  A build expands a support once per side of tmax, all that rule 1 and the
+boundary read of the index.  `support_key` keys a RegionState support.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def support_key(support):
 class GlobalLayer:
     number: int
     slot: Slot
-    supports: dict  # support (frozenset of member ids) -> None, in discovery order
+    supports: dict  # support (bitmask of member ids) -> None, in discovery order
 
 
 # -- constraints ----------------------------------------------------------------
@@ -131,18 +131,19 @@ def constraint_locations(node) -> set:
 def eval_constraint(support, node) -> bool:
     """Truth of a constraint on a support; depends only on the location set."""
     locs = {m if isinstance(m, str) else m.loc for m in support}
-    return _eval_on(locs, node)
+    return _eval_on(locs.__contains__, node)
 
 
-def _eval_on(locs, node) -> bool:
+def _eval_on(occupied, node):
+    """Truth of a constraint given `occupied(location)`."""
     kind = node[0]
     if kind == "some":
-        return node[1] in locs
+        return occupied(node[1])
     if kind == "none":
-        return node[1] not in locs
+        return not occupied(node[1])
     if kind == "and":
-        return _eval_on(locs, node[1]) and _eval_on(locs, node[2])
-    return _eval_on(locs, node[1]) or _eval_on(locs, node[2])
+        return _eval_on(occupied, node[1]) and _eval_on(occupied, node[2])
+    return _eval_on(occupied, node[1]) or _eval_on(occupied, node[2])
 
 
 def guard_timelock_constraint(a: Automaton):
@@ -176,14 +177,24 @@ class SupportMembers(MemberTable):
         self.rank = []  # id -> repr of its member key, the visiting order
         self.point = []  # id -> t sits on an integer: a singleton slot
         self.punctual = []  # id -> any positive delay moves a clock other than t
+        self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
+        self._last = (0, [])  # the last support ordered and its ids
 
     def _added(self, key, m) -> None:
+        self.at[m.loc] |= 1 << len(self.rank)
         self.rank.append(repr(key))
         self.point.append(not m.unbounded and m.base.val(T)[1])
         self.punctual.append(m.base.is_time_punctual(skip=(T,)))
 
     def ordered(self, support) -> list:
-        return sorted(support, key=self.rank.__getitem__)
+        """The ids of a support by rank, kept for the last support asked."""
+        if support != self._last[0]:
+            ids, rest = [], support
+            while rest:
+                ids.append((rest & -rest).bit_length() - 1)
+                rest &= rest - 1
+            self._last = (support, sorted(ids, key=self.rank.__getitem__))
+        return self._last[1]
 
 
 def rule1_steps(support, index, members: SupportMembers):
@@ -193,28 +204,31 @@ def rule1_steps(support, index, members: SupportMembers):
         return []
     punctual = [i for i in ids if members.punctual[i]]
     if punctual:
-        succs = []
+        gone = added = 0
         for i in punctual:
             step = members.delay(i, index)
             if step is None:
                 return []  # an invariant pins a punctual member: time is stuck
             assert step[0] == "delay"
-            succs.append(step[1])
-        return [support.difference(punctual).union(succs)]
+            gone |= 1 << i
+            added |= 1 << step[1]
+        return [support & ~gone | added]
     movers = []
     for i in ids:
         step = members.delay(i, index)
         if step is not None and step[0] == "delay":
-            movers.append((i, step[1]))
+            movers.append((1 << i, 1 << step[1]))
     # any nonempty set of members whose clocks share a fractional phase can hit
     # the next region together; within each, processes may all move or some lag
     out, seen = [], {support}
     for mask in range(1, 1 << len(movers)):
-        chosen = [mv for b, mv in enumerate(movers) if mask >> b & 1]
-        added = frozenset(s for _, s in chosen)
-        for amask in range(1 << len(chosen)):
-            gone = {i for b, (i, _) in enumerate(chosen) if amask >> b & 1}
-            nxt = (support - gone) | added
+        added, gones = 0, [0]  # gones: every subset of the chosen members
+        for b, (i, s) in enumerate(movers):
+            if mask >> b & 1:
+                added |= s
+                gones += [g | i for g in gones]
+        for gone in gones:
+            nxt = support & ~gone | added
             if nxt not in seen:
                 seen.add(nxt)
                 out.append(nxt)
@@ -222,33 +236,33 @@ def rule1_steps(support, index, members: SupportMembers):
 
 
 def rule2_steps(support, members: SupportMembers):
-    """Discrete outcomes: (transition, mover id, successor support) triples."""
-    loc = members.loc
-    locs = {loc[i] for i in support}
+    """Discrete outcomes: (successor support, transition) pairs."""
+    at = members.at
     out = []
     for i in members.ordered(support):
         for tr, j, lg in members.discrete(i):
-            if lg is not None and lg not in locs:
+            if lg is not None and not support & at[lg]:
                 continue
-            if j not in support:
-                out.append((tr, i, support | {j}))
+            if not support >> j & 1:
+                out.append((support | 1 << j, tr))
             if j != i:
-                drop = (support - {i}) | {j}
-                if lg is None or lg in {loc[x] for x in drop}:
-                    out.append((tr, i, drop))
+                drop = support & ~(1 << i) | 1 << j
+                if lg is None or drop & at[lg]:
+                    out.append((drop, tr))
     return out
 
 
 def boundary_support(support, index, members: SupportMembers):
-    """(crossed support, its slot index) when every member's next change enters
-    the next slot, else None."""
-    crossed = []
-    for i in support:
-        step = members.delay(i, index)
+    """(crossed support, slot shift) when every member's next change enters the
+    next slot, else None."""
+    crossed, rest = 0, support
+    while rest:
+        step = members.delay((rest & -rest).bit_length() - 1, index)
         if step is None or step[0] != "cross":
             return None
-        crossed.append(step[1])
-    return frozenset(crossed), index + step[2]
+        crossed |= 1 << step[1]
+        rest &= rest - 1
+    return crossed, step[2]
 
 
 class _GlobalBuilder(LayeredBuild):
@@ -258,16 +272,28 @@ class _GlobalBuilder(LayeredBuild):
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
         self.watch = watch  # parsed constraint or None; hit: (layer, index, support)
-        self.parent = {}  # support -> (parent support or None, step kind, layer no)
+        self.parent = {}  # support -> (parent or None, kind or transition, layer no)
         self.supports_total = 0
+        # index >= tmax -> {support -> [[(successor, "delay" or transition)] of
+        # rule 1 then rule 2, boundary_support's result or False until asked]}
+        self.expanded = ({}, {})
+
+    def _expand(self, sup, index):
+        delays = rule1_steps(sup, index, self.members)
+        outs = rule2_steps(sup, self.members)
+        if delays:
+            outs[:0] = [(nxt, "delay") for nxt in delays]
+        entry = self.expanded[index >= self.ctx.tmax][sup] = [outs, False]
+        return entry
 
     def _initial_seeds(self):
-        return {frozenset({self.members.intern(self.ctx.initial_state())}): None}
+        return {1 << self.members.intern(self.ctx.initial_state()): None}
 
     def _close_layer(self, number, index, seeds):
         supports = {}
         wl = deque()
-        loc = self.members.loc
+        at = self.members.at
+        cache = self.expanded[index >= self.ctx.tmax]
 
         def add(sup, src, kind):
             if sup in supports:
@@ -281,37 +307,38 @@ class _GlobalBuilder(LayeredBuild):
                                      f" supports while building layer {number}")
             wl.append(sup)
             if self.hit is None and self.watch is not None and \
-                    _eval_on({loc[i] for i in sup}, self.watch):
+                    _eval_on(lambda q: sup & at[q], self.watch):
                 self.hit = (number, index, sup)
 
         for sup, src in seeds.items():
             add(sup, src, "cross" if src is not None else "init")
         while wl:
             sup = wl.popleft()
-            for nxt in rule1_steps(sup, index, self.members):
-                add(nxt, sup, "delay")
-            for tr, _, nxt in rule2_steps(sup, self.members):
-                add(nxt, sup, f"trans {tr.label}")
-        first = next(iter(next(iter(supports))))
+            for nxt, kind in (cache.get(sup) or self._expand(sup, index))[0]:
+                add(nxt, sup, kind)
+        first = self.members.ordered(next(iter(supports)))[0]
         slot = self.members.state(first, index).slot(self.ctx.tmax)
         return GlobalLayer(number, slot, supports)
 
     def _boundary(self, layer):
         """The next layer's seeds (crossed support -> source) and slot index."""
-        seeds, index = {}, None
+        seeds, index, shift = {}, layer.slot.index, 0
+        cache = self.expanded[index >= self.ctx.tmax]
         for sup in layer.supports:
-            crossed = boundary_support(sup, layer.slot.index, self.members)
-            if crossed is None:
-                continue
-            seeds.setdefault(crossed[0], sup)
-            index = crossed[1]
-        return seeds, index
+            entry = cache[sup]  # every support was expanded as its layer closed
+            if entry[1] is False:
+                entry[1] = boundary_support(sup, index, self.members)
+            if entry[1] is not None:
+                seeds.setdefault(entry[1][0], sup)
+                shift = entry[1][1]
+        if self.streaming:
+            cache.clear()  # hold one layer only
+        return seeds, index + shift
 
     def _signature(self, layer):
         if self.streaming:
-            # frozensets have no total order, so each support is sorted first;
             # ids are one-to-one with member keys within a build
-            body = repr(sorted(sorted(s) for s in layer.supports))
+            body = repr(sorted(layer.supports))
             return hashlib.sha256(body.encode()).hexdigest()
         return frozenset(layer.supports)
 
@@ -359,13 +386,12 @@ def _witness_chain(b: _GlobalBuilder, sup):
     while sup is not None:
         src, kind, number = b.parent[sup]
         index = b.layers[number].slot.index
-        step = {"kind": kind, "layer": number,
+        trans = not isinstance(kind, str)
+        step = {"kind": "trans" if trans else kind, "layer": number,
                 "support": _support_json(sup, index, b.members)}
-        if kind.startswith("trans "):
-            internal = kind.split(" ", 1)[1]
-            step["kind"] = "trans"
-            step["internal_label"] = internal
-            step["label"] = b.relabel_map.get(internal)
+        if trans:
+            step["internal_label"] = kind.label
+            step["label"] = b.relabel_map.get(kind.label)
         chain.append(step)
         sup = src
     chain.reverse()
@@ -388,13 +414,15 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
             layer_of.setdefault(sup, layer.number)
             last[sup] = layer.slot.index
     # a support is safe if it reaches, through discrete steps, one that can
-    # delay in the last layer holding it; rule 2 does not read the slot index
+    # delay in the last layer holding it; rule 2 does not read the slot index,
+    # and a support with a delay edge is safe itself
     rev = {k: [] for k in layer_of}
     safe = set()
     for k, index in last.items():
-        for _, _, nxt in rule2_steps(k, b.members):
+        outs = b.expanded[index >= b.ctx.tmax][k][0]
+        for nxt, _ in outs:
             rev[nxt].append(k)
-        if rule1_steps(k, index, b.members) or \
+        if any(kind == "delay" for _, kind in outs) or \
                 boundary_support(k, index, b.members) is not None:
             safe.add(k)
     queue = deque(safe)

@@ -343,6 +343,8 @@ def _trans_key(tr: Transition):
 
 def unguard(a: Automaton) -> Automaton:
     """Drop location guards and add the global clock t (never guarded or reset)."""
+    if "t" in a.clocks:
+        raise ModelError("clock name t is reserved for the global clock")
     trs = tuple(
         Transition(tr.src, tr.dst, tr.label, tr.guard, tr.resets)
         for tr in a.transitions

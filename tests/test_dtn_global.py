@@ -6,6 +6,7 @@ import pytest
 
 from conftest import LOCK2, random_gta
 from dtnmc.dtn_global import (
+    _GlobalBuilder,
     build_global_layers,
     boundary_support,
     check_global,
@@ -78,8 +79,9 @@ def test_guard_timelock_constraint(fig3, fig1):
 
 
 def decoded_key(b, sup, index):
-    """support_key of a support of member ids, rebuilt in slot `index`."""
-    return support_key(b.members.state(i, index) for i in sup)
+    """support_key of a support (a bitmask of member ids), rebuilt in slot
+    `index`."""
+    return support_key(b.members.state(i, index) for i in b.members.ordered(sup))
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,9 @@ def test_fig3_global_layers(fig3_build):
     assert [str(l.slot) for l in b.layers] == [
         "[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]", "(2,3)", "[3,3]",
     ]
+    # layers 5 and 6 repeat layers 3 and 4: each distinct support is expanded once
+    distinct = {sup for l in b.layers for sup in l.supports}
+    assert len(distinct) == len(b.expanded[False]) == 2174 and not b.expanded[True]
 
 
 def test_rule1_point_slot_is_quiet(fig3_build):
@@ -104,7 +109,8 @@ def test_rule1_point_slot_is_quiet(fig3_build):
         assert rule1_steps(sup, index, b.members) == []
         crossed = boundary_support(sup, index, b.members)
         assert crossed is not None  # nothing pins time at t=0
-        assert decoded_key(b, *crossed) != decoded_key(b, sup, index)
+        crossed_key = decoded_key(b, crossed[0], index + crossed[1])
+        assert crossed_key != decoded_key(b, sup, index)
 
 
 def test_rule1_open_slot_properties(fig3_build):
@@ -151,9 +157,14 @@ def test_check_global_streaming_agrees(fig3):
     for a, text in cases + [(lock2, "#q>=1")]:
         full = check_global(a, text)
         slim = check_global(a, text, streaming=True)
-        for key in ("result", "layers_built", "i0", "l0", "shift"):
+        for key in ("result", "layers_built", "i0", "l0", "shift", "supports_total"):
             assert slim[key] == full[key], (a.name, text, key)
         assert slim["peak_layers_held"] == 1 and slim["witness"] is None
+    # a streaming build keeps expanded supports of the layer it closed last only
+    b = _GlobalBuilder(fig3, streaming=True).build()
+    held = set(b.expanded[False]) | set(b.expanded[True])
+    assert b.peak_layers_held == 1
+    assert held and held <= set(b.layers[-1].supports)
 
 
 def test_check_global_budgets(fig3):
@@ -232,7 +243,7 @@ def test_global_layers_union_to_local_layers(fig3, fig3_build):
         assert [l.slot for l in g.layers] == [l.slot for l in loc.layers]
         for gl, ll in zip(g.layers, loc.layers):
             members = {member_key(g.members.state(i, gl.slot.index))
-                       for sup in gl.supports for i in sup}
+                       for sup in gl.supports for i in g.members.ordered(sup)}
             assert members == set(map(member_key, ll.states.values())), (seed, gl.number)
         layers += len(g.layers)
     assert layers == 233

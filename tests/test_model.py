@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gta
+from dtnmc.dtn_global import check_global
 from dtnmc.dtn_local import (
     apply_loopback,
     build_layers,
@@ -13,7 +14,9 @@ from dtnmc.dtn_local import (
 )
 from dtnmc.model import (
     Atom,
+    Automaton,
     ModelError,
+    Transition,
     compute_bounds,
     parse_model,
     pretty_model,
@@ -149,6 +152,18 @@ def test_ta_model_cannot_declare_t():
         .replace("t >=", "c >=").replace("reset: t", "reset: c"))
     assert renamed.clocks == ("c",)
     assert check_label_reachable(renamed, "go")["result"] == "reachable"
+
+
+def test_unguard_reserves_t():
+    # TA_OWN_T built through the library, past the parser's check: its t
+    # would be aliased with the global clock, and the engines would miss "go"
+    a = Automaton("ta", "M", ("t",), ("q", "r"), "q",
+                  {"q": (Atom("t", "<=", None, 2),)},
+                  (Transition("q", "r", "go", (Atom("t", ">=", None, 1),), ("t",)),))
+    for check in (unguard, lambda a: check_label_reachable(a, "go"),
+                  lambda a: check_global(a, "#r>=1")):
+        with pytest.raises(ModelError, match="reserved for the global clock"):
+            check(a)
 
 
 def test_parse_errors_header():
