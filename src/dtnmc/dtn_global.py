@@ -135,7 +135,6 @@ def eval_constraint(support, node) -> bool:
 
 
 def _eval_on(occupied, node):
-    """Truth of a constraint given `occupied(location)`."""
     kind = node[0]
     if kind == "some":
         return occupied(node[1])
@@ -179,6 +178,7 @@ class SupportMembers(MemberTable):
         self.punctual = []  # id -> any positive delay moves a clock other than t
         self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
         self._last = (0, [])  # the last support ordered and its ids
+        self.text = {}  # id -> region text without t, for the JSON
 
     def _added(self, key, m) -> None:
         self.at[m.loc] |= 1 << len(self.rank)
@@ -189,12 +189,14 @@ class SupportMembers(MemberTable):
     def ordered(self, support) -> list:
         """The ids of a support by rank, kept for the last support asked."""
         if support != self._last[0]:
-            ids, rest = [], support
-            while rest:
-                ids.append((rest & -rest).bit_length() - 1)
-                rest &= rest - 1
-            self._last = (support, sorted(ids, key=self.rank.__getitem__))
+            self._last = (support, sorted(_ids(support), key=self.rank.__getitem__))
         return self._last[1]
+
+
+def _ids(support):
+    while support:
+        yield (support & -support).bit_length() - 1
+        support &= support - 1
 
 
 def rule1_steps(support, index, members: SupportMembers):
@@ -204,15 +206,14 @@ def rule1_steps(support, index, members: SupportMembers):
         return []
     punctual = [i for i in ids if members.punctual[i]]
     if punctual:
-        gone = added = 0
+        added = 0
         for i in punctual:
             step = members.delay(i, index)
             if step is None:
                 return []  # an invariant pins a punctual member: time is stuck
             assert step[0] == "delay"
-            gone |= 1 << i
             added |= 1 << step[1]
-        return [support & ~gone | added]
+        return [support & ~sum(1 << i for i in punctual) | added]
     movers = []
     for i in ids:
         step = members.delay(i, index)
@@ -255,13 +256,12 @@ def rule2_steps(support, members: SupportMembers):
 def boundary_support(support, index, members: SupportMembers):
     """(crossed support, slot shift) when every member's next change enters the
     next slot, else None."""
-    crossed, rest = 0, support
-    while rest:
-        step = members.delay((rest & -rest).bit_length() - 1, index)
+    crossed = 0
+    for i in _ids(support):
+        step = members.delay(i, index)
         if step is None or step[0] != "cross":
             return None
         crossed |= 1 << step[1]
-        rest &= rest - 1
     return crossed, step[2]
 
 
@@ -274,8 +274,7 @@ class _GlobalBuilder(LayeredBuild):
         self.watch = watch  # parsed constraint or None; hit: (layer, index, support)
         self.parent = {}  # support -> (parent or None, kind or transition, layer no)
         self.supports_total = 0
-        # index >= tmax -> {support -> [[(successor, "delay" or transition)] of
-        # rule 1 then rule 2, boundary_support's result or False until asked]}
+        # index >= tmax -> {support -> [rule-1 then rule-2 outcomes, boundary or False]}
         self.expanded = ({}, {})
 
     def _expand(self, sup, index):
@@ -292,7 +291,6 @@ class _GlobalBuilder(LayeredBuild):
     def _close_layer(self, number, index, seeds):
         supports = {}
         wl = deque()
-        at = self.members.at
         cache = self.expanded[index >= self.ctx.tmax]
 
         def add(sup, src, kind):
@@ -307,7 +305,7 @@ class _GlobalBuilder(LayeredBuild):
                                      f" supports while building layer {number}")
             wl.append(sup)
             if self.hit is None and self.watch is not None and \
-                    _eval_on(lambda q: sup & at[q], self.watch):
+                    _eval_on(lambda q: sup & self.members.at[q], self.watch):
                 self.hit = (number, index, sup)
 
         for sup, src in seeds.items():
@@ -373,9 +371,11 @@ def _support_json(sup, index, members: SupportMembers):
     out = []
     for i in members.ordered(sup):
         m = members.state(i, index)
+        if i not in members.text:
+            members.text[i] = m.base.eliminate((T,)).pretty() or "true"
         out.append({
             "loc": m.loc,
-            "region": m.base.eliminate((T,)).pretty() or "true",
+            "region": members.text[i],
             "slot": str(m.slot(members.ctx.tmax)),
         })
     return out
