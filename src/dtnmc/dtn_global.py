@@ -223,11 +223,10 @@ def rule1_steps(support, index, members: SupportMembers):
     # the next region together; within each, processes may all move or some lag
     out, seen = [], {support}
     for mask in range(1, 1 << len(movers)):
-        added, gones = 0, [0]  # gones: every subset of the chosen members
-        for b, (i, s) in enumerate(movers):
-            if mask >> b & 1:
-                added |= s
-                gones += [g | i for g in gones]
+        chosen = [mv for b, mv in enumerate(movers) if mask >> b & 1]
+        added, gones = sum({s for _, s in chosen}), [0]  # movers may share a successor
+        for i, _ in chosen:
+            gones += [g | i for g in gones]  # every subset of the chosen members
         for gone in gones:
             nxt = support & ~gone | added
             if nxt not in seen:
@@ -274,15 +273,16 @@ class _GlobalBuilder(LayeredBuild):
         self.watch = watch  # parsed constraint or None; hit: (layer, index, support)
         self.parent = {}  # support -> (parent or None, kind or transition, layer no)
         self.supports_total = 0
-        # index >= tmax -> {support -> [rule-1 then rule-2 outcomes, boundary or False]}
+        # index >= tmax -> {support -> [rule-1 then rule-2 successors, their step
+        # kinds, boundary or False]}; two lists cost less than a tuple per outcome
         self.expanded = ({}, {})
 
     def _expand(self, sup, index):
         delays = rule1_steps(sup, index, self.members)
-        outs = rule2_steps(sup, self.members)
-        if delays:
-            outs[:0] = [(nxt, "delay") for nxt in delays]
-        entry = self.expanded[index >= self.ctx.tmax][sup] = [outs, False]
+        steps = rule2_steps(sup, self.members)
+        entry = self.expanded[index >= self.ctx.tmax][sup] = [
+            delays + [nxt for nxt, _ in steps],
+            ["delay"] * len(delays) + [tr for _, tr in steps], False]
         return entry
 
     def _initial_seeds(self):
@@ -312,7 +312,8 @@ class _GlobalBuilder(LayeredBuild):
             add(sup, src, "cross" if src is not None else "init")
         while wl:
             sup = wl.popleft()
-            for nxt, kind in (cache.get(sup) or self._expand(sup, index))[0]:
+            succs, kinds, _ = cache.get(sup) or self._expand(sup, index)
+            for nxt, kind in zip(succs, kinds):
                 add(nxt, sup, kind)
         first = self.members.ordered(next(iter(supports)))[0]
         slot = self.members.state(first, index).slot(self.ctx.tmax)
@@ -324,11 +325,11 @@ class _GlobalBuilder(LayeredBuild):
         cache = self.expanded[index >= self.ctx.tmax]
         for sup in layer.supports:
             entry = cache[sup]  # every support was expanded as its layer closed
-            if entry[1] is False:
-                entry[1] = boundary_support(sup, index, self.members)
-            if entry[1] is not None:
-                seeds.setdefault(entry[1][0], sup)
-                shift = entry[1][1]
+            if entry[2] is False:
+                entry[2] = boundary_support(sup, index, self.members)
+            if entry[2] is not None:
+                seeds.setdefault(entry[2][0], sup)
+                shift = entry[2][1]
         if self.streaming:
             cache.clear()  # hold one layer only
         return seeds, index + shift
@@ -413,16 +414,15 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
         for sup in layer.supports:
             layer_of.setdefault(sup, layer.number)
             last[sup] = layer.slot.index
-    # a support is safe if it reaches, through discrete steps, one that can
-    # delay in the last layer holding it; rule 2 does not read the slot index,
-    # and a support with a delay edge is safe itself
+    # a support is safe if it can delay in the last layer holding it or reaches
+    # one that can (delay edges leave safe supports; rule 2 ignores the index)
     rev = {k: [] for k in layer_of}
     safe = set()
     for k, index in last.items():
-        outs = b.expanded[index >= b.ctx.tmax][k][0]
-        for nxt, _ in outs:
+        succs, kinds, _ = b.expanded[index >= b.ctx.tmax][k]
+        for nxt in succs:
             rev[nxt].append(k)
-        if any(kind == "delay" for _, kind in outs) or \
+        if "delay" in kinds or \
                 boundary_support(k, index, b.members) is not None:
             safe.add(k)
     queue = deque(safe)
