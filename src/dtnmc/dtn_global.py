@@ -169,7 +169,7 @@ def guard_timelock_constraint(a: Automaton):
 
 
 class SupportMembers(MemberTable):
-    """The shared member table plus the per-id fields supports need."""
+    """The shared member table plus the per-id and per-location fields supports need."""
 
     def __init__(self, ctx, locguard: dict):
         super().__init__(ctx, locguard)
