@@ -178,18 +178,18 @@ def test_k_product():
         k_product(s, 4, max_states=3)
 
 
-def two_clock_gta(seed):
-    """A seeded two-clock gTA, drawn as the benchmark's local-random models are."""
+def seeded_gta(seed, clocks=2):
+    """A seeded gTA, drawn as the benchmark's local-random models are."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", MODELS.parent / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return parse_model(gen.random_gta_text(seed, 2, 6, 12, 4))
+    return parse_model(gen.random_gta_text(seed, clocks, 6, 12, 4))
 
 
 # sha256 prefixes of the summary automaton's repr, the DRA's dot text and the
 # dra-mode JSON answers (witnesses included) for every transition's internal
-# label
+# label; rN is seed N with two clocks, rNc3 seed N with three
 GOLDEN = {
     "fig1": ("b4c8ca76de11da98", "72e69d948a074392", "4e6540109258f374"),
     "fig3": ("d968bd74dd926b50", "c0d71ddabd4e5bd5", "7455afe000ca88dd"),
@@ -199,6 +199,9 @@ GOLDEN = {
     "r22": ("aaa0c5f86c79cde5", "a5e061a8d2543ac7", "050ba2432929232f"),
     "r26": ("31fbac2aa223a87d", "8b5c9204e0e64d96", "635e4aede5515f8b"),
     "r33": ("c819a45f41f27a0f", "2f518355faa9a3c0", "46f15e68f0379749"),
+    "r43c3": ("80c4355eb74ae16c", "886ebc44ffbd267b", "91c7ae615250f097"),
+    "r49c3": ("389d7fefd795db4b", "4d21d73c645a1fb9", "caf9c7d836887ef3"),
+    "r57c3": ("bd44c7d1230d1920", "c66b93c1dffaca08", "f2e117b144698b52"),
 }
 
 
@@ -207,7 +210,8 @@ def test_local_outputs_match_golden_digests(name):
     if name.startswith("fig"):
         a = parse_file(MODELS / f"{name}.gta")
     else:
-        a = two_clock_gta(int(name[1:]))
+        seed, _, clocks = name[1:].partition("c")
+        a = seeded_gta(int(seed), int(clocks or 2))
     dra = apply_loopback(build_layers(a))
     answers = "\n".join(json.dumps(check_label_reachable(a, label))
                         for label in sorted(relabel_unique(a)[1]))
