@@ -361,10 +361,13 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
                    witness=None)
     if b.hit is not None:
         number, index, sup = b.hit
-        out["support"] = _support_json(sup, index, b.members)
-        out["layer"] = number
-        if not streaming:
+        if streaming:
+            out["support"] = _support_json(sup, index, b.members)
+        else:
+            # the hit support is first added, so recorded, in the hit layer
             out["witness"] = _witness_chain(b, sup)
+            out["support"] = out["witness"][-1]["support"]
+        out["layer"] = number
     return out
 
 

@@ -18,6 +18,9 @@ number and member id: `Layer.states` maps id -> RegionState in discovery
 order, and a DRA edge is the tuple (src layer, src id, kind, internal label,
 dst layer, dst id), kept once in an insertion-ordered dict.  Internal labels
 are unique after `relabel_unique`, so the label gives back the transition.
+A dra-mode build records what its caller reads: the edges when no label is
+watched (`apply_loopback`, `reachable_labels`), else each state's parent link
+(`_witness_path`).  A streaming build records neither.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition
 from .region_graph import LayeredBuild, RegionContext
-from .regions import T, Region, Slot
+from .regions import T, Region, Slot, fracs_without
 
 
 @dataclass
@@ -67,6 +70,8 @@ class _Builder(LayeredBuild):
         }
         self.edges = {}  # DRA edge tuple -> None, in first-seen order
         self.parent = {}  # (layer, id) -> (layer, id, kind, tr)
+        self.record_parent = bool(self.watched) and not streaming
+        self.record_edges = not self.watched and not streaming
         self.states_total = 0
 
     def _initial_seeds(self):
@@ -80,15 +85,17 @@ class _Builder(LayeredBuild):
         sources are in the previous layer (None for the initial state) and
         contribute the boundary edges.
         """
-        members, edges, record = self.members, self.edges, not self.streaming
+        members, edges, parent = self.members, self.edges, self.parent
+        record_edges, record_parent = self.record_edges, self.record_parent
+        watched = self.watched
         states, waiting, locs = {}, {}, set()
         wl = deque()
 
         def add(j, ls=None, i=None, kind=None, tr=None):
             if j not in states:
                 rs = states[j] = members.state(j, index)
-                if record:
-                    self.parent[number, j] = (ls, i, kind, tr)
+                if record_parent:
+                    parent[number, j] = (ls, i, kind, tr)
                 self.states_total += 1
                 if self.max_states is not None and self.states_total > self.max_states:
                     raise BudgetExceeded(f"layer construction exceeds {self.max_states}"
@@ -97,9 +104,9 @@ class _Builder(LayeredBuild):
                 if rs.loc not in locs:
                     locs.add(rs.loc)
                     wl.extend(waiting.pop(rs.loc, ()))
-            if record and ls is not None:
+            if record_edges and ls is not None:
                 edges[ls, i, kind, tr.label if tr else None, number, j] = None
-            if tr is not None and tr.label in self.watched and self.hit is None:
+            if tr is not None and tr.label in watched and self.hit is None:
                 self.hit = ((ls, i), tr, (number, j))
 
         for ls, i, j in seeds:
@@ -126,7 +133,7 @@ class _Builder(LayeredBuild):
                 continue
             _, j, shift = step
             nxt_index = index + shift
-            if j in seen and not self.streaming:
+            if j in seen and self.record_edges:
                 # _close_layer records every seed's edge as well; recording a
                 # repeated target's edge here puts it first, the edge order
                 # the golden digests in tests/test_dtn_local.py pin
@@ -146,7 +153,7 @@ def build_layers(a: Automaton, cap=None, max_states=None) -> _Builder:
     """Run the layer construction to termination (no early label stop).
 
     The member table is dropped: nothing reads it after the build, and the
-    result then holds no more than its layers, edges and parent links.
+    result then holds no more than its layers and edges.
     """
     b = _Builder(a, cap, max_states).build()
     b.members = None
@@ -235,33 +242,34 @@ def _step_json(b: _Builder, kind, tr, node):
 
 def region_to_atoms(region: Region) -> tuple:
     """A conjunction of atoms whose solution set is exactly the region."""
-    atoms = []
-    for c in region.clocks:
-        v = region.val(c)
+    atoms, frac = [], []  # frac: (clock, integer part, fractional rank)
+    rank = {c: r for r, cls in enumerate(region.fracs) for c in cls}
+    for c, b, v in zip(region.clocks, region.bounds, region.vals):
         if v is None:
-            atoms.append(Atom(c, ">", None, region.bound(c)))
+            atoms.append(Atom(c, ">", None, b))
         elif v[1]:
             atoms.append(Atom(c, "==", None, v[0]))
         else:
             atoms.append(Atom(c, ">", None, v[0]))
             atoms.append(Atom(c, "<", None, v[0] + 1))
-    for i, c in enumerate(region.clocks):
-        for c2 in region.clocks[i + 1 :]:
-            v, v2 = region.val(c), region.val(c2)
-            if v is None or v2 is None or v[1] or v2[1]:
-                continue  # implied by the single-clock atoms
-            lo, _, hi, _ = region.diff_range(c, c2)
-            if lo == hi:
-                if lo >= 0:
-                    atoms.append(Atom(c, "==", c2, lo))
+            frac.append((c, v[0], rank[c]))
+    # only fractional pairs: every other difference is implied by the above
+    for k, (c, m, r) in enumerate(frac):
+        for c2, m2, r2 in frac[k + 1:]:
+            d = m - m2
+            if r == r2:
+                if d >= 0:
+                    atoms.append(Atom(c, "==", c2, d))
                 else:
-                    atoms.append(Atom(c2, "==", c, -lo))
-            elif lo >= 0:
-                atoms.append(Atom(c, ">", c2, lo))
-                atoms.append(Atom(c, "<", c2, lo + 1))
+                    atoms.append(Atom(c2, "==", c, -d))
             else:
-                atoms.append(Atom(c2, ">", c, -lo - 1))
-                atoms.append(Atom(c2, "<", c, -lo))
+                lo = d if r > r2 else d - 1  # c - c2 lies in (lo, lo + 1)
+                if lo >= 0:
+                    atoms.append(Atom(c, ">", c2, lo))
+                    atoms.append(Atom(c, "<", c2, lo + 1))
+                else:
+                    atoms.append(Atom(c2, ">", c, -lo - 1))
+                    atoms.append(Atom(c2, "<", c, -lo))
     return tuple(atoms)
 
 
@@ -270,31 +278,32 @@ def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
 
     Silent edges (delay, cross, loop) are guarded by the target's C-projection
     and reset nothing; labeled edges are guarded by the source's C-projection
-    and reset exactly the clocks that are 0 in the target.
+    and reset exactly the clocks that are 0 in the target.  Both are computed
+    once per member id, from one entry per distinct C-projection.
     """
     names = dra.state_names()
     ctx = dra.ctx
-    guards, resets = {}, {}  # member id -> C-projection atoms / clocks at 0
+    n = len(ctx.cclocks)  # t is the last clock
+    guard, zeros = {}, {}  # member id -> atoms / clocks at 0
+    proj = {}  # C-projection (vals, fracs without t) -> (atoms, clocks at 0)
+    for layer in dra.layers:
+        for i, rs in layer.states.items():
+            if i in guard:
+                continue
+            vals, fracs = rs.base.vals, rs.base.fracs
+            if vals[n] is not None and not vals[n][1]:  # t is fractional
+                fracs = fracs_without(fracs, (T,))
+            key = (vals[:n], fracs)
+            if key not in proj:
+                proj[key] = (region_to_atoms(rs.base.eliminate((T,))),
+                             tuple(c for c, v in zip(ctx.cclocks, vals)
+                                   if v == (0, True)))
+            guard[i], zeros[i] = proj[key]
 
-    def guard(number, i):
-        if i not in guards:
-            base = dra.layers[number].states[i].base
-            guards[i] = region_to_atoms(base.eliminate((T,)))
-        return guards[i]
-
-    def zeros(number, i):
-        if i not in resets:
-            base = dra.layers[number].states[i].base
-            resets[i] = tuple(c for c in ctx.cclocks if base.val(c) == (0, True))
-        return resets[i]
-
-    trs = []
-    for ls, i, kind, label, ld, j in dra.arcs:
-        src, dst = names[ls][i], names[ld][j]
-        if kind == "trans":
-            trs.append(Transition(src, dst, label, guard(ls, i), zeros(ld, j)))
-        else:
-            trs.append(Transition(src, dst, None, guard(ld, j), ()))
+    trs = [Transition(names[ls][i], names[ld][j], label, guard[i], zeros[j])
+           if kind == "trans" else
+           Transition(names[ls][i], names[ld][j], None, guard[j], ())
+           for ls, i, kind, label, ld, j in dra.arcs]
     locations = tuple(name for layer in names for name in layer.values())
     # the initial state seeds W0, so it comes first
     return Automaton("ta", f"{dra.automaton.name}_summary", ctx.cclocks,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .model import Automaton, compute_bounds
-from .regions import T, Region, RegionState
+from .regions import T, Memo, Region, RegionState
 
 COLLAPSED = ((-1, False), -1)  # the cell of a clock above its bound
 RESET = ((0, True), -1)
@@ -50,17 +50,6 @@ def _close_up(cells, gone):
     return tuple((v, r - bisect(gone, r)) if r > 0 else (v, r) for v, r in cells)
 
 
-class _Memo(dict):
-    """A table that computes a missing entry from its key, once."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 class _Net:
     """The clock layout of A^n and its per-signature steps, built lazily."""
 
@@ -72,12 +61,12 @@ class _Net:
                             for c in self.cclocks) + (T,)
         self.bounds = self.cbounds * n + (1,)
         self.moves = _lbta_moves if a.kind == "lbta" else _gta_moves
-        self.enabled = _Memo(self._enabled)
-        self.inv_ok = _Memo(lambda sig: _region(
+        self.enabled = Memo(self._enabled)
+        self.inv_ok = Memo(lambda sig: _region(
             self.cclocks, self.cbounds, sig[1:]).satisfies(a.invariant(sig[0])))
-        self.kind = _Memo(self._kind)  # sig -> (delay kind, top rank)
-        self.step = _Memo(self._step)  # (sig, delay mode) -> sig' or False
-        self.member = _Memo(self._member)  # (sig, tcell) -> member key
+        self.kind = Memo(self._kind)  # sig -> (delay kind, top rank)
+        self.step = Memo(self._step)  # (sig, delay mode) -> sig' or False
+        self.member = Memo(self._member)  # (sig, tcell) -> member key
 
     def initial(self):
         sig = (self.a.initial,) + (RESET,) * len(self.cclocks)

@@ -5,6 +5,13 @@ time-divergence (timelock-freedom) check.
 States are RegionState values: the global clock t is rebased so its integer
 part is 0 and the real slot index rides along as a plain int.
 
+`RegionContext` compiles a location's invariant and outgoing guards when a
+member there is first expanded: a single-clock atom whose constant is within
+the clock's bound becomes (clock index, the cells where it holds), a cell
+being that clock's `Region.vals` entry.  Other atoms keep their place and go
+to `Region.satisfies_atom`, so `holds` raises `NonUniformGuard` exactly where
+`Region.satisfies` does.
+
 `MemberTable` is the successor cache both layer engines share.  It
 hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 each member key (location, unbounded flag, base region), the index-free part
@@ -25,9 +32,12 @@ through a tick (Tarjan's components on the id graph, then a backward pass).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .model import (Automaton, BudgetExceeded, compute_bounds, relabel_unique,
                     unguard)
-from .regions import T, RegionState, count_regions, initial_region
+from .regions import (T, Memo, Region, RegionState, count_regions,
+                      initial_region)
 
 
 class RegionContext:
@@ -48,14 +58,50 @@ class RegionContext:
             {c: self.cbounds[c] for c in cclocks}
         )
         self.tmax = 2 ** (self.na + 1)
-        self.trans_from = {}
-        for tr in ta.transitions:
-            self.trans_from.setdefault(tr.src, []).append(tr)
+        # compiled on first use: location -> invariant, and location ->
+        # [(transition, guard, target's invariant)]
+        self.invariant = Memo(lambda q: compile_atoms(
+            ta.invariant(q), self.clocks, self.bounds))
+        self.steps = Memo(lambda q: [
+            (tr, compile_atoms(tr.guard, self.clocks, self.bounds),
+             self.invariant[tr.dst]) for tr in ta.transitions if tr.src == q])
 
     def initial_state(self) -> RegionState:
         return RegionState(
             self.automaton.initial, initial_region(self.clocks, self.bounds), 0
         )
+
+
+def compile_atoms(atoms, clocks, bounds) -> tuple:
+    """A conjunction as (clock index, cells where the atom holds) per compiled
+    atom and (None, atom) per other atom, in the atoms' order."""
+    out = []
+    for atom in atoms:
+        c, op, right, d = atom
+        b = bounds.get(c)
+        if right is not None or b is None or d > b:
+            out.append((None, atom))
+        else:
+            out.append((clocks.index(c), _cells(op, d, b)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cells(op: str, d: int, b: int) -> frozenset:
+    """The cells of a clock with bound b on which `clock op d` holds."""
+    cells = [None] + [(m, True) for m in range(b + 1)] + [
+        (m, False) for m in range(b)]
+    return frozenset(
+        v for v in cells
+        if Region(("x",), (b,), (v,), (("x",),) if v and not v[1] else ())
+        .satisfies_atom(("x", op, None, d)))
+
+
+def holds(region, compiled) -> bool:
+    """`region.satisfies(atoms)` for compiled atoms."""
+    vals = region.vals
+    return all(vals[i] in cells if i is not None else region.satisfies_atom(cells)
+               for i, cells in compiled)
 
 
 def immediate_time_successor(rs: RegionState, ctx: RegionContext):
@@ -65,13 +111,10 @@ def immediate_time_successor(rs: RegionState, ctx: RegionContext):
     next one.  A successor violating the location invariant blocks delay.
     """
     res = rs.advance(ctx.tmax)
-    if res is None:
+    inv = ctx.invariant[rs.loc]
+    if res is None or inv and not holds(res[1].base, inv):
         return None
-    kind, nxt = res
-    kind = "delay" if kind == "in" else "cross"
-    if not nxt.base.satisfies(ctx.automaton.invariant(rs.loc)):
-        return None
-    return kind, nxt
+    return "delay" if res[0] == "in" else "cross", res[1]
 
 
 def discrete_successors(rs: RegionState, ctx: RegionContext):
@@ -81,11 +124,11 @@ def discrete_successors(rs: RegionState, ctx: RegionContext):
     reset image satisfies the target invariant; the slot never changes.
     """
     out = []
-    for tr in ctx.trans_from.get(rs.loc, ()):
-        if not rs.base.satisfies(tr.guard):
+    for tr, guard, inv in ctx.steps[rs.loc]:
+        if guard and not holds(rs.base, guard):
             continue
         nb = rs.base.reset(tr.resets)
-        if not nb.satisfies(ctx.automaton.invariant(tr.dst)):
+        if inv and not holds(nb, inv):
             continue
         out.append((tr, RegionState(tr.dst, nb, rs.index, rs.unbounded)))
     return out
@@ -122,28 +165,32 @@ class MemberTable:
 
     def state(self, i: int, index: int) -> RegionState:
         m = self.states[i]
+        if m.index == index:
+            return m
         return RegionState(m.loc, m.base, index, m.unbounded)
 
     def delay(self, i: int, index: int):
         """immediate_time_successor of member i in slot `index`, as ids."""
         late = index >= self.ctx.tmax
-        if (i, late) not in self._delay:
+        step = self._delay.get((i, late), False)
+        if step is False:
             probe = self.ctx.tmax if late else 0
             step = immediate_time_successor(self.state(i, probe), self.ctx)
             if step is not None:
                 kind, nxt = step
                 step = (kind, self.intern(nxt), nxt.index - probe)
             self._delay[i, late] = step
-        return self._delay[i, late]
+        return step
 
     def discrete(self, i: int) -> list:
         """discrete_successors of member i, as ids with their location guards."""
-        if i not in self._discrete:
-            self._discrete[i] = [
+        out = self._discrete.get(i)
+        if out is None:
+            out = self._discrete[i] = [
                 (tr, self.intern(nxt), self.locguard[tr.label])
                 for tr, nxt in discrete_successors(self.states[i], self.ctx)
             ]
-        return self._discrete[i]
+        return out
 
 
 class LayeredBuild:

@@ -125,69 +125,47 @@ class Region:
 
     def delay_successor(self) -> "Region":
         """The immediate time successor; self when every clock is collapsed."""
-        zero = [
-            c for c, v in zip(self.clocks, self.vals) if v is not None and v[1]
-        ]
-        vals = dict(zip(self.clocks, self.vals))
+        vals, bounds = list(self.vals), self.bounds
+        zero = [i for i, v in enumerate(vals) if v is not None and v[1]]
         if zero:
             opened = []
-            for c in zero:
-                m = vals[c][0]
-                if m >= self.bound(c):
-                    vals[c] = None
+            for i in zero:
+                m = vals[i][0]
+                if m >= bounds[i]:
+                    vals[i] = None
                 else:
-                    vals[c] = (m, False)
-                    opened.append(c)
+                    vals[i] = (m, False)
+                    opened.append(self.clocks[i])
             fracs = ((tuple(sorted(opened)),) if opened else ()) + self.fracs
         else:
             if not self.fracs:
                 return self
-            landed = []
             for c in self.fracs[-1]:
-                m = vals[c][0] + 1
-                if m > self.bound(c):
-                    vals[c] = None
-                else:
-                    vals[c] = (m, True)
-                    landed.append(c)
+                i = self.clocks.index(c)
+                m = vals[i][0] + 1
+                vals[i] = None if m > bounds[i] else (m, True)
             fracs = self.fracs[:-1]
-        return Region(
-            self.clocks,
-            self.bounds,
-            tuple(vals[c] for c in self.clocks),
-            fracs,
-        )
+        return Region(self.clocks, bounds, tuple(vals), fracs)
 
     def reset(self, clocks) -> "Region":
-        reset_set = set(clocks)
-        vals = tuple(
-            (0, True) if c in reset_set else v
-            for c, v in zip(self.clocks, self.vals)
-        )
-        fracs = tuple(
-            cls
-            for cls in (
-                tuple(c for c in cls if c not in reset_set) for cls in self.fracs
-            )
-            if cls
-        )
-        return Region(self.clocks, self.bounds, vals, fracs)
+        if not clocks:
+            return self
+        vals, fractional = list(self.vals), False
+        for c in clocks:
+            i = self.clocks.index(c)
+            fractional = fractional or (vals[i] is not None and not vals[i][1])
+            vals[i] = (0, True)
+        fracs = fracs_without(self.fracs, clocks) if fractional else self.fracs
+        return Region(self.clocks, self.bounds, tuple(vals), fracs)
 
     def eliminate(self, clocks) -> "Region":
         drop = set(clocks)
         keep = [i for i, c in enumerate(self.clocks) if c not in drop]
-        fracs = tuple(
-            cls
-            for cls in (
-                tuple(c for c in cls if c not in drop) for cls in self.fracs
-            )
-            if cls
-        )
         return Region(
             tuple(self.clocks[i] for i in keep),
             tuple(self.bounds[i] for i in keep),
             tuple(self.vals[i] for i in keep),
-            fracs,
+            fracs_without(self.fracs, drop),
         )
 
     def rename(self, mapping, order=None) -> "Region":
@@ -261,6 +239,23 @@ class Region:
 
     def key(self):
         return (self.vals, self.fracs, self.clocks)
+
+
+def fracs_without(fracs, clocks) -> tuple:
+    """The fractional classes with `clocks` taken out, empty classes dropped."""
+    return tuple(cls for cls in (tuple(c for c in cls if c not in clocks)
+                                 for cls in fracs) if cls)
+
+
+class Memo(dict):
+    """A table that computes a missing entry from its key, once."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def region_of(valuation, bounds, clocks=None) -> Region:
@@ -491,12 +486,8 @@ def _collapse_t(region: Region) -> Region:
     i = region.clocks.index(T)
     vals = list(region.vals)
     vals[i] = None
-    fracs = tuple(
-        cls
-        for cls in (tuple(c for c in cls if c != T) for cls in region.fracs)
-        if cls
-    )
-    return Region(region.clocks, region.bounds, tuple(vals), fracs)
+    return Region(region.clocks, region.bounds, tuple(vals),
+                  fracs_without(region.fracs, (T,)))
 
 
 def initial_region(clocks, bounds) -> Region:

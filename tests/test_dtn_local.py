@@ -1,11 +1,15 @@
 import hashlib
 import importlib.util
 import json
+import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from conftest import LOCK2, MODELS, random_gta
+from conftest import LOCK2, MODELS, random_gta, random_region
 from dtnmc.dtn_local import (
+    _Builder,
     apply_loopback,
     build_layers,
     check_label_reachable,
@@ -17,7 +21,7 @@ from dtnmc.dtn_local import (
 )
 from dtnmc.model import BudgetExceeded, parse_file, parse_model, relabel_unique
 from dtnmc.region_graph import member_key
-from dtnmc.regions import T, initial_region
+from dtnmc.regions import T, initial_region, region_of
 
 
 def cproj(layer):
@@ -143,6 +147,37 @@ def test_region_to_atoms_characterizes(fig3):
     succ = r0.delay_successor()
     assert succ.satisfies(region_to_atoms(succ))
     assert not succ.satisfies(atoms)  # the c==0 atom is uniformly false there
+
+
+@pytest.mark.parametrize("bounds", [{"x": 1, "y": 2}, {"x": 1, "y": 1, "z": 2}])
+def test_region_to_atoms_characterizes_random_regions(bounds):
+    """On grid valuations v, all atoms hold at v exactly when region_of(v) is
+    the region."""
+    clocks, denom = tuple(bounds), 4
+    grid = []  # (region of v, v scaled by denom)
+    for point in product(*(range((b + 2) * denom + 1) for b in bounds.values())):
+        v = dict(zip(clocks, (Fraction(k, denom) for k in point)))
+        grid.append((region_of(v, bounds, clocks), dict(zip(clocks, point))))
+    ops = {"<": int.__lt__, "<=": int.__le__, "==": int.__eq__,
+           ">=": int.__ge__, ">": int.__gt__}
+    rng = random.Random(len(clocks))
+    for _ in range(40):
+        r = random_region(rng, clocks, bounds)
+        atoms = region_to_atoms(r)
+        inside = 0
+        for reg, v in grid:
+            sat = all(ops[op](v[left] - (v[right] if right else 0), d * denom)
+                      for left, op, right, d in atoms)
+            assert sat == (reg == r), (r.pretty(), atoms, v)
+            inside += sat
+        assert inside, r.pretty()
+
+
+def test_builds_record_only_what_is_read(fig1):
+    assert build_layers(fig1).parent == {}  # no witness to walk back
+    watched = _Builder(fig1, watch="serr").build()
+    assert watched.edges == {} and watched.parent
+    assert _Builder(fig1, watch="serr", streaming=True).build().parent == {}
 
 
 def test_summary_automaton_shape(fig3):

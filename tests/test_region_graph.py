@@ -1,5 +1,7 @@
 import random
 from collections import deque
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,10 +20,12 @@ from dtnmc.model import (
 from dtnmc.region_graph import (
     RegionContext,
     check_timelock_free,
+    compile_atoms,
     discrete_successors,
+    holds,
     immediate_time_successor,
 )
-from dtnmc.regions import T, initial_region
+from dtnmc.regions import T, NonUniformGuard, initial_region, region_of
 
 
 def test_fresh_name():
@@ -100,6 +104,42 @@ def test_discrete_successors_respect_guards(fig1):
     assert enabled == {"s0"}  # s4 needs c >= 1, impossible at c = 0
     for tr, nxt in discrete_successors(start, ctx):
         assert nxt.loc == tr.dst and nxt.index == start.index
+
+
+def test_compiled_constraints_match_satisfies():
+    """Every region of a two-clock grid against every atom, alone and in
+    pairs: same truth as Region.satisfies, and NonUniformGuard on exactly the
+    same inputs."""
+    bounds = {"x": 1, "y": 2}
+    clocks = tuple(bounds)
+    regions = {region_of(dict(zip(clocks, v)), bounds, clocks)
+               for v in product(*(
+                   [Fraction(k, 4) for k in range((b + 3) * 4 + 1)]
+                   for b in bounds.values()))}
+    atoms = [Atom(left, op, right, d)
+             for left in clocks for op in OPS
+             for right in (None, "y" if left == "x" else "x")
+             for d in range(bounds[left] + 2)]
+    compiled = {at: compile_atoms((at,), clocks, bounds) for at in atoms}
+    # out-of-bound constants and diagonals stay with Region.satisfies_atom
+    assert {at for at in atoms if compiled[at][0][0] is None} == {
+        at for at in atoms if at.right or at.d > bounds[at.left]}
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except NonUniformGuard:
+            return "raises"
+
+    conjunctions = [(at,) for at in atoms] + list(product(atoms, repeat=2))
+    seen = set()
+    for r in regions:
+        for conj in conjunctions:
+            want = outcome(r.satisfies, conj)
+            got = outcome(holds, r, sum((compiled[at] for at in conj), ()))
+            assert got == want, (r.pretty(), conj)
+            seen.add(want)
+    assert seen == {True, False, "raises"}
 
 
 def test_immediate_time_successor_blocked_by_invariant(fig3):
