@@ -59,12 +59,13 @@ class RegionContext:
         )
         self.tmax = 2 ** (self.na + 1)
         # compiled on first use: location -> invariant, and location ->
-        # [(transition, guard, target's invariant)]
-        self.invariant = Memo(lambda q: compile_atoms(
-            ta.invariant(q), self.clocks, self.bounds))
+        # [(transition, guard, target's invariant)]; no closure holds self
+        clocks, bounds = self.clocks, self.bounds
+        self.invariant = inv = Memo(
+            lambda q: compile_atoms(ta.invariant(q), clocks, bounds))
         self.steps = Memo(lambda q: [
-            (tr, compile_atoms(tr.guard, self.clocks, self.bounds),
-             self.invariant[tr.dst]) for tr in ta.transitions if tr.src == q])
+            (tr, compile_atoms(tr.guard, clocks, bounds), inv[tr.dst])
+            for tr in ta.transitions if tr.src == q])
 
     def initial_state(self) -> RegionState:
         return RegionState(
@@ -86,7 +87,7 @@ def compile_atoms(atoms, clocks, bounds) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cells(op: str, d: int, b: int) -> frozenset:
     """The cells of a clock with bound b on which `clock op d` holds."""
     cells = [None] + [(m, True) for m in range(b + 1)] + [
