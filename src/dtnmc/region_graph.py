@@ -89,7 +89,7 @@ def compile_atoms(atoms, clocks, bounds) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _cells(op: str, d: int, b: int) -> frozenset:
-    """The cells of a clock with bound b on which `clock op d` holds."""
+    """Cells of a clock with bound b where `clock op d` holds, per satisfies_atom."""
     cells = [None] + [(m, True) for m in range(b + 1)] + [
         (m, False) for m in range(b)]
     return frozenset(
