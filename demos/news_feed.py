@@ -43,7 +43,7 @@ print("== slowing the system down ==")
 # a guard c >= 3 on listen->post and reading->error starves the error
 late = Atom("c", ">=", None, 3)
 slowed = replace(a, transitions=tuple(
-    replace(tr, guard=tr.guard + (late,))
+    tr._replace(guard=tr.guard + (late,))
     if (tr.src, tr.dst) in (("listen", "post"), ("reading", "error")) else tr
     for tr in a.transitions))
 print("with guard c>=3 on listen->post and reading->error:",

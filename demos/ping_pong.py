@@ -24,8 +24,7 @@ print()
 print("== per-process layers ==")
 build = build_layers(a)
 for layer in build.layers:
-    slot = str(layer.states[next(iter(layer.states))].slot(build.ctx.tmax))
-    print(f"  W{layer.number} slot {slot}: {len(layer.states)} region states")
+    print(f"  W{layer.number} slot {layer.slot}: {len(layer.ids)} region states")
 print(f"  loops back from layer {build.l0 - 1} to layer {build.i0}")
 
 print()

@@ -214,7 +214,7 @@ def _run(args):
             "i0": dra.i0,
             "l0": dra.l0,
             "shift": dra.shift,
-            "states": sum(len(l.states) for l in dra.layers),
+            "states": sum(len(l.ids) for l in dra.layers),
             "slots": [str(l.slot) for l in dra.layers],
         }
         return payload, None, dra_to_dot(dra)

@@ -14,13 +14,15 @@ closure, the boundary and the signature of a singleton-slot layer, its set of
 member ids.  Steps come from the shared `MemberTable`, so the successors of a
 (location, region) pair are computed once however many layers it recurs in.
 All states of a layer share its slot index, so a state is named by its layer
-number and member id: `Layer.states` maps id -> RegionState in discovery
-order, and a DRA edge is the tuple (src layer, src id, kind, internal label,
-dst layer, dst id), kept once in an insertion-ordered dict.  Internal labels
-are unique after `relabel_unique`, so the label gives back the transition.
-A dra-mode build records what its caller reads: the edges when no label is
-watched (`apply_loopback`, `reachable_labels`), else each state's parent link
-(`_witness_path`).  A streaming build records neither.
+number and member id: `Layer.ids` holds the ids in discovery order, the build
+keeps the table's id -> RegionState list `states` for their locations and
+base regions, and `Layer.slot` gives the index.  A DRA edge is the tuple (src
+layer, src id, kind, internal label, dst layer, dst id), kept once in an
+insertion-ordered dict.  Internal labels are unique after `relabel_unique`,
+so the label gives back the transition.  A dra-mode build records what its
+caller reads: the edges when no label is watched (`apply_loopback`,
+`reachable_labels`), else each state's parent link (`_witness_path`).  A
+streaming build records neither.
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ from .regions import T, Region, Slot, fracs_without
 class Layer:
     number: int
     slot: Slot
-    states: dict  # member id -> RegionState, insertion ordered
+    ids: dict  # member id -> None, in discovery order
 
 
 @dataclass
 class DtnRegionAutomaton:
     layers: list
+    states: list  # member id -> RegionState; the layer's slot gives the index
     arcs: list  # intra-layer, cross and loop edges among kept layers, as id tuples
     i0: Optional[int]
     l0: Optional[int]
@@ -55,7 +58,7 @@ class DtnRegionAutomaton:
 
     def state_names(self) -> list:
         """Deterministic display names: per layer number, id -> wLnI."""
-        return [{i: f"w{layer.number}n{pos}" for pos, i in enumerate(layer.states)}
+        return [{i: f"w{layer.number}n{pos}" for pos, i in enumerate(layer.ids)}
                 for layer in self.layers]
 
 
@@ -72,6 +75,7 @@ class _Builder(LayeredBuild):
         self.parent = {}  # (layer, id) -> (layer, id, kind, tr)
         self.record_parent = bool(self.watched) and not streaming
         self.record_edges = not self.watched and not streaming
+        self.states = self.members.states  # id -> RegionState, kept after the build
         self.states_total = 0
 
     def _initial_seeds(self):
@@ -87,13 +91,13 @@ class _Builder(LayeredBuild):
         """
         members, edges, parent = self.members, self.edges, self.parent
         record_edges, record_parent = self.record_edges, self.record_parent
-        watched = self.watched
-        states, waiting, locs = {}, {}, set()
+        watched, loc = self.watched, self.members.loc
+        ids, waiting, locs = {}, {}, set()
         wl = deque()
 
         def add(j, ls=None, i=None, kind=None, tr=None):
-            if j not in states:
-                rs = states[j] = members.state(j, index)
+            if j not in ids:
+                ids[j] = None
                 if record_parent:
                     parent[number, j] = (ls, i, kind, tr)
                 self.states_total += 1
@@ -101,9 +105,9 @@ class _Builder(LayeredBuild):
                     raise BudgetExceeded(f"layer construction exceeds {self.max_states}"
                                          f" states while building layer {number}")
                 wl.append(j)
-                if rs.loc not in locs:
-                    locs.add(rs.loc)
-                    wl.extend(waiting.pop(rs.loc, ()))
+                if loc[j] not in locs:
+                    locs.add(loc[j])
+                    wl.extend(waiting.pop(loc[j], ()))
             if record_edges and ls is not None:
                 edges[ls, i, kind, tr.label if tr else None, number, j] = None
             if tr is not None and tr.label in watched and self.hit is None:
@@ -121,13 +125,13 @@ class _Builder(LayeredBuild):
                     waiting.setdefault(lg, {})[i] = None
                 else:
                     add(j, number, i, "trans", tr)
-        slot = next(iter(states.values())).slot(self.ctx.tmax)
-        return Layer(number, slot, states)
+        slot = members.state(next(iter(ids)), index).slot(self.ctx.tmax)
+        return Layer(number, slot, ids)
 
     def _boundary(self, layer: Layer):
         """The next layer's seeds and slot index."""
         seeds, seen, index, nxt_index = [], set(), layer.slot.index, None
-        for i in layer.states:
+        for i in layer.ids:
             step = self.members.delay(i, index)
             if step is None or step[0] != "cross":
                 continue
@@ -145,15 +149,15 @@ class _Builder(LayeredBuild):
     def _signature(self, layer: Layer):
         # ids are one-to-one with member keys within a build
         if self.streaming:
-            return hashlib.sha256(repr(sorted(layer.states)).encode()).hexdigest()
-        return frozenset(layer.states)
+            return hashlib.sha256(repr(sorted(layer.ids)).encode()).hexdigest()
+        return frozenset(layer.ids)
 
 
 def build_layers(a: Automaton, cap=None, max_states=None) -> _Builder:
     """Run the layer construction to termination (no early label stop).
 
-    The member table is dropped: nothing reads it after the build, and the
-    result then holds no more than its layers and edges.
+    The member table is dropped but for its id -> RegionState list: the result
+    then holds no more than its layers, their states and its edges.
     """
     b = _Builder(a, cap, max_states).build()
     b.members = None
@@ -166,19 +170,13 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
     W_l0 holds the same ids as W_i0, so a cross edge into (l0, id) becomes a
     loop edge onto (i0, id).
     """
-    if build.l0 is None:
-        return DtnRegionAutomaton(build.layers, list(build.edges), None, None, None,
-                                  build.ctx, build.relabel_map, build.automaton)
     l0, i0 = build.l0, build.i0
-    arcs = []
-    for e in build.edges:
-        ls, i, _, _, ld, j = e
-        if ld < l0:
-            arcs.append(e)
-        elif ls < l0:  # a cross edge from W_l0-1 into W_l0
-            arcs.append((ls, i, "loop", None, i0, j))
-    return DtnRegionAutomaton(build.layers[:l0], arcs, build.i0, l0, build.shift,
-                              build.ctx, build.relabel_map, build.automaton)
+    # an edge e is (ls, i, kind, label, ld, j); kept edges are shared, not copied
+    arcs = list(build.edges) if l0 is None else [
+        e if e[4] < l0 else (e[0], e[1], "loop", None, i0, e[5])
+        for e in build.edges if e[0] < l0]
+    return DtnRegionAutomaton(build.layers[:l0], build.states, arcs, i0, l0,
+                              build.shift, build.ctx, build.relabel_map, build.automaton)
 
 
 def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
@@ -224,12 +222,12 @@ def _witness_path(b: _Builder):
 
 def _step_json(b: _Builder, kind, tr, node):
     number, i = node
-    state = b.layers[number].states[i]
+    state = b.states[i]
     out = {
         "kind": kind,
         "loc": state.loc,
         "region": state.base.eliminate((T,)).pretty() or "true",
-        "slot": str(state.slot(b.ctx.tmax)),
+        "slot": str(b.layers[number].slot),
     }
     if tr is not None:
         out["internal_label"] = tr.label
@@ -287,15 +285,16 @@ def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
     guard, zeros = {}, {}  # member id -> atoms / clocks at 0
     proj = {}  # C-projection (vals, fracs without t) -> (atoms, clocks at 0)
     for layer in dra.layers:
-        for i, rs in layer.states.items():
+        for i in layer.ids:
             if i in guard:
                 continue
-            vals, fracs = rs.base.vals, rs.base.fracs
+            base = dra.states[i].base
+            vals, fracs = base.vals, base.fracs
             if vals[n] is not None and not vals[n][1]:  # t is fractional
                 fracs = fracs_without(fracs, (T,))
             key = (vals[:n], fracs)
             if key not in proj:
-                proj[key] = (region_to_atoms(rs.base.eliminate((T,))),
+                proj[key] = (region_to_atoms(base.eliminate((T,))),
                              tuple(c for c, v in zip(ctx.cclocks, vals)
                                    if v == (0, True)))
             guard[i], zeros[i] = proj[key]
@@ -374,7 +373,8 @@ def _dot_lines(dra: DtnRegionAutomaton):
     for layer in dra.layers:
         yield f"  subgraph cluster_{layer.number} {{"
         yield f'    label="W{layer.number} t in {layer.slot}";'
-        for i, rs in layer.states.items():
+        for i in layer.ids:
+            rs = dra.states[i]
             label = f"{rs.loc}\\n{rs.base.eliminate((T,)).pretty() or 'true'}"
             yield f'    {names[layer.number][i]} [label="{label}"];'
         yield "  }"

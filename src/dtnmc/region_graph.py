@@ -17,7 +17,7 @@ hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 each member key (location, unbounded flag, base region), the index-free part
 of a RegionState, to an int id, and computes each id's delay step once per
 side of the slot bound tmax and its discrete steps once.  The local engine
-keys a layer's states by id, the global engine its supports by bitmasks of
+holds a layer's states as ids, the global engine its supports as bitmasks of
 ids; both carry the slot index beside them.
 
 `LayeredBuild` is the layered fixpoint both engines run: close a layer in

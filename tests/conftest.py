@@ -64,6 +64,18 @@ def random_gta(seed, max_locs=4, max_trans=6, max_const=2) -> Automaton:
     return a
 
 
+def assert_record_contract(x, text):
+    """Repr and hash of the frozen dataclass the record was, read-only fields.
+
+    Set and frozenset orders follow the hash, and the golden digests hash
+    reprs, so neither may move when a record changes its class.
+    """
+    assert repr(x) == text
+    assert hash(x) == hash(tuple(x))
+    with pytest.raises(AttributeError):
+        setattr(x, x._fields[0], None)
+
+
 def random_region(rng, clocks=("x", "y", T), bounds=None) -> Region:
     """A uniformly messy region; t (when present) is never collapsed."""
     clocks = tuple(clocks)

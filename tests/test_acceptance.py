@@ -64,7 +64,7 @@ def test_criterion_2_deadline_guard_flips_reachability():
     a = _fig("fig1.gta")
     late = Atom("c", ">=", None, 3)
     slowed = replace(a, transitions=tuple(
-        replace(tr, guard=tr.guard + (late,))
+        tr._replace(guard=tr.guard + (late,))
         if (tr.src, tr.dst) in (("listen", "post"), ("reading", "error")) else tr
         for tr in a.transitions))
     t0 = time.monotonic()
@@ -87,8 +87,9 @@ def test_criterion_3_first_three_layers_match_pinned_sets():
     build = build_layers(_fig("fig3.gta"))
 
     def proj(layer):
-        return {(rs.loc, rs.base.eliminate((T,)).pretty() or "true")
-                for rs in layer.states.values()}
+        return {(build.states[i].loc,
+                 build.states[i].base.eliminate((T,)).pretty() or "true")
+                for i in layer.ids}
 
     r0, r1, r2 = "c=0", "0<c<1", "c=1"
     want = [
@@ -187,7 +188,7 @@ def test_criterion_6_slot_arithmetic_laws():
 
 def _unguarded(a):
     return replace(a, kind="ta", transitions=tuple(
-        replace(tr, locguard=None) for tr in a.transitions))
+        tr._replace(locguard=None) for tr in a.transitions))
 
 
 SATURATION_SUITE = [

@@ -185,7 +185,7 @@ def test_find_guard_timelock_absent(fig3):
     # with the location guard removed, q1 can always drain back to init
     import dataclasses
     trs = tuple(
-        dataclasses.replace(tr, locguard=None) for tr in fig3.transitions
+        tr._replace(locguard=None) for tr in fig3.transitions
     )
     b = dataclasses.replace(fig3, transitions=trs)
     out = find_guard_timelock(b)
@@ -244,7 +244,7 @@ def test_global_layers_union_to_local_layers(fig3, fig3_build):
         for gl, ll in zip(g.layers, loc.layers):
             members = {member_key(g.members.state(i, gl.slot.index))
                        for sup in gl.supports for i in g.members.ordered(sup)}
-            assert members == set(map(member_key, ll.states.values())), (seed, gl.number)
+            assert members == {member_key(loc.states[i]) for i in ll.ids}, (seed, gl.number)
         layers += len(g.layers)
     assert layers == 233
 

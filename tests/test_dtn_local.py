@@ -24,22 +24,27 @@ from dtnmc.region_graph import member_key
 from dtnmc.regions import T, initial_region, region_of
 
 
-def cproj(layer):
+def layer_states(b, layer):
+    """The layer's RegionStates, restamped to the layer's slot index."""
+    return [b.states[i]._replace(index=layer.slot.index) for i in layer.ids]
+
+
+def cproj(b, layer):
     return {
         (rs.loc, rs.base.eliminate((T,)).pretty() or "true")
-        for rs in layer.states.values()
+        for rs in layer_states(b, layer)
     }
 
 
 def test_fig3_layer_construction(fig3):
     b = build_layers(fig3)
     assert (b.i0, b.l0, b.shift) == (4, 6, 1)
-    assert cproj(b.layers[0]) == {("init", "c=0"), ("q1", "c=0")}
-    assert cproj(b.layers[1]) == {
+    assert cproj(b, b.layers[0]) == {("init", "c=0"), ("q1", "c=0")}
+    assert cproj(b, b.layers[1]) == {
         ("init", "c=0"), ("init", "0<c<1"), ("q1", "c=0"), ("q1", "0<c<1"),
     }
-    assert len(b.layers[1].states) == 6  # distinct c/t phase orders collapse in C
-    assert cproj(b.layers[2]) == {
+    assert len(b.layers[1].ids) == 6  # distinct c/t phase orders collapse in C
+    assert cproj(b, b.layers[2]) == {
         (q, r) for q in ("init", "q1") for r in ("c=0", "0<c<1", "c=1")
     }
 
@@ -49,30 +54,31 @@ def test_fig3_loopback(fig3):
     assert [str(l.slot) for l in dra.layers] == [
         "[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]", "(2,3)",
     ]
-    assert sum(len(l.states) for l in dra.layers) == 43
-    keys = {rs.key() for l in dra.layers for rs in l.states.values()}
+    assert sum(len(l.ids) for l in dra.layers) == 43
+    keys = {rs.key() for l in dra.layers for rs in layer_states(dra, l)}
     loops = [arc for arc in dra.arcs if arc[2] == "loop"]
     assert loops, "the last boundary must fold back onto W_i0"
     layer_of = {
-        rs.key(): l.number for l in dra.layers for rs in l.states.values()
+        rs.key(): l.number for l in dra.layers for rs in layer_states(dra, l)
     }
     for src_layer, i, kind, _, dst_layer, j in dra.arcs:
-        src, dst = dra.layers[src_layer].states[i], dra.layers[dst_layer].states[j]
+        src = dra.states[i]._replace(index=dra.layers[src_layer].slot.index)
+        dst = dra.states[j]._replace(index=dra.layers[dst_layer].slot.index)
         assert src.key() in keys and dst.key() in keys
         if kind == "loop":
             assert layer_of[src.key()] == dra.l0 - 1
             assert layer_of[dst.key()] == dra.i0
 
 
-def base_keys(layer):
-    return frozenset(map(member_key, layer.states.values()))
+def base_keys(b, layer):
+    return frozenset(map(member_key, layer_states(b, layer)))
 
 
-def approx_equal(wi, wj):
+def approx_equal(b, wi, wj):
     """Slot shift k with wj = wi + k when the layers match, else None."""
     if wi.slot.kind != wj.slot.kind:
         return None
-    if base_keys(wi) != base_keys(wj):
+    if base_keys(b, wi) != base_keys(b, wj):
         return None
     return wj.slot.index - wi.slot.index
 
@@ -80,9 +86,9 @@ def approx_equal(wi, wj):
 def test_approx_equal(fig3):
     b = build_layers(fig3)
     w4, w6 = b.layers[4], b.layers[6]
-    assert approx_equal(w4, w6) == 1  # [2,2] matches [3,3], one slot apart
-    assert approx_equal(w4, w4) == 0
-    assert approx_equal(b.layers[4], b.layers[5]) is None  # point vs open
+    assert approx_equal(b, w4, w6) == 1  # [2,2] matches [3,3], one slot apart
+    assert approx_equal(b, w4, w4) == 0
+    assert approx_equal(b, b.layers[4], b.layers[5]) is None  # point vs open
 
 
 def test_check_label_reachable_fig1(fig1):

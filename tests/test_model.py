@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gta
+from conftest import assert_record_contract, random_gta
 from dtnmc.dtn_global import check_global
 from dtnmc.dtn_local import (
     apply_loopback,
@@ -258,3 +258,11 @@ def test_validate_lbta_orphan_receive():
     b2 = parse_model(pretty_model(b).replace("sync: go??", "sync: stop??", 1))
     report = validate(b2)
     assert any("no matching sender" in d for d in report.diagnostics)
+
+
+def test_transition_keeps_the_dataclass_contract():
+    tr = Transition("a", "b", "go", (Atom("c", ">=", None, 1),), ("c",), "b")
+    assert_record_contract(
+        tr, "Transition(src='a', dst='b', label='go', guard=(Atom(left='c', op='>=', "
+            "right=None, d=1),), resets=('c',), locguard='b', sync=None)")
+    assert tr._replace(locguard=None) == Transition("a", "b", "go", tr.guard, ("c",))

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_region
+from conftest import assert_record_contract, random_region
 from dtnmc.regions import (
     T,
     NonUniformGuard,
@@ -224,7 +224,7 @@ def test_advance_in_slot_after_reset():
     bounds = {"c": 1, T: 1}
     rs = RegionState("q", initial_region(("c", T), bounds), 0)
     _, rs = rs.advance(3)  # t now in (0,1)
-    rs = rs.with_base(rs.base.reset(("c",)))
+    rs = rs._replace(base=rs.base.reset(("c",)))
     kind, nxt = rs.advance(3)
     assert kind == "in"  # c leaves 0 but trails t inside the same slot
     assert str(nxt.slot(3)) == str(rs.slot(3)) == "(0,1)"
@@ -260,3 +260,18 @@ def test_random_proper_region_properties(seed, k):
     s = shift_slot(r, k)
     assert slot_of(s).index == slot_of(r).index + k
     assert shift_slot(s, -k) == r
+
+
+def test_region_records_keep_the_dataclass_contract():
+    r = Region(("c", T), (2, 1), ((1, False), (0, True)), (("c",),))
+    assert_record_contract(
+        r, "Region(clocks=('c', 't'), bounds=(2, 1), vals=((1, False), (0, True)), "
+           "fracs=(('c',),))")
+    rs = RegionState("q", r, 3)
+    assert_record_contract(
+        rs, "RegionState(loc='q', base=Region(clocks=('c', 't'), bounds=(2, 1), "
+            "vals=((1, False), (0, True)), fracs=(('c',),)), index=3, unbounded=False)")
+    assert rs.index == 3
+    s = Slot("open", 2)
+    assert_record_contract(s, "Slot(kind='open', index=2)")
+    assert s.index == 2 and str(s) == "(2,3)"
