@@ -27,7 +27,8 @@ from .dtn_local import (
     reachable_labels,
     summary_automaton,
 )
-from .dtn_global import check_global, find_guard_timelock, parse_constraint
+from .dtn_global import (check_global, find_guard_timelock, parse_constraint,
+                         reachable_location_sets)
 from .lbta_bridge import gta_to_lbta, lbta_to_gta
 from .oracle import explore_network, project_trace
 
@@ -54,6 +55,7 @@ __all__ = [
     "pretty_model",
     "project_trace",
     "reachable_labels",
+    "reachable_location_sets",
     "relabel_unique",
     "summary_automaton",
     "unguard",

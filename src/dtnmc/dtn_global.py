@@ -171,19 +171,17 @@ def guard_timelock_constraint(a: Automaton):
 class SupportMembers(MemberTable):
     """The shared member table plus the per-id and per-location fields supports need."""
 
-    def __init__(self, ctx, locguard: dict):
-        super().__init__(ctx, locguard)
+    def __init__(self, ctx):
+        super().__init__(ctx)
         self.rank = []  # id -> repr of its member key, the visiting order
-        self.point = []  # id -> t sits on an integer: a singleton slot
         self.punctual = []  # id -> any positive delay moves a clock other than t
         self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
         self._last = (0, [])  # the last support ordered and its ids
         self.text = {}  # id -> region text without t, for the JSON
 
-    def _added(self, key, m) -> None:
+    def _added(self, m) -> None:
         self.at[m.loc] |= 1 << len(self.rank)
-        self.rank.append(repr(key))
-        self.point.append(not m.unbounded and m.base.val(T)[1])
+        self.rank.append(repr(member_key(m)))
         self.punctual.append(m.base.is_time_punctual(skip=(T,)))
 
     def ordered(self, support) -> list:
@@ -201,24 +199,25 @@ def _ids(support):
 
 def rule1_steps(support, index, members: SupportMembers):
     """In-slot delay outcomes of a support (empty in a singleton slot)."""
-    ids = members.ordered(support)
-    if members.point[ids[0]]:
+    ids, point = members.ordered(support), members.point
+    if point[ids[0]]:
         return []
+    # in an open slot a step stays in it iff its successor is no point member
     punctual = [i for i in ids if members.punctual[i]]
     if punctual:
         added = 0
         for i in punctual:
-            step = members.delay(i, index)
-            if step is None:
+            j = members.delay(i, index)
+            if j is None:
                 return []  # an invariant pins a punctual member: time is stuck
-            assert step[0] == "delay"
-            added |= 1 << step[1]
+            assert not point[j]
+            added |= 1 << j
         return [support & ~sum(1 << i for i in punctual) | added]
     movers = []
     for i in ids:
-        step = members.delay(i, index)
-        if step is not None and step[0] == "delay":
-            movers.append((1 << i, 1 << step[1]))
+        j = members.delay(i, index)
+        if j is not None and not point[j]:
+            movers.append((1 << i, 1 << j))
     # any nonempty set of members whose clocks share a fractional phase can hit
     # the next region together; within each, processes may all move or some lag
     out, seen = [], {support}
@@ -255,13 +254,13 @@ def rule2_steps(support, members: SupportMembers):
 def boundary_support(support, index, members: SupportMembers):
     """(crossed support, slot shift) when every member's next change enters the
     next slot, else None."""
-    crossed = 0
+    crossed, point = 0, members.point
     for i in _ids(support):
-        step = members.delay(i, index)
-        if step is None or step[0] != "cross":
+        j = members.delay(i, index)
+        if j is None or not (point[i] or point[j]):
             return None
-        crossed |= 1 << step[1]
-    return crossed, step[2]
+        crossed |= 1 << j
+    return crossed, 0 if point[i] else 1
 
 
 class _GlobalBuilder(LayeredBuild):
@@ -336,7 +335,7 @@ class _GlobalBuilder(LayeredBuild):
 
     def _signature(self, layer):
         if self.streaming:
-            # ids are one-to-one with member keys within a build
+            # ids are one-to-one with members within the automaton's table
             body = repr(sorted(layer.supports))
             return hashlib.sha256(body.encode()).hexdigest()
         return frozenset(layer.supports)
@@ -345,6 +344,17 @@ class _GlobalBuilder(LayeredBuild):
 def build_global_layers(a: Automaton, cap=None, max_states=None):
     """Run the global construction to termination; returns the builder state."""
     return _GlobalBuilder(a, cap, max_states).build()
+
+
+def reachable_location_sets(a: Automaton, cap=None, max_states=None) -> frozenset:
+    """The sets of locations occupied together at some network size: a
+    counting constraint is reachable iff it holds on one of them."""
+    b = build_global_layers(a, cap, max_states)
+    at = list(b.members.at.items())  # (location, mask of its ids)
+    masks = {sum(1 << k for k, (_, ids) in enumerate(at) if sup & ids)
+             for sup in set().union(*(layer.supports for layer in b.layers))}
+    return frozenset(frozenset(q for k, (q, _) in enumerate(at) if mask >> k & 1)
+                     for mask in masks)
 
 
 def check_global(a: Automaton, constraint, streaming=False, cap=None,

@@ -11,12 +11,14 @@ process's behaviors in the infinite family of networks.
 
 The loop is region_graph's `LayeredBuild`; `_Builder` supplies the layer
 closure, the boundary and the signature of a singleton-slot layer, its set of
-member ids.  Steps come from the shared `MemberTable`, so the successors of a
-(location, region) pair are computed once however many layers it recurs in.
-All states of a layer share its slot index, so a state is named by its layer
-number and member id: `Layer.ids` holds the ids in discovery order, the build
-keeps the table's id -> RegionState list `states` for their locations and
-base regions, and `Layer.slot` gives the index.  A DRA edge is the tuple (src
+member ids.  Steps come from the automaton's one `MemberTable`, so the
+successors of a (location, region) pair are computed once however many
+layers, builds and label queries it recurs in.  A layer's cross steps, kept
+as it closes, give the next layer's seeds.  All states of a layer share its
+slot index, so a state is named by its layer number and member id:
+`Layer.ids` holds the ids in discovery order, the build keeps the table's
+id -> RegionState list `states` for their locations and base regions, and
+`Layer.slot` gives the index.  A DRA edge is the tuple (src
 layer, src id, kind, internal label, dst layer, dst id), kept once in an
 insertion-ordered dict.  Internal labels are unique after `relabel_unique`,
 so the label gives back the transition.  A dra-mode build records what its
@@ -75,8 +77,10 @@ class _Builder(LayeredBuild):
         self.parent = {}  # (layer, id) -> (layer, id, kind, tr)
         self.record_parent = bool(self.watched) and not streaming
         self.record_edges = not self.watched and not streaming
-        self.states = self.members.states  # id -> RegionState, kept after the build
+        self.states = self.members.states  # id -> RegionState at slot index 0
         self.states_total = 0
+        self.crossing = {}  # id -> its successor across the boundary of the
+        # layer last closed
 
     def _initial_seeds(self):
         return [(None, None, self.members.intern(self.ctx.initial_state()))]
@@ -91,8 +95,8 @@ class _Builder(LayeredBuild):
         """
         members, edges, parent = self.members, self.edges, self.parent
         record_edges, record_parent = self.record_edges, self.record_parent
-        watched, loc = self.watched, self.members.loc
-        ids, waiting, locs = {}, {}, set()
+        watched, loc, point = self.watched, members.loc, members.point
+        ids, waiting, locs, crossing = {}, {}, set(), {}
         wl = deque()
 
         def add(j, ls=None, i=None, kind=None, tr=None):
@@ -117,26 +121,27 @@ class _Builder(LayeredBuild):
             add(j, ls, i, "cross" if ls is not None else None)
         while wl:
             i = wl.popleft()
-            step = members.delay(i, index)
-            if step is not None and step[0] == "delay":
-                add(step[1], number, i, "delay")
+            j = members.delay(i, index)
+            if j is not None:
+                if point[i] or point[j]:
+                    crossing[i] = j
+                else:
+                    add(j, number, i, "delay")
             for tr, j, lg in members.discrete(i):
                 if lg is not None and lg not in locs:
                     waiting.setdefault(lg, {})[i] = None
                 else:
                     add(j, number, i, "trans", tr)
+        self.crossing = crossing
         slot = members.state(next(iter(ids)), index).slot(self.ctx.tmax)
         return Layer(number, slot, ids)
 
     def _boundary(self, layer: Layer):
-        """The next layer's seeds and slot index."""
-        seeds, seen, index, nxt_index = [], set(), layer.slot.index, None
-        for i in layer.ids:
-            step = self.members.delay(i, index)
-            if step is None or step[0] != "cross":
-                continue
-            _, j, shift = step
-            nxt_index = index + shift
+        """The next layer's seeds and slot index, from the cross steps
+        `_close_layer` kept.  Those are in discovery order: an id is first
+        taken off the FIFO worklist in the order it was added to the layer."""
+        seeds, seen = [], set()
+        for i, j in self.crossing.items():
             if j in seen and self.record_edges:
                 # _close_layer records every seed's edge as well; recording a
                 # repeated target's edge here puts it first, the edge order
@@ -144,10 +149,11 @@ class _Builder(LayeredBuild):
                 self.edges[layer.number, i, "cross", None, layer.number + 1, j] = None
             seen.add(j)
             seeds.append((layer.number, i, j))
-        return seeds, nxt_index
+        # t reaches an integer from an open slot, leaves it from a point one
+        return seeds, layer.slot.index + (layer.slot.kind == "open")
 
     def _signature(self, layer: Layer):
-        # ids are one-to-one with member keys within a build
+        # ids are one-to-one with members within the automaton's table
         if self.streaming:
             return hashlib.sha256(repr(sorted(layer.ids)).encode()).hexdigest()
         return frozenset(layer.ids)
@@ -156,12 +162,11 @@ class _Builder(LayeredBuild):
 def build_layers(a: Automaton, cap=None, max_states=None) -> _Builder:
     """Run the layer construction to termination (no early label stop).
 
-    The member table is dropped but for its id -> RegionState list: the result
-    then holds no more than its layers, their states and its edges.
+    The member table stays with `a`, for the next build or label query on it;
+    the result holds its layers and edges beside the table's id -> RegionState
+    list.
     """
-    b = _Builder(a, cap, max_states).build()
-    b.members = None
-    return b
+    return _Builder(a, cap, max_states).build()
 
 
 def apply_loopback(build: _Builder) -> DtnRegionAutomaton:

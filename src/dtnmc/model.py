@@ -23,6 +23,9 @@ end in `#k` (k digits), as the ones `relabel_unique` gives summary automata.
 
 `Atom` and `Transition` are NamedTuples: built three times faster than frozen
 dataclasses, with the same hash and repr.  `tr._replace(...)` updates a field.
+`Automaton` is a frozen dataclass whose `tables` field (left out of `==`,
+repr and `__init__`) keeps the region successors its layered builds compute;
+`dataclasses.replace(a, ...)` gives a copy with none.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class Transition(NamedTuple):
     sync: Optional[tuple] = None  # lbta only: (channel, "!!" or "??")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Automaton:
     kind: str  # "gta", "lbta" or "ta"
     name: str
@@ -75,6 +78,9 @@ class Automaton:
     transitions: tuple
     broadcasts: tuple = ()
     tclock: Optional[str] = None  # the global clock, when added by unguard
+    # member table class -> (relabeled automaton, relabel map, RegionContext,
+    # table), shared by every layered build on this automaton
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def invariant(self, q: str) -> tuple:
         return self.invariants.get(q, ())

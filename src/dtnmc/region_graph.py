@@ -14,11 +14,19 @@ to `Region.satisfies_atom`, so `holds` raises `NonUniformGuard` exactly where
 
 `MemberTable` is the successor cache both layer engines share.  It
 hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
-each member key (location, unbounded flag, base region), the index-free part
-of a RegionState, to an int id, and computes each id's delay step once per
-side of the slot bound tmax and its discrete steps once.  The local engine
-holds a layer's states as ids, the global engine its supports as bitmasks of
-ids; both carry the slot index beside them.
+each member, a RegionState restamped to slot index 0, to an int id, and
+computes each id's delay step once per side of the slot bound tmax and its
+discrete steps once; equal vals and fracs of different members are held
+once.  The local engine holds a layer's states as ids, the
+global engine its supports as bitmasks of ids; both carry the slot index
+beside them.
+
+There is one table per automaton and table class, kept in `Automaton.tables`
+with the relabeled automaton and its `RegionContext`: every build and query
+on an automaton reuses the successors the earlier ones computed, and the
+table goes when the automaton does.  No output depends on an id: layers keep
+discovery order, the global engine orders members by the repr of their
+`member_key`, and signatures are compared within one build.
 
 `LayeredBuild` is the layered fixpoint both engines run: close a layer in
 its slot, stop once a singleton-slot layer repeats an earlier one up to a
@@ -34,17 +42,21 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .model import (Automaton, BudgetExceeded, compute_bounds, relabel_unique,
-                    unguard)
+from .model import (Automaton, BudgetExceeded, ModelError, compute_bounds,
+                    relabel_unique)
 from .regions import (T, Memo, Region, RegionState, count_regions,
                       initial_region)
 
 
 class RegionContext:
-    """Precomputed data for exploring the region states of an automaton whose
-    global clock t (added by unguard) is rebased into the slot index."""
+    """Precomputed data for exploring the region states of an automaton, its
+    global clock t rebased into the slot index.  t is the clock unguard adds,
+    or one the context adds when the automaton has none; location guards are
+    left to the caller."""
 
     def __init__(self, ta: Automaton):
+        if T in ta.clocks and ta.tclock != T:
+            raise ModelError("clock name t is reserved for the global clock")
         self.automaton = ta
         cclocks = tuple(sorted(c for c in ta.clocks if c != ta.tclock))
         self.cclocks = cclocks
@@ -142,55 +154,72 @@ def member_key(m: RegionState):
 class MemberTable:
     """Int ids for members, with their successors computed once."""
 
-    def __init__(self, ctx: RegionContext, locguard: dict):
+    def __init__(self, ctx: RegionContext):
         self.ctx = ctx
-        self.locguard = locguard  # transition label -> location guard or None
-        self.ids = {}  # member key -> id
-        self.states = []  # id -> RegionState at the slot index it was first seen
+        self.ids = {}  # member, a RegionState at slot index 0 -> id
+        self.states = []  # id -> member
         self.loc = []  # id -> location
-        self._delay = {}  # (id, index >= tmax) -> (kind, id, slot shift) or None
-        self._discrete = {}  # id -> [(transition, id, location guard)]
+        self.point = []  # id -> t sits on an integer: a singleton slot
+        # index >= tmax -> id -> id of its time successor, None when delay is
+        # blocked, False when not yet computed
+        self._delay = ([], [])
+        self._discrete = []  # id -> ((transition, id, location guard), ...) or None
+        self._shared = {}  # one object per distinct vals or fracs
 
     def intern(self, m: RegionState) -> int:
-        key = member_key(m)
-        i = self.ids.get(key)
+        if m.index:
+            m = RegionState(m.loc, m.base, 0, m.unbounded)
+        i = self.ids.get(m)
         if i is None:
-            i = self.ids[key] = len(self.states)
+            b, share = m.base, self._shared.setdefault
+            vals, fracs = share(b.vals, b.vals), share(b.fracs, b.fracs)
+            if vals is not b.vals or fracs is not b.fracs:
+                b = Region(b.clocks, b.bounds, vals, fracs)
+                m = RegionState(m.loc, b, 0, m.unbounded)
+            i = self.ids[m] = len(self.states)
             self.states.append(m)
             self.loc.append(m.loc)
-            self._added(key, m)
+            self.point.append(not m.unbounded and vals[-1][1])  # t is the last clock
+            self._delay[0].append(False)
+            self._delay[1].append(False)
+            self._discrete.append(None)
+            self._added(m)
         return i
 
-    def _added(self, key, m: RegionState) -> None:
+    def _added(self, m: RegionState) -> None:
         """Hook for subclasses keeping more per-id fields."""
 
     def state(self, i: int, index: int) -> RegionState:
         m = self.states[i]
-        if m.index == index:
+        if index == 0:
             return m
         return RegionState(m.loc, m.base, index, m.unbounded)
 
     def delay(self, i: int, index: int):
-        """immediate_time_successor of member i in slot `index`, as ids."""
+        """The id of immediate_time_successor of member i in slot `index`, or
+        None when delay is blocked.
+
+        The step crosses into the next slot iff t leaves or reaches an
+        integer, so iff i or its successor is a point member, and it adds 1
+        to the slot index iff t reaches one.
+        """
         late = index >= self.ctx.tmax
-        step = self._delay.get((i, late), False)
-        if step is False:
+        succ = self._delay[late]
+        j = succ[i]
+        if j is False:
             probe = self.ctx.tmax if late else 0
             step = immediate_time_successor(self.state(i, probe), self.ctx)
-            if step is not None:
-                kind, nxt = step
-                step = (kind, self.intern(nxt), nxt.index - probe)
-            self._delay[i, late] = step
-        return step
+            j = succ[i] = None if step is None else self.intern(step[1])
+        return j
 
-    def discrete(self, i: int) -> list:
-        """discrete_successors of member i, as ids with their location guards."""
-        out = self._discrete.get(i)
+    def discrete(self, i: int) -> tuple:
+        """discrete_successors of member i as (transition, id, location guard)
+        triples."""
+        out = self._discrete[i]
         if out is None:
-            out = self._discrete[i] = [
-                (tr, self.intern(nxt), self.locguard[tr.label])
-                for tr, nxt in discrete_successors(self.states[i], self.ctx)
-            ]
+            out = self._discrete[i] = tuple([
+                (tr, self.intern(nxt), tr.locguard)
+                for tr, nxt in discrete_successors(self.states[i], self.ctx)])
         return out
 
 
@@ -206,15 +235,19 @@ class LayeredBuild:
 
     Layers 0..cap may be built; the default cap 2^(na+1) bounds the layers
     before a loop-back.  A streaming build keeps only the layer being closed.
+    The relabeled automaton, its context and member table come from
+    `a.tables`, made by the first build of this class on `a`.
     """
 
     table = MemberTable
 
     def __init__(self, a: Automaton, cap=None, max_states=None, streaming=False):
-        self.automaton, self.relabel_map = relabel_unique(a)
-        self.ctx = RegionContext(unguard(self.automaton))
-        self.members = self.table(
-            self.ctx, {tr.label: tr.locguard for tr in self.automaton.transitions})
+        entry = a.tables.get(self.table)
+        if entry is None:
+            ra, relabel_map = relabel_unique(a)
+            ctx = RegionContext(ra)
+            entry = a.tables[self.table] = (ra, relabel_map, ctx, self.table(ctx))
+        self.automaton, self.relabel_map, self.ctx, self.members = entry
         self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
         self.max_states = max_states
         self.streaming = streaming
@@ -274,20 +307,20 @@ class LayeredBuild:
 def check_timelock_free(a: Automaton, max_states=None):
     """Divergence check on a plain timed automaton (no location guards).
 
-    Explores the member table of unguard(a).  The rebased global clock t is
+    Explores the member table of a with the global clock t.  The rebased t is
     the tick clock: a delay step whose slot shift is 1 lets t pass an integer,
     so any run letting one time unit pass takes such a tick.  Time can
     diverge from a state iff it reaches a cycle through a tick.  Returns
     ("proved", None) or ("refuted", (location, region text without t)).
     """
-    ctx = RegionContext(unguard(a))
-    members = MemberTable(ctx, dict.fromkeys(tr.label for tr in a.transitions))
+    ctx = RegionContext(a)
+    members = MemberTable(ctx)
     members.intern(ctx.initial_state())
     adj = []  # id -> [(successor id, is tick)]; ids are interned in BFS order
     while len(adj) < len(members.states):
         i = len(adj)
-        step = members.delay(i, 0)
-        succs = [] if step is None else [(step[1], step[2] == 1)]
+        j, point = members.delay(i, 0), members.point
+        succs = [] if j is None else [(j, not point[i] and point[j])]
         succs += [(j, False) for _, j, _ in members.discrete(i)]
         adj.append(succs)
         if max_states is not None and len(members.states) > max_states:

@@ -137,7 +137,7 @@ class Region(NamedTuple):
                 if m >= bounds[i]:
                     vals[i] = None
                 else:
-                    vals[i] = (m, False)
+                    vals[i] = FRAC[m]
                     opened.append(self.clocks[i])
             fracs = ((tuple(sorted(opened)),) if opened else ()) + self.fracs
         else:
@@ -146,7 +146,7 @@ class Region(NamedTuple):
             for c in self.fracs[-1]:
                 i = self.clocks.index(c)
                 m = vals[i][0] + 1
-                vals[i] = None if m > bounds[i] else (m, True)
+                vals[i] = None if m > bounds[i] else INT[m]
             fracs = self.fracs[:-1]
         return Region(self.clocks, bounds, tuple(vals), fracs)
 
@@ -157,7 +157,7 @@ class Region(NamedTuple):
         for c in clocks:
             i = self.clocks.index(c)
             fractional = fractional or (vals[i] is not None and not vals[i][1])
-            vals[i] = (0, True)
+            vals[i] = INT[0]
         fracs = fracs_without(self.fracs, clocks) if fractional else self.fracs
         return Region(self.clocks, self.bounds, tuple(vals), fracs)
 
@@ -193,7 +193,7 @@ class Region(NamedTuple):
         i = self.clocks.index(c)
         m, fz = self.vals[i]
         vals = list(self.vals)
-        vals[i] = (m + k, fz)
+        vals[i] = (INT if fz else FRAC)[m + k]
         return Region(self.clocks, self.bounds, tuple(vals), self.fracs)
 
     # -- conversions ----------------------------------------------------------
@@ -253,12 +253,20 @@ def fracs_without(fracs, clocks) -> tuple:
 class Memo(dict):
     """A table that computes a missing entry from its key, once."""
 
+    __slots__ = ("compute",)
+
     def __init__(self, compute):
         self.compute = compute
 
     def __missing__(self, key):
         value = self[key] = self.compute(key)
         return value
+
+
+# integer part -> the one (m, True) / (m, False) cell of Region.vals that the
+# region steps hand out, so regions share their cells
+INT = Memo(lambda m: (m, True))
+FRAC = Memo(lambda m: (m, False))
 
 
 def region_of(valuation, bounds, clocks=None) -> Region:
@@ -491,7 +499,7 @@ def _collapse_t(region: Region) -> Region:
 def initial_region(clocks, bounds) -> Region:
     """All clocks at 0."""
     cs = tuple(clocks)
-    return Region(cs, tuple(bounds[c] for c in cs), ((0, True),) * len(cs), ())
+    return Region(cs, tuple(bounds[c] for c in cs), (INT[0],) * len(cs), ())
 
 
 def _atom_text(atom) -> str:

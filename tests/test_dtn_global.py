@@ -15,6 +15,7 @@ from dtnmc.dtn_global import (
     find_guard_timelock,
     guard_timelock_constraint,
     parse_constraint,
+    reachable_location_sets,
     rule1_steps,
     support_key,
 )
@@ -262,9 +263,10 @@ def differential_constraints(locations):
 
 
 def test_global_agrees_with_oracle_on_random_gtas():
-    # every differential constraint some network of n <= 3 processes satisfies
-    # is reported reachable; hits the oracle cannot confirm, budget overruns
-    # and exhausted explorations are counted and pinned
+    # each model's family of reachable location sets equals the oracle's
+    # union over networks of n <= 3 processes, so every differential
+    # constraint gets one verdict from both; budget overruns of the family's
+    # build and exhausted explorations are counted and pinned
     queries = misses = engine_only = budget_hits = exhausted = 0
     for seed in range(30):
         a = random_gta(seed)
@@ -273,20 +275,36 @@ def test_global_agrees_with_oracle_on_random_gtas():
             res = explore_network(a, n, slot_cap=4, max_states=200_000)
             loc_sets |= res.loc_sets
             exhausted += res.exhausted
+        try:
+            family = reachable_location_sets(a, max_states=50_000)
+        except BudgetExceeded:
+            budget_hits += 1
+            family = None
+        assert family is None or family == loc_sets, seed
         for text in differential_constraints(a.locations):
             node = parse_constraint(text)
             queries += 1
-            try:
-                reported = check_global(a, text, max_states=50_000)["result"]
-            except BudgetExceeded:
-                budget_hits += 1
+            if family is None:
                 continue
+            reported = any(eval_constraint(ls, node) for ls in family)
             seen = any(eval_constraint(ls, node) for ls in loc_sets)
-            if seen and reported != "reachable":
-                misses += 1
-            engine_only += not seen and reported == "reachable"
+            misses += seen and not reported
+            engine_only += reported and not seen
     assert (queries, misses) == (196 + 686, 0)
     assert (engine_only, budget_hits, exhausted) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["fig3", "r3", "r6", "r13"])
+def test_location_sets_answer_check_global(name):
+    # the family gives check_global's verdict on every differential constraint
+    a = _golden_global_model(name)
+    family = reachable_location_sets(a)
+    assert all(isinstance(ls, frozenset) and ls for ls in family)
+    for text in differential_constraints(sorted(a.locations)):
+        node = parse_constraint(text)
+        reachable = any(eval_constraint(ls, node) for ls in family)
+        assert check_global(a, text)["result"] == \
+            ("reachable" if reachable else "unreachable"), (name, text)
 
 
 def _golden_global_model(name):

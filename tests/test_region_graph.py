@@ -1,11 +1,17 @@
+import json
 import random
 from collections import deque
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import LABEL_POOL, OPS
+from conftest import LABEL_POOL, OPS, random_gta
+from dtnmc.dtn_global import (SupportMembers, _GlobalBuilder, build_global_layers,
+                               check_global)
+from dtnmc.dtn_local import (_Builder, apply_loopback, build_layers,
+                             check_label_reachable, dra_to_dot, summary_automaton)
 from dtnmc.lbta_bridge import fresh_name
 from dtnmc.model import (
     Atom,
@@ -14,10 +20,12 @@ from dtnmc.model import (
     Transition,
     compute_bounds,
     parse_model,
+    pretty_model,
     strip_guarded,
     unguard,
 )
 from dtnmc.region_graph import (
+    MemberTable,
     RegionContext,
     check_timelock_free,
     compile_atoms,
@@ -254,3 +262,55 @@ def test_timelock_check_matches_tick_clock_reference(fig1, fig3):
         verdicts.append(verdict)
     assert verdicts[:2] == ["proved", "refuted"]
     assert verdicts[2:].count("refuted") == 129
+
+
+def _query_outputs(a, queries):
+    """The JSON or text of each query on `a`, a budget overrun as its message."""
+    out = []
+    for kind, arg in queries:
+        try:
+            if kind == "label":
+                text = json.dumps(check_label_reachable(
+                    a, arg[0], streaming=arg[1], max_states=20_000))
+            elif kind == "build":
+                dra = apply_loopback(build_layers(a, max_states=20_000))
+                text = pretty_model(summary_automaton(dra)) + dra_to_dot(dra)
+            else:
+                text = json.dumps(check_global(a, arg, max_states=5_000))
+        except BudgetExceeded as e:
+            text = f"budget: {e}"
+        out.append(text)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3", "r3", "r18", "r20"])
+def test_shared_tables_ignore_query_order(name, fig1, fig3):
+    # every query on one automaton shares its member tables; in any order its
+    # outputs equal those of a fresh copy, with empty tables, per query
+    a = {"fig1": fig1, "fig3": fig3}.get(name) or random_gta(int(name[1:]))
+    locs = sorted(a.locations)
+    queries = [("label", (lab, streaming)) for lab in a.labels()
+               for streaming in (False, True)]
+    queries += [("build", None)]
+    queries += [("global", f"#{q}>=1 && #{q2}==0") for q, q2 in
+                [(locs[0], locs[-1]), (locs[-1], locs[0]), (locs[1], locs[0])]]
+    random.Random(name).shuffle(queries)
+    # fill each table with the members a build meets, in reverse, so that the
+    # queries see other ids than a fresh table gives
+    for builder, run in ((_Builder, build_layers), (_GlobalBuilder, build_global_layers)):
+        copy = replace(a)
+        try:
+            run(copy, max_states=5_000)
+        except BudgetExceeded:
+            pass
+        members = builder(a).members
+        for m in reversed(copy.tables[builder.table][3].states):
+            members.intern(m)
+        assert members.states != copy.tables[builder.table][3].states
+    shared = _query_outputs(a, queries)
+    fresh = [_query_outputs(replace(a), [q])[0] for q in queries]
+    assert shared == fresh
+    assert set(a.tables) == {MemberTable, SupportMembers}
+    assert replace(a).tables == {} and replace(a) == a
+    with pytest.raises(FrozenInstanceError):
+        a.name = "renamed"
