@@ -79,8 +79,8 @@ class _Builder(LayeredBuild):
         self.record_edges = not self.watched and not streaming
         self.states = self.members.states  # id -> RegionState at slot index 0
         self.states_total = 0
-        self.crossing = {}  # id -> its successor across the boundary of the
-        # layer last closed
+        # id -> its successor in the next slot, for the layer last closed
+        self.crossing = {}
 
     def _initial_seeds(self):
         return [(None, None, self.members.intern(self.ctx.initial_state()))]

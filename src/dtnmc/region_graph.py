@@ -17,9 +17,8 @@ hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 each member, a RegionState restamped to slot index 0, to an int id, and
 computes each id's delay step once per side of the slot bound tmax and its
 discrete steps once; equal vals and fracs of different members are held
-once.  The local engine holds a layer's states as ids, the
-global engine its supports as bitmasks of ids; both carry the slot index
-beside them.
+once.  The local engine holds a layer's states as ids, the global engine its
+supports as bitmasks of ids; both carry the slot index beside them.
 
 There is one table per automaton and table class, kept in `Automaton.tables`
 with the relabeled automaton and its `RegionContext`: every build and query
