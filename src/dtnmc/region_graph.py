@@ -48,21 +48,18 @@ from .regions import (T, Memo, Region, RegionState, count_regions,
 
 
 class RegionContext:
-    """Precomputed data for exploring the region states of an automaton, its
-    global clock t rebased into the slot index.  t is the clock unguard adds,
-    or one the context adds when the automaton has none; location guards are
+    """Precomputed data for exploring the region states of an automaton with
+    a global clock t added, rebased into the slot index; location guards are
     left to the caller."""
 
     def __init__(self, ta: Automaton):
-        if T in ta.clocks and ta.tclock != T:
+        if T in ta.clocks:
             raise ModelError("clock name t is reserved for the global clock")
         self.automaton = ta
-        cclocks = tuple(sorted(c for c in ta.clocks if c != ta.tclock))
+        cclocks = tuple(sorted(ta.clocks))
         self.cclocks = cclocks
         self.clocks = cclocks + (T,)
-        self.cbounds = {
-            c: b for c, b in compute_bounds(ta).items() if c != ta.tclock
-        }
+        self.cbounds = compute_bounds(ta)
         # t is rebased; the real slot index lives in RegionState
         self.bounds = {**self.cbounds, T: 1}
         self.na = len(ta.locations) * count_regions(

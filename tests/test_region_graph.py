@@ -22,7 +22,6 @@ from dtnmc.model import (
     parse_model,
     pretty_model,
     strip_guarded,
-    unguard,
 )
 from dtnmc.region_graph import (
     MemberTable,
@@ -96,8 +95,8 @@ def test_timelock_budget():
 
 
 def test_region_context_shape(fig3):
-    ctx = RegionContext(unguard(fig3))
-    assert ctx.automaton.tclock == T and ctx.clocks == ("c", T)
+    ctx = RegionContext(fig3)
+    assert ctx.automaton is fig3 and ctx.clocks == ("c", T)
     assert ctx.bounds == {"c": 1, T: 1}
     assert ctx.na == 2 * 4  # two locations, four one-clock regions at bound 1
     assert ctx.tmax == 2 ** (ctx.na + 1)
@@ -106,7 +105,7 @@ def test_region_context_shape(fig3):
 
 
 def test_discrete_successors_respect_guards(fig1):
-    ctx = RegionContext(unguard(fig1))
+    ctx = RegionContext(fig1)
     start = ctx.initial_state()
     enabled = {tr.label for tr, _ in discrete_successors(start, ctx)}
     assert enabled == {"s0"}  # s4 needs c >= 1, impossible at c = 0
@@ -151,7 +150,7 @@ def test_compiled_constraints_match_satisfies():
 
 
 def test_immediate_time_successor_blocked_by_invariant(fig3):
-    ctx = RegionContext(unguard(fig3))
+    ctx = RegionContext(fig3)
     rs = ctx.initial_state()
     # walk q1 to the invariant boundary c = 1
     rs = discrete_successors(rs, ctx)[1][1]
