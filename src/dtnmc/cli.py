@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dtn_global import check_global
+from .dtn_global import check_global, constraint_node
 from .dtn_local import (
     apply_loopback,
     build_layers,
@@ -245,6 +245,11 @@ def _run(args):
     if args.command == "oracle":
         if args.label is not None and args.constraint is not None:
             raise ValueError("--label and --constraint are mutually exclusive")
+        if args.label is not None and args.label not in {
+            tr.label for tr in a.transitions if tr.label
+        }:
+            raise ValueError(f"unknown label {args.label!r}")
+        node = None if args.constraint is None else constraint_node(a, args.constraint)
         budget = max_states if max_states is not None else 10 ** 6
         res = explore_network(a, args.n, slot_cap=args.slot_cap,
                               max_states=budget)
@@ -257,10 +262,6 @@ def _run(args):
             "labels": sorted(res.labels),
         }
         if args.label is not None:
-            if args.label not in {
-                tr.label for tr in a.transitions if tr.label
-            }:
-                raise ValueError(f"unknown label {args.label!r}")
             fired = args.label in res.labels
             payload["query"] = args.label
             payload["result"] = "reachable" if fired else "unreachable"
@@ -268,16 +269,23 @@ def _run(args):
                 steps = witness_region_path(a, args.n, args.label,
                                             slot_cap=args.slot_cap,
                                             max_states=budget)
-                if steps is not None:
+                if steps is None:
+                    print(f"note: no trace: the witness search, without symmetry "
+                          f"reduction, exceeds {budget} states", file=sys.stderr)
+                else:
                     payload["trace"] = [
                         {"delay": str(e["delay"]), "process": e["process"],
                          "label": e["label"]}
                         for e in concretize(a, args.n, steps)
                     ]
-        elif args.constraint is not None:
-            hit = eval_constraint_on_locs(a, args.constraint, res)
+        elif node is not None:
+            hit = eval_constraint_on_locs(a, node, res)
             payload["query"] = args.constraint
             payload["result"] = "reachable" if hit else "unreachable"
+        if res.exhausted and payload.get("result") == "unreachable":
+            raise BudgetExceeded(f"oracle exploration at n={args.n} exceeds {budget}"
+                                 f" states after expanding {res.states_explored};"
+                                 " the query is undecided")
         return payload, None, _model_dot(a)
 
     raise AssertionError(args.command)

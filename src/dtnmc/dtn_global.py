@@ -357,14 +357,19 @@ def reachable_location_sets(a: Automaton, cap=None, max_states=None) -> frozense
                      for mask in masks)
 
 
+def constraint_node(a: Automaton, constraint):
+    """The parsed constraint; ValueError if it names a location `a` lacks."""
+    node = parse_constraint(constraint) if isinstance(constraint, str) else constraint
+    unknown = sorted(constraint_locations(node) - set(a.locations))
+    if unknown:
+        raise ValueError(f"unknown location {unknown[0]!r} in constraint")
+    return node
+
+
 def check_global(a: Automaton, constraint, streaming=False, cap=None,
                  max_states=None) -> dict:
     """Is some configuration, at any network size, satisfying the constraint?"""
-    node = parse_constraint(constraint) if isinstance(constraint, str) else constraint
-    locs = set(a.locations)
-    for q in sorted(constraint_locations(node)):
-        if q not in locs:
-            raise ValueError(f"unknown location {q!r} in constraint")
+    node = constraint_node(a, constraint)
     b = _GlobalBuilder(a, cap, max_states, watch=node, streaming=streaming).build()
     query = constraint if isinstance(constraint, str) else repr(constraint)
     out = b.report(query, "supports_total", b.supports_total, support=None,

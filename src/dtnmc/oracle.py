@@ -1,18 +1,19 @@
 """Brute-force exploration of fixed-size networks, used to cross-check the
 layer algorithms on small instances.
 
-A network state is (sigs, tcell, index): one signature per process, the cell
-of the global clock t (rebased to integer part 0) and the slot index.  A
-signature is a location and one cell per clock: its value class, (integer
+A signature is a location and one cell per clock: its value class, (integer
 part, is integer) or (-1, False) above the bound, and the rank of its
-fractional part among all clocks and t (-1 if none).  Delays, resets and
-guards act on the cells; guards and invariants read one process's cells
-only, so `_Net` judges them once per signature.  Permuting processes
-permutes `sigs` and nothing else, so the state with sorted signatures is its
-orbit key (Ip & Dill, FMSD 1996; Hendriks et al., FORMATS 2003).
+fractional part among all clocks and t (-1 if none).  `_Net` interns each
+signature as a small int, and a network state is (ids, tcell, index): one
+signature id per process, the cell of the global clock t (rebased to integer
+part 0) and the slot index.  Delays, resets and guards act on the cells;
+guards and invariants read one process's cells only, so `_Net` judges them
+once per id.  Permuting processes permutes `ids` and nothing else, and
+interning is one-to-one, so the state with sorted ids is its orbit key (Ip &
+Dill, FMSD 1996; Hendriks et al., FORMATS 2003).
 
-Witness traces are found without symmetry reduction, on unsorted signatures.
-Only their steps become `RegionState`s, which `concretize` turns into a timed
+Witness traces are found without symmetry reduction, on unsorted ids.  Only
+their steps become `RegionState`s, which `concretize` turns into a timed
 trace, taking the midpoint (or the forced value) of each delay's interval.
 """
 
@@ -51,7 +52,12 @@ def _close_up(cells, gone):
 
 
 class _Net:
-    """The clock layout of A^n and its per-signature steps, built lazily."""
+    """The clock layout of A^n and its per-signature steps, built lazily.
+
+    `ids` maps a signature to its id and `sigs` maps the id back; `loc`,
+    `ranks` (the fractional ranks the id's clocks hold) and `kind` are filled
+    when an id is interned.  Every memo is keyed on ids.
+    """
 
     def __init__(self, a: Automaton, n: int, slot_cap: int):
         self.a, self.n, self.slot_cap = a, n, slot_cap
@@ -61,20 +67,39 @@ class _Net:
                             for c in self.cclocks) + (T,)
         self.bounds = self.cbounds * n + (1,)
         self.moves = _lbta_moves if a.kind == "lbta" else _gta_moves
+        self.ids, self.sigs = {}, []
+        self.loc, self.ranks, self.kind = [], [], []  # kind: (delay kind, top rank)
         self.enabled = Memo(self._enabled)
-        self.inv_ok = Memo(lambda sig: _region(
-            self.cclocks, self.cbounds, sig[1:]).satisfies(a.invariant(sig[0])))
-        self.kind = Memo(self._kind)  # sig -> (delay kind, top rank)
-        self.step = Memo(self._step)  # (sig, delay mode) -> sig' or False
-        self.member = Memo(self._member)  # (sig, tcell) -> member key
+        self.inv_ok = Memo(lambda i: _region(
+            self.cclocks, self.cbounds, self.sigs[i][1:]).satisfies(
+                a.invariant(self.loc[i])))
+        self.step = Memo(self._step)  # (id, delay mode) -> id' or None
+        self.member = Memo(self._member)  # (id, tcell) -> member key
+        self.closed = Memo(self._closed)  # (id, gone) -> id with gone closed up
+
+    def intern(self, sig) -> int:
+        """The id of `sig`, numbered in order of first sight."""
+        i = self.ids.get(sig)
+        if i is None:
+            i = self.ids[sig] = len(self.sigs)
+            cells = sig[1:]
+            self.sigs.append(sig)
+            self.loc.append(sig[0])
+            self.ranks.append(frozenset(r for _, r in cells if r >= 0))
+            ints = [v[0] < b for (v, _), b in zip(cells, self.cbounds) if v[1]]
+            # 2 if an integer clock opens, 1 if all of them collapse, 0 if none
+            self.kind.append((2 if any(ints) else 1 if ints else 0,
+                              max(r for _, r in cells + (COLLAPSED,))))
+        return i
 
     def initial(self):
         sig = (self.a.initial,) + (RESET,) * len(self.cclocks)
-        return ((sig,) * self.n, RESET, 0)
+        return ((self.intern(sig),) * self.n, RESET, 0)
 
-    def _enabled(self, sig):
-        """(tr, sig after tr, ranks its resets may free, tr.dst's invariant
-        holds) for each transition from sig's location whose guard holds."""
+    def _enabled(self, i):
+        """(tr, id after tr, ranks its resets may free, tr.dst's invariant
+        holds) for each transition from id i's location whose guard holds."""
+        sig = self.sigs[i]
         region = _region(self.cclocks, self.cbounds, sig[1:])
         out = []
         for tr in self.a.transitions:
@@ -84,45 +109,48 @@ class _Net:
                 freed = {cells[p][1] for p in resets}
                 for p in resets:
                     cells[p] = RESET
-                nsig = (tr.dst,) + tuple(cells)
+                nid = self.intern((tr.dst,) + tuple(cells))
                 freed = tuple(freed - {-1} - {r for _, r in cells})
-                out.append((tr, nsig, freed, self.inv_ok[nsig]))
+                out.append((tr, nid, freed, self.inv_ok[nid]))
         return tuple(out)
 
-    def settle(self, sigs, tcell, index, freed):
+    def settle(self, ids, tcell, index, freed):
         """The state after resets, closing up freed ranks that no clock holds."""
         if freed:
-            held = {r for sig in sigs for _, r in sig[1:]}
-            gone = sorted(set(freed) - held - {tcell[1]})
+            ranks = self.ranks
+            gone = tuple(sorted({r for r in freed if r != tcell[1]
+                                 and not any(r in ranks[i] for i in ids)}))
             if gone:
-                sigs = tuple((s[0],) + _close_up(s[1:], gone) for s in sigs)
+                ids = tuple(self.closed[i, gone] for i in ids)
                 tcell = _close_up((tcell,), gone)[0]
-        return (sigs, tcell, index)
+        return (ids, tcell, index)
 
-    def _kind(self, sig):
-        """2 if an integer clock opens, 1 if all of them collapse, 0 if none."""
-        ints = [v[0] < b for (v, _), b in zip(sig[1:], self.cbounds) if v[1]]
-        return (2 if any(ints) else 1 if ints else 0,
-                max(r for _, r in sig[1:] + (COLLAPSED,)))
+    def _closed(self, key):
+        i, gone = key
+        sig = self.sigs[i]
+        return self.intern((sig[0],) + _close_up(sig[1:], gone))
 
     def _step(self, key):
         """Mode 0 or 1: integer clocks open into rank 0 and the other ranks
-        shift by the mode; mode -1 - r: the rank-r class lands."""
-        sig, mode = key
+        shift by the mode; mode -1 - r: the rank-r class lands.  None, not
+        False, if the invariant breaks: `False in ids` would match id 0."""
+        i, mode = key
+        sig = self.sigs[i]
         land, cells = mode < 0, []
         for (v, r), b in zip(sig[1:], self.cbounds):
             if r == -1 - mode if land else v[1]:  # the clock lands or opens
                 cells.append(COLLAPSED if v[0] >= b else ((v[0] + land, land), -land))
             else:
                 cells.append((v, r + mode) if mode > 0 and r >= 0 else (v, r))
-        nsig = (sig[0],) + tuple(cells)
-        return self.inv_ok[nsig] and nsig
+        nid = self.intern((sig[0],) + tuple(cells))
+        return nid if self.inv_ok[nid] else None
 
     def delay(self, state):
         """The immediate time successor, or None if an invariant breaks or t
         crosses past the slot cap."""
-        sigs, tcell, index = state
-        kinds = [self.kind[sig] for sig in sigs]
+        ids, tcell, index = state
+        kind = self.kind
+        kinds = [kind[i] for i in ids]
         if tcell[0][1] or any(k for k, _ in kinds):
             mode = 1 if tcell[0][1] or any(k == 2 for k, _ in kinds) else 0
             tcell = ((0, False), 0) if tcell[0][1] else (tcell[0], tcell[1] + mode)
@@ -132,12 +160,14 @@ class _Net:
                 if index >= self.slot_cap:
                     return None
                 tcell, index = RESET, index + 1
-        sigs = tuple(self.step[sig, mode] for sig in sigs)
-        return None if False in sigs else (sigs, tcell, index)
+        step = self.step
+        ids = tuple([step[i, mode] for i in ids])
+        return None if None in ids else (ids, tcell, index)
 
     def _member(self, key):
         """The process and t as a one-process `region_graph.member_key`."""
-        sig, tcell = key
+        i, tcell = key
+        sig = self.sigs[i]
         region = _region(self.cclocks + (T,), self.cbounds + (1,), sig[1:] + (tcell,))
         return (sig[0], False, region.key())
 
@@ -148,7 +178,8 @@ class _Net:
         return out + [(("fire", desc), nxt) for desc, nxt in self.moves(self, state)]
 
     def region_state(self, state) -> RegionState:
-        sigs, tcell, index = state
+        ids, tcell, index = state
+        sigs = [self.sigs[i] for i in ids]
         cells = tuple(c for sig in sigs for c in sig[1:]) + (tcell,)
         return RegionState(tuple(sig[0] for sig in sigs),
                            _region(self.clocks, self.bounds, cells), index)
@@ -157,38 +188,38 @@ class _Net:
 def _gta_moves(net: _Net, state):
     """(descriptor, new state) pairs; a descriptor is a tuple of (i, tr) movers."""
     out = []
-    sigs, tcell, index = state
-    locs = [sig[0] for sig in sigs]
-    for i, sig in enumerate(sigs):
-        for tr, nsig, freed, inv in net.enabled[sig]:
+    ids, tcell, index = state
+    locs = [net.loc[i] for i in ids]
+    for p, i in enumerate(ids):
+        for tr, nid, freed, inv in net.enabled[i]:
             g = tr.locguard
-            if inv and (g is None or locs.count(g) > (sig[0] == g)):
-                nsigs = sigs[:i] + (nsig,) + sigs[i + 1 :]
-                out.append((((i, tr),), net.settle(nsigs, tcell, index, freed)))
+            if inv and (g is None or locs.count(g) > (locs[p] == g)):
+                nids = ids[:p] + (nid,) + ids[p + 1 :]
+                out.append((((p, tr),), net.settle(nids, tcell, index, freed)))
     return out
 
 
 def _lbta_moves(net: _Net, state):
     """Broadcast macro steps: sender plus every subset of enabled receivers."""
     out = []
-    sigs, tcell, index = state
-    for i, sig in enumerate(sigs):
-        for sent in net.enabled[sig]:
+    ids, tcell, index = state
+    for p, i in enumerate(ids):
+        for sent in net.enabled[i]:
             tr = sent[0]
             if tr.sync is None or tr.sync[1] != "!!":
                 continue
-            options = [[(i,) + sent] if j == i else [None] + [
-                (j,) + got for got in net.enabled[sj]
-                if got[0].sync == (tr.sync[0], "??")] for j, sj in enumerate(sigs)]
+            options = [[(p,) + sent] if j == p else [None] + [
+                (j,) + got for got in net.enabled[ij]
+                if got[0].sync == (tr.sync[0], "??")] for j, ij in enumerate(ids)]
             for combo in product(*options):
                 movers = [m for m in combo if m is not None]
-                nsigs, freed = list(sigs), []
-                for j, _, nsig, mfreed, _ in movers:
-                    nsigs[j] = nsig
+                nids, freed = list(ids), []
+                for j, _, nid, mfreed, _ in movers:
+                    nids[j] = nid
                     freed.extend(mfreed)
-                if all(net.inv_ok[s] for s in nsigs):
-                    desc = ((i, tr),) + tuple((j, m) for j, m, *_ in movers if j != i)
-                    out.append((desc, net.settle(tuple(nsigs), tcell, index, freed)))
+                if all(net.inv_ok[k] for k in nids):
+                    desc = ((p, tr),) + tuple((j, m) for j, m, *_ in movers if j != p)
+                    out.append((desc, net.settle(tuple(nids), tcell, index, freed)))
     return out
 
 
@@ -212,12 +243,14 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
     seen = {start}
     queue = deque([start])
 
+    loc, member = net.loc, net.member
+
     def record(state):
-        sigs, tcell, index = state
-        res.loc_sets.add(frozenset(sig[0] for sig in sigs))
+        ids, tcell, index = state
+        res.loc_sets.add(frozenset([loc[i] for i in ids]))
         kind = "point" if tcell[0][1] else "open"
         res.supports.setdefault((kind, index), set()).add(
-            frozenset(net.member[sig, tcell] for sig in sigs))
+            frozenset([member[i, tcell] for i in ids]))
 
     record(start)
     while queue:
@@ -333,12 +366,9 @@ def _delay_into(vals, target: RegionState):
 
 def eval_constraint_on_locs(a: Automaton, constraint, res: OracleResult) -> bool:
     """Does any explored configuration satisfy the counting constraint?"""
-    from .dtn_global import constraint_locations, eval_constraint, parse_constraint
+    from .dtn_global import constraint_node, eval_constraint
 
-    node = parse_constraint(constraint) if isinstance(constraint, str) else constraint
-    for q in sorted(constraint_locations(node)):
-        if q not in a.locations:
-            raise ValueError(f"unknown location {q!r} in constraint")
+    node = constraint_node(a, constraint)
     return any(eval_constraint(ls, node) for ls in res.loc_sets)
 
 

@@ -223,6 +223,37 @@ def test_oracle_subcommand(capsys):
     assert rc == 2 and "mutually exclusive" in err
 
 
+def test_oracle_budget_leaves_the_query_undecided(capsys):
+    # serr fires at n=3, but not within 50 states: exit 3, not "unreachable"
+    query = ("oracle", FIG1, "-n", "3", "--slot-cap", "2", "--max-states", "50")
+    rc, out, err = run(capsys, *query, "--label", "serr", "--fail-on-unreachable")
+    assert rc == 3 and out == ""
+    assert err.startswith("budget exceeded:") and "n=3" in err and "expanding 22" in err
+    rc, _, err = run(capsys, *query, "--constraint", "#error>=1")
+    assert rc == 3 and "expanding 22" in err
+    # a label fired before the budget ran out is still reachable
+    rc, out, _ = run(capsys, *query, "--label", "s0", "--fail-on-unreachable")
+    payload = json.loads(out)
+    assert rc == 0 and payload["exhausted"] and payload["result"] == "reachable"
+    # serr fires within 2000 states, but its unreduced witness search does not
+    rc, out, err = run(capsys, "oracle", FIG1, "-n", "3", "--slot-cap", "2",
+                       "--max-states", "2000", "--label", "serr")
+    payload = json.loads(out)
+    assert rc == 0 and payload["result"] == "reachable" and "trace" not in payload
+    assert "note: no trace" in err
+
+
+def test_oracle_checks_the_query_before_exploring(capsys, monkeypatch):
+    def explore(*args, **kwargs):
+        raise AssertionError("explored before checking the query")
+
+    monkeypatch.setattr("dtnmc.cli.explore_network", explore)
+    rc, _, err = run(capsys, "oracle", FIG1, "-n", "3", "--label", "zz")
+    assert rc == 2 and "error: unknown label 'zz'" in err
+    rc, _, err = run(capsys, "oracle", FIG1, "-n", "3", "--constraint", "#zz>=1")
+    assert rc == 2 and "error: unknown location 'zz' in constraint" in err
+
+
 def test_usage_errors(capsys):
     assert main(["check-local", FIG1]) == 2  # --label is required
     assert main(["no-such-command"]) == 2

@@ -94,18 +94,19 @@ def explored():
 
 
 def _orbit_key(state):
-    sigs, tcell, index = state
-    return (tuple(sorted(sigs)), tcell, index)
+    ids, tcell, index = state
+    return (tuple(sorted(ids)), tcell, index)
 
 
 def _cells(net, rs):
-    """A product RegionState as an oracle state (sigs, tcell, index)."""
+    """A product RegionState as an oracle state (ids, tcell, index)."""
     rank = {c: r for r, cls in enumerate(rs.base.fracs) for c in cls}
     cells = [((-1, False) if v is None else v, rank.get(c, -1))
              for c, v in zip(net.clocks, rs.base.vals)]
     k = len(net.cclocks)
-    sigs = tuple((q,) + tuple(cells[i * k:(i + 1) * k]) for i, q in enumerate(rs.loc))
-    return (sigs, cells[-1], rs.index)
+    ids = tuple(net.intern((q,) + tuple(cells[i * k:(i + 1) * k]))
+                for i, q in enumerate(rs.loc))
+    return (ids, cells[-1], rs.index)
 
 
 def _permuted(net, state, perm):
@@ -194,8 +195,25 @@ GOLDEN_WITNESS = {
     ("D", 2, "fin", 2): "bb16fca5112f6711",
     ("D", 2, "back", 2): "00c7261cb2497173",
 }
+# the same payload digests for runs that stop at their budget, keyed by
+# (model, n, slot cap, max_states); they pin the order in which states are
+# first reached
+GOLDEN_EXHAUSTED = {
+    ("fig3", 3, 3, 40): "691e15233e885a81",
+    ("fig1", 3, 2, 500): "26f393bc64357799",
+    ("l20", 3, 3, 300): "3e396d06dc5cb1ae",
+}
 GOLDEN_CASES = [("explore",) + k for k in GOLDEN_EXPLORE] + \
-    [("witness",) + k for k in GOLDEN_WITNESS]
+    [("witness",) + k for k in GOLDEN_WITNESS] + \
+    [("exhausted",) + k for k in GOLDEN_EXHAUSTED]
+
+
+def _explore_digest(res):
+    supports = sorted((slot, sorted(sorted(map(repr, sup)) for sup in sups))
+                      for slot, sups in res.supports.items())
+    payload = (res.states_explored, sorted(res.labels),
+               sorted(sorted(ls) for ls in res.loc_sets), supports, res.exhausted)
+    return _sha(repr(payload))
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES,
@@ -206,16 +224,19 @@ def test_oracle_outputs_match_golden_digests(explored, case):
         steps = witness_region_path(_golden_model(name), n, label, slot_cap=cap)
         assert _sha(repr(steps)) == GOLDEN_WITNESS[case[1:]]
         return
+    if case[0] == "exhausted":
+        _, name, n, cap, budget = case
+        res = explore_network(_golden_model(name), n, slot_cap=cap,
+                              max_states=budget)
+        assert res.exhausted
+        assert _explore_digest(res) == GOLDEN_EXHAUSTED[case[1:]]
+        return
     _, name, n, cap = case
     if name.startswith("fig"):
         res = explored(name, n)
     else:
         res = explore_network(_golden_model(name), n, slot_cap=cap)
-    supports = sorted((slot, sorted(sorted(map(repr, sup)) for sup in sups))
-                      for slot, sups in res.supports.items())
-    payload = (res.states_explored, sorted(res.labels),
-               sorted(sorted(ls) for ls in res.loc_sets), supports, res.exhausted)
-    assert _sha(repr(payload)) == GOLDEN_EXPLORE[case[1:]]
+    assert _explore_digest(res) == GOLDEN_EXPLORE[case[1:]]
 
 
 def test_every_fired_label_has_a_replaying_witness(explored):
@@ -345,11 +366,11 @@ def test_eval_constraint_on_locs(fig3):
 def test_lossy_receiver_subsets():
     b = parse_model(LOSSY)
     net = _Net(b, 3, 2)
-    sigs, tcell, index = net.initial()
-    state = (tuple((q,) + sig[1:] for q, sig in zip(("p", "q", "q"), sigs)),
-             tcell, index)
+    ids, tcell, index = net.initial()
+    state = (tuple(net.intern((q,) + net.sigs[i][1:])
+                   for q, i in zip(("p", "q", "q"), ids)), tcell, index)
     moves = _lbta_moves(net, state)
-    outcomes = {tuple(sig[0] for sig in nxt[0]) for _, nxt in moves}
+    outcomes = {tuple(net.loc[i] for i in nxt[0]) for _, nxt in moves}
     assert outcomes == {
         ("ps", "q", "q"), ("ps", "qs", "q"), ("ps", "q", "qs"), ("ps", "qs", "qs"),
     }
