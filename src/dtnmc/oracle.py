@@ -12,8 +12,12 @@ once per id.  Permuting processes permutes `ids` and nothing else, and
 interning is one-to-one, so the state with sorted ids is its orbit key (Ip &
 Dill, FMSD 1996; Hendriks et al., FORMATS 2003).
 
-Witness traces are found without symmetry reduction, on unsorted ids.  Only
-their steps become `RegionState`s, which `concretize` turns into a timed
+Witness traces are found on the same orbit-reduced search, which queues
+only the first-reached member of each orbit, unsorted.  Successors commute
+with permuting processes, so the reduced queue is the unreduced one with
+later members of known orbits left out, and the first state to fire a label
+and its parent chain are the same in both: so is the returned path.  Only
+its steps become `RegionState`s, which `concretize` turns into a timed
 trace, taking the midpoint (or the forced value) of each delay's interval.
 """
 
@@ -276,32 +280,39 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
 
 def witness_region_path(a: Automaton, n: int, label: str, slot_cap: int = 8,
                         max_states: int = 10 ** 6):
-    """BFS without symmetry reduction until `label` fires; returns the step list.
+    """BFS up to process symmetry until `label` fires; returns the step list.
 
-    Every fired edge is tested for the label, also one back to a state
-    already seen, and the list ends with the firing step.  Steps are
-    ("delay", state) and ("fire", descriptor, state), each state a
-    RegionState; None if the label does not fire within the bounds.
+    It walks `explore_network`'s queue, and `max_states` counts orbits as
+    there.  All successors of a dequeued state are tested for the label, also
+    ones back to a seen orbit, before any is added, so a label the exploration
+    fires within a budget gets a witness within it.  The list ends with the
+    firing step.  Steps are ("delay", state) and ("fire", descriptor, state),
+    each state a RegionState; None if the label does not fire in the bounds.
     """
+    def orbit(state):
+        return (tuple(sorted(state[0])), state[1], state[2])
+
     net = _Net(a, n, slot_cap)
     start = net.initial()
-    parent = {start: None}
+    parent = {orbit(start): None}  # orbit key -> (queued member's parent, step)
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        for step, nxt in net.successors(state):
+        succs = net.successors(state)
+        for step, nxt in succs:
             if step[0] == "fire" and any(tr.label == label for _, tr in step[1]):
                 steps = [(step, net.region_state(nxt))]
-                while parent[state] is not None:
-                    prev, pstep = parent[state]
-                    steps.append((pstep, net.region_state(state)))
-                    state = prev
+                while (link := parent[orbit(state)]) is not None:
+                    steps.append((link[1], net.region_state(state)))
+                    state = link[0]
                 steps.reverse()
                 return steps
-            if nxt not in parent:
+        for step, nxt in succs:
+            k = orbit(nxt)
+            if k not in parent:
                 if len(parent) >= max_states:
                     return None
-                parent[nxt] = (state, step)
+                parent[k] = (state, step)
                 queue.append(nxt)
     return None
 

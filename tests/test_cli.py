@@ -235,12 +235,13 @@ def test_oracle_budget_leaves_the_query_undecided(capsys):
     rc, out, _ = run(capsys, *query, "--label", "s0", "--fail-on-unreachable")
     payload = json.loads(out)
     assert rc == 0 and payload["exhausted"] and payload["result"] == "reachable"
-    # serr fires within 2000 states, but its unreduced witness search does not
+    # serr first fires within 1980 orbits, and its witness search finds it
+    # within the same budget
     rc, out, err = run(capsys, "oracle", FIG1, "-n", "3", "--slot-cap", "2",
-                       "--max-states", "2000", "--label", "serr")
+                       "--max-states", "1980", "--label", "serr")
     payload = json.loads(out)
-    assert rc == 0 and payload["result"] == "reachable" and "trace" not in payload
-    assert "note: no trace" in err
+    assert rc == 0 and payload["result"] == "reachable" and err == ""
+    assert payload["trace"][-1]["label"] == "serr"
 
 
 def test_oracle_checks_the_query_before_exploring(capsys, monkeypatch):

@@ -138,6 +138,31 @@ def _bfs_states(net, limit):
     return list(seen)
 
 
+def _reference_witness(a, n, label, slot_cap=8, max_states=10 ** 6):
+    """The witness search without symmetry reduction, on unsorted states."""
+    net = _Net(a, n, slot_cap)
+    start = net.initial()
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for step, nxt in net.successors(state):
+            if step[0] == "fire" and any(tr.label == label for _, tr in step[1]):
+                steps = [(step, net.region_state(nxt))]
+                while parent[state] is not None:
+                    prev, pstep = parent[state]
+                    steps.append((pstep, net.region_state(state)))
+                    state = prev
+                steps.reverse()
+                return steps
+            if nxt not in parent:
+                if len(parent) >= max_states:
+                    return None
+                parent[nxt] = (state, step)
+                queue.append(nxt)
+    return None
+
+
 def _golden_model(name):
     """fig1/fig3, rS = random_gta(S), mS its max_const=3 draw, lS = the lbta
     translation of random_gta(S), W = TWO_CLOCKS, D = DIAG."""
@@ -250,11 +275,21 @@ def test_every_fired_label_has_a_replaying_witness(explored):
         for label in sorted(res.labels):
             steps = witness_region_path(a, n, label, slot_cap=cap)
             assert steps is not None, (name, n, label)
+            # the search up to symmetry returns the unreduced search's path
+            assert repr(steps) == repr(_reference_witness(a, n, label, slot_cap=cap))
             (kind, movers), _ = steps[-1]
             assert kind == "fire" and label in {tr.label for _, tr in movers}
             simulate_trace(a, n, concretize(a, n, steps))
             witnesses += 1
     assert witnesses == 56
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_matches_the_unreduced_search(fig1, n):
+    # also where the label never fires and both searches run dry
+    for label in sorted({tr.label for tr in fig1.transitions}):
+        assert repr(witness_region_path(fig1, n, label, slot_cap=2)) == \
+            repr(_reference_witness(fig1, n, label, slot_cap=2)), label
 
 
 def test_labels_grow_with_network_size(explored):
@@ -281,6 +316,10 @@ def test_witness_concretize_simulate(fig1):
 def test_witness_absent(fig1):
     assert witness_region_path(fig1, 2, "serr", slot_cap=2) is None
     assert witness_region_path(fig1, 3, "serr", slot_cap=2, max_states=50) is None
+    # max_states counts orbits, as in explore_network, which first fires
+    # serr at a budget of 1980 orbits
+    assert witness_region_path(fig1, 3, "serr", slot_cap=2, max_states=1979) is None
+    assert witness_region_path(fig1, 3, "serr", slot_cap=2, max_states=1980) is not None
 
 
 @pytest.mark.parametrize("name,n", sorted(PINNED))
