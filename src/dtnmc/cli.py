@@ -128,10 +128,6 @@ def _budgets(args):
 
 
 def _model_dot(a: Automaton) -> str:
-    def atom_txt(at):
-        s = f"{at.left}{at.op}"
-        return s + (f"{at.right}+{at.d}" if at.right else f"{at.d}")
-
     lines = ["digraph model {", "  rankdir=LR;", "  node [shape=ellipse];"]
     for q in sorted(a.locations):
         extra = []
@@ -139,14 +135,14 @@ def _model_dot(a: Automaton) -> str:
             extra.append("initial")
         inv = a.invariant(q)
         if inv:
-            extra.append(" & ".join(atom_txt(at) for at in inv))
+            extra.append(" & ".join(at.text() for at in inv))
         label = q if not extra else q + "\\n" + ", ".join(extra)
         shape = ', peripheries=2' if q == a.initial else ""
         lines.append(f'  "{q}" [label="{label}"{shape}];')
     for tr in sorted(a.transitions, key=lambda t: (t.src, t.dst, str(t.label))):
         parts = [tr.label or "eps"]
         if tr.guard:
-            parts.append(" & ".join(atom_txt(at) for at in tr.guard))
+            parts.append(" & ".join(at.text() for at in tr.guard))
         if tr.resets:
             parts.append("reset " + ",".join(tr.resets))
         if tr.locguard:

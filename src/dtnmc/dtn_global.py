@@ -145,26 +145,6 @@ def _eval_on(occupied, node):
     return _eval_on(occupied, node[1]) or _eval_on(occupied, node[2])
 
 
-def guard_timelock_constraint(a: Automaton):
-    """Locations that can only be left through location-guarded transitions.
-
-    A process parked there past its invariant needs a witness; the returned
-    constraint (a disjunction of #q>=1, or None when no such location exists)
-    marks supports where that risk exists.
-    """
-    risky = []
-    for q in sorted(a.locations):
-        outs = [tr for tr in a.transitions if tr.src == q]
-        if outs and all(tr.locguard is not None for tr in outs):
-            risky.append(q)
-    if not risky:
-        return None
-    node = ("some", risky[0])
-    for q in risky[1:]:
-        node = ("or", node, ("some", q))
-    return node
-
-
 # -- the global layer algorithm ---------------------------------------------------
 
 
@@ -252,15 +232,15 @@ def rule2_steps(support, members: SupportMembers):
 
 
 def boundary_support(support, index, members: SupportMembers):
-    """(crossed support, slot shift) when every member's next change enters the
-    next slot, else None."""
+    """The crossed support when every member's next change enters the next
+    slot, else None."""
     crossed, point = 0, members.point
     for i in _ids(support):
         j = members.delay(i, index)
         if j is None or not (point[i] or point[j]):
             return None
         crossed |= 1 << j
-    return crossed, 0 if point[i] else 1
+    return crossed
 
 
 class _GlobalBuilder(LayeredBuild):
@@ -269,7 +249,7 @@ class _GlobalBuilder(LayeredBuild):
     def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
-        self.watch = watch  # parsed constraint or None; hit: (layer, index, support)
+        self.watch = watch  # parsed constraint or None; hit: (layer, slot, support)
         self.parent = {}  # support -> (parent or None, kind or transition, layer no)
         self.supports_total = 0
         # index >= tmax -> {support -> [rule-1 then rule-2 successors, their step
@@ -287,9 +267,9 @@ class _GlobalBuilder(LayeredBuild):
     def _initial_seeds(self):
         return {1 << self.members.intern(self.ctx.initial_state()): None}
 
-    def _close_layer(self, number, index, seeds):
+    def _close_layer(self, number, slot, seeds):
         supports = {}
-        wl = deque()
+        wl, index = deque(), slot.index
         cache = self.expanded[index >= self.ctx.tmax]
 
         def add(sup, src, kind):
@@ -305,7 +285,7 @@ class _GlobalBuilder(LayeredBuild):
             wl.append(sup)
             if self.hit is None and self.watch is not None and \
                     _eval_on(lambda q: sup & self.members.at[q], self.watch):
-                self.hit = (number, index, sup)
+                self.hit = (number, slot, sup)
 
         for sup, src in seeds.items():
             add(sup, src, "cross" if src is not None else "init")
@@ -314,24 +294,21 @@ class _GlobalBuilder(LayeredBuild):
             succs, kinds, _ = cache.get(sup) or self._expand(sup, index)
             for nxt, kind in zip(succs, kinds):
                 add(nxt, sup, kind)
-        first = self.members.ordered(next(iter(supports)))[0]
-        slot = self.members.state(first, index).slot(self.ctx.tmax)
         return GlobalLayer(number, slot, supports)
 
     def _boundary(self, layer):
-        """The next layer's seeds (crossed support -> source) and slot index."""
-        seeds, index, shift = {}, layer.slot.index, 0
+        """The next layer's seeds: crossed support -> source."""
+        seeds, index = {}, layer.slot.index
         cache = self.expanded[index >= self.ctx.tmax]
         for sup in layer.supports:
             entry = cache[sup]  # every support was expanded as its layer closed
             if entry[2] is False:
                 entry[2] = boundary_support(sup, index, self.members)
             if entry[2] is not None:
-                seeds.setdefault(entry[2][0], sup)
-                shift = entry[2][1]
+                seeds.setdefault(entry[2], sup)
         if self.streaming:
             cache.clear()  # hold one layer only
-        return seeds, index + shift
+        return seeds
 
     def _signature(self, layer):
         if self.streaming:
@@ -375,9 +352,9 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
     out = b.report(query, "supports_total", b.supports_total, support=None,
                    witness=None)
     if b.hit is not None:
-        number, index, sup = b.hit
+        number, slot, sup = b.hit
         if streaming:
-            out["support"] = _support_json(sup, index, b.members)
+            out["support"] = _support_json(sup, slot, b.members)
         else:
             # the hit support is first added, so recorded, in the hit layer
             out["witness"] = _witness_chain(b, sup)
@@ -386,17 +363,12 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
     return out
 
 
-def _support_json(sup, index, members: SupportMembers):
-    out = []
+def _support_json(sup, slot, members: SupportMembers):
+    out, text = [], str(slot)
     for i in members.ordered(sup):
-        m = members.state(i, index)
         if i not in members.text:
-            members.text[i] = m.base.eliminate((T,)).pretty() or "true"
-        out.append({
-            "loc": m.loc,
-            "region": members.text[i],
-            "slot": str(m.slot(members.ctx.tmax)),
-        })
+            members.text[i] = members.states[i].base.eliminate((T,)).pretty() or "true"
+        out.append({"loc": members.loc[i], "region": members.text[i], "slot": text})
     return out
 
 
@@ -404,10 +376,9 @@ def _witness_chain(b: _GlobalBuilder, sup):
     chain = []
     while sup is not None:
         src, kind, number = b.parent[sup]
-        index = b.layers[number].slot.index
         trans = not isinstance(kind, str)
         step = {"kind": "trans" if trans else kind, "layer": number,
-                "support": _support_json(sup, index, b.members)}
+                "support": _support_json(sup, b.layers[number].slot, b.members)}
         if trans:
             step["internal_label"] = kind.label
             step["label"] = b.relabel_map.get(kind.label)
@@ -459,6 +430,6 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     number = layer_of[k]
     return {
         "found": True,
-        "support": _support_json(k, b.layers[number].slot.index, b.members),
+        "support": _support_json(k, b.layers[number].slot, b.members),
         "layer": number,
     }

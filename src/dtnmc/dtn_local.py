@@ -85,11 +85,11 @@ class _Builder(LayeredBuild):
     def _initial_seeds(self):
         return [(None, None, self.members.intern(self.ctx.initial_state()))]
 
-    def _close_layer(self, number: int, index: int, seeds) -> Layer:
+    def _close_layer(self, number: int, slot: Slot, seeds) -> Layer:
         """Close a layer under in-slot delay and witness-guarded discrete steps.
 
-        Every state of the layer sits in slot `index`, so it is identified by
-        its member id.  seeds: list of (source layer, source id, id) triples;
+        Every state of the layer sits in `slot`, so it is identified by its
+        member id.  seeds: list of (source layer, source id, id) triples;
         sources are in the previous layer (None for the initial state) and
         contribute the boundary edges.
         """
@@ -97,7 +97,7 @@ class _Builder(LayeredBuild):
         record_edges, record_parent = self.record_edges, self.record_parent
         watched, loc, point = self.watched, members.loc, members.point
         ids, waiting, locs, crossing = {}, {}, set(), {}
-        wl = deque()
+        wl, index = deque(), slot.index
 
         def add(j, ls=None, i=None, kind=None, tr=None):
             if j not in ids:
@@ -133,13 +133,12 @@ class _Builder(LayeredBuild):
                 else:
                     add(j, number, i, "trans", tr)
         self.crossing = crossing
-        slot = members.state(next(iter(ids)), index).slot(self.ctx.tmax)
         return Layer(number, slot, ids)
 
     def _boundary(self, layer: Layer):
-        """The next layer's seeds and slot index, from the cross steps
-        `_close_layer` kept.  Those are in discovery order: an id is first
-        taken off the FIFO worklist in the order it was added to the layer."""
+        """The next layer's seeds, from the cross steps `_close_layer` kept.
+        Those are in discovery order: an id is first taken off the FIFO
+        worklist in the order it was added to the layer."""
         seeds, seen = [], set()
         for i, j in self.crossing.items():
             if j in seen and self.record_edges:
@@ -149,8 +148,7 @@ class _Builder(LayeredBuild):
                 self.edges[layer.number, i, "cross", None, layer.number + 1, j] = None
             seen.add(j)
             seeds.append((layer.number, i, j))
-        # t reaches an integer from an open slot, leaves it from a point one
-        return seeds, layer.slot.index + (layer.slot.kind == "open")
+        return seeds
 
     def _signature(self, layer: Layer):
         # ids are one-to-one with members within the automaton's table
@@ -186,7 +184,7 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
 
 def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
     """User labels some process can fire, at some network size."""
-    b = _Builder(a, cap, max_states).build()
+    b = build_layers(a, cap, max_states)
     out = set()
     for _, _, kind, label, _, _ in b.edges:
         if kind == "trans":

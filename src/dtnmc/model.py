@@ -91,7 +91,7 @@ class Automaton:
 
 @dataclass
 class ValidationReport:
-    timelock_free: str  # "proved", "refuted" or "skipped"
+    timelock_free: str  # "proved" or "refuted"
     witness: Optional[object] = None  # refuting region state (loc, region text)
     relabel_map: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
@@ -429,7 +429,7 @@ def compute_bounds(a: Automaton) -> dict:
     return bounds
 
 
-def validate(a: Automaton, skip_timelock: bool = False) -> ValidationReport:
+def validate(a: Automaton) -> ValidationReport:
     diagnostics = []
     if a.kind == "lbta":
         senders = {tr.sync[0] for tr in a.transitions if tr.sync and tr.sync[1] == "!!"}
@@ -440,8 +440,6 @@ def validate(a: Automaton, skip_timelock: bool = False) -> ValidationReport:
                     "lossy semantics)"
                 )
     _, relabel_map = relabel_unique(a)
-    if skip_timelock:
-        return ValidationReport("skipped", None, relabel_map, diagnostics)
     from . import region_graph
 
     stripped = strip_guarded(a) if a.kind != "lbta" else strip_receives(a)

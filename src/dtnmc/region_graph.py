@@ -43,8 +43,8 @@ from functools import lru_cache
 
 from .model import (Automaton, BudgetExceeded, ModelError, compute_bounds,
                     relabel_unique)
-from .regions import (T, Memo, Region, RegionState, count_regions,
-                      initial_region)
+from .regions import (T, Memo, Region, RegionState, Slot, count_regions,
+                      initial_region, next_slot)
 
 
 class RegionContext:
@@ -223,11 +223,17 @@ class LayeredBuild:
     """The layered fixpoint; subclasses supply the layers it chains.
 
     Subclasses define `table` (the member table class), `_initial_seeds()`,
-    `_close_layer(number, index, seeds)` returning a layer with a `slot`,
-    `_boundary(layer)` returning the next layer's seeds and slot index, and
+    `_close_layer(number, slot, seeds)` returning a layer stamped with the
+    given slot, `_boundary(layer)` returning the next layer's seeds, and
     `_signature(layer)`, which identifies a singleton-slot layer up to its
     slot index (a frozenset, or its sha256 when streaming).  `_close_layer`
     sets `hit` to stop the build at the end of the layer.
+
+    The build owns the slot walk: layer 0 sits in [0,0], and each boundary
+    enters `next_slot`.  Every member of a layer has the layer's slot, since
+    a boundary step moves t from [k,k] into (k,k+1), or into (tmax,inf) once
+    k reaches tmax, and from (k,k+1) onto [k+1,k+1]; nothing crosses out of
+    (tmax,inf), where no member is a point member.
 
     Layers 0..cap may be built; the default cap 2^(na+1) bounds the layers
     before a loop-back.  A streaming build keeps only the layer being closed.
@@ -254,28 +260,28 @@ class LayeredBuild:
         self.hit = None
 
     def build(self):
-        seeds, index = self._initial_seeds(), 0
+        seeds, slot = self._initial_seeds(), Slot("point", 0)
         sigs = []  # (layer number, slot index, signature) of singleton-slot layers
         while True:
             number = self.layers_built
             if number > self.cap:
                 raise BudgetExceeded(f"building layer {number} would pass the layer "
                                      f"cap {self.cap} (layers 0..{self.cap})")
-            layer = self._close_layer(number, index, seeds)
+            layer = self._close_layer(number, slot, seeds)
             self.layers_built += 1
             self.layers.append(layer)
             self.peak_layers_held = max(self.peak_layers_held, len(self.layers))
-            if layer.slot.kind == "point":
+            if slot.kind == "point":
                 sig = self._signature(layer)
                 for i, idx, s in sigs:
                     if s == sig:
                         self.i0, self.l0 = i, number
-                        self.shift = layer.slot.index - idx
+                        self.shift = slot.index - idx
                         return self
-                sigs.append((number, layer.slot.index, sig))
+                sigs.append((number, slot.index, sig))
             if self.hit is not None:
                 return self
-            seeds, index = self._boundary(layer)
+            seeds, slot = self._boundary(layer), next_slot(slot, self.ctx.tmax)
             if self.streaming:
                 self.layers.pop()
             if not seeds:

@@ -3,12 +3,13 @@
 A region is stored combinatorially: per clock either "collapsed" (above its
 bound) or an integer part plus an integer/fractional flag, together with the
 ordered classes of equal positive fractional parts.  This representation makes
-time successors, resets, projections and guard checks exact, and exports to a
-canonical DBM on demand.
+time successors, resets, projections and guard checks exact.  The export to a
+canonical DBM, which the tests compare regions against, is in tests/zones.py.
 
 Region states used by the layer algorithms are normalized: the global clock t
 is rebased so its integer part is 0 and the slot index is carried separately
-as a plain (arbitrary precision) int.
+as a plain (arbitrary precision) int.  `next_slot` is the order in which the
+layered build visits the slots.
 
 `Region`, `Slot` and `RegionState` are NamedTuples like `model.Atom`, built
 in a third of the time of frozen dataclasses with the same hash (that of the
@@ -17,11 +18,8 @@ field tuple) and repr.  The `index` fields shadow `tuple.index`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import floor, inf
+from math import inf
 from typing import NamedTuple
-
-from .dbm import INF, ZERO, Dbm, bound_add
 
 T = "t"  # reserved name of the global clock
 
@@ -196,36 +194,6 @@ class Region(NamedTuple):
         vals[i] = (INT if fz else FRAC)[m + k]
         return Region(self.clocks, self.bounds, tuple(vals), self.fracs)
 
-    # -- conversions ----------------------------------------------------------
-
-    def to_dbm(self) -> Dbm:
-        z = Dbm(self.clocks)
-        for c in self.clocks:
-            lo, ls, hi, hs = self.clock_range(c)
-            z.set("0", c, (-lo, 0 if ls else 1))
-            z.set(c, "0", INF if hi is inf else (hi, 0 if hs else 1))
-        for i, c in enumerate(self.clocks):
-            for c2 in self.clocks[i + 1 :]:
-                if self.val(c) is None or self.val(c2) is None:
-                    continue
-                lo, ls, hi, hs = self.diff_range(c, c2)
-                z.set(c, c2, (hi, 0 if hs else 1))
-                z.set(c2, c, (-lo, 0 if ls else 1))
-        return z.canonicalize()
-
-    def sample(self):
-        """One concrete valuation inside the region, with rational fractions."""
-        k = len(self.fracs) + 1
-        out = {}
-        for c, v in zip(self.clocks, self.vals):
-            if v is None:
-                out[c] = Fraction(self.bound(c)) + Fraction(1, 2)
-            elif v[1]:
-                out[c] = Fraction(v[0])
-            else:
-                out[c] = v[0] + Fraction(self.frac_rank(c) + 1, k + 1)
-        return out
-
     def pretty(self) -> str:
         parts = []
         for c, v in zip(self.clocks, self.vals):
@@ -269,87 +237,12 @@ INT = Memo(lambda m: (m, True))
 FRAC = Memo(lambda m: (m, False))
 
 
-def region_of(valuation, bounds, clocks=None) -> Region:
-    """The region of a concrete valuation under the given per-clock bounds."""
-    clocks = tuple(clocks) if clocks else tuple(bounds)
-    vals = []
-    by_frac = {}
-    for c in clocks:
-        x = Fraction(valuation[c])
-        if x > bounds[c]:
-            vals.append(None)
-            continue
-        m = floor(x)
-        f = x - m
-        vals.append((m, f == 0))
-        if f != 0:
-            by_frac.setdefault(f, []).append(c)
-    fracs = tuple(tuple(sorted(by_frac[f])) for f in sorted(by_frac))
-    return Region(clocks, tuple(bounds[c] for c in clocks), tuple(vals), fracs)
-
-
-def from_dbm(z: Dbm, bounds) -> Region:
-    """Rebuild a region from a canonical DBM; fails if it is not one region."""
-    vals = {}
-    for c in z.clocks:
-        lo = z.get("0", c)
-        hi = z.get(c, "0")
-        if hi == INF:
-            if lo != (-bounds[c], 0):
-                raise ValueError(f"{c} is unbounded but not collapsed at {bounds[c]}")
-            vals[c] = None
-        elif lo[1] == 1 and hi[1] == 1 and -lo[0] == hi[0]:
-            vals[c] = (hi[0], True)
-        elif lo[1] == 0 and hi[1] == 0 and hi[0] == -lo[0] + 1:
-            vals[c] = (-lo[0], False)
-        else:
-            raise ValueError(f"DBM is not a single region at clock {c}")
-    frac = [c for c in z.clocks if vals[c] is not None and not vals[c][1]]
-    order = {c: 0 for c in frac}
-    for c in frac:
-        for c2 in frac:
-            if c == c2:
-                continue
-            d = vals[c][0] - vals[c2][0]
-            up, dn = z.get(c, c2), z.get(c2, c)
-            if up == (d, 1) and dn == (-d, 1):
-                rel = 0
-            elif up == (d + 1, 0) and dn == (-d, 0):
-                rel = 1
-            elif up == (d, 0) and dn == (1 - d, 0):
-                rel = -1
-            else:
-                raise ValueError(f"DBM is not a single region at {c},{c2}")
-            if rel > 0:
-                order[c] += 1
-    by_rank = {}
-    for c in frac:
-        by_rank.setdefault(order[c], []).append(c)
-    fracs = tuple(tuple(sorted(by_rank[r])) for r in sorted(by_rank))
-    region = Region(
-        z.clocks,
-        tuple(bounds[c] for c in z.clocks),
-        tuple(vals[c] for c in z.clocks),
-        fracs,
-    )
-    if region.to_dbm() != z:
-        raise ValueError("DBM is not a single region")
-    return region
-
-
 # -- slots --------------------------------------------------------------------
 
 
 class Slot(NamedTuple):
     kind: str  # "point", "open" or "inf"
     index: int  # [k,k] / (k,k+1) / (tmax,inf)
-
-    def inf_sup(self):
-        if self.kind == "point":
-            return (self.index, self.index)
-        if self.kind == "open":
-            return (self.index, self.index + 1)
-        return (self.index, inf)
 
     def __str__(self):
         if self.kind == "point":
@@ -365,46 +258,6 @@ def next_slot(s: Slot, tmax: int) -> Slot:
     if s.kind == "point":
         return Slot("open", s.index) if s.index < tmax else Slot("inf", tmax)
     return s
-
-
-def slot_of(region: Region, tname: str = T) -> Slot:
-    v = region.val(tname)
-    if v is None:
-        return Slot("inf", region.bound(tname))
-    return Slot("point" if v[1] else "open", v[0])
-
-
-def shift_slot(region: Region, k: int, tname: str = T) -> Region:
-    """Shift the slot by k time units, leaving every other constraint alone.
-
-    Exact rebasing of t's integer part: equals the erase-and-recanonicalize
-    construction on proper regions, where the erased difference entries are
-    implied, and is an exact region bijection in general.
-    """
-    v = region.val(tname)
-    if v is None:
-        raise ValueError("cannot shift an unbounded slot")
-    lo, hi = slot_of(region, tname).inf_sup()
-    if lo + k < 0 or hi + k > region.bound(tname):
-        raise ValueError(f"shift by {k} leaves [0, tmax]")
-    return region.shift_clock(tname, k)
-
-
-def is_proper(region: Region, tname: str = T) -> bool:
-    """Whether every t difference entry is implied by the t and clock bounds."""
-    z = region.to_dbm()
-    for c in region.clocks:
-        if c == tname:
-            continue
-        if z.get(tname, c) != bound_add(z.get(tname, "0"), z.get("0", c)):
-            return False
-        if z.get(c, tname) != bound_add(z.get(c, "0"), z.get("0", tname)):
-            return False
-    return True
-
-
-def eliminate_clock(region: Region, c: str) -> Region:
-    return region.eliminate((c,))
 
 
 # -- region counting (for the t bound 2^(N_A + 1)) -----------------------------
@@ -454,11 +307,6 @@ class RegionState(NamedTuple):
     index: int
     unbounded: bool = False
 
-    def slot(self, tmax: int) -> Slot:
-        if self.unbounded:
-            return Slot("inf", tmax)
-        return Slot("point" if self.base.val(T)[1] else "open", self.index)
-
     def advance(self, tmax: int):
         """Immediate time successor: (kind, state) with kind "in"/"cross", or None."""
         succ = self.base.delay_successor()
@@ -483,9 +331,6 @@ class RegionState(NamedTuple):
 
     def key(self):
         return (self.loc, self.index, self.unbounded, self.base.key())
-
-    def pretty(self, tmax: int) -> str:
-        return f"({self.loc}, {self.base.eliminate((T,)).pretty()}, t in {self.slot(tmax)})"
 
 
 def _collapse_t(region: Region) -> Region:

@@ -11,7 +11,6 @@ import time
 from dataclasses import replace
 
 from conftest import MODELS, random_gta, random_region
-from dtnmc.dbm import Dbm
 from dtnmc.dtn_global import check_global
 from dtnmc.dtn_local import build_layers, check_label_reachable, reachable_labels
 from dtnmc.lbta_bridge import gta_to_lbta, lbta_to_gta
@@ -23,14 +22,8 @@ from dtnmc.oracle import (
     simulate_trace,
     witness_region_path,
 )
-from dtnmc.regions import (
-    T,
-    eliminate_clock,
-    initial_region,
-    is_proper,
-    shift_slot,
-    slot_of,
-)
+from dtnmc.regions import T, initial_region
+from zones import Dbm, inf_sup, is_proper, shift_slot, slot_of, to_dbm
 
 
 def _report(num, ok, detail):
@@ -166,7 +159,7 @@ def test_criterion_6_slot_arithmetic_laws():
             continue
         checked += 1
         s = slot_of(r)
-        lo, hi = s.inf_sup()
+        lo, hi = inf_sup(s)
         if hi is None:
             continue
         for k in range(-lo, r.bound(T) - hi + 1):
@@ -178,8 +171,8 @@ def test_criterion_6_slot_arithmetic_laws():
             if shift_slot(shifted, -k).key() != r.key():
                 bad.append(("round trip", r, k))
             for c in ("x", "y"):
-                if (eliminate_clock(shifted, c).key()
-                        != shift_slot(eliminate_clock(r, c), k).key()):
+                if (shifted.eliminate((c,)).key()
+                        != shift_slot(r.eliminate((c,)), k).key()):
                     bad.append(("eliminate", r, c, k))
     ok = not bad and shifts >= 1000
     _report(6, ok, f"{checked} proper regions, {shifts} shifts, {len(bad)} violations")
@@ -257,7 +250,7 @@ def test_criterion_7_strongest_post_saturates_slots():
                     continue
                 d = r.delay_successor()
                 if d.key() != r.key() and d.satisfies(a.invariant(loc)):
-                    succs.append((loc, d, z.up().intersect(d.to_dbm()).canonicalize()))
+                    succs.append((loc, d, z.up().intersect(to_dbm(d)).canonicalize()))
                 for tr in a.transitions:
                     if tr.src != loc or not r.satisfies(tr.guard):
                         continue
@@ -265,7 +258,7 @@ def test_criterion_7_strongest_post_saturates_slots():
                     if not r2.satisfies(a.invariant(tr.dst)):
                         continue
                     z1 = z.intersect(_atoms_zone(clocks, tr.guard)).canonicalize()
-                    z2 = z1.reset(tr.resets).intersect(r2.to_dbm()).canonicalize()
+                    z2 = z1.reset(tr.resets).intersect(to_dbm(r2)).canonicalize()
                     succs.append((tr.dst, r2, z2))
             level = []
             for loc, r, z in succs:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import dtnmc
 from conftest import MODELS
 from dtnmc.cli import main
 
@@ -266,3 +267,8 @@ def test_usage_errors(capsys):
 def test_missing_file(capsys):
     rc, _, err = run(capsys, "validate", "/no/such/file.gta")
     assert rc == 2 and err.startswith("error:")
+
+
+def test_public_names_resolve():
+    missing = [name for name in dtnmc.__all__ if not hasattr(dtnmc, name)]
+    assert not missing

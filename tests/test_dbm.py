@@ -5,7 +5,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtnmc.dbm import INF, ZERO, Dbm, bound_add, bound_sat, zone_post_delay, zone_post_trans
+from zones import INF, ZERO, Dbm, bound_add, bound_sat, zone_post_delay, zone_post_trans
 
 CLOCKS = ("x", "y")
 

@@ -13,7 +13,6 @@ from dtnmc.dtn_global import (
     constraint_locations,
     eval_constraint,
     find_guard_timelock,
-    guard_timelock_constraint,
     parse_constraint,
     reachable_location_sets,
     rule1_steps,
@@ -23,6 +22,7 @@ from dtnmc.dtn_local import build_layers
 from dtnmc.model import BudgetExceeded, parse_file, parse_model
 from dtnmc.oracle import explore_network
 from dtnmc.region_graph import member_key
+from dtnmc.regions import next_slot
 
 MODELS = __import__("pathlib").Path(__file__).parent.parent / "models"
 
@@ -74,11 +74,6 @@ def test_eval_constraint_counts_do_not_matter():
     }
 
 
-def test_guard_timelock_constraint(fig3, fig1):
-    assert guard_timelock_constraint(fig3) == ("some", "q1")
-    assert guard_timelock_constraint(fig1) is None  # every room has a free exit
-
-
 def decoded_key(b, sup, index):
     """support_key of a support (a bitmask of member ids), rebuilt in slot
     `index`."""
@@ -106,11 +101,12 @@ def test_rule1_point_slot_is_quiet(fig3_build):
     b = fig3_build
     layer0 = b.layers[0]
     index = layer0.slot.index
+    crossed_index = next_slot(layer0.slot, b.ctx.tmax).index
     for sup in layer0.supports:
         assert rule1_steps(sup, index, b.members) == []
         crossed = boundary_support(sup, index, b.members)
         assert crossed is not None  # nothing pins time at t=0
-        crossed_key = decoded_key(b, crossed[0], index + crossed[1])
+        crossed_key = decoded_key(b, crossed, crossed_index)
         assert crossed_key != decoded_key(b, sup, index)
 
 

@@ -21,7 +21,8 @@ from dtnmc.dtn_local import (
 )
 from dtnmc.model import BudgetExceeded, parse_file, parse_model, relabel_unique
 from dtnmc.region_graph import member_key
-from dtnmc.regions import T, initial_region, region_of
+from dtnmc.regions import T, initial_region
+from zones import region_of
 
 
 def layer_states(b, layer):

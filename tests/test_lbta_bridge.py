@@ -79,7 +79,7 @@ def test_round_trip_random_labels():
         a = random_gta(seed)
         b = gta_to_lbta(a)
         back = lbta_to_gta(b)
-        assert validate(back, skip_timelock=True)
+        assert validate(back).timelock_free == "proved"
         fired_a = {l for l in explore_network(a, 2, slot_cap=3).labels if l}
         fired_b = {l for l in explore_network(b, 2, slot_cap=3).labels if l}
         assert fired_a == fired_b, seed

@@ -248,11 +248,6 @@ def test_validate_fig1_proved(fig1):
     assert report.relabel_map["serr"] == "serr"
 
 
-def test_validate_skip(fig3):
-    report = validate(fig3, skip_timelock=True)
-    assert report.timelock_free == "skipped"
-
-
 def test_validate_lbta_orphan_receive():
     b = parse_model(LBTA_TEXT.replace("stop??", "go??") + "broadcasts stop\n")
     b2 = parse_model(pretty_model(b).replace("sync: go??", "sync: stop??", 1))

@@ -32,7 +32,8 @@ from dtnmc.region_graph import (
     holds,
     immediate_time_successor,
 )
-from dtnmc.regions import T, NonUniformGuard, initial_region, region_of
+from dtnmc.regions import T, NonUniformGuard, Slot, initial_region, next_slot
+from zones import region_of, state_slot
 
 
 def test_fresh_name():
@@ -313,3 +314,35 @@ def test_shared_tables_ignore_query_order(name, fig1, fig3):
     assert replace(a).tables == {} and replace(a) == a
     with pytest.raises(FrozenInstanceError):
         a.name = "renamed"
+
+
+def _layer_ids(kind, layer):
+    """The member ids of a layer: its ids, or the union of its supports."""
+    if kind == "local":
+        return layer.ids
+    mask = 0
+    for sup in layer.supports:
+        mask |= sup
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("kind", ["local", "global"])
+def test_layers_walk_next_slot(kind, fig1, fig3):
+    # the build stamps each layer with the next slot of the walk from [0,0];
+    # every member of a layer must sit in that slot by its own t
+    run = build_layers if kind == "local" else build_global_layers
+    layers = skipped = 0
+    for a in [fig1, fig3] + [random_gta(s) for s in range(60)]:
+        try:
+            b = run(a, max_states=20_000)
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        slot, tmax = Slot("point", 0), b.ctx.tmax
+        for layer in b.layers:
+            assert layer.slot == slot
+            for i in _layer_ids(kind, layer):
+                assert state_slot(b.members.state(i, slot.index), tmax) == slot
+            slot = next_slot(slot, tmax)
+            layers += 1
+    assert (layers, skipped) == {"local": (492, 0), "global": (463, 3)}[kind]

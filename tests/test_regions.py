@@ -15,15 +15,20 @@ from dtnmc.regions import (
     RegionState,
     Slot,
     count_regions,
-    eliminate_clock,
-    from_dbm,
     fubini,
     initial_region,
-    is_proper,
     next_slot,
+)
+from zones import (
+    from_dbm,
+    inf_sup,
+    is_proper,
     region_of,
+    sample,
     shift_slot,
     slot_of,
+    state_slot,
+    to_dbm,
 )
 
 
@@ -55,7 +60,7 @@ def test_sample_round_trip():
     rng = random.Random(7)
     for _ in range(300):
         r = random_region(rng)
-        v = r.sample()
+        v = sample(r)
         assert region_of(v, dict(zip(r.clocks, r.bounds)), r.clocks) == r
 
 
@@ -69,7 +74,7 @@ def test_delay_successor_is_immediate():
             assert all(v is None for v in r.vals)
             continue
         checked += 1
-        v = r.sample()
+        v = sample(r)
         bounds = dict(zip(r.clocks, r.bounds))
         # the exact entry delay: integer-valued clocks of s pin it, else midpoint
         lo, hi, exact = Fraction(0), None, None
@@ -137,7 +142,7 @@ def test_reset_and_eliminate_agree_with_concrete():
     for _ in range(200):
         r = random_region(rng)
         bounds = dict(zip(r.clocks, r.bounds))
-        v = r.sample()
+        v = sample(r)
         v2 = dict(v)
         v2["x"] = Fraction(0)
         assert region_of(v2, bounds, r.clocks) == r.reset(("x",))
@@ -172,7 +177,7 @@ def test_shift_slot_laws():
     shifts = 0
     for r in _proper_regions(5, 300):
         base = slot_of(r)
-        lo, hi = base.inf_sup()
+        lo, hi = inf_sup(base)
         for k in range(-lo, r.bound(T) - hi + 1):
             if k == 0:
                 continue
@@ -181,8 +186,8 @@ def test_shift_slot_laws():
             assert slot_of(shifted).index == base.index + k
             assert slot_of(shifted).kind == base.kind
             assert shift_slot(shifted, -k) == r
-            assert eliminate_clock(shifted, "x") == shift_slot(
-                eliminate_clock(r, "x"), k
+            assert shifted.eliminate(("x",)) == shift_slot(
+                r.eliminate(("x",)), k
             )
     assert shifts > 300
 
@@ -197,14 +202,14 @@ def test_to_dbm_round_trip():
     rng = random.Random(31)
     for _ in range(300):
         r = random_region(rng)
-        assert from_dbm(r.to_dbm(), dict(zip(r.clocks, r.bounds))) == r
+        assert from_dbm(to_dbm(r), dict(zip(r.clocks, r.bounds))) == r
 
 
 def test_region_state_advance_walks_slots():
     bounds = {"c": 1, T: 1}
     rs = RegionState("q", initial_region(("c", T), bounds), 0)
     tmax = 3
-    seen = [str(rs.slot(tmax))]
+    seen = [str(state_slot(rs, tmax))]
     kinds = []
     for _ in range(12):
         step = rs.advance(tmax)
@@ -212,10 +217,10 @@ def test_region_state_advance_walks_slots():
             break
         kind, rs = step
         kinds.append(kind)
-        if str(rs.slot(tmax)) != seen[-1]:
-            seen.append(str(rs.slot(tmax)))
+        if str(state_slot(rs, tmax)) != seen[-1]:
+            seen.append(str(state_slot(rs, tmax)))
     assert seen[:5] == ["[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]"]
-    assert rs.unbounded and str(rs.slot(tmax)) == "(3,inf)"
+    assert rs.unbounded and str(state_slot(rs, tmax)) == "(3,inf)"
     # c and t start in lockstep, so every region change is a slot change
     assert kinds and all(k == "cross" for k in kinds)
 
@@ -227,7 +232,7 @@ def test_advance_in_slot_after_reset():
     rs = rs._replace(base=rs.base.reset(("c",)))
     kind, nxt = rs.advance(3)
     assert kind == "in"  # c leaves 0 but trails t inside the same slot
-    assert str(nxt.slot(3)) == str(rs.slot(3)) == "(0,1)"
+    assert str(state_slot(nxt, 3)) == str(state_slot(rs, 3)) == "(0,1)"
     kinds = []
     for _ in range(3):
         kind, nxt = nxt.advance(3)
@@ -255,7 +260,7 @@ def test_random_proper_region_properties(seed, k):
     r = random_region(rng)
     if not is_proper(r):
         return
-    if slot_of(r).inf_sup()[1] + k > r.bound(T):
+    if inf_sup(slot_of(r))[1] + k > r.bound(T):
         return
     s = shift_slot(r, k)
     assert slot_of(s).index == slot_of(r).index + k
