@@ -28,7 +28,19 @@ Members are the ids of region_graph's shared `MemberTable`; `SupportMembers`
 adds the sort rank and slot flags per id and the mask of ids per location.  A
 support is an int with bit i set for member i; the slot index travels beside
 it.  A build expands a support once per side of tmax, all that rule 1 and the
-boundary read of the index.  `support_key` keys a RegionState support.
+boundary read of the index, and keeps its successors, the transitions of
+the rule-2 ones and, once taken, its boundary; `find_guard_timelock` reads
+them back.  The rules read the table's delay row and discrete tuples and ask
+the table only for steps not computed yet.  `support_key` keys a RegionState
+support.
+
+Only a watched dra build (`check_global` without streaming), whose witness
+is walked back, records a parent link per support, in the layer that first
+holds it: the source support, and "init", "cross" or None for an in-layer
+step, whose kind `_witness_chain` reads off the source's first outcome equal
+to the support.  A watched build compiles its constraint once into a test on
+the support bitmask that reads the live per-location masks; `eval_constraint`
+evaluates a constraint on a location set.
 """
 
 from __future__ import annotations
@@ -154,48 +166,58 @@ class SupportMembers(MemberTable):
     def __init__(self, ctx):
         super().__init__(ctx)
         self.rank = []  # id -> repr of its member key, the visiting order
-        self.punctual = []  # id -> any positive delay moves a clock other than t
+        self.punctual = 0  # mask of ids where any positive delay moves a clock but t
         self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
         self._last = (0, [])  # the last support ordered and its ids
         self.text = {}  # id -> region text without t, for the JSON
 
     def _added(self, m) -> None:
-        self.at[m.loc] |= 1 << len(self.rank)
+        bit = 1 << len(self.rank)
+        self.at[m.loc] |= bit
         self.rank.append(repr(member_key(m)))
-        self.punctual.append(m.base.is_time_punctual(skip=(T,)))
+        if m.base.is_time_punctual(skip=(T,)):
+            self.punctual |= bit
 
     def ordered(self, support) -> list:
         """The ids of a support by rank, kept for the last support asked."""
-        if support != self._last[0]:
-            self._last = (support, sorted(_ids(support), key=self.rank.__getitem__))
-        return self._last[1]
-
-
-def _ids(support):
-    while support:
-        yield (support & -support).bit_length() - 1
-        support &= support - 1
+        last, ids = self._last
+        if support != last:
+            ids, rest = [], support
+            while rest:
+                low = rest & -rest
+                ids.append(low.bit_length() - 1)
+                rest ^= low
+            ids.sort(key=self.rank.__getitem__)
+            self._last = (support, ids)
+        return ids
 
 
 def rule1_steps(support, index, members: SupportMembers):
-    """In-slot delay outcomes of a support (empty in a singleton slot)."""
+    """In-slot delay outcomes of a support (empty in a singleton slot), as a
+    new list."""
     ids, point = members.ordered(support), members.point
     if point[ids[0]]:
         return []
+    row = members.delay_row(index)
     # in an open slot a step stays in it iff its successor is no point member
-    punctual = [i for i in ids if members.punctual[i]]
+    punctual = support & members.punctual
     if punctual:
         added = 0
-        for i in punctual:
-            j = members.delay(i, index)
-            if j is None:
-                return []  # an invariant pins a punctual member: time is stuck
-            assert not point[j]
-            added |= 1 << j
-        return [support & ~sum(1 << i for i in punctual) | added]
+        for i in ids:
+            if punctual >> i & 1:
+                j = row[i]
+                if j is False:
+                    j = members.delay(i, index)
+                if j is None:
+                    return []  # an invariant pins a punctual member: time is stuck
+                assert not point[j]
+                added |= 1 << j
+        return [support & ~punctual | added]
     movers = []
     for i in ids:
-        j = members.delay(i, index)
+        j = row[i]
+        if j is False:
+            j = members.delay(i, index)
         if j is not None and not point[j]:
             movers.append((1 << i, 1 << j))
     # any nonempty set of members whose clocks share a fractional phase can hit
@@ -203,8 +225,9 @@ def rule1_steps(support, index, members: SupportMembers):
     out, seen = [], {support}
     for mask in range(1, 1 << len(movers)):
         chosen = [mv for b, mv in enumerate(movers) if mask >> b & 1]
-        added, gones = sum({s for _, s in chosen}), [0]  # movers may share a successor
-        for i, _ in chosen:
+        added, gones = 0, [0]
+        for i, j in chosen:
+            added |= j  # movers may share a successor
             gones += [g | i for g in gones]  # every subset of the chosen members
         for gone in gones:
             nxt = support & ~gone | added
@@ -216,10 +239,13 @@ def rule1_steps(support, index, members: SupportMembers):
 
 def rule2_steps(support, members: SupportMembers):
     """Discrete outcomes: (successor support, transition) pairs."""
-    at = members.at
+    at, row = members.at, members.discrete_row
     out = []
     for i in members.ordered(support):
-        for tr, j, lg in members.discrete(i):
+        steps = row[i]
+        if steps is None:
+            steps = members.discrete(i)
+        for tr, j, lg in steps:
             if lg is not None and not support & at[lg]:
                 continue
             if not support >> j & 1:
@@ -234,13 +260,34 @@ def rule2_steps(support, members: SupportMembers):
 def boundary_support(support, index, members: SupportMembers):
     """The crossed support when every member's next change enters the next
     slot, else None."""
-    crossed, point = 0, members.point
-    for i in _ids(support):
-        j = members.delay(i, index)
+    crossed, point, row = 0, members.point, members.delay_row(index)
+    while support:
+        low = support & -support
+        support ^= low
+        i = low.bit_length() - 1
+        j = row[i]
+        if j is False:
+            j = members.delay(i, index)
         if j is None or not (point[i] or point[j]):
             return None
         crossed |= 1 << j
     return crossed
+
+
+def _compile(node, at):
+    """The constraint as a test on a support bitmask; it reads the location
+    masks in `at` when called, so members interned later count."""
+    kind = node[0]
+    if kind == "some":
+        q = node[1]
+        return lambda sup: sup & at[q] != 0
+    if kind == "none":
+        q = node[1]
+        return lambda sup: not sup & at[q]
+    left, right = _compile(node[1], at), _compile(node[2], at)
+    if kind == "and":
+        return lambda sup: left(sup) and right(sup)
+    return lambda sup: left(sup) or right(sup)
 
 
 class _GlobalBuilder(LayeredBuild):
@@ -249,51 +296,52 @@ class _GlobalBuilder(LayeredBuild):
     def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
-        self.watch = watch  # parsed constraint or None; hit: (layer, slot, support)
-        self.parent = {}  # support -> (parent or None, kind or transition, layer no)
+        # watched constraint as a support test, or None; hit: (layer, slot, support)
+        self.test = None if watch is None else _compile(watch, self.members.at)
+        # support -> (parent or None, "init", "cross" or None for an in-layer
+        # step, layer no), in a watched dra build only
+        self.parent = {}
+        self.record_parent = watch is not None and not streaming
         self.supports_total = 0
-        # index >= tmax -> {support -> [rule-1 then rule-2 successors, their step
-        # kinds, boundary or False]}; two lists cost less than a tuple per outcome
+        # index >= tmax -> {support -> [rule-1 then rule-2 successors, the
+        # transitions of the rule-2 ones, boundary or False]}
         self.expanded = ({}, {})
 
-    def _expand(self, sup, index):
-        delays = rule1_steps(sup, index, self.members)
+    def _expand(self, sup, index, cache):
+        succs = rule1_steps(sup, index, self.members)
         steps = rule2_steps(sup, self.members)
-        entry = self.expanded[index >= self.ctx.tmax][sup] = [
-            delays + [nxt for nxt, _ in steps],
-            ["delay"] * len(delays) + [tr for _, tr in steps], False]
+        succs += [nxt for nxt, _ in steps]
+        entry = cache[sup] = [succs, [tr for _, tr in steps], False]
         return entry
 
     def _initial_seeds(self):
         return {1 << self.members.intern(self.ctx.initial_state()): None}
 
     def _close_layer(self, number, slot, seeds):
-        supports = {}
-        wl, index = deque(), slot.index
+        supports, index = {}, slot.index
+        order = []  # supports in discovery order, expanded first in, first out
         cache = self.expanded[index >= self.ctx.tmax]
+        parent = self.parent if self.record_parent else None
+        limit = self.max_states
 
-        def add(sup, src, kind):
-            if sup in supports:
-                return
+        def add(sup, src, kind):  # sup is new to the layer
             supports[sup] = None
-            if not self.streaming and sup not in self.parent:
-                self.parent[sup] = (src, kind, number)
+            order.append(sup)
+            if parent is not None and sup not in parent:
+                parent[sup] = (src, kind, number)
             self.supports_total += 1
-            if self.max_states is not None and self.supports_total > self.max_states:
-                raise BudgetExceeded(f"global construction exceeds {self.max_states}"
+            if limit is not None and self.supports_total > limit:
+                raise BudgetExceeded(f"global construction exceeds {limit}"
                                      f" supports while building layer {number}")
-            wl.append(sup)
-            if self.hit is None and self.watch is not None and \
-                    _eval_on(lambda q: sup & self.members.at[q], self.watch):
+            if self.hit is None and self.test is not None and self.test(sup):
                 self.hit = (number, slot, sup)
 
         for sup, src in seeds.items():
             add(sup, src, "cross" if src is not None else "init")
-        while wl:
-            sup = wl.popleft()
-            succs, kinds, _ = cache.get(sup) or self._expand(sup, index)
-            for nxt, kind in zip(succs, kinds):
-                add(nxt, sup, kind)
+        for sup in order:
+            for nxt in (cache.get(sup) or self._expand(sup, index, cache))[0]:
+                if nxt not in supports:
+                    add(nxt, sup, None)  # _witness_chain looks the kind up
         return GlobalLayer(number, slot, supports)
 
     def _boundary(self, layer):
@@ -376,6 +424,10 @@ def _witness_chain(b: _GlobalBuilder, sup):
     chain = []
     while sup is not None:
         src, kind, number = b.parent[sup]
+        if kind is None:  # an in-layer step: the first outcome of src reaching sup
+            succs, trs, _ = b.expanded[b.layers[number].slot.index >= b.ctx.tmax][src]
+            k = succs.index(sup) - len(succs) + len(trs)  # < 0 for a delay
+            kind = "delay" if k < 0 else trs[k]
         trans = not isinstance(kind, str)
         step = {"kind": "trans" if trans else kind, "layer": number,
                 "support": _support_json(sup, b.layers[number].slot, b.members)}
@@ -408,11 +460,15 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     rev = {k: [] for k in layer_of}
     safe = set()
     for k, index in last.items():
-        succs, kinds, _ = b.expanded[index >= b.ctx.tmax][k]
-        for nxt in succs:
+        entry = b.expanded[index >= b.ctx.tmax][k]
+        for nxt in entry[0]:
             rev[nxt].append(k)
-        if "delay" in kinds or \
-                boundary_support(k, index, b.members) is not None:
+        if len(entry[0]) > len(entry[1]):  # a delay outcome
+            safe.add(k)
+            continue
+        if entry[2] is False:  # the last layer's boundary was never taken
+            entry[2] = boundary_support(k, index, b.members)
+        if entry[2] is not None:
             safe.add(k)
     queue = deque(safe)
     while queue:

@@ -17,8 +17,12 @@ hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 each member, a RegionState restamped to slot index 0, to an int id, and
 computes each id's delay step once per side of the slot bound tmax and its
 discrete steps once; equal vals and fracs of different members are held
-once.  The local engine holds a layer's states as ids, the global engine its
-supports as bitmasks of ids; both carry the slot index beside them.
+once.  A delay step is `immediate_time_successor`'s state, which enters the
+next slot iff the member or its successor is a point member.  `delay_row`
+and `discrete_row` expose the steps computed so far, read-only, so that a
+hot loop pays for the `delay` or `discrete` call only on a miss.  The local
+engine holds a layer's states as ids, the global engine its supports as
+bitmasks of ids; both carry the slot index beside them.
 
 There is one table per automaton and table class, kept in `Automaton.tables`
 with the relabeled automaton and its `RegionContext`: every build and query
@@ -114,16 +118,18 @@ def holds(region, compiled) -> bool:
 
 
 def immediate_time_successor(rs: RegionState, ctx: RegionContext):
-    """The unique next region in time, or None when delay is blocked/idempotent.
+    """The state the next region in time reaches, or None when delay is
+    blocked or idempotent.
 
-    Returns (kind, state): kind "delay" stays in the slot, "cross" enters the
-    next one.  A successor violating the location invariant blocks delay.
+    A successor violating the location invariant blocks delay.  The step
+    enters the next slot iff t leaves or reaches an integer, i.e. iff `rs` or
+    the successor is a point state (t on an integer below tmax).
     """
-    res = rs.advance(ctx.tmax)
+    nxt = rs.advance(ctx.tmax)
     inv = ctx.invariant[rs.loc]
-    if res is None or inv and not holds(res[1].base, inv):
+    if nxt is None or inv and not holds(nxt.base, inv):
         return None
-    return "delay" if res[0] == "in" else "cross", res[1]
+    return nxt
 
 
 def discrete_successors(rs: RegionState, ctx: RegionContext):
@@ -159,7 +165,8 @@ class MemberTable:
         # index >= tmax -> id -> id of its time successor, None when delay is
         # blocked, False when not yet computed
         self._delay = ([], [])
-        self._discrete = []  # id -> ((transition, id, location guard), ...) or None
+        # id -> ((transition, id, location guard), ...), None when not yet computed
+        self.discrete_row = []
         self._shared = {}  # one object per distinct vals or fracs
 
     def intern(self, m: RegionState) -> int:
@@ -178,7 +185,7 @@ class MemberTable:
             self.point.append(not m.unbounded and vals[-1][1])  # t is the last clock
             self._delay[0].append(False)
             self._delay[1].append(False)
-            self._discrete.append(None)
+            self.discrete_row.append(None)
             self._added(m)
         return i
 
@@ -204,16 +211,22 @@ class MemberTable:
         j = succ[i]
         if j is False:
             probe = self.ctx.tmax if late else 0
-            step = immediate_time_successor(self.state(i, probe), self.ctx)
-            j = succ[i] = None if step is None else self.intern(step[1])
+            nxt = immediate_time_successor(self.state(i, probe), self.ctx)
+            j = succ[i] = None if nxt is None else self.intern(nxt)
         return j
+
+    def delay_row(self, index: int) -> list:
+        """The delay steps of slot `index`'s side of tmax, id -> what `delay`
+        returns, or False where it has not run yet; read-only, for callers
+        that test an entry before paying for the call."""
+        return self._delay[index >= self.ctx.tmax]
 
     def discrete(self, i: int) -> tuple:
         """discrete_successors of member i as (transition, id, location guard)
-        triples."""
-        out = self._discrete[i]
+        triples; `discrete_row[i]` holds them, or None before the first call."""
+        out = self.discrete_row[i]
         if out is None:
-            out = self._discrete[i] = tuple([
+            out = self.discrete_row[i] = tuple([
                 (tr, self.intern(nxt), tr.locguard)
                 for tr, nxt in discrete_successors(self.states[i], self.ctx)])
         return out

@@ -308,25 +308,20 @@ class RegionState(NamedTuple):
     unbounded: bool = False
 
     def advance(self, tmax: int):
-        """Immediate time successor: (kind, state) with kind "in"/"cross", or None."""
+        """Immediate time successor, or None when delay is idempotent."""
         succ = self.base.delay_successor()
         if succ == self.base:
             return None
-        if self.unbounded:
-            return ("in", RegionState(self.loc, succ, self.index, True))
         tv = succ.val(T)
-        if tv == self.base.val(T):
-            return ("in", RegionState(self.loc, succ, self.index, self.unbounded))
+        if tv == self.base.val(T):  # t moved within its slot, or is collapsed
+            return RegionState(self.loc, succ, self.index, self.unbounded)
         if tv == (0, False):  # slot [k,k] opened into (k,k+1)
             if self.index >= tmax:
-                tcoll = _collapse_t(succ)
-                return ("cross", RegionState(self.loc, tcoll, tmax, True))
-            return ("cross", RegionState(self.loc, succ, self.index, False))
+                return RegionState(self.loc, _collapse_t(succ), tmax, True)
+            return RegionState(self.loc, succ, self.index, False)
         if tv == (1, True):  # slot (k,k+1) landed on [k+1,k+1]
-            return (
-                "cross",
-                RegionState(self.loc, succ.shift_clock(T, -1), self.index + 1, False),
-            )
+            return RegionState(self.loc, succ.shift_clock(T, -1), self.index + 1,
+                               False)
         raise AssertionError(f"unexpected t value {tv}")
 
     def key(self):

@@ -5,7 +5,9 @@ from itertools import permutations
 import pytest
 
 from conftest import LOCK2, random_gta
+from dtnmc import dtn_global
 from dtnmc.dtn_global import (
+    _compile,
     _GlobalBuilder,
     build_global_layers,
     boundary_support,
@@ -164,6 +166,40 @@ def test_check_global_streaming_agrees(fig3):
     assert held and held <= set(b.layers[-1].supports)
 
 
+def test_compiled_constraint_agrees_with_eval_constraint(fig3_build):
+    b = fig3_build
+    texts = list(differential_constraints(sorted(b.members.at))) + [
+        "(#q1>=1 || #init==0) && (#init>=1 || #q1==0)",
+        "#q1==0 && (#init>=1 && #q1>=1 || #init==0)",
+    ]
+    sups = {sup for layer in b.layers for sup in layer.supports}
+    verdicts = set()
+    for text in texts:
+        node = parse_constraint(text)
+        test = _compile(node, b.members.at)
+        for sup in sups:
+            want = eval_constraint({b.members.loc[i] for i in b.members.ordered(sup)},
+                                   node)
+            assert test(sup) == want, (text, sup)
+            verdicts.add(want)
+    assert len(texts) == 8 and verdicts == {True, False}
+
+
+def test_builds_record_only_what_is_read(fig3, monkeypatch):
+    builds = []
+    build = _GlobalBuilder.build
+    monkeypatch.setattr(_GlobalBuilder, "build",
+                        lambda self: builds.append(self) or build(self))
+    build_global_layers(fig3)
+    reachable_location_sets(fig3)
+    check_global(fig3, "#q1>=1 && #init==0", streaming=True)
+    assert [len(b.parent) for b in builds] == [0, 0, 0]  # no witness to walk back
+    out = check_global(fig3, "#q1>=1 && #init==0")
+    watched = builds[-1]
+    assert watched.hit and watched.parent
+    assert len(out["witness"]) > 1 and out["witness"][0]["kind"] == "init"
+
+
 def test_check_global_budgets(fig3):
     with pytest.raises(BudgetExceeded, match="cap"):
         check_global(fig3, "#q1>=1 && #q1==0", cap=2)
@@ -176,6 +212,24 @@ def test_find_guard_timelock_fig3(fig3):
     assert out["found"] and out["layer"] == 2
     assert {m["loc"] for m in out["support"]} == {"q1"}
     assert any(m["region"] == "c=1" for m in out["support"])
+
+
+def test_find_guard_timelock_reads_the_stored_boundaries(fig3, monkeypatch):
+    # the build takes the boundary of every layer but the last one; only
+    # supports there of which no delay leaves are asked again
+    calls = []
+    build, boundary = dtn_global.build_global_layers, dtn_global.boundary_support
+
+    def build_then_count(*args, **kwargs):
+        b = build(*args, **kwargs)
+        calls.clear()
+        return b
+
+    monkeypatch.setattr(dtn_global, "build_global_layers", build_then_count)
+    monkeypatch.setattr(dtn_global, "boundary_support",
+                        lambda *args: calls.append(args) or boundary(*args))
+    assert find_guard_timelock(fig3)["found"]
+    assert calls == []
 
 
 def test_find_guard_timelock_absent(fig3):

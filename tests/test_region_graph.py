@@ -158,11 +158,11 @@ def test_immediate_time_successor_blocked_by_invariant(fig3):
     assert rs.loc == "q1"
     seen_block = False
     for _ in range(10):
-        step = immediate_time_successor(rs, ctx)
-        if step is None:
+        nxt = immediate_time_successor(rs, ctx)
+        if nxt is None:
             seen_block = True
             break
-        rs = step[1]
+        rs = nxt
     assert seen_block and rs.base.val("c") == (1, True)
 
 

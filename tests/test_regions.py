@@ -205,6 +205,15 @@ def test_to_dbm_round_trip():
         assert from_dbm(to_dbm(r), dict(zip(r.clocks, r.bounds))) == r
 
 
+def crosses(rs, nxt, tmax):
+    """Does the delay step rs -> nxt enter the next slot?  It does iff t
+    leaves or reaches an integer, i.e. iff either state is a point state."""
+    slot, nslot = state_slot(rs, tmax), state_slot(nxt, tmax)
+    cross = "point" in (slot.kind, nslot.kind)
+    assert nslot == (next_slot(slot, tmax) if cross else slot)
+    return cross
+
+
 def test_region_state_advance_walks_slots():
     bounds = {"c": 1, T: 1}
     rs = RegionState("q", initial_region(("c", T), bounds), 0)
@@ -212,33 +221,33 @@ def test_region_state_advance_walks_slots():
     seen = [str(state_slot(rs, tmax))]
     kinds = []
     for _ in range(12):
-        step = rs.advance(tmax)
-        if step is None:
+        nxt = rs.advance(tmax)
+        if nxt is None:
             break
-        kind, rs = step
-        kinds.append(kind)
+        kinds.append(crosses(rs, nxt, tmax))
+        rs = nxt
         if str(state_slot(rs, tmax)) != seen[-1]:
             seen.append(str(state_slot(rs, tmax)))
     assert seen[:5] == ["[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]"]
     assert rs.unbounded and str(state_slot(rs, tmax)) == "(3,inf)"
     # c and t start in lockstep, so every region change is a slot change
-    assert kinds and all(k == "cross" for k in kinds)
+    assert kinds and all(kinds)
 
 
 def test_advance_in_slot_after_reset():
     bounds = {"c": 1, T: 1}
     rs = RegionState("q", initial_region(("c", T), bounds), 0)
-    _, rs = rs.advance(3)  # t now in (0,1)
+    rs = rs.advance(3)  # t now in (0,1)
     rs = rs._replace(base=rs.base.reset(("c",)))
-    kind, nxt = rs.advance(3)
-    assert kind == "in"  # c leaves 0 but trails t inside the same slot
+    nxt = rs.advance(3)
+    assert not crosses(rs, nxt, 3)  # c leaves 0 but trails t inside the same slot
     assert str(state_slot(nxt, 3)) == str(state_slot(rs, 3)) == "(0,1)"
     kinds = []
     for _ in range(3):
-        kind, nxt = nxt.advance(3)
-        kinds.append(kind)
+        prev, nxt = nxt, nxt.advance(3)
+        kinds.append(crosses(prev, nxt, 3))
     # t is ahead of c, so t crosses 1 and reopens before c reaches 1 in-slot
-    assert kinds == ["cross", "cross", "in"]
+    assert kinds == [True, True, False]
     assert nxt.base.val("c") == (1, True) and nxt.index == 1
 
 
