@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .dtn_global import check_global, constraint_node
@@ -37,12 +36,7 @@ from .model import (
     pretty_model,
     validate,
 )
-from .oracle import (
-    concretize,
-    eval_constraint_on_locs,
-    explore_network,
-    witness_region_path,
-)
+from .oracle import concretize, explore_network
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -245,10 +239,11 @@ def _run(args):
             tr.label for tr in a.transitions if tr.label
         }:
             raise ValueError(f"unknown label {args.label!r}")
-        node = None if args.constraint is None else constraint_node(a, args.constraint)
+        target = args.label if args.constraint is None else \
+            constraint_node(a, args.constraint)
         budget = max_states if max_states is not None else 10 ** 6
         res = explore_network(a, args.n, slot_cap=args.slot_cap,
-                              max_states=budget)
+                              max_states=budget, target=target)
         payload = {
             "model": a.name,
             "n": args.n,
@@ -257,28 +252,16 @@ def _run(args):
             "exhausted": res.exhausted,
             "labels": sorted(res.labels),
         }
-        if args.label is not None:
-            fired = args.label in res.labels
-            payload["query"] = args.label
-            payload["result"] = "reachable" if fired else "unreachable"
-            if fired:
-                # within the budget that fired it: the search walks the same orbits
-                steps = witness_region_path(a, args.n, args.label,
-                                            slot_cap=args.slot_cap,
-                                            max_states=budget)
-                payload["trace"] = [
-                    {"delay": str(e["delay"]), "process": e["process"],
-                     "label": e["label"]}
-                    for e in concretize(a, args.n, steps)
-                ]
-        elif node is not None:
-            hit = eval_constraint_on_locs(a, node, res)
-            payload["query"] = args.constraint
-            payload["result"] = "reachable" if hit else "unreachable"
-        if res.exhausted and payload.get("result") == "unreachable":
-            raise BudgetExceeded(f"oracle exploration at n={args.n} exceeds {budget}"
-                                 f" states after expanding {res.states_explored};"
-                                 " the query is undecided")
+        if target is not None:
+            payload["query"] = args.constraint or args.label
+            payload["result"] = "unreachable" if res.witness is None else "reachable"
+            if res.witness is not None:
+                payload["trace"] = [dict(e, delay=str(e["delay"]))
+                                    for e in concretize(a, args.n, res.witness)]
+            elif res.exhausted:
+                raise BudgetExceeded(f"oracle exploration at n={args.n} exceeds "
+                                     f"{budget} states after expanding "
+                                     f"{res.states_explored}; the query is undecided")
         return payload, None, _model_dot(a)
 
     raise AssertionError(args.command)

@@ -12,13 +12,17 @@ once per id.  Permuting processes permutes `ids` and nothing else, and
 interning is one-to-one, so the state with sorted ids is its orbit key (Ip &
 Dill, FMSD 1996; Hendriks et al., FORMATS 2003).
 
-Witness traces are found on the same orbit-reduced search, which queues
-only the first-reached member of each orbit, unsorted.  Successors commute
-with permuting processes, so the reduced queue is the unreduced one with
-later members of known orbits left out, and the first state to fire a label
-and its parent chain are the same in both: so is the returned path.  Only
-its steps become `RegionState`s, which `concretize` turns into a timed
-trace, taking the midpoint (or the forced value) of each delay's interval.
+`explore_network` is the one search: a BFS that queues only the
+first-reached member of each orbit, unsorted.  Without a target it runs to
+the slot cap or the budget, and the location sets and supports are read off
+the reached orbit keys when first asked for; both are invariant under
+permuting processes.  With a target, a label or a counting constraint, it
+keeps parent links and stops at the first hit.  Successors commute with
+permuting processes, so the reduced queue is the unreduced one with later
+members of known orbits left out, and the first hit and its parent chain are
+the same in both: so is the returned path.  Only its steps become
+`RegionState`s, which `concretize` turns into a timed trace, taking the
+midpoint (or the forced value) of each delay's interval.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
+from .dtn_global import constraint_node, eval_constraint
 from .model import Automaton, compute_bounds
 from .regions import T, Memo, Region, RegionState
 
@@ -232,97 +238,101 @@ class OracleResult:
     n: int
     slot_cap: int
     labels: set = field(default_factory=set)
-    loc_sets: set = field(default_factory=set)
-    supports: dict = field(default_factory=dict)  # ("point"|"open", index) -> supports
     states_explored: int = 0
     exhausted: bool = False
+    witness: list = None  # the step list ending at the target's hit, or None
+    net: _Net = field(default=None, repr=False)
+    reached: dict = field(default_factory=dict, repr=False)  # orbit key -> link
+
+    @cached_property
+    def loc_sets(self):
+        loc = self.net.loc
+        return {frozenset([loc[i] for i in ids]) for ids, _, _ in self.reached}
+
+    @cached_property
+    def supports(self):
+        """("point"|"open", index) -> the supports reached in that slot."""
+        member, out = self.net.member, {}
+        for ids, tcell, index in self.reached:
+            out.setdefault(("point" if tcell[0][1] else "open", index), set()).add(
+                frozenset([member[i, tcell] for i in ids]))
+        return out
 
 
 def explore_network(a: Automaton, n: int, slot_cap: int = 8,
-                    max_states: int = 10 ** 6) -> OracleResult:
-    """All reachable product-region states of A^n with slot index <= slot_cap."""
+                    max_states: int = 10 ** 6, target=None) -> OracleResult:
+    """Breadth-first search of A^n's product-region states, with slot index
+    <= slot_cap, up to process symmetry; `max_states` counts orbits.
+
+    `target` is None, a label or a parsed constraint node.  A label is tested
+    on each firing step, a constraint on the location set of each state
+    reached, the initial one included; all successors of a dequeued state
+    are tested, also ones back to a seen orbit, before any is added.  The
+    search stops at the first hit and sets `witness` to the step list ending
+    with the hitting step: ("delay", state) and ("fire", descriptor, state)
+    pairs, each state a RegionState.
+    """
     net = _Net(a, n, slot_cap)
-    res = OracleResult(n, slot_cap)
+    res = OracleResult(n, slot_cap, net=net)
     start = net.initial()
-    seen = {start}
+    seen = res.reached
+    seen[(tuple(sorted(start[0])), start[1], start[2])] = None
     queue = deque([start])
+    label = target if isinstance(target, str) else None
+    node = None if label is not None else target
+    loc = net.loc
 
-    loc, member = net.loc, net.member
+    def hits(step, state):
+        if label is not None:
+            return step[0] == "fire" and any(tr.label == label for _, tr in step[1])
+        return eval_constraint([loc[i] for i in state[0]], node)
 
-    def record(state):
-        ids, tcell, index = state
-        res.loc_sets.add(frozenset([loc[i] for i in ids]))
-        kind = "point" if tcell[0][1] else "open"
-        res.supports.setdefault((kind, index), set()).add(
-            frozenset([member[i, tcell] for i in ids]))
-
-    record(start)
+    if node is not None and hits(None, start):
+        res.witness = []
+        return res
     while queue:
         state = queue.popleft()
         res.states_explored += 1
         succs = net.successors(state)
         res.labels.update(tr.label for step, _ in succs if step[0] == "fire"
                           for _, tr in step[1] if tr.label is not None)
-        for _, nxt in succs:
+        # a label fires from this state iff it has just joined the labels
+        if label in res.labels or node is not None:
+            for step, nxt in succs:
+                if hits(step, nxt):
+                    steps = [(step, net.region_state(nxt))]
+                    while link := seen[tuple(sorted(state[0])), state[1], state[2]]:
+                        steps.append((link[1], net.region_state(state)))
+                        state = link[0]
+                    res.witness = steps[::-1]
+                    return res
+        for step, nxt in succs:
             k = (tuple(sorted(nxt[0])), nxt[1], nxt[2])
             if k not in seen:
                 if len(seen) >= max_states:
                     res.exhausted = True
                     return res
-                seen.add(k)
-                record(nxt)
+                # parent links only where a witness may be read back
+                seen[k] = None if target is None else (state, step)
                 queue.append(nxt)  # as first reached; only the key is sorted
     return res
 
 
-# -- witness traces -------------------------------------------------------------
-
-
 def witness_region_path(a: Automaton, n: int, label: str, slot_cap: int = 8,
                         max_states: int = 10 ** 6):
-    """BFS up to process symmetry until `label` fires; returns the step list.
+    """`explore_network`'s witness for `label`: the step list, or None."""
+    return explore_network(a, n, slot_cap, max_states, target=label).witness
 
-    It walks `explore_network`'s queue, and `max_states` counts orbits as
-    there.  All successors of a dequeued state are tested for the label, also
-    ones back to a seen orbit, before any is added, so a label the exploration
-    fires within a budget gets a witness within it.  The list ends with the
-    firing step.  Steps are ("delay", state) and ("fire", descriptor, state),
-    each state a RegionState; None if the label does not fire in the bounds.
-    """
-    def orbit(state):
-        return (tuple(sorted(state[0])), state[1], state[2])
 
-    net = _Net(a, n, slot_cap)
-    start = net.initial()
-    parent = {orbit(start): None}  # orbit key -> (queued member's parent, step)
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        succs = net.successors(state)
-        for step, nxt in succs:
-            if step[0] == "fire" and any(tr.label == label for _, tr in step[1]):
-                steps = [(step, net.region_state(nxt))]
-                while (link := parent[orbit(state)]) is not None:
-                    steps.append((link[1], net.region_state(state)))
-                    state = link[0]
-                steps.reverse()
-                return steps
-        for step, nxt in succs:
-            k = orbit(nxt)
-            if k not in parent:
-                if len(parent) >= max_states:
-                    return None
-                parent[k] = (state, step)
-                queue.append(nxt)
-    return None
+# -- timed traces -----------------------------------------------------------------
 
 
 def concretize(a: Automaton, n: int, steps):
     """Turn a region step list into a flat timed trace with rational delays.
 
     Returns a list of {"delay": Fraction, "process": i (1-based), "label": str
-    or None} entries; receivers of a broadcast appear right after their sender
-    with delta 0.
+    or None, "dst": location} entries; receivers of a broadcast appear right
+    after their sender with delta 0.
     """
     vals = dict.fromkeys(_Net(a, n, 0).clocks, Fraction(0))
     pending = Fraction(0)
@@ -342,6 +352,7 @@ def concretize(a: Automaton, n: int, steps):
                     "delay": pending if first else Fraction(0),
                     "process": i + 1,
                     "label": tr.label,
+                    "dst": tr.dst,
                 })
                 first = False
                 pending = Fraction(0)
@@ -377,8 +388,6 @@ def _delay_into(vals, target: RegionState):
 
 def eval_constraint_on_locs(a: Automaton, constraint, res: OracleResult) -> bool:
     """Does any explored configuration satisfy the counting constraint?"""
-    from .dtn_global import constraint_node, eval_constraint
-
     node = constraint_node(a, constraint)
     return any(eval_constraint(ls, node) for ls in res.loc_sets)
 
@@ -411,6 +420,7 @@ def _atom_holds(atom, vals) -> bool:
 def simulate_trace(a: Automaton, n: int, trace):
     """Replay a flat trace on A^n, checking guards, invariants and witnesses.
 
+    An entry with a "dst" fires only a transition into that location.
     Returns the list of (time, locations) snapshots after every entry; raises
     ValueError on the first violation.
     """
@@ -435,6 +445,7 @@ def simulate_trace(a: Automaton, n: int, trace):
         cands = [
             tr for tr in a.transitions
             if tr.src == locs[i] and tr.label == entry["label"]
+            and entry.get("dst", tr.dst) == tr.dst
             and all(_atom_holds(at, vals[i]) for at in tr.guard)
         ]
         fired = None

@@ -324,9 +324,6 @@ class RegionState(NamedTuple):
                                False)
         raise AssertionError(f"unexpected t value {tv}")
 
-    def key(self):
-        return (self.loc, self.index, self.unbounded, self.base.key())
-
 
 def _collapse_t(region: Region) -> Region:
     i = region.clocks.index(T)

@@ -8,6 +8,9 @@ import pytest
 import dtnmc
 from conftest import MODELS
 from dtnmc.cli import main
+from dtnmc.dtn_global import constraint_node, eval_constraint
+from dtnmc.model import parse_file
+from dtnmc.oracle import simulate_trace
 
 FIG1 = str(MODELS / "fig1.gta")
 FIG3 = str(MODELS / "fig3.gta")
@@ -232,10 +235,12 @@ def test_oracle_budget_leaves_the_query_undecided(capsys):
     assert err.startswith("budget exceeded:") and "n=3" in err and "expanding 22" in err
     rc, _, err = run(capsys, *query, "--constraint", "#error>=1")
     assert rc == 3 and "expanding 22" in err
-    # a label fired before the budget ran out is still reachable
+    # a label fired before the budget ran out is still reachable; the search
+    # stops at it, after expanding the initial state
     rc, out, _ = run(capsys, *query, "--label", "s0", "--fail-on-unreachable")
     payload = json.loads(out)
-    assert rc == 0 and payload["exhausted"] and payload["result"] == "reachable"
+    assert rc == 0 and not payload["exhausted"] and payload["result"] == "reachable"
+    assert payload["states_explored"] == 1
     # serr first fires within 1980 orbits, and its witness search finds it
     # within the same budget
     rc, out, err = run(capsys, "oracle", FIG1, "-n", "3", "--slot-cap", "2",
@@ -243,6 +248,30 @@ def test_oracle_budget_leaves_the_query_undecided(capsys):
     payload = json.loads(out)
     assert rc == 0 and payload["result"] == "reachable" and err == ""
     assert payload["trace"][-1]["label"] == "serr"
+
+
+def test_oracle_stops_at_the_answer(capsys):
+    # s0 fires from the initial state: one state expanded, not the 271,092
+    # of the whole exploration at slot cap 8
+    rc, out, _ = run(capsys, "oracle", FIG1, "-n", "3", "--label", "s0")
+    payload = json.loads(out)
+    assert rc == 0 and payload["states_explored"] == 1
+    assert payload["labels"] == ["s0"] and not payload["exhausted"]
+    assert [e["dst"] for e in payload["trace"]] == ["listen"]
+
+
+@pytest.mark.parametrize("model,n,constraint", [
+    (FIG1, 3, "#reading>=1 && #init==0"),
+    (FIG3, 2, "#q1>=1 && #init==0"),
+])
+def test_oracle_constraint_trace_replays(capsys, model, n, constraint):
+    rc, out, _ = run(capsys, "oracle", model, "-n", str(n), "--slot-cap", "2",
+                     "--constraint", constraint, "--fail-on-unreachable")
+    payload = json.loads(out)
+    assert rc == 0 and payload["result"] == "reachable" and payload["trace"]
+    a = parse_file(model)
+    _, locs = simulate_trace(a, n, payload["trace"])[-1]
+    assert eval_constraint(locs, constraint_node(a, constraint))
 
 
 def test_oracle_checks_the_query_before_exploring(capsys, monkeypatch):

@@ -56,19 +56,19 @@ def test_fig3_loopback(fig3):
         "[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]", "(2,3)",
     ]
     assert sum(len(l.ids) for l in dra.layers) == 43
-    keys = {rs.key() for l in dra.layers for rs in layer_states(dra, l)}
+    keys = {rs for l in dra.layers for rs in layer_states(dra, l)}
     loops = [arc for arc in dra.arcs if arc[2] == "loop"]
     assert loops, "the last boundary must fold back onto W_i0"
     layer_of = {
-        rs.key(): l.number for l in dra.layers for rs in layer_states(dra, l)
+        rs: l.number for l in dra.layers for rs in layer_states(dra, l)
     }
     for src_layer, i, kind, _, dst_layer, j in dra.arcs:
         src = dra.states[i]._replace(index=dra.layers[src_layer].slot.index)
         dst = dra.states[j]._replace(index=dra.layers[dst_layer].slot.index)
-        assert src.key() in keys and dst.key() in keys
+        assert src in keys and dst in keys
         if kind == "loop":
-            assert layer_of[src.key()] == dra.l0 - 1
-            assert layer_of[dst.key()] == dra.i0
+            assert layer_of[src] == dra.l0 - 1
+            assert layer_of[dst] == dra.i0
 
 
 def base_keys(b, layer):

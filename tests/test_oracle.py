@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from conftest import MODELS, random_gta, random_region
+from dtnmc.dtn_global import constraint_node, eval_constraint
 from dtnmc.lbta_bridge import gta_to_lbta
 from dtnmc.model import parse_file, parse_model
 from dtnmc.oracle import (
@@ -122,7 +123,7 @@ def _reference_canon(net, state):
     """Key of the least renamed copy over all n! process permutations."""
     copies = (_permuted(net, state, perm) for perm in permutations(range(net.n)))
     # repr: None entries of region keys are not orderable
-    return min((s.loc, repr(s.base.key()), s.key()) for s in copies)[2]
+    return min((s.loc, repr(s.base.key()), s) for s in copies)[2]
 
 
 def _bfs_states(net, limit):
@@ -290,6 +291,50 @@ def test_witness_matches_the_unreduced_search(fig1, n):
     for label in sorted({tr.label for tr in fig1.transitions}):
         assert repr(witness_region_path(fig1, n, label, slot_cap=2)) == \
             repr(_reference_witness(fig1, n, label, slot_cap=2)), label
+
+
+def test_constraint_target_agrees_with_the_exploration(fig1, fig3):
+    # every ordered #q>=1 && #q'==0 at n <= 3: the targeted search hits where
+    # the exploration's location sets satisfy the constraint, and its trace
+    # replays into a configuration that satisfies it too
+    queries = hits = 0
+    for a in [fig1, fig3] + [random_gta(s) for s in range(20)]:
+        explored = {n: explore_network(a, n, slot_cap=2, max_states=3000)
+                    for n in (1, 2, 3)}
+        for p, q in permutations(sorted(a.locations), 2):
+            node = constraint_node(a, f"#{p}>=1 && #{q}==0")
+            for n in (1, 2, 3):
+                res = explore_network(a, n, slot_cap=2, max_states=3000, target=node)
+                want = any(eval_constraint(ls, node) for ls in explored[n].loc_sets)
+                queries += 1
+                if res.witness is None:
+                    assert not want and (res.exhausted or not explored[n].exhausted)
+                    continue
+                assert not res.exhausted and res.labels <= explored[n].labels
+                snaps = simulate_trace(a, n, concretize(a, n, res.witness))
+                assert eval_constraint(snaps[-1][1], node), (a.name, p, q, n)
+                hits += 1
+    assert (queries, hits) == (450, 206)
+
+
+def test_targeted_search_reads_no_supports(fig1):
+    res = explore_network(fig1, 3, slot_cap=2, target="serr")
+    assert res.witness is not None and not res.net.member
+    assert "loc_sets" not in vars(res) and "supports" not in vars(res)
+    assert explore_network(fig1, 3, slot_cap=2, target="s0").states_explored == 1
+
+
+def test_unlabelled_steps_replay_along_the_fired_transition(fig1, fig3):
+    # fig3's init -> init and init -> q1 are both unlabelled; each entry's
+    # destination picks the one the witness fired
+    node = constraint_node(fig3, "#q1>=1 && #init==0")
+    for n in (1, 2, 3):
+        trace = concretize(fig3, n, explore_network(fig3, n, 2, target=node).witness)
+        assert [e["dst"] for e in trace] == ["q1"] * n
+        assert simulate_trace(fig3, n, trace)[-1] == (0, ("q1",) * n)
+    with pytest.raises(ValueError, match="no enabled transition 's0'"):
+        simulate_trace(fig1, 1, [{"delay": 0, "process": 1, "label": "s0",
+                                  "dst": "post"}])
 
 
 def test_labels_grow_with_network_size(explored):
