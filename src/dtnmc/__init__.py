@@ -30,7 +30,7 @@ from .dtn_local import (
 from .dtn_global import (check_global, find_guard_timelock, parse_constraint,
                          reachable_location_sets)
 from .lbta_bridge import gta_to_lbta, lbta_to_gta
-from .oracle import explore_network, project_trace
+from .oracle import explore_network
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "parse_file",
     "parse_model",
     "pretty_model",
-    "project_trace",
     "reachable_labels",
     "reachable_location_sets",
     "relabel_unique",

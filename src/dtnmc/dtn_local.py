@@ -36,7 +36,7 @@ from typing import Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition
 from .region_graph import LayeredBuild, RegionContext
-from .regions import T, Region, Slot, fracs_without
+from .regions import T, Region, Slot, fracs_without, new_record
 
 
 @dataclass
@@ -244,15 +244,16 @@ def _step_json(b: _Builder, kind, tr, node):
 def region_to_atoms(region: Region) -> tuple:
     """A conjunction of atoms whose solution set is exactly the region."""
     atoms, frac = [], []  # frac: (clock, integer part, fractional rank)
-    rank = {c: r for r, cls in enumerate(region.fracs) for c in cls}
-    for c, b, v in zip(region.clocks, region.bounds, region.vals):
+    clocks, bounds, vals, fracs = region
+    rank = {c: r for r, cls in enumerate(fracs) for c in cls}
+    for c, b, v in zip(clocks, bounds, vals):
         if v is None:
-            atoms.append(Atom(c, ">", None, b))
+            atoms.append(new_record(Atom, (c, ">", None, b)))
         elif v[1]:
-            atoms.append(Atom(c, "==", None, v[0]))
+            atoms.append(new_record(Atom, (c, "==", None, v[0])))
         else:
-            atoms.append(Atom(c, ">", None, v[0]))
-            atoms.append(Atom(c, "<", None, v[0] + 1))
+            atoms.append(new_record(Atom, (c, ">", None, v[0])))
+            atoms.append(new_record(Atom, (c, "<", None, v[0] + 1)))
             frac.append((c, v[0], rank[c]))
     # only fractional pairs: every other difference is implied by the above
     for k, (c, m, r) in enumerate(frac):
@@ -260,17 +261,17 @@ def region_to_atoms(region: Region) -> tuple:
             d = m - m2
             if r == r2:
                 if d >= 0:
-                    atoms.append(Atom(c, "==", c2, d))
+                    atoms.append(new_record(Atom, (c, "==", c2, d)))
                 else:
-                    atoms.append(Atom(c2, "==", c, -d))
+                    atoms.append(new_record(Atom, (c2, "==", c, -d)))
             else:
                 lo = d if r > r2 else d - 1  # c - c2 lies in (lo, lo + 1)
                 if lo >= 0:
-                    atoms.append(Atom(c, ">", c2, lo))
-                    atoms.append(Atom(c, "<", c2, lo + 1))
+                    atoms.append(new_record(Atom, (c, ">", c2, lo)))
+                    atoms.append(new_record(Atom, (c, "<", c2, lo + 1)))
                 else:
-                    atoms.append(Atom(c2, ">", c, -lo - 1))
-                    atoms.append(Atom(c2, "<", c, -lo))
+                    atoms.append(new_record(Atom, (c2, ">", c, -lo - 1)))
+                    atoms.append(new_record(Atom, (c2, "<", c, -lo)))
     return tuple(atoms)
 
 
@@ -283,7 +284,7 @@ def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
     once per member id, from one entry per distinct C-projection.
     """
     names = dra.state_names()
-    ctx = dra.ctx
+    ctx, states = dra.ctx, dra.states
     n = len(ctx.cclocks)  # t is the last clock
     guard, zeros = {}, {}  # member id -> atoms / clocks at 0
     proj = {}  # C-projection (vals, fracs without t) -> (atoms, clocks at 0)
@@ -291,20 +292,24 @@ def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
         for i in layer.ids:
             if i in guard:
                 continue
-            base = dra.states[i].base
-            vals, fracs = base.vals, base.fracs
-            if vals[n] is not None and not vals[n][1]:  # t is fractional
+            base = states[i].base
+            _, _, vals, fracs = base
+            tv = vals[n]
+            if tv is not None and not tv[1]:  # t is fractional
                 fracs = fracs_without(fracs, (T,))
             key = (vals[:n], fracs)
-            if key not in proj:
-                proj[key] = (region_to_atoms(base.eliminate((T,))),
-                             tuple(c for c, v in zip(ctx.cclocks, vals)
-                                   if v == (0, True)))
-            guard[i], zeros[i] = proj[key]
+            entry = proj.get(key)
+            if entry is None:
+                entry = proj[key] = (region_to_atoms(base.eliminate((T,))),
+                                     tuple(c for c, v in zip(ctx.cclocks, vals)
+                                           if v == (0, True)))
+            guard[i], zeros[i] = entry
 
-    trs = [Transition(names[ls][i], names[ld][j], label, guard[i], zeros[j])
+    trs = [new_record(Transition, (names[ls][i], names[ld][j], label, guard[i],
+                                   zeros[j], None, None))
            if kind == "trans" else
-           Transition(names[ls][i], names[ld][j], None, guard[j], ())
+           new_record(Transition, (names[ls][i], names[ld][j], None, guard[j], (),
+                                   None, None))
            for ls, i, kind, label, ld, j in dra.arcs]
     locations = tuple(name for layer in names for name in layer.values())
     # the initial state seeds W0, so it comes first

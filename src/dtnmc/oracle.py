@@ -392,21 +392,6 @@ def eval_constraint_on_locs(a: Automaton, constraint, res: OracleResult) -> bool
     return any(eval_constraint(ls, node) for ls in res.loc_sets)
 
 
-def project_trace(trace, procs):
-    """Keep the given processes' non-silent steps, folding delays forward."""
-    if isinstance(procs, int):
-        procs = {procs}
-    acc = Fraction(0)
-    out = []
-    for entry in trace:
-        acc += Fraction(entry["delay"])
-        if entry["process"] in procs and entry["label"] is not None:
-            out.append({"delay": acc, "process": entry["process"],
-                        "label": entry["label"]})
-            acc = Fraction(0)
-    return out
-
-
 # -- concrete-valuation validation ------------------------------------------------
 
 

