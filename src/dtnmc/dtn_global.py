@@ -84,54 +84,44 @@ def parse_constraint(text: str):
             break
         tokens.append(re.sub(r"\s", "", m.group(1)))
         pos = m.end()
-    it = iter(tokens)
-    cur = [next(it, None)]
-
-    def advance():
-        cur[0] = next(it, None)
-
-    def atom():
-        tok = cur[0]
-        if tok == "(":
-            advance()
-            node = orexpr()
-            if cur[0] != ")":
-                raise ValueError("malformed constraint: missing ')'")
-            advance()
-            return node
-        if tok is None or not tok.startswith("#"):
-            raise ValueError(f"malformed constraint: expected #loc, got {tok!r}")
-        loc = tok[1:]
-        advance()
-        op = cur[0]
-        if op == ">=1":
-            advance()
-            return ("some", loc)
-        if op in ("==0", "=0"):
-            advance()
-            return ("none", loc)
-        raise ValueError(
-            f"malformed constraint: only #loc>=1 and #loc==0 are supported, got {op!r}"
-        )
-
-    def andexpr():
-        node = atom()
-        while cur[0] == "&&":
-            advance()
-            node = ("and", node, atom())
-        return node
-
-    def orexpr():
-        node = andexpr()
-        while cur[0] == "||":
-            advance()
-            node = ("or", node, andexpr())
-        return node
-
-    node = orexpr()
-    if cur[0] is not None:
-        raise ValueError(f"malformed constraint: trailing {cur[0]!r}")
+    tokens.append(None)  # the end of the text
+    node, pos = _parse(tokens, 0)
+    if tokens[pos] is not None:
+        raise ValueError(f"malformed constraint: trailing {tokens[pos]!r}")
     return node
+
+
+def _parse(tokens, pos, level=0):
+    """The grammar's `or` (level 0), `and` (1) or `atom` (2) from tokens[pos]
+    on, and the position after it; module functions, as nested closures that
+    call each other would be a reference cycle."""
+    if level == 2:
+        return _atom(tokens, pos)
+    op, kind = (("||", "or"), ("&&", "and"))[level]
+    node, pos = _parse(tokens, pos, level + 1)
+    while tokens[pos] == op:
+        right, pos = _parse(tokens, pos + 1, level + 1)
+        node = (kind, node, right)
+    return node, pos
+
+
+def _atom(tokens, pos):
+    tok = tokens[pos]
+    if tok == "(":
+        node, pos = _parse(tokens, pos + 1)
+        if tokens[pos] != ")":
+            raise ValueError("malformed constraint: missing ')'")
+        return node, pos + 1
+    if tok is None or not tok.startswith("#"):
+        raise ValueError(f"malformed constraint: expected #loc, got {tok!r}")
+    op = tokens[pos + 1]
+    if op == ">=1":
+        return ("some", tok[1:]), pos + 2
+    if op in ("==0", "=0"):
+        return ("none", tok[1:]), pos + 2
+    raise ValueError(
+        f"malformed constraint: only #loc>=1 and #loc==0 are supported, got {op!r}"
+    )
 
 
 def constraint_locations(node) -> set:

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition
 from .region_graph import LayeredBuild, RegionContext
-from .regions import T, Region, Slot, fracs_without, new_record
+from .regions import T, Region, Slot, fracs_without, new_record, nogc
 
 
 @dataclass
@@ -275,6 +275,7 @@ def region_to_atoms(region: Region) -> tuple:
     return tuple(atoms)
 
 
+@nogc
 def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
     """One timed automaton over C whose runs mirror DRA paths.
 

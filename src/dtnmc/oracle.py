@@ -33,10 +33,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from weakref import ref
 
 from .dtn_global import constraint_node, eval_constraint
 from .model import Automaton, compute_bounds
-from .regions import T, Memo, Region, RegionState
+from .regions import T, Memo, Region, RegionState, nogc
 
 COLLAPSED = ((-1, False), -1)  # the cell of a clock above its bound
 RESET = ((0, True), -1)
@@ -66,7 +67,8 @@ class _Net:
 
     `ids` maps a signature to its id and `sigs` maps the id back; `loc`,
     `ranks` (the fractional ranks the id's clocks hold) and `kind` are filled
-    when an id is interned.  Every memo is keyed on ids.
+    when an id is interned.  Every memo is keyed on ids and holds the net
+    weakly, so no net is a reference cycle; a hit is still one dict lookup.
     """
 
     def __init__(self, a: Automaton, n: int, slot_cap: int):
@@ -79,13 +81,12 @@ class _Net:
         self.moves = _lbta_moves if a.kind == "lbta" else _gta_moves
         self.ids, self.sigs = {}, []
         self.loc, self.ranks, self.kind = [], [], []  # kind: (delay kind, top rank)
-        self.enabled = Memo(self._enabled)
-        self.inv_ok = Memo(lambda i: _region(
-            self.cclocks, self.cbounds, self.sigs[i][1:]).satisfies(
-                a.invariant(self.loc[i])))
-        self.step = Memo(self._step)  # (id, delay mode) -> id' or None
-        self.member = Memo(self._member)  # (id, tcell) -> member key
-        self.closed = Memo(self._closed)  # (id, gone) -> id with gone closed up
+        net = ref(self)  # weakly: the memos must not make the net a cycle
+        self.enabled = Memo(lambda i: net()._enabled(i))
+        self.inv_ok = Memo(lambda i: net()._inv_ok(i))
+        self.step = Memo(lambda k: net()._step(k))  # (id, delay mode) -> id' or None
+        self.member = Memo(lambda k: net()._member(k))  # (id, tcell) -> member key
+        self.closed = Memo(lambda k: net()._closed(k))  # (id, gone) -> closed-up id
 
     def intern(self, sig) -> int:
         """The id of `sig`, numbered in order of first sight."""
@@ -105,6 +106,10 @@ class _Net:
     def initial(self):
         sig = (self.a.initial,) + (RESET,) * len(self.cclocks)
         return ((self.intern(sig),) * self.n, RESET, 0)
+
+    def _inv_ok(self, i):
+        return _region(self.cclocks, self.cbounds, self.sigs[i][1:]).satisfies(
+            self.a.invariant(self.loc[i]))
 
     def _enabled(self, i):
         """(tr, id after tr, ranks its resets may free, tr.dst's invariant
@@ -259,6 +264,7 @@ class OracleResult:
         return out
 
 
+@nogc
 def explore_network(a: Automaton, n: int, slot_cap: int = 8,
                     max_states: int = 10 ** 6, target=None) -> OracleResult:
     """Breadth-first search of A^n's product-region states, with slot index

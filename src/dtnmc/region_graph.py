@@ -52,7 +52,7 @@ from functools import lru_cache
 from .model import (Automaton, BudgetExceeded, ModelError, compute_bounds,
                     relabel_unique)
 from .regions import (T, Memo, Region, RegionState, Slot, count_regions,
-                      initial_region, new_record, next_slot)
+                      initial_region, new_record, next_slot, nogc)
 
 
 class RegionContext:
@@ -282,6 +282,7 @@ class LayeredBuild:
         self.i0 = self.l0 = self.shift = None
         self.hit = None
 
+    @nogc
     def build(self):
         seeds, slot = self._initial_seeds(), Slot("point", 0)
         sigs = []  # (layer number, slot index, signature) of singleton-slot layers
@@ -329,6 +330,7 @@ class LayeredBuild:
 # -- timelock-freedom (time divergence from every reachable state) -------------
 
 
+@nogc
 def check_timelock_free(a: Automaton, max_states=None):
     """Divergence check on a plain timed automaton (no location guards).
 

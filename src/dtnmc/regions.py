@@ -20,16 +20,37 @@ hot paths with `new_record(Cls, (...))`, i.e. `tuple.__new__`, which skips
 the NamedTuple's Python-level `__new__` (a `Region` in 184 against 607 ns on
 Python 3.11).  It applies no defaults: pass every field, `RegionState.unbounded`
 and a `Transition`'s last four included.
+
+`nogc` pauses the cyclic collector in the loops that build the engines'
+records, `LayeredBuild.build`, `summary_automaton`, `check_timelock_free` and
+`explore_network`: its collections there walked every young record and freed
+nothing, as the engines allocate no cycles (tests/test_gc.py pins that).
 """
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from math import inf
 from typing import NamedTuple
 
 T = "t"  # reserved name of the global clock
 
 new_record = tuple.__new__  # new_record(Cls, fields): see the module docstring
+
+
+def nogc(func):
+    """`func` with the cyclic collector paused while it runs, if it was on."""
+    @wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 class NonUniformGuard(Exception):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -173,6 +174,32 @@ def test_local_outputs_are_byte_deterministic_across_processes(tmp_path, command
         outs.append((proc.stdout, path.read_bytes()))
     assert outs[0] == outs[1]
     assert outs[0][1]
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["check-local", FIG1, "--label", "serr"], 0),
+    (["check-global", FIG3, "--constraint", "#q1>=1 && #init>=1 && #q1==0",
+      "--fail-on-unreachable"], 1),
+    (["check-local", FIG1, "--label", "nope"], 2),
+    (["check-local", FIG1, "--label", "serr", "--max-states", "10"], 3),
+], ids=["reachable", "unreachable", "usage", "budget"])
+def test_python_m_dtnmc_runs_the_console_script(argv, rc):
+    # `python -m dtnmc` from the source tree answers as the installed `dtnmc`
+    # script does; that script calls the entry point pyproject.toml declares
+    root = MODELS.parent
+    module, func = re.search(r'^dtnmc = "([\w.]+):(\w+)"$',
+                             (root / "pyproject.toml").read_text(), re.M).groups()
+    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    procs = [subprocess.run([sys.executable, *how, *argv], env=env, cwd=root,
+                            capture_output=True, timeout=120)
+             for how in (["-m", "dtnmc"], ["-c", script])]
+    assert [p.returncode for p in procs] == [rc, rc]
+    assert procs[0].stdout == procs[1].stdout
+    assert procs[0].stderr == procs[1].stderr
+    assert procs[0].stdout or procs[0].stderr
 
 
 def test_build_dra_and_dot(capsys, tmp_path):

@@ -394,3 +394,37 @@ def test_global_outputs_match_golden_digests(name):
     got = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in
                 (dra, slim, json.dumps(find_guard_timelock(a)), layers))
     assert got == GOLDEN[name]
+
+
+def test_reachable_supports_total_counts_complete_layers(fig3):
+    # a watched build finishes closing the layer of its hit, so a reachable
+    # query's supports_total is the size of the full build's layers
+    # 0..layer, in dra and in streaming mode.  fig1's full build passes any
+    # budget in layer 3; its completed layers still count every query that
+    # hits in them
+    models = [parse_file(MODELS / "fig1.gta"), fig3] + [
+        random_gta(seed) for seed in range(30)]
+    checked = 0
+    for a in models:
+        b = _GlobalBuilder(a, max_states=20_000)
+        try:
+            b.build()
+        except BudgetExceeded:
+            pass  # b.layers holds the completed layers
+        at = b.members.at.items()
+        loc_sets = {frozenset(q for q, ids in at if sup & ids)
+                    for layer in b.layers for sup in layer.supports}
+        for text in differential_constraints(sorted(a.locations)):
+            node = parse_constraint(text)
+            if not any(eval_constraint(ls, node) for ls in loc_sets):
+                continue  # no completed layer holds a hit
+            for streaming in (False, True):
+                out = check_global(a, text, streaming=streaming)
+                assert out["result"] == "reachable"
+                assert out["layer"] < len(b.layers)  # the first hit is no later
+                assert out["layers_built"] == out["layer"] + 1
+                assert out["supports_total"] == sum(
+                    len(layer.supports) for layer in b.layers[:out["layer"] + 1]), \
+                    (a.name, text, streaming)
+                checked += 1
+    assert checked == 2 * 359

@@ -260,3 +260,26 @@ def test_local_outputs_match_golden_digests(name):
     got = tuple(hashlib.sha256(text.encode()).hexdigest()[:16]
                 for text in (repr(summary_automaton(dra)), dra_to_dot(dra), answers))
     assert got == GOLDEN[name]
+
+
+def test_reachable_states_total_counts_complete_layers(fig1, fig3):
+    # a watched build finishes closing the layer of its hit, so a reachable
+    # label's states_total is the size of the full build's layers
+    # 0..layers_built-1, in dra and in streaming mode; an unreachable one
+    # builds every layer the full build does
+    models = [fig1, fig3] + [random_gta(seed) for seed in range(30)] + [
+        seeded_gta(int(name[1:].partition("c")[0]), 3 if "c" in name else 2)
+        for name in sorted(GOLDEN) if name.startswith("r")]
+    verdicts = []
+    for a in models:
+        full = build_layers(a)
+        for label in sorted(a.labels()):
+            for streaming in (False, True):
+                out = check_label_reachable(a, label, streaming=streaming)
+                verdicts.append(out["result"])
+                if out["result"] == "unreachable":
+                    assert out["layers_built"] == full.layers_built
+                assert out["states_total"] == sum(
+                    len(layer.ids) for layer in full.layers[:out["layers_built"]]), \
+                    (a.name, label, streaming)
+    assert (verdicts.count("reachable"), verdicts.count("unreachable")) == (84, 100)
