@@ -24,8 +24,8 @@ end in `#k` (k digits), as the ones `relabel_unique` gives summary automata.
 `Atom` and `Transition` are NamedTuples: built three times faster than frozen
 dataclasses, with the same hash and repr.  `tr._replace(...)` updates a field.
 `Automaton` is a frozen dataclass whose `tables` field (left out of `==`,
-repr and `__init__`) keeps the region successors its layered builds compute;
-`dataclasses.replace(a, ...)` gives a copy with none.
+repr and `__init__`) keeps the region successors its layered builds and its
+oracle networks compute; `dataclasses.replace(a, ...)` gives a copy with none.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class Automaton:
     broadcasts: tuple = ()
     tclock: Optional[str] = None  # the global clock, when added by unguard
     # member table class -> (relabeled automaton, relabel map, RegionContext,
-    # table), shared by every layered build on this automaton
+    # table), shared by every layered build; oracle._SigTable -> its table
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def invariant(self, q: str) -> tuple:

@@ -3,26 +3,26 @@ layer algorithms on small instances.
 
 A signature is a location and one cell per clock: its value class, (integer
 part, is integer) or (-1, False) above the bound, and the rank of its
-fractional part among all clocks and t (-1 if none).  `_Net` interns each
-signature as a small int, and a network state is (ids, tcell, index): one
-signature id per process, the cell of the global clock t (rebased to integer
-part 0) and the slot index.  Delays, resets and guards act on the cells;
-guards and invariants read one process's cells only, so `_Net` judges them
-once per id.  Permuting processes permutes `ids` and nothing else, and
-interning is one-to-one, so the state with sorted ids is its orbit key (Ip &
-Dill, FMSD 1996; Hendriks et al., FORMATS 2003).
+fractional part among all clocks and t (-1 if none).  A network state is
+(ids, tcell, index): one signature id per process, the cell of the global
+clock t (rebased to integer part 0) and the slot index.  Guards, invariants,
+delays and resets read one process's cells, whatever n and the slot cap, so
+each automaton keeps one `_SigTable` in `a.tables` (hash-consing, Filliâtre
+& Conchon 2006): it numbers signatures and memoizes their steps by id for
+every `_Net`, which adds n, the slot cap and the clock layout of A^n.
 
-`explore_network` is the one search: a BFS that queues only the
+Permuting processes permutes `ids` and nothing else, and interning is
+one-to-one, so the state with sorted ids is its orbit key (Ip & Dill, FMSD
+1996; Hendriks et al., FORMATS 2003); which ids earlier queries took changes
+no orbit.  `explore_network` is the one search: a BFS that queues only the
 first-reached member of each orbit, unsorted.  Without a target it runs to
-the slot cap or the budget, and the location sets and supports are read off
-the reached orbit keys when first asked for; both are invariant under
-permuting processes.  With a target, a label or a counting constraint, it
-keeps parent links and stops at the first hit.  Successors commute with
-permuting processes, so the reduced queue is the unreduced one with later
-members of known orbits left out, and the first hit and its parent chain are
-the same in both: so is the returned path.  Only its steps become
-`RegionState`s, which `concretize` turns into a timed trace, taking the
-midpoint (or the forced value) of each delay's interval.
+the slot cap or the budget; location sets and supports are read off the
+reached orbit keys when first asked for.  With a target, a label or a
+counting constraint, it keeps parent links and stops at the first hit.
+Successors commute with permuting processes, so the first hit and its parent
+chain, and so the returned path, are those of the unreduced search.  Only the
+path's steps become `RegionState`s, which `concretize` turns into a timed
+trace, taking the midpoint (or the forced value) of each delay's interval.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from weakref import ref
 
 from .dtn_global import constraint_node, eval_constraint
 from .model import Automaton, compute_bounds
@@ -45,6 +44,11 @@ RESET = ((0, True), -1)
 
 def _pclock(c: str, i: int) -> str:
     return f"{c}@{i + 1}"
+
+
+def _layout(cclocks, n: int) -> tuple:
+    """The clocks of A^n: process 1's copies of `cclocks`, ..., then t."""
+    return tuple(_pclock(c, i) for i in range(n) for c in cclocks) + (T,)
 
 
 def _region(names, bounds, cells) -> Region:
@@ -62,115 +66,130 @@ def _close_up(cells, gone):
     return tuple((v, r - bisect(gone, r)) if r > 0 else (v, r) for v, r in cells)
 
 
-class _Net:
-    """The clock layout of A^n and its per-signature steps, built lazily.
+class _SigTable:
+    """One automaton's signatures and their steps, built lazily.
 
-    `ids` maps a signature to its id and `sigs` maps the id back; `loc`,
-    `ranks` (the fractional ranks the id's clocks hold) and `kind` are filled
-    when an id is interned.  Every memo is keyed on ids and holds the net
-    weakly, so no net is a reference cycle; a hit is still one dict lookup.
+    `intern` numbers signatures and `sigs` maps an id back; `loc`, `ranks`
+    (the fractional ranks the id's clocks hold) and `kind` ((delay kind, top
+    rank)) grow with it.  The memos are keyed on ids: `inv_ok`, `fire` (the
+    fire row), `step` ((id, delay mode) -> id' or None), `closed` ((id, gone)
+    -> closed-up id) and `member` ((id, tcell) -> member key).  They compute
+    through closures over these containers and the automaton's fields, never
+    over the table or the automaton, so the table is no reference cycle.
     """
 
-    def __init__(self, a: Automaton, n: int, slot_cap: int):
-        self.a, self.n, self.slot_cap = a, n, slot_cap
-        self.cclocks = tuple(sorted(a.clocks))
-        self.cbounds = tuple(map(compute_bounds(a).get, self.cclocks))
-        self.clocks = tuple(_pclock(c, i) for i in range(n)
-                            for c in self.cclocks) + (T,)
-        self.bounds = self.cbounds * n + (1,)
-        self.moves = _lbta_moves if a.kind == "lbta" else _gta_moves
-        self.ids, self.sigs = {}, []
-        self.loc, self.ranks, self.kind = [], [], []  # kind: (delay kind, top rank)
-        net = ref(self)  # weakly: the memos must not make the net a cycle
-        self.enabled = Memo(lambda i: net()._enabled(i))
-        self.inv_ok = Memo(lambda i: net()._inv_ok(i))
-        self.step = Memo(lambda k: net()._step(k))  # (id, delay mode) -> id' or None
-        self.member = Memo(lambda k: net()._member(k))  # (id, tcell) -> member key
-        self.closed = Memo(lambda k: net()._closed(k))  # (id, gone) -> closed-up id
+    def __init__(self, a: Automaton):
+        cclocks = tuple(sorted(a.clocks))
+        cbounds = tuple(map(compute_bounds(a).get, cclocks))
+        invariants, transitions = a.invariants, a.transitions
+        ids, sigs, loc, ranks, kind = {}, [], [], [], []
 
-    def intern(self, sig) -> int:
-        """The id of `sig`, numbered in order of first sight."""
-        i = self.ids.get(sig)
-        if i is None:
-            i = self.ids[sig] = len(self.sigs)
-            cells = sig[1:]
-            self.sigs.append(sig)
-            self.loc.append(sig[0])
-            self.ranks.append(frozenset(r for _, r in cells if r >= 0))
-            ints = [v[0] < b for (v, _), b in zip(cells, self.cbounds) if v[1]]
-            # 2 if an integer clock opens, 1 if all of them collapse, 0 if none
-            self.kind.append((2 if any(ints) else 1 if ints else 0,
-                              max(r for _, r in cells + (COLLAPSED,))))
-        return i
+        def intern(sig) -> int:
+            """The id of `sig`, numbered in order of first sight."""
+            i = ids.get(sig)
+            if i is None:
+                i = ids[sig] = len(sigs)
+                cells = sig[1:]
+                sigs.append(sig)
+                loc.append(sig[0])
+                ranks.append(frozenset(r for _, r in cells if r >= 0))
+                ints = [v[0] < b for (v, _), b in zip(cells, cbounds) if v[1]]
+                # 2 if an integer clock opens, 1 if all of them collapse, 0 if none
+                kind.append((2 if any(ints) else 1 if ints else 0,
+                             max(r for _, r in cells + (COLLAPSED,))))
+            return i
+
+        inv_ok = Memo(lambda i: _region(cclocks, cbounds, sigs[i][1:]).satisfies(
+            invariants.get(loc[i], ())))
+
+        def fire(i):
+            """(tr, id after tr, ranks its resets may free, tr.locguard) for
+            each transition from id i's location whose guard holds and after
+            which tr.dst's invariant holds."""
+            sig = sigs[i]
+            region = _region(cclocks, cbounds, sig[1:])
+            out = []
+            for tr in transitions:
+                if tr.src == sig[0] and region.satisfies(tr.guard):
+                    cells = list(sig[1:])
+                    resets = [cclocks.index(c) for c in tr.resets]
+                    freed = {cells[p][1] for p in resets}
+                    for p in resets:
+                        cells[p] = RESET
+                    nid = intern((tr.dst,) + tuple(cells))
+                    if inv_ok[nid]:
+                        freed = tuple(freed - {-1} - {r for _, r in cells})
+                        out.append((tr, nid, freed, tr.locguard))
+            return tuple(out)
+
+        def step(key):
+            """Mode 0 or 1: integer clocks open into rank 0 and the other ranks
+            shift by the mode; mode -1 - r: the rank-r class lands.  None, not
+            False, if the invariant breaks: `False in ids` would match id 0."""
+            i, mode = key
+            sig = sigs[i]
+            land, cells = mode < 0, []
+            for (v, r), b in zip(sig[1:], cbounds):
+                if r == -1 - mode if land else v[1]:  # the clock lands or opens
+                    cells.append(COLLAPSED if v[0] >= b else ((v[0] + land, land), -land))
+                else:
+                    cells.append((v, r + mode) if mode > 0 and r >= 0 else (v, r))
+            nid = intern((sig[0],) + tuple(cells))
+            return nid if inv_ok[nid] else None
+
+        def member(key):
+            """The process and t as a one-process `region_graph.member_key`."""
+            i, tcell = key
+            sig = sigs[i]
+            region = _region(cclocks + (T,), cbounds + (1,), sig[1:] + (tcell,))
+            return (sig[0], False, region.key())
+
+        self.cclocks, self.cbounds = cclocks, cbounds
+        self.sigs, self.loc, self.ranks, self.kind = sigs, loc, ranks, kind
+        self.intern, self.inv_ok, self.fire = intern, inv_ok, Memo(fire)
+        self.step, self.member = Memo(step), Memo(member)
+        self.closed = Memo(lambda k: intern((loc[k[0]],)  # (id, gone) -> closed-up id
+                                            + _close_up(sigs[k[0]][1:], k[1])))
+        self.moves = _lbta_moves if a.kind == "lbta" else _gta_moves
+        self.start = intern((a.initial,) + (RESET,) * len(cclocks))
+
+
+class _Net:
+    """A^n at a slot cap, with its `_SigTable`'s lists and memos as attributes."""
+
+    def __init__(self, a: Automaton, n: int, slot_cap: int):
+        if _SigTable not in a.tables:
+            a.tables[_SigTable] = _SigTable(a)
+        vars(self).update(vars(a.tables[_SigTable]))
+        self.n, self.slot_cap = n, slot_cap
+        self.clocks = _layout(self.cclocks, n)
+        self.bounds = self.cbounds * n + (1,)
 
     def initial(self):
-        sig = (self.a.initial,) + (RESET,) * len(self.cclocks)
-        return ((self.intern(sig),) * self.n, RESET, 0)
-
-    def _inv_ok(self, i):
-        return _region(self.cclocks, self.cbounds, self.sigs[i][1:]).satisfies(
-            self.a.invariant(self.loc[i]))
-
-    def _enabled(self, i):
-        """(tr, id after tr, ranks its resets may free, tr.dst's invariant
-        holds) for each transition from id i's location whose guard holds."""
-        sig = self.sigs[i]
-        region = _region(self.cclocks, self.cbounds, sig[1:])
-        out = []
-        for tr in self.a.transitions:
-            if tr.src == sig[0] and region.satisfies(tr.guard):
-                cells = list(sig[1:])
-                resets = [self.cclocks.index(c) for c in tr.resets]
-                freed = {cells[p][1] for p in resets}
-                for p in resets:
-                    cells[p] = RESET
-                nid = self.intern((tr.dst,) + tuple(cells))
-                freed = tuple(freed - {-1} - {r for _, r in cells})
-                out.append((tr, nid, freed, self.inv_ok[nid]))
-        return tuple(out)
+        return ((self.start,) * self.n, RESET, 0)
 
     def settle(self, ids, tcell, index, freed):
         """The state after resets, closing up freed ranks that no clock holds."""
-        if freed:
-            ranks = self.ranks
-            gone = tuple(sorted({r for r in freed if r != tcell[1]
-                                 and not any(r in ranks[i] for i in ids)}))
-            if gone:
-                ids = tuple(self.closed[i, gone] for i in ids)
-                tcell = _close_up((tcell,), gone)[0]
+        ranks = self.ranks
+        gone = tuple(sorted({r for r in freed if r != tcell[1]
+                             and not any(r in ranks[i] for i in ids)}))
+        if gone:
+            closed = self.closed
+            ids = tuple([closed[i, gone] for i in ids])
+            tcell = _close_up((tcell,), gone)[0]
         return (ids, tcell, index)
-
-    def _closed(self, key):
-        i, gone = key
-        sig = self.sigs[i]
-        return self.intern((sig[0],) + _close_up(sig[1:], gone))
-
-    def _step(self, key):
-        """Mode 0 or 1: integer clocks open into rank 0 and the other ranks
-        shift by the mode; mode -1 - r: the rank-r class lands.  None, not
-        False, if the invariant breaks: `False in ids` would match id 0."""
-        i, mode = key
-        sig = self.sigs[i]
-        land, cells = mode < 0, []
-        for (v, r), b in zip(sig[1:], self.cbounds):
-            if r == -1 - mode if land else v[1]:  # the clock lands or opens
-                cells.append(COLLAPSED if v[0] >= b else ((v[0] + land, land), -land))
-            else:
-                cells.append((v, r + mode) if mode > 0 and r >= 0 else (v, r))
-        nid = self.intern((sig[0],) + tuple(cells))
-        return nid if self.inv_ok[nid] else None
 
     def delay(self, state):
         """The immediate time successor, or None if an invariant breaks or t
         crosses past the slot cap."""
         ids, tcell, index = state
         kind = self.kind
-        kinds = [kind[i] for i in ids]
-        if tcell[0][1] or any(k for k, _ in kinds):
-            mode = 1 if tcell[0][1] or any(k == 2 for k, _ in kinds) else 0
+        opens, top = max([kind[i] for i in ids])  # the largest kind, its top rank
+        if tcell[0][1] or opens:
+            mode = 1 if tcell[0][1] or opens == 2 else 0
             tcell = ((0, False), 0) if tcell[0][1] else (tcell[0], tcell[1] + mode)
         else:
-            mode = -1 - max(tcell[1], *(r for _, r in kinds))
+            mode = -1 - max(tcell[1], top)
             if tcell[1] == -1 - mode:  # t lands on the next integer: a new slot
                 if index >= self.slot_cap:
                     return None
@@ -179,18 +198,13 @@ class _Net:
         ids = tuple([step[i, mode] for i in ids])
         return None if None in ids else (ids, tcell, index)
 
-    def _member(self, key):
-        """The process and t as a one-process `region_graph.member_key`."""
-        i, tcell = key
-        sig = self.sigs[i]
-        region = _region(self.cclocks + (T,), self.cbounds + (1,), sig[1:] + (tcell,))
-        return (sig[0], False, region.key())
-
     def successors(self, state):
         """(step, state) pairs: ("delay",) first, then ("fire", descriptor)."""
         d = self.delay(state)
-        out = [(("delay",), d)] if d is not None else []
-        return out + [(("fire", desc), nxt) for desc, nxt in self.moves(self, state)]
+        out = self.moves(self, state)
+        if d is not None:
+            out.insert(0, (("delay",), d))
+        return out
 
     def region_state(self, state) -> RegionState:
         ids, tcell, index = state
@@ -201,16 +215,17 @@ class _Net:
 
 
 def _gta_moves(net: _Net, state):
-    """(descriptor, new state) pairs; a descriptor is a tuple of (i, tr) movers."""
+    """(("fire", descriptor), state) pairs; a descriptor is a tuple of (i, tr)."""
     out = []
     ids, tcell, index = state
+    fire, settle = net.fire, net.settle
     locs = [net.loc[i] for i in ids]
     for p, i in enumerate(ids):
-        for tr, nid, freed, inv in net.enabled[i]:
-            g = tr.locguard
-            if inv and (g is None or locs.count(g) > (locs[p] == g)):
+        for tr, nid, freed, g in fire[i]:
+            if g is None or locs.count(g) > (locs[p] == g):
                 nids = ids[:p] + (nid,) + ids[p + 1 :]
-                out.append((((p, tr),), net.settle(nids, tcell, index, freed)))
+                out.append((("fire", ((p, tr),)), settle(nids, tcell, index, freed)
+                            if freed else (nids, tcell, index)))
     return out
 
 
@@ -218,13 +233,14 @@ def _lbta_moves(net: _Net, state):
     """Broadcast macro steps: sender plus every subset of enabled receivers."""
     out = []
     ids, tcell, index = state
+    fire, inv_ok = net.fire, net.inv_ok
     for p, i in enumerate(ids):
-        for sent in net.enabled[i]:
+        for sent in fire[i]:
             tr = sent[0]
             if tr.sync is None or tr.sync[1] != "!!":
                 continue
             options = [[(p,) + sent] if j == p else [None] + [
-                (j,) + got for got in net.enabled[ij]
+                (j,) + got for got in fire[ij]
                 if got[0].sync == (tr.sync[0], "??")] for j, ij in enumerate(ids)]
             for combo in product(*options):
                 movers = [m for m in combo if m is not None]
@@ -232,9 +248,13 @@ def _lbta_moves(net: _Net, state):
                 for j, _, nid, mfreed, _ in movers:
                     nids[j] = nid
                     freed.extend(mfreed)
-                if all(net.inv_ok[k] for k in nids):
+                # the fire rows pass the movers; one that stays breaks its
+                # invariant only in an initial state whose invariant fails at 0
+                if all(inv_ok[k] for k in nids):
                     desc = ((p, tr),) + tuple((j, m) for j, m, *_ in movers if j != p)
-                    out.append((desc, net.settle(tuple(nids), tcell, index, freed)))
+                    nids = tuple(nids)
+                    out.append((("fire", desc), net.settle(nids, tcell, index, freed)
+                                if freed else (nids, tcell, index)))
     return out
 
 
@@ -278,6 +298,9 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
     with the hitting step: ("delay", state) and ("fire", descriptor, state)
     pairs, each state a RegionState.
     """
+    if n < 1 or slot_cap < 0:
+        raise ValueError(f"the oracle needs n >= 1 and a slot cap >= 0, "
+                         f"not n={n} and slot cap {slot_cap}")
     net = _Net(a, n, slot_cap)
     res = OracleResult(n, slot_cap, net=net)
     start = net.initial()
@@ -296,14 +319,19 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
     if node is not None and hits(None, start):
         res.witness = []
         return res
+    successors, labels = net.successors, res.labels
+    popleft, push = queue.popleft, queue.append
     while queue:
-        state = queue.popleft()
+        state = popleft()
         res.states_explored += 1
-        succs = net.successors(state)
-        res.labels.update(tr.label for step, _ in succs if step[0] == "fire"
-                          for _, tr in step[1] if tr.label is not None)
+        succs = successors(state)
+        for step, _ in succs:
+            if step[0] == "fire":
+                for _, tr in step[1]:
+                    if tr.label is not None:
+                        labels.add(tr.label)
         # a label fires from this state iff it has just joined the labels
-        if label in res.labels or node is not None:
+        if label in labels or node is not None:
             for step, nxt in succs:
                 if hits(step, nxt):
                     steps = [(step, net.region_state(nxt))]
@@ -320,7 +348,7 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
                     return res
                 # parent links only where a witness may be read back
                 seen[k] = None if target is None else (state, step)
-                queue.append(nxt)  # as first reached; only the key is sorted
+                push(nxt)  # as first reached; only the key is sorted
     return res
 
 
@@ -340,7 +368,7 @@ def concretize(a: Automaton, n: int, steps):
     or None, "dst": location} entries; receivers of a broadcast appear right
     after their sender with delta 0.
     """
-    vals = dict.fromkeys(_Net(a, n, 0).clocks, Fraction(0))
+    vals = dict.fromkeys(_layout(sorted(a.clocks), n), Fraction(0))
     pending = Fraction(0)
     trace = []
     for step, state in steps:

@@ -341,6 +341,16 @@ def test_oracle_constraint_trace_replays(capsys, model, n, constraint):
     assert eval_constraint(locs, constraint_node(a, constraint))
 
 
+@pytest.mark.parametrize("args", [("-n", "0"), ("-n", "-2"),
+                                  ("-n", "3", "--slot-cap", "-1")])
+def test_oracle_rejects_bad_sizes(capsys, args):
+    # n=0 used to die with a TypeError in the delay step, and a negative slot
+    # cap explored slot 0
+    rc, out, err = run(capsys, "oracle", FIG1, *args)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the oracle needs n >= 1 and a slot cap >= 0")
+
+
 def test_oracle_checks_the_query_before_exploring(capsys, monkeypatch):
     def explore(*args, **kwargs):
         raise AssertionError("explored before checking the query")

@@ -12,6 +12,7 @@ from dtnmc.lbta_bridge import gta_to_lbta
 from dtnmc.model import parse_file, parse_model
 from dtnmc.oracle import (
     _Net,
+    _SigTable,
     _gta_moves,
     _lbta_moves,
     _pclock,
@@ -336,6 +337,37 @@ def test_unlabelled_steps_replay_along_the_fired_transition(fig1, fig3):
                                   "dst": "post"}])
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig3", "r3", "l3"])
+def test_answers_do_not_depend_on_query_history(name):
+    # one automaton's signature table serves every n, slot cap and target;
+    # in either order each answer equals that of a freshly parsed automaton
+    a = _golden_model(name)
+    node = constraint_node(a, f"#{max(a.locations)}>=1 && #{a.initial}==0")
+    asks = [(n, target) for n in (3, 2, 1)
+            for target in (None, max(a.labels(), default="x"), node)]
+
+    def answer(b, n, target):
+        res = explore_network(b, n, slot_cap=4 - n, max_states=3000, target=target)
+        trace = None if res.witness is None else concretize(b, n, res.witness)
+        return (res.states_explored, res.labels, res.loc_sets, res.supports,
+                res.exhausted, res.witness, trace)
+
+    fresh = [answer(_golden_model(name), n, target) for n, target in asks]
+    for order in (asks, asks[::-1]):
+        b = _golden_model(name)
+        got = [answer(b, n, target) for n, target in order]
+        assert got == (fresh if order is asks else fresh[::-1])
+        assert list(b.tables) == [_SigTable]
+    assert any(ans[5] for ans in fresh)
+
+
+@pytest.mark.parametrize("n,slot_cap", [(0, 2), (-1, 2), (2, -1)])
+def test_bad_sizes_raise(fig1, n, slot_cap):
+    for target in (None, "serr"):
+        with pytest.raises(ValueError, match="n >= 1 and a slot cap >= 0"):
+            explore_network(fig1, n, slot_cap=slot_cap, target=target)
+
+
 def test_labels_grow_with_network_size(explored):
     fired = {n: explored("fig1", n).labels for n in (1, 2, 3)}
     assert fired[1] == {"s0", "s1", "s2"}
@@ -382,7 +414,7 @@ def test_canon_collapses_process_symmetry(fig3):
     start = net.initial()
     moves = _gta_moves(net, start)
     # the same transition fired by either process reaches one orbit key
-    by_desc = {desc[0][0]: nxt for desc, nxt in moves}
+    by_desc = {step[1][0][0]: nxt for step, nxt in moves}
     assert set(by_desc) == {0, 1}
     assert _orbit_key(by_desc[0]) == _orbit_key(by_desc[1])
     assert by_desc[0] != by_desc[1]
@@ -457,12 +489,12 @@ def test_lossy_receiver_subsets():
     assert outcomes == {
         ("ps", "q", "q"), ("ps", "qs", "q"), ("ps", "q", "qs"), ("ps", "qs", "qs"),
     }
-    descs = {desc for desc, _ in moves}
+    descs = {desc for (_, desc), _ in moves}
     assert all(d[0] == (0, b.transitions[0]) for d in descs)
     # lossiness: with nobody listening the send still fires, alone
     alone = _lbta_moves(net, net.initial())
     assert len(alone) == 3  # one bare send per process
-    assert all(len(d) == 1 for d, _ in alone)
+    assert all(len(d) == 1 for (_, d), _ in alone)
 
 
 def project_trace(trace, procs):
