@@ -382,6 +382,35 @@ GOLDEN = {
 }
 
 
+# sha256 prefixes of the same dra and streaming answers with `witness` and
+# `support` removed: the verdict, the layer of the hit and every count
+GOLDEN_VERDICTS = {
+    "fig3": ("d4e1a57fc7cdded6", "ce5d0db1f4aa46e1"),
+    "LOCK2": ("7c0064e0a82b0f1d", "8f1e4f35b9196ef0"),
+    "r3": ("5e196d15c5014d3a", "435159087270ac72"),
+    "r6": ("fe8a559f9a88421a", "28b0da9ceda39c2a"),
+    "r13": ("48e613d52313d437", "21a494e2fdca6a76"),
+    "r18": ("390b4daf43e5ea11", "54548c795f6ebb7a"),
+    "r19": ("307f8f7edc9d8511", "bee5c8ef0149256c"),
+    "r21": ("2e361f93b8420b40", "43823e194a03f71c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERDICTS))
+def test_global_verdicts_match_golden_digests(name):
+    a = _golden_global_model(name)
+    queries = [f"#{q}>=1 && #{q2}==0" for q, q2 in permutations(sorted(a.locations), 2)]
+    got = []
+    for streaming in (False, True):
+        lines = []
+        for text in queries:
+            out = check_global(a, text, streaming=streaming)
+            del out["witness"], out["support"]
+            lines.append(json.dumps(out))
+        got.append(hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16])
+    assert tuple(got) == GOLDEN_VERDICTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_global_outputs_match_golden_digests(name):
     a = _golden_global_model(name)
