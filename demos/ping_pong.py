@@ -52,4 +52,4 @@ else:
 print()
 print("== global layer growth ==")
 g = build_global_layers(a)
-print("supports per layer:", [len(layer.supports) for layer in g.layers])
+print("supports per layer:", [layer.count for layer in g.layers])

@@ -4,55 +4,66 @@ A configuration of A^n is abstracted by its support: the set of (location,
 region) pairs occupied by at least one process, all sharing the global-time
 slot.  Supports evolve by three kinds of steps:
 
-  - delay micro-steps inside an open slot: members whose clocks sit on an
-    integer value are advanced together (any positive delay moves them, and
-    every process on such a member moves at once); otherwise any nonempty set
-    of members whose next region changes happen before the slot boundary can
-    reach them simultaneously (processes may share fractional phases), and
-    each mover either drags all its processes along or splits off a copy,
-    leaving stragglers behind;
-  - discrete steps: one member fires a transition whose location guard is
-    witnessed inside the support; the moved copy is always added, and the
-    source member may additionally be dropped (all its processes fire) when
-    the last mover still sees a witness;
+  - delay micro-steps inside an open slot (rule 1): members whose clocks sit
+    on an integer value are advanced together (any positive delay moves them,
+    and every process on such a member moves at once); otherwise any
+    nonempty set of members whose next region changes happen before the slot
+    boundary can reach them simultaneously (processes may share fractional
+    phases), and each mover either drags all its processes along or splits
+    off a copy, leaving stragglers behind;
+  - discrete steps (rule 2): one member fires a transition whose location
+    guard is witnessed inside the support; the moved copy is always added,
+    and the source member may additionally be dropped (all its processes
+    fire) when the last mover still sees a witness;
   - boundary steps: when every member's next region change crosses into the
     following slot, the whole support crosses at once.
 
 Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
 up to a slot shift.  The loop is region_graph's `LayeredBuild`, the one the
-local algorithm runs; `_GlobalBuilder` supplies the support closure, the
-boundary and the signature of a singleton-slot layer, its set of supports.
+local algorithm runs.
 
 Members are the ids of region_graph's shared `MemberTable`; `SupportMembers`
-adds the sort rank and slot flags per id and the mask of ids per location.  A
-support is an int with bit i set for member i; the slot index travels beside
-it.  A build expands a support once per side of tmax, all that rule 1 and the
-boundary read of the index, and keeps its successors, the transitions of
-the rule-2 ones and, once taken, its boundary; `find_guard_timelock` reads
-them back.  The rules read the table's delay row and discrete tuples and ask
-the table only for steps not computed yet.  `support_key` keys a RegionState
-support.
+adds the sort rank and slot flags per id and the mask of ids per location.
+A single support is an int with bit i set for member i.  A layer holds its
+supports symbolically, as a family in a zero-suppressed decision diagram
+(`zdd.ZDD`) whose variables are the member ids, and closes by frontier
+rings (Burch et al., "Symbolic model checking: 10^20 states and beyond",
+LICS 1990): each ring is the image of the last one under rules 1 and 2,
+minus the layer so far.  Rule 2 works per member and step on the supports
+holding the member; rule 1 is one image giving each mover the options keep,
+split and move, or moving every punctual member; the boundary keeps the
+supports of crossing members and maps each member to its successor.  The
+loop-back signature is the layer's node.
 
-Only a watched dra build (`check_global` without streaming), whose witness
-is walked back, records a parent link per support, in the layer that first
-holds it: the source support, and "init", "cross" or None for an in-layer
-step, whose kind `_witness_chain` reads off the source's first outcome equal
-to the support.  A watched build compiles its constraint once into a test on
-the support bitmask that reads the live per-location masks; `eval_constraint`
-evaluates a constraint on a location set.
+Every non-streaming build on an automaton walks one chain of completed
+layers, kept in `a.tables` next to the member table, and extends it when it
+runs out; a budget overrun leaves the chain at its last complete layer.  A
+streaming build has a diagram of its own and holds one layer.  A watched
+constraint becomes filters on the families, applied to each layer; the
+reported support is the least by member rank in the layer's lowest ring
+holding one, and a dra witness walks back to the rank-least predecessor in
+each earlier ring, and from a seed to its rank-least source in the lowest
+ring of the layer before, so no output depends on member ids.
+
+`rule1_steps`, `rule2_steps` and `boundary_support` are the same relation on
+one explicit support; `find_guard_timelock` enumerates the layers' supports
+and searches them with it, and `support_key` keys a RegionState support.
+`eval_constraint` evaluates a constraint on a location set.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .model import Automaton, BudgetExceeded
 from .region_graph import LayeredBuild, MemberTable, member_key
 from .regions import T, Slot
+from .zdd import BASE, EMPTY, ZDD
 
 
 def support_key(support):
@@ -63,7 +74,10 @@ def support_key(support):
 class GlobalLayer:
     number: int
     slot: Slot
-    supports: dict  # support (bitmask of member ids) -> None, in discovery order
+    family: int  # its supports, a node of the builder's diagram
+    count: int  # how many supports
+    rings: list  # frontier rings: the seeds, then each step's new supports
+    locations: frozenset = None  # the location sets of its supports, once asked
 
 
 # -- constraints ----------------------------------------------------------------
@@ -82,7 +96,7 @@ def parse_constraint(text: str):
             if text[pos:].strip():
                 raise ValueError(f"malformed constraint at {text[pos:].strip()!r}")
             break
-        tokens.append(re.sub(r"\s", "", m.group(1)))
+        tokens.append("".join(m.group(1).split()))
         pos = m.end()
     tokens.append(None)  # the end of the text
     node, pos = _parse(tokens, 0)
@@ -158,12 +172,14 @@ class SupportMembers(MemberTable):
         self.rank = []  # id -> repr of its member key, the visiting order
         self.punctual = 0  # mask of ids where any positive delay moves a clock but t
         self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
+        self.locbit = []  # id -> bit of its location in the order of `at`
         self._last = (0, [])  # the last support ordered and its ids
         self.text = {}  # id -> region text without t, for the JSON
 
     def _added(self, m) -> None:
         bit = 1 << len(self.rank)
         self.at[m.loc] |= bit
+        self.locbit.append(1 << list(self.at).index(m.loc))
         self.rank.append(repr(member_key(m)))
         if m.base.is_time_punctual(skip=(T,)):
             self.punctual |= bit
@@ -264,20 +280,16 @@ def boundary_support(support, index, members: SupportMembers):
     return crossed
 
 
-def _compile(node, at):
-    """The constraint as a test on a support bitmask; it reads the location
-    masks in `at` when called, so members interned later count."""
-    kind = node[0]
-    if kind == "some":
-        q = node[1]
-        return lambda sup: sup & at[q] != 0
-    if kind == "none":
-        q = node[1]
-        return lambda sup: not sup & at[q]
-    left, right = _compile(node[1], at), _compile(node[2], at)
-    if kind == "and":
-        return lambda sup: left(sup) and right(sup)
-    return lambda sup: left(sup) or right(sup)
+class _Chain:
+    """An automaton's completed global layers and the seeds of the next one."""
+
+    def __init__(self):
+        self.zdd = ZDD()
+        self.layers = []  # GlobalLayer 0, 1, ... up to the last complete one
+        self.seeds = []  # layer number -> the family of its seeds, once taken
+        # (layer, ring, support) -> (its predecessor or source, the latter's
+        # layer and ring, the step's kind), for each witness step walked back
+        self.back = {}
 
 
 class _GlobalBuilder(LayeredBuild):
@@ -286,74 +298,207 @@ class _GlobalBuilder(LayeredBuild):
     def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
-        # watched constraint as a support test, or None; hit: (layer, slot, support)
-        self.test = None if watch is None else _compile(watch, self.members.at)
-        # support -> (parent or None, "init", "cross" or None for an in-layer
-        # step, layer no), in a watched dra build only
-        self.parent = {}
-        self.record_parent = watch is not None and not streaming
+        # a streaming build never touches the automaton's chain
+        self.chain = _Chain() if streaming else a.tables.setdefault(_Chain, _Chain())
+        self.zdd = self.chain.zdd
+        self.watch = watch  # the constraint node, or None
         self.supports_total = 0
-        # index >= tmax -> {support -> [rule-1 then rule-2 successors, the
-        # transitions of the rule-2 ones, boundary or False]}
-        self.expanded = ({}, {})
-
-    def _expand(self, sup, index, cache):
-        succs = rule1_steps(sup, index, self.members)
-        steps = rule2_steps(sup, self.members)
-        succs += [nxt for nxt, _ in steps]
-        entry = cache[sup] = [succs, [tr for _, tr in steps], False]
-        return entry
+        # hit: (layer number, slot, ring number, least support meeting watch)
 
     def _initial_seeds(self):
-        return {1 << self.members.intern(self.ctx.initial_state()): None}
+        seeds = self.chain.seeds
+        if not seeds:
+            init = self.members.intern(self.ctx.initial_state())
+            seeds.append(self.zdd.node(init, EMPTY, BASE))
+        return seeds[0]
+
+    def _count(self, number, n):
+        self.supports_total += n
+        limit = self.max_states
+        if limit is not None and self.supports_total > limit:
+            raise BudgetExceeded(f"global construction exceeds {limit}"
+                                 f" supports while building layer {number}")
 
     def _close_layer(self, number, slot, seeds):
-        supports, index = {}, slot.index
-        order = []  # supports in discovery order, expanded first in, first out
-        cache = self.expanded[index >= self.ctx.tmax]
-        parent = self.parent if self.record_parent else None
-        limit = self.max_states
+        layers = self.chain.layers
+        if number < len(layers):
+            layer = layers[number]
+            self._count(number, layer.count)
+        else:
+            layer = self._closure(number, slot, seeds)
+            if not self.streaming:
+                layers.append(layer)
+        watch = self.watch
+        if watch is not None and self.hit is None and any(
+                _eval_on(locs.__contains__, watch) for locs in self._locations(layer)):
+            z = self.zdd
+            for r, ring in enumerate(layer.rings):
+                hits = self._filter(ring, watch)
+                if hits:
+                    self.hit = (number, slot, r,
+                                z.least(hits, self.members.rank.__getitem__))
+                    break
+            z.clear()
+        return layer
 
-        def add(sup, src, kind):  # sup is new to the layer
-            supports[sup] = None
-            order.append(sup)
-            if parent is not None and sup not in parent:
-                parent[sup] = (src, kind, number)
-            self.supports_total += 1
-            if limit is not None and self.supports_total > limit:
-                raise BudgetExceeded(f"global construction exceeds {limit}"
-                                     f" supports while building layer {number}")
-            if self.hit is None and self.test is not None and self.test(sup):
-                self.hit = (number, slot, sup)
+    def _locations(self, layer):
+        if layer.locations is None:
+            locs = list(self.members.at)
+            layer.locations = frozenset(
+                frozenset(q for k, q in enumerate(locs) if mask >> k & 1)
+                for mask in self.zdd.project(layer.family, self.members.locbit))
+        return layer.locations
 
-        for sup, src in seeds.items():
-            add(sup, src, "cross" if src is not None else "init")
-        for sup in order:
-            for nxt in (cache.get(sup) or self._expand(sup, index, cache))[0]:
-                if nxt not in supports:
-                    add(nxt, sup, None)  # _witness_chain looks the kind up
-        return GlobalLayer(number, slot, supports)
+    def _closure(self, number, slot, seeds):
+        z = self.zdd
+        family = ring = seeds
+        rings, count = [seeds], z.count(seeds)
+        try:
+            self._count(number, count)
+            while True:
+                ring = z.diff(self._image(ring, slot), family)
+                if not ring:
+                    break
+                n = z.count(ring)
+                self._count(number, n)
+                family, count = z.union(family, ring), count + n
+                rings.append(ring)
+        finally:
+            z.clear()
+        return GlobalLayer(number, slot, family, count, rings)
+
+    def _image(self, ring, slot):
+        """The rule-1 and rule-2 outcomes of the supports of `ring`, with
+        some of those supports themselves."""
+        z, m = self.zdd, self.members
+        at, row = m.at, m.discrete_row
+        members = sorted(z.variables(ring))
+        acts = {}  # location guard -> member -> (targets, targets it may drop into)
+        for i in members:
+            steps = row[i]
+            if steps is None:
+                steps = m.discrete(i)
+            for tr, j, lg in steps:
+                plus, into = acts.setdefault(lg, {}).setdefault(i, ([], []))
+                plus.append(j)
+                if j != i:  # every process at i fires: drop i
+                    into.append(j)
+        outs = []
+        for lg, moves in acts.items():
+            # a step needs a member at lg before it, and a drop one after it
+            src = ring if lg is None else z.hits(ring, at[lg])
+            adds, drops = z.fire(src, moves, max(moves))
+            outs += (adds, drops if lg is None else z.hits(drops, at[lg]))
+        if slot.kind == "open":
+            outs.append(self._delays(ring, members, slot.index))
+        return z.union_all(outs)
+
+    def _delays(self, ring, members, index):
+        """Rule 1 in an open slot: a support with punctual members moves all
+        of them unless an invariant pins one; in any other, each mover may
+        keep, split or move (keeping all gives the support itself)."""
+        z, m = self.zdd, self.members
+        row, point, punctual = m.delay_row(index), m.point, m.punctual
+        movers, moved, pinned = {}, {}, 0
+        for i in members:
+            j = row[i]
+            if j is False:
+                j = m.delay(i, index)
+            if punctual >> i & 1:
+                if j is None:
+                    pinned |= 1 << i
+                else:
+                    moved[i] = ((False, j),)
+            elif j is not None and not point[j]:
+                movers[i] = ((True, None), (True, j), (False, j))
+        out = z.image(z.avoid(ring, punctual), movers) if movers else EMPTY
+        if moved:
+            rest = z.avoid(z.hits(ring, punctual), pinned)
+            out = z.union(out, z.image(rest, moved))
+        return out
 
     def _boundary(self, layer):
-        """The next layer's seeds: crossed support -> source."""
-        seeds, index = {}, layer.slot.index
-        cache = self.expanded[index >= self.ctx.tmax]
-        for sup in layer.supports:
-            entry = cache[sup]  # every support was expanded as its layer closed
-            if entry[2] is False:
-                entry[2] = boundary_support(sup, index, self.members)
-            if entry[2] is not None:
-                seeds.setdefault(entry[2], sup)
-        if self.streaming:
-            cache.clear()  # hold one layer only
-        return seeds
+        """The next layer's seeds: the crossed supports."""
+        seeds, number = self.chain.seeds, layer.number
+        if number + 1 < len(seeds):
+            return seeds[number + 1]
+        z, m, index = self.zdd, self.members, layer.slot.index
+        crossers, options = 0, {}
+        for i, j in self._delay_steps(layer.family, index):
+            if j is not None and (m.point[i] or m.point[j]):
+                crossers |= 1 << i
+                options[i] = ((False, j),)
+        out = z.image(z.within(layer.family, crossers), options)
+        z.clear()
+        if not self.streaming:
+            seeds.append(out)
+        return out
+
+    def _delay_steps(self, family, index):
+        """(member, delay successor or None) per member of the family."""
+        m = self.members
+        row = m.delay_row(index)
+        for i in sorted(self.zdd.variables(family)):
+            j = row[i]
+            yield i, m.delay(i, index) if j is False else j
 
     def _signature(self, layer):
-        if self.streaming:
-            # ids are one-to-one with members within the automaton's table
-            body = repr(sorted(layer.supports))
-            return hashlib.sha256(body.encode()).hexdigest()
-        return frozenset(layer.supports)
+        return layer.family  # nodes are hash-consed
+
+    def _filter(self, f, node):
+        """The supports of f on which the constraint holds."""
+        kind = node[0]
+        if kind == "some":
+            return self.zdd.hits(f, self.members.at[node[1]])
+        if kind == "none":
+            return self.zdd.avoid(f, self.members.at[node[1]])
+        left = self._filter(f, node[1])
+        if kind == "and":
+            return self._filter(left, node[2])
+        return self.zdd.union(left, self._filter(f, node[2]))
+
+    def _rank_order(self, sups):
+        """The supports sorted as `ZDD.least` orders them by member rank."""
+        members = self.members.ordered(reduce(or_, sups, 0))
+        weight = {i: 1 << k for k, i in enumerate(reversed(members))}
+        return sorted(sups, key=lambda sup: sum(
+            w for i, w in weight.items() if sup >> i & 1))
+
+    def _predecessor(self, layer, r, sup):
+        """The rank-least support of the layer's ring r with `sup` among its
+        outcomes, and the step's kind: "delay" or the transition."""
+        z, m, slot = self.zdd, self.members, layer.slot
+        ring = layer.rings[r]
+        near = sup  # what a predecessor may hold: sup's members and theirs
+        steps = self._delay_steps(ring, slot.index) if slot.kind == "open" else \
+            ((i, None) for i in z.variables(ring))
+        for i, j in steps:
+            if j is not None and sup >> j & 1 or any(
+                    sup >> k & 1 for _, k, _ in m.discrete_row[i] or m.discrete(i)):
+                near |= 1 << i
+        for src in self._rank_order(list(z.sets(z.within(ring, near)))):
+            if slot.kind == "open" and z.contains(self._delays(
+                    z.single(src), z.variables(z.single(src)), slot.index), sup):
+                return src, "delay"
+            for nxt, tr in rule2_steps(src, m):
+                if nxt == sup:
+                    return src, tr
+        raise AssertionError("a ring's support has no predecessor")
+
+    def _source(self, layer, sup):
+        """The rank-least support crossing into `sup` from the lowest ring of
+        the layer that holds one, and that ring's number."""
+        z, m, index = self.zdd, self.members, layer.slot.index
+        near = 0
+        for i, j in self._delay_steps(layer.family, index):
+            if j is not None and sup >> j & 1:
+                near |= 1 << i
+        for r, ring in enumerate(layer.rings):
+            found = [src for src in z.sets(z.within(ring, near))
+                     if boundary_support(src, index, m) == sup]
+            if found:
+                return self._rank_order(found)[0], r
+        raise AssertionError("a seed has no source")
 
 
 def build_global_layers(a: Automaton, cap=None, max_states=None):
@@ -365,11 +510,7 @@ def reachable_location_sets(a: Automaton, cap=None, max_states=None) -> frozense
     """The sets of locations occupied together at some network size: a
     counting constraint is reachable iff it holds on one of them."""
     b = build_global_layers(a, cap, max_states)
-    at = list(b.members.at.items())  # (location, mask of its ids)
-    masks = {sum(1 << k for k, (_, ids) in enumerate(at) if sup & ids)
-             for sup in set().union(*(layer.supports for layer in b.layers))}
-    return frozenset(frozenset(q for k, (q, _) in enumerate(at) if mask >> k & 1)
-                     for mask in masks)
+    return frozenset().union(*map(b._locations, b.layers))
 
 
 def constraint_node(a: Automaton, constraint):
@@ -390,12 +531,11 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
     out = b.report(query, "supports_total", b.supports_total, support=None,
                    witness=None)
     if b.hit is not None:
-        number, slot, sup = b.hit
+        number, slot, r, sup = b.hit
         if streaming:
             out["support"] = _support_json(sup, slot, b.members)
         else:
-            # the hit support is first added, so recorded, in the hit layer
-            out["witness"] = _witness_chain(b, sup)
+            out["witness"] = _witness_chain(b, number, r, sup)
             out["support"] = out["witness"][-1]["support"]
         out["layer"] = number
     return out
@@ -410,22 +550,34 @@ def _support_json(sup, slot, members: SupportMembers):
     return out
 
 
-def _witness_chain(b: _GlobalBuilder, sup):
-    chain = []
-    while sup is not None:
-        src, kind, number = b.parent[sup]
-        if kind is None:  # an in-layer step: the first outcome of src reaching sup
-            succs, trs, _ = b.expanded[b.layers[number].slot.index >= b.ctx.tmax][src]
-            k = succs.index(sup) - len(succs) + len(trs)  # < 0 for a delay
-            kind = "delay" if k < 0 else trs[k]
-        trans = not isinstance(kind, str)
-        step = {"kind": "trans" if trans else kind, "layer": number,
-                "support": _support_json(sup, b.layers[number].slot, b.members)}
-        if trans:
-            step["internal_label"] = kind.label
-            step["label"] = b.relabel_map.get(kind.label)
-        chain.append(step)
-        sup = src
+def _witness_chain(b: _GlobalBuilder, number, r, sup):
+    """The steps from the initial support to `sup`, in ring r of layer
+    `number`: each to a rank-least predecessor in the ring before, a seed to
+    its source in the layer before."""
+    chain, layers, back = [], b.chain.layers, b.chain.back
+    try:
+        while sup is not None:
+            key = (number, r, sup)
+            if key not in back:
+                if r:
+                    src, kind = b._predecessor(layers[number], r - 1, sup)
+                    back[key] = (src, number, r - 1, kind)
+                elif number:
+                    src, ring = b._source(layers[number - 1], sup)
+                    back[key] = (src, number - 1, ring, "cross")
+                else:
+                    back[key] = (None, 0, 0, "init")
+            src, prev, ring, kind = back[key]
+            trans = not isinstance(kind, str)
+            step = {"kind": "trans" if trans else kind, "layer": number,
+                    "support": _support_json(sup, layers[number].slot, b.members)}
+            if trans:
+                step["internal_label"] = kind.label
+                step["label"] = b.relabel_map.get(kind.label)
+            chain.append(step)
+            sup, number, r = src, prev, ring
+    finally:
+        b.zdd.clear()
     chain.reverse()
     return chain
 
@@ -442,7 +594,7 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     layer_of, last = {}, {}  # support -> number of its first / index of its last layer
     for layer in b.layers:
         # rebased supports recur across slots; keep the earliest occurrence
-        for sup in layer.supports:
+        for sup in b.zdd.sets(layer.family):
             layer_of.setdefault(sup, layer.number)
             last[sup] = layer.slot.index
     # a support is safe if it can delay in the last layer holding it or reaches
@@ -450,15 +602,10 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     rev = {k: [] for k in layer_of}
     safe = set()
     for k, index in last.items():
-        entry = b.expanded[index >= b.ctx.tmax][k]
-        for nxt in entry[0]:
+        delays = rule1_steps(k, index, b.members)
+        for nxt in delays + [nxt for nxt, _ in rule2_steps(k, b.members)]:
             rev[nxt].append(k)
-        if len(entry[0]) > len(entry[1]):  # a delay outcome
-            safe.add(k)
-            continue
-        if entry[2] is False:  # the last layer's boundary was never taken
-            entry[2] = boundary_support(k, index, b.members)
-        if entry[2] is not None:
+        if delays or boundary_support(k, index, b.members) is not None:
             safe.add(k)
     queue = deque(safe)
     while queue:

@@ -264,6 +264,7 @@ def parse_model(text: str) -> Automaton:
     a = Automaton(kind, name, tuple(clocks), tuple(locations), initial,
                   invariants, tuple(transitions), tuple(broadcasts))
     _check_references(a)
+    check_initial_invariant(a)
     return a
 
 
@@ -290,6 +291,15 @@ def _check_references(a: Automaton) -> None:
             raise ModelError(f"undeclared location {tr.locguard!r} in locguard")
         if tr.sync is not None and tr.sync[0] not in a.broadcasts:
             raise ModelError(f"undeclared broadcast {tr.sync[0]!r} in sync")
+
+
+def check_initial_invariant(a: Automaton) -> None:
+    """ModelError if the initial location's invariant fails with every clock
+    at 0, as `c < 0` does: such a model has no run."""
+    for atom in a.invariant(a.initial):
+        if atom.d < 0 or atom.d == 0 and atom.op == "<":
+            raise ModelError(f"initial location {a.initial!r} breaks its invariant "
+                             f"{atom.text()} at time 0")
 
 
 def parse_file(path) -> Automaton:

@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import product
 
 from .dtn_global import constraint_node, eval_constraint
-from .model import Automaton, compute_bounds
+from .model import Automaton, check_initial_invariant, compute_bounds
 from .regions import T, Memo, Region, RegionState, nogc
 
 COLLAPSED = ((-1, False), -1)  # the cell of a clock above its bound
@@ -79,6 +79,7 @@ class _SigTable:
     """
 
     def __init__(self, a: Automaton):
+        check_initial_invariant(a)
         cclocks = tuple(sorted(a.clocks))
         cbounds = tuple(map(compute_bounds(a).get, cclocks))
         invariants, transitions = a.invariants, a.transitions
@@ -233,7 +234,7 @@ def _lbta_moves(net: _Net, state):
     """Broadcast macro steps: sender plus every subset of enabled receivers."""
     out = []
     ids, tcell, index = state
-    fire, inv_ok = net.fire, net.inv_ok
+    fire = net.fire
     for p, i in enumerate(ids):
         for sent in fire[i]:
             tr = sent[0]
@@ -248,13 +249,10 @@ def _lbta_moves(net: _Net, state):
                 for j, _, nid, mfreed, _ in movers:
                     nids[j] = nid
                     freed.extend(mfreed)
-                # the fire rows pass the movers; one that stays breaks its
-                # invariant only in an initial state whose invariant fails at 0
-                if all(inv_ok[k] for k in nids):
-                    desc = ((p, tr),) + tuple((j, m) for j, m, *_ in movers if j != p)
-                    nids = tuple(nids)
-                    out.append((("fire", desc), net.settle(nids, tcell, index, freed)
-                                if freed else (nids, tcell, index)))
+                desc = ((p, tr),) + tuple((j, m) for j, m, *_ in movers if j != p)
+                nids = tuple(nids)
+                out.append((("fire", desc), net.settle(nids, tcell, index, freed)
+                            if freed else (nids, tcell, index)))
     return out
 
 

@@ -49,8 +49,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .model import (Automaton, BudgetExceeded, ModelError, compute_bounds,
-                    relabel_unique)
+from .model import (Automaton, BudgetExceeded, ModelError, check_initial_invariant,
+                    compute_bounds, relabel_unique)
 from .regions import (T, Memo, Region, RegionState, Slot, count_regions,
                       initial_region, new_record, next_slot, nogc)
 
@@ -63,6 +63,7 @@ class RegionContext:
     def __init__(self, ta: Automaton):
         if T in ta.clocks:
             raise ModelError("clock name t is reserved for the global clock")
+        check_initial_invariant(ta)
         self.automaton = ta
         cclocks = tuple(sorted(ta.clocks))
         self.cclocks = cclocks

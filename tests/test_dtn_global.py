@@ -7,7 +7,7 @@ import pytest
 from conftest import LOCK2, random_gta
 from dtnmc import dtn_global
 from dtnmc.dtn_global import (
-    _compile,
+    _Chain,
     _GlobalBuilder,
     build_global_layers,
     boundary_support,
@@ -18,6 +18,7 @@ from dtnmc.dtn_global import (
     parse_constraint,
     reachable_location_sets,
     rule1_steps,
+    rule2_steps,
     support_key,
 )
 from dtnmc.dtn_local import build_layers
@@ -87,16 +88,36 @@ def fig3_build():
     return build_global_layers(parse_file(MODELS / "fig3.gta"))
 
 
+def supports(b, layer):
+    """The supports of a layer, as bitmasks of member ids."""
+    return list(b.zdd.sets(layer.family))
+
+
 def test_fig3_global_layers(fig3_build):
     b = fig3_build
     assert (b.i0, b.l0, b.shift) == (4, 6, 1)
-    assert [len(l.supports) for l in b.layers] == [3, 63, 63, 2047, 127, 2047, 127]
+    assert [l.count for l in b.layers] == [3, 63, 63, 2047, 127, 2047, 127]
+    assert [len(supports(b, l)) for l in b.layers] == [l.count for l in b.layers]
     assert [str(l.slot) for l in b.layers] == [
         "[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]", "(2,3)", "[3,3]",
     ]
-    # layers 5 and 6 repeat layers 3 and 4: each distinct support is expanded once
-    distinct = {sup for l in b.layers for sup in l.supports}
-    assert len(distinct) == len(b.expanded[False]) == 2174 and not b.expanded[True]
+    # layers 5 and 6 repeat layers 3 and 4 up to the slot: 2,174 distinct
+    # supports, the size of the union family
+    z, every = b.zdd, 0
+    for l in b.layers:
+        every = z.union(every, l.family)
+    distinct = {sup for l in b.layers for sup in supports(b, l)}
+    assert len(distinct) == z.count(every) == 2174
+    assert (b.layers[5].family, b.layers[6].family) == (
+        b.layers[3].family, b.layers[4].family)
+    # each layer's rings are disjoint, ring 0 is its seeds, and they make it up
+    for l in b.layers:
+        assert sum(z.count(ring) for ring in l.rings) == l.count
+        union = 0
+        for ring in l.rings:
+            assert z.count(z.union(union, ring)) == z.count(union) + z.count(ring)
+            union = z.union(union, ring)
+        assert union == l.family
 
 
 def test_rule1_point_slot_is_quiet(fig3_build):
@@ -104,7 +125,7 @@ def test_rule1_point_slot_is_quiet(fig3_build):
     layer0 = b.layers[0]
     index = layer0.slot.index
     crossed_index = next_slot(layer0.slot, b.ctx.tmax).index
-    for sup in layer0.supports:
+    for sup in supports(b, layer0):
         assert rule1_steps(sup, index, b.members) == []
         crossed = boundary_support(sup, index, b.members)
         assert crossed is not None  # nothing pins time at t=0
@@ -118,11 +139,11 @@ def test_rule1_open_slot_properties(fig3_build):
     assert str(layer1.slot) == "(0,1)"
     seen_any = False
     index = layer1.slot.index
-    for sup in layer1.supports:
+    for sup in supports(b, layer1):
         for nxt in rule1_steps(sup, index, b.members):
             seen_any = True
             assert decoded_key(b, nxt, index) != decoded_key(b, sup, index)
-            assert nxt in layer1.supports
+            assert b.zdd.contains(layer1.family, nxt)
     assert seen_any
 
 
@@ -159,45 +180,53 @@ def test_check_global_streaming_agrees(fig3):
         for key in ("result", "layers_built", "i0", "l0", "shift", "supports_total"):
             assert slim[key] == full[key], (a.name, text, key)
         assert slim["peak_layers_held"] == 1 and slim["witness"] is None
-    # a streaming build keeps expanded supports of the layer it closed last only
-    b = _GlobalBuilder(fig3, streaming=True).build()
-    held = set(b.expanded[False]) | set(b.expanded[True])
-    assert b.peak_layers_held == 1
-    assert held and held <= set(b.layers[-1].supports)
+    # a streaming build holds one layer in a diagram of its own, and leaves
+    # the automaton's chain as it was
+    fresh = parse_file(MODELS / "fig3.gta")
+    b = _GlobalBuilder(fresh, streaming=True).build()
+    assert b.peak_layers_held == 1 and len(b.layers) == 1
+    assert b.chain.layers == [] and len(b.chain.seeds) == 1
+    assert _Chain not in fresh.tables
+    chain = fig3.tables[_Chain]
+    assert b.zdd is not chain.zdd
+    layers, seeds = list(chain.layers), list(chain.seeds)
+    check_global(fig3, "#q1>=1 && #q1==0", streaming=True)
+    assert (chain.layers, chain.seeds) == (layers, seeds)
 
 
-def test_compiled_constraint_agrees_with_eval_constraint(fig3_build):
+def test_constraint_filter_agrees_with_eval_constraint(fig3_build):
     b = fig3_build
     texts = list(differential_constraints(sorted(b.members.at))) + [
         "(#q1>=1 || #init==0) && (#init>=1 || #q1==0)",
         "#q1==0 && (#init>=1 && #q1>=1 || #init==0)",
     ]
-    sups = {sup for layer in b.layers for sup in layer.supports}
     verdicts = set()
     for text in texts:
         node = parse_constraint(text)
-        test = _compile(node, b.members.at)
-        for sup in sups:
-            want = eval_constraint({b.members.loc[i] for i in b.members.ordered(sup)},
-                                   node)
-            assert test(sup) == want, (text, sup)
-            verdicts.add(want)
+        for layer in b.layers:
+            kept = set(b.zdd.sets(b._filter(layer.family, node)))
+            for sup in supports(b, layer):
+                want = eval_constraint(
+                    {b.members.loc[i] for i in b.members.ordered(sup)}, node)
+                assert (sup in kept) == want, (text, sup)
+                verdicts.add(want)
     assert len(texts) == 8 and verdicts == {True, False}
 
 
 def test_builds_record_only_what_is_read(fig3, monkeypatch):
-    builds = []
-    build = _GlobalBuilder.build
-    monkeypatch.setattr(_GlobalBuilder, "build",
-                        lambda self: builds.append(self) or build(self))
+    # only a watched dra query walks the rings back to a witness
+    walks = []
+    for name in ("_predecessor", "_source"):
+        step = getattr(_GlobalBuilder, name)
+        monkeypatch.setattr(_GlobalBuilder, name, lambda self, *args, step=step:
+                            walks.append(self) or step(self, *args))
     build_global_layers(fig3)
     reachable_location_sets(fig3)
-    check_global(fig3, "#q1>=1 && #init==0", streaming=True)
-    assert [len(b.parent) for b in builds] == [0, 0, 0]  # no witness to walk back
+    slim = check_global(fig3, "#q1>=1 && #init==0", streaming=True)
+    assert slim["result"] == "reachable" and walks == []
     out = check_global(fig3, "#q1>=1 && #init==0")
-    watched = builds[-1]
-    assert watched.hit and watched.parent
-    assert len(out["witness"]) > 1 and out["witness"][0]["kind"] == "init"
+    assert walks and len(out["witness"]) > 1 and out["witness"][0]["kind"] == "init"
+    assert out["support"] == slim["support"]
 
 
 def test_check_global_budgets(fig3):
@@ -214,22 +243,19 @@ def test_find_guard_timelock_fig3(fig3):
     assert any(m["region"] == "c=1" for m in out["support"])
 
 
-def test_find_guard_timelock_reads_the_stored_boundaries(fig3, monkeypatch):
-    # the build takes the boundary of every layer but the last one; only
-    # supports there of which no delay leaves are asked again
-    calls = []
-    build, boundary = dtn_global.build_global_layers, dtn_global.boundary_support
-
-    def build_then_count(*args, **kwargs):
-        b = build(*args, **kwargs)
-        calls.clear()
-        return b
-
-    monkeypatch.setattr(dtn_global, "build_global_layers", build_then_count)
-    monkeypatch.setattr(dtn_global, "boundary_support",
-                        lambda *args: calls.append(args) or boundary(*args))
+def test_find_guard_timelock_computes_each_support_once(fig3, monkeypatch):
+    # the relation on explicit supports runs once per distinct support: both
+    # rules on each, the boundary only on those of which no delay leaves
+    calls = {name: [] for name in ("rule1_steps", "rule2_steps", "boundary_support")}
+    for name, seen in calls.items():
+        rule = getattr(dtn_global, name)
+        monkeypatch.setattr(dtn_global, name, lambda sup, *args, rule=rule, seen=seen:
+                            seen.append(sup) or rule(sup, *args))
     assert find_guard_timelock(fig3)["found"]
-    assert calls == []
+    assert len(calls["rule1_steps"]) == len(set(calls["rule1_steps"])) == 2174
+    assert sorted(calls["rule2_steps"]) == sorted(calls["rule1_steps"])
+    boundaries = calls["boundary_support"]
+    assert boundaries and len(boundaries) == len(set(boundaries)) < 2174
 
 
 def test_find_guard_timelock_absent(fig3):
@@ -250,7 +276,7 @@ def missing_oracle_supports(b, res):
     for layer in b.layers:
         key = (layer.slot.kind, layer.slot.index)
         by_slot.setdefault(key, set()).update(
-            decoded_key(b, sup, layer.slot.index) for sup in layer.supports
+            decoded_key(b, sup, layer.slot.index) for sup in supports(b, layer)
         )
     checked = missing = 0
     for slot, sups in res.supports.items():
@@ -294,7 +320,7 @@ def test_global_layers_union_to_local_layers(fig3, fig3_build):
         assert [l.slot for l in g.layers] == [l.slot for l in loc.layers]
         for gl, ll in zip(g.layers, loc.layers):
             members = {member_key(g.members.state(i, gl.slot.index))
-                       for sup in gl.supports for i in g.members.ordered(sup)}
+                       for i in g.zdd.variables(gl.family)}
             assert members == {member_key(loc.states[i]) for i in ll.ids}, (seed, gl.number)
         layers += len(g.layers)
     assert layers == 233
@@ -377,7 +403,7 @@ GOLDEN = {
     "r6": ("be69dd92d34269eb", "9fe0fd368a3359c8", "f26955ad3b22271e", "5084786a5346cbc8"),
     "r13": ("c8467d54c48e522f", "7009e1e714673c20", "f26955ad3b22271e", "5a881277faeaa023"),
     "r18": ("d6d205e177efe4e5", "317c46386d9f2b2c", "f26955ad3b22271e", "6dfdc8983199a39f"),
-    "r19": ("74262797fe007ca0", "7cbb41fe3772635b", "f26955ad3b22271e", "4d4da7a23722266d"),
+    "r19": ("44d6c40ca8bc5f44", "8b0c161f87fd6139", "f26955ad3b22271e", "4d4da7a23722266d"),
     "r21": ("f05dfd71222a1a28", "4861e5e1d0bd9c64", "f26955ad3b22271e", "f46b0789f1e1ba5e"),
 }
 
@@ -418,11 +444,51 @@ def test_global_outputs_match_golden_digests(name):
     dra, slim = ("\n".join(json.dumps(check_global(a, text, streaming=streaming))
                            for text in queries) for streaming in (False, True))
     b = build_global_layers(a)
-    layers = repr((b.i0, b.l0, b.shift, [len(l.supports) for l in b.layers],
+    layers = repr((b.i0, b.l0, b.shift, [l.count for l in b.layers],
                    b.supports_total))
     got = tuple(hashlib.sha256(text.encode()).hexdigest()[:16] for text in
                 (dra, slim, json.dumps(find_guard_timelock(a)), layers))
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_witnesses_replay_through_the_reference_rules(name):
+    # every dra witness starts at the initial support in [0,0], takes one
+    # rule-1, rule-2 or boundary step of the explicit relation at a time,
+    # with the kind it prints, and ends on a support meeting the constraint
+    a = _golden_global_model(name)
+    replayed = 0
+    for q, q2 in permutations(sorted(a.locations), 2):
+        node = parse_constraint(f"#{q}>=1 && #{q2}==0")
+        b = _GlobalBuilder(a, watch=node).build()
+        if b.hit is None:
+            continue
+        number, slot, r, sup = b.hit
+        witness = dtn_global._witness_chain(b, number, r, sup)
+        steps, key = [], (number, r, sup)  # (layer, support), from the hit back
+        while key[2] is not None:
+            steps.append((key[0], key[2]))
+            src, prev, ring, _ = b.chain.back[key]
+            key = (prev, ring, src)
+        steps.reverse()
+        m = b.members
+        assert [step["support"] for step in witness] == [
+            dtn_global._support_json(s, b.layers[k].slot, m) for k, s in steps]
+        assert steps[0] == (0, 1 << m.intern(b.ctx.initial_state()))
+        assert witness[0]["kind"] == "init" and str(b.layers[0].slot) == "[0,0]"
+        for (k, src), (k2, dst), step in zip(steps, steps[1:], witness[1:]):
+            index = b.layers[k].slot.index
+            if step["kind"] == "cross":
+                assert k2 == k + 1 and boundary_support(src, index, m) == dst
+            elif step["kind"] == "delay":
+                assert k2 == k and dst in rule1_steps(src, index, m)
+            else:
+                assert k2 == k and step["kind"] == "trans"
+                assert any(nxt == dst and tr.label == step["internal_label"]
+                           for nxt, tr in rule2_steps(src, m))
+        assert eval_constraint({m.loc[i] for i in m.ordered(steps[-1][1])}, node)
+        replayed += 1
+    assert replayed
 
 
 def test_reachable_supports_total_counts_complete_layers(fig3):
@@ -442,7 +508,7 @@ def test_reachable_supports_total_counts_complete_layers(fig3):
             pass  # b.layers holds the completed layers
         at = b.members.at.items()
         loc_sets = {frozenset(q for q, ids in at if sup & ids)
-                    for layer in b.layers for sup in layer.supports}
+                    for layer in b.layers for sup in supports(b, layer)}
         for text in differential_constraints(sorted(a.locations)):
             node = parse_constraint(text)
             if not any(eval_constraint(ls, node) for ls in loc_sets):
@@ -453,7 +519,7 @@ def test_reachable_supports_total_counts_complete_layers(fig3):
                 assert out["layer"] < len(b.layers)  # the first hit is no later
                 assert out["layers_built"] == out["layer"] + 1
                 assert out["supports_total"] == sum(
-                    len(layer.supports) for layer in b.layers[:out["layer"] + 1]), \
+                    layer.count for layer in b.layers[:out["layer"] + 1]), \
                     (a.name, text, streaming)
                 checked += 1
     assert checked == 2 * 359

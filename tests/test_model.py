@@ -261,3 +261,42 @@ def test_transition_keeps_the_dataclass_contract():
         tr, "Transition(src='a', dst='b', label='go', guard=(Atom(left='c', op='>=', "
             "right=None, d=1),), resets=('c',), locguard='b', sync=None)")
     assert tr._replace(locguard=None) == Transition("a", "b", "go", tr.guard, ("c",))
+
+
+# the initial location's invariant fails at time 0, so neither model has a run
+BAD_START = {
+    "gta": "gta bad\nclocks c\nlocation p initial inv: c < 0\nlocation q\n"
+           "trans p -> q label: go\n",
+    "lbta": "lbta bad\nclocks c\nbroadcasts go\nlocation p initial inv: c < 0\n"
+            "location q\ntrans p -> q label: go sync: go!!\n",
+}
+
+
+@pytest.mark.parametrize("kind", ["gta", "lbta"])
+def test_initial_invariant_must_hold_at_time_zero(kind, tmp_path, capsys):
+    from dataclasses import replace
+
+    from dtnmc.cli import main
+    from dtnmc.oracle import explore_network
+
+    text = BAD_START[kind]
+    with pytest.raises(ModelError, match=r"initial location 'p' breaks its "
+                                         r"invariant c<0 at time 0"):
+        parse_model(text)
+    # c <= 0 holds at 0; the same model built in the library is refused too
+    fine = parse_model(text.replace("c < 0", "c <= 0"))
+    bad = replace(fine, invariants={"p": (Atom("c", "<", None, 0),)})
+    assert explore_network(fine, 2, slot_cap=1).states_explored > 1
+    calls = [lambda: explore_network(bad, 2, slot_cap=1)]
+    if kind == "gta":
+        assert check_label_reachable(fine, "go")["result"] == "reachable"
+        calls += [lambda: check_label_reachable(bad, "go"),
+                  lambda: check_global(bad, "#q>=1"), lambda: validate(bad)]
+    for call in calls:
+        with pytest.raises(ModelError, match="breaks its invariant"):
+            call()
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    for argv in (["validate", str(path)], ["oracle", str(path), "-n", "2"]):
+        assert main(argv) == 2
+        assert "breaks its invariant c<0 at time 0" in capsys.readouterr().err

@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from conftest import LABEL_POOL, OPS, random_gta
-from dtnmc.dtn_global import (SupportMembers, _GlobalBuilder, build_global_layers,
-                               check_global)
+from dtnmc.dtn_global import (SupportMembers, _Chain, _GlobalBuilder,
+                               build_global_layers, check_global)
 from dtnmc.dtn_local import (_Builder, apply_loopback, build_layers,
                              check_label_reachable, dra_to_dot, summary_automaton)
 from dtnmc.lbta_bridge import fresh_name
@@ -310,20 +310,15 @@ def test_shared_tables_ignore_query_order(name, fig1, fig3):
     shared = _query_outputs(a, queries)
     fresh = [_query_outputs(replace(a), [q])[0] for q in queries]
     assert shared == fresh
-    assert set(a.tables) == {MemberTable, SupportMembers}
+    assert set(a.tables) == {MemberTable, SupportMembers, _Chain}
     assert replace(a).tables == {} and replace(a) == a
     with pytest.raises(FrozenInstanceError):
         a.name = "renamed"
 
 
-def _layer_ids(kind, layer):
-    """The member ids of a layer: its ids, or the union of its supports."""
-    if kind == "local":
-        return layer.ids
-    mask = 0
-    for sup in layer.supports:
-        mask |= sup
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+def _layer_ids(kind, b, layer):
+    """The member ids of a layer: its ids, or the members of its supports."""
+    return layer.ids if kind == "local" else b.zdd.variables(layer.family)
 
 
 @pytest.mark.parametrize("kind", ["local", "global"])
@@ -341,7 +336,7 @@ def test_layers_walk_next_slot(kind, fig1, fig3):
         slot, tmax = Slot("point", 0), b.ctx.tmax
         for layer in b.layers:
             assert layer.slot == slot
-            for i in _layer_ids(kind, layer):
+            for i in _layer_ids(kind, b, layer):
                 assert state_slot(b.members.state(i, slot.index), tmax) == slot
             slot = next_slot(slot, tmax)
             layers += 1
