@@ -173,13 +173,14 @@ class SupportMembers(MemberTable):
         self.punctual = 0  # mask of ids where any positive delay moves a clock but t
         self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
         self.locbit = []  # id -> bit of its location in the order of `at`
+        self._bit = {q: 1 << k for k, q in enumerate(self.at)}
         self._last = (0, [])  # the last support ordered and its ids
         self.text = {}  # id -> region text without t, for the JSON
 
     def _added(self, m) -> None:
         bit = 1 << len(self.rank)
         self.at[m.loc] |= bit
-        self.locbit.append(1 << list(self.at).index(m.loc))
+        self.locbit.append(self._bit[m.loc])
         self.rank.append(repr(member_key(m)))
         if m.base.is_time_punctual(skip=(T,)):
             self.punctual |= bit
@@ -299,11 +300,21 @@ class _GlobalBuilder(LayeredBuild):
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
         # a streaming build never touches the automaton's chain
-        self.chain = _Chain() if streaming else a.tables.setdefault(_Chain, _Chain())
+        self.chain = None if streaming else a.tables.get(_Chain)
+        if self.chain is None:
+            self.chain = _Chain()
+            if not streaming:
+                a.tables[_Chain] = self.chain
         self.zdd = self.chain.zdd
         self.watch = watch  # the constraint node, or None
         self.supports_total = 0
         # hit: (layer number, slot, ring number, least support meeting watch)
+
+    def build(self):
+        try:
+            return super().build()
+        finally:
+            self.zdd.clear()  # the operation caches last one build
 
     def _initial_seeds(self):
         seeds = self.chain.seeds
@@ -338,7 +349,6 @@ class _GlobalBuilder(LayeredBuild):
                     self.hit = (number, slot, r,
                                 z.least(hits, self.members.rank.__getitem__))
                     break
-            z.clear()
         return layer
 
     def _locations(self, layer):
@@ -353,18 +363,15 @@ class _GlobalBuilder(LayeredBuild):
         z = self.zdd
         family = ring = seeds
         rings, count = [seeds], z.count(seeds)
-        try:
-            self._count(number, count)
-            while True:
-                ring = z.diff(self._image(ring, slot), family)
-                if not ring:
-                    break
-                n = z.count(ring)
-                self._count(number, n)
-                family, count = z.union(family, ring), count + n
-                rings.append(ring)
-        finally:
-            z.clear()
+        self._count(number, count)
+        while True:
+            ring = z.diff(self._image(ring, slot), family)
+            if not ring:
+                break
+            n = z.count(ring)
+            self._count(number, n)
+            family, count = z.union(family, ring), count + n
+            rings.append(ring)
         return GlobalLayer(number, slot, family, count, rings)
 
     def _image(self, ring, slot):
@@ -372,7 +379,7 @@ class _GlobalBuilder(LayeredBuild):
         some of those supports themselves."""
         z, m = self.zdd, self.members
         at, row = m.at, m.discrete_row
-        members = sorted(z.variables(ring))
+        members = z.variables(ring)
         acts = {}  # location guard -> member -> (targets, targets it may drop into)
         for i in members:
             steps = row[i]
@@ -387,7 +394,7 @@ class _GlobalBuilder(LayeredBuild):
         for lg, moves in acts.items():
             # a step needs a member at lg before it, and a drop one after it
             src = ring if lg is None else z.hits(ring, at[lg])
-            adds, drops = z.fire(src, moves, max(moves))
+            adds, drops = z.fire(src, moves)
             outs += (adds, drops if lg is None else z.hits(drops, at[lg]))
         if slot.kind == "open":
             outs.append(self._delays(ring, members, slot.index))
@@ -422,23 +429,26 @@ class _GlobalBuilder(LayeredBuild):
         seeds, number = self.chain.seeds, layer.number
         if number + 1 < len(seeds):
             return seeds[number + 1]
-        z, m, index = self.zdd, self.members, layer.slot.index
-        crossers, options = 0, {}
-        for i, j in self._delay_steps(layer.family, index):
-            if j is not None and (m.point[i] or m.point[j]):
-                crossers |= 1 << i
-                options[i] = ((False, j),)
-        out = z.image(z.within(layer.family, crossers), options)
-        z.clear()
+        z = self.zdd
+        cross = self._crossing(layer)
+        out = z.image(z.within(layer.family, sum(1 << i for i in cross)),
+                      {i: ((False, j),) for i, j in cross.items()})
         if not self.streaming:
             seeds.append(out)
         return out
+
+    def _crossing(self, layer):
+        """Member -> its delay successor, for the layer's members whose next
+        change enters the next slot."""
+        m, index = self.members, layer.slot.index
+        return {i: j for i, j in self._delay_steps(layer.family, index)
+                if j is not None and (m.point[i] or m.point[j])}
 
     def _delay_steps(self, family, index):
         """(member, delay successor or None) per member of the family."""
         m = self.members
         row = m.delay_row(index)
-        for i in sorted(self.zdd.variables(family)):
+        for i in self.zdd.variables(family):
             j = row[i]
             yield i, m.delay(i, index) if j is False else j
 
@@ -488,14 +498,11 @@ class _GlobalBuilder(LayeredBuild):
     def _source(self, layer, sup):
         """The rank-least support crossing into `sup` from the lowest ring of
         the layer that holds one, and that ring's number."""
-        z, m, index = self.zdd, self.members, layer.slot.index
-        near = 0
-        for i, j in self._delay_steps(layer.family, index):
-            if j is not None and sup >> j & 1:
-                near |= 1 << i
+        z, cross = self.zdd, self._crossing(layer)
+        near = sum(1 << i for i, j in cross.items() if sup >> j & 1)
         for r, ring in enumerate(layer.rings):
-            found = [src for src in z.sets(z.within(ring, near))
-                     if boundary_support(src, index, m) == sup]
+            found = [src for src in z.sets(z.within(ring, near)) if reduce(
+                or_, (1 << cross[i] for i in self.members.ordered(src))) == sup]
             if found:
                 return self._rank_order(found)[0], r
         raise AssertionError("a seed has no source")

@@ -24,6 +24,7 @@ _KEEP = ((True, None),)
 class ZDD:
     def __init__(self):
         self.var, self.lo, self.hi = [_LEAF, _LEAF], [0, 1], [0, 1]
+        self.scope = [0, 0]  # node -> the set of variables its sets use
         self.unique = {}  # (var, lo, hi) -> node
         self.caches = ({}, {}, {}, {})  # union, difference, add, onset
 
@@ -41,6 +42,7 @@ class ZDD:
             self.var.append(v)
             self.lo.append(lo)
             self.hi.append(hi)
+            self.scope.append(self.scope[lo] | self.scope[hi] | 1 << v)
         return k
 
     def single(self, s: int) -> int:
@@ -134,13 +136,13 @@ class ZDD:
 
     def avoid(self, f: int, mask: int, memo=None) -> int:
         """The sets of f disjoint from the set `mask`."""
-        v = self.var[f]
-        if not mask >> v:  # no variable of f is in mask (or f is a terminal)
+        if not self.scope[f] & mask:
             return f
         if memo is None:
             memo = {}
         r = memo.get(f)
         if r is None:
+            v = self.var[f]
             lo = self.avoid(self.lo[f], mask, memo)
             r = memo[f] = lo if mask >> v & 1 else \
                 self.node(v, lo, self.avoid(self.hi[f], mask, memo))
@@ -148,21 +150,22 @@ class ZDD:
 
     def hits(self, f: int, mask: int, memo=None) -> int:
         """The sets of f meeting the set `mask`."""
-        v = self.var[f]
-        if not mask >> v:
+        if not self.scope[f] & mask:
             return EMPTY
         if memo is None:
             memo = {}
         r = memo.get(f)
         if r is None:
+            v = self.var[f]
             hi = self.hi[f] if mask >> v & 1 else self.hits(self.hi[f], mask, memo)
             r = memo[f] = self.node(v, self.hits(self.lo[f], mask, memo), hi)
         return r
 
     def within(self, f: int, mask: int, memo=None) -> int:
         """The sets of f inside the set `mask`."""
-        v = self.var[f]
-        if not mask >> v:  # only the empty set can be inside
+        if not self.scope[f] & ~mask:
+            return f
+        if not self.scope[f] & mask:  # only the empty set can be inside
             while f > BASE:
                 f = self.lo[f]
             return f
@@ -170,45 +173,44 @@ class ZDD:
             memo = {}
         r = memo.get(f)
         if r is None:
+            v = self.var[f]
             lo = self.within(self.lo[f], mask, memo)
             r = memo[f] = self.node(v, lo, self.within(self.hi[f], mask, memo)) \
                 if mask >> v & 1 else lo
         return r
 
-    def image(self, f: int, options: dict, memo=None) -> int:
+    def image(self, f: int, options: dict, moving=None, memo=None) -> int:
         """The family of every outcome of every set of f, where each member v
         independently takes one of `options.get(v, keep)`: (stays, added
         member or None) pairs.  Members a set loses are dropped before any is
         added, so an added member stays even if another option dropped it."""
-        if f <= BASE:
+        if moving is None:
+            moving, memo = sum(1 << v for v in options), {}
+        if not self.scope[f] & moving:
             return f
-        if memo is None:
-            memo = {}
         r = memo.get(f)
         if r is None:
             v = self.var[f]
-            r = self.image(self.lo[f], options, memo)
-            rest = self.image(self.hi[f], options, memo)
+            r = self.image(self.lo[f], options, moving, memo)
+            rest = self.image(self.hi[f], options, moving, memo)
             for stays, j in options.get(v, _KEEP):
                 out = self.add(rest, v) if stays else rest
                 r = self.union(r, out if j is None else self.add(out, j))
             memo[f] = r
         return r
 
-    def fire(self, f: int, acts: dict, last: int, memo=None) -> tuple:
+    def fire(self, f: int, acts: dict, acting=None, memo=None) -> tuple:
         """(adds, drops): every set of f with one member v of `acts` acting
-        once, where acts[v] is (members v may add, members v may turn into)
-        and `last` is the greatest v."""
-        v = self.var[f]
-        if v > last:  # no member of f acts, or f is a terminal
+        once, where acts[v] is (members v may add, members v may turn into)."""
+        if acting is None:
+            acting, memo = sum(1 << v for v in acts), {}
+        if not self.scope[f] & acting:
             return EMPTY, EMPTY
-        if memo is None:
-            memo = {}
         r = memo.get(f)
         if r is None:
-            hi = self.hi[f]
-            adds, drops = self.fire(self.lo[f], acts, last, memo)
-            a1, d1 = self.fire(hi, acts, last, memo)
+            v, hi = self.var[f], self.hi[f]
+            adds, drops = self.fire(self.lo[f], acts, acting, memo)
+            a1, d1 = self.fire(hi, acts, acting, memo)
             if a1:
                 adds = self.union(adds, self.add(a1, v))
             if d1:
@@ -233,15 +235,13 @@ class ZDD:
             r = memo[f] = self.count(self.lo[f], memo) + self.count(self.hi[f], memo)
         return r
 
-    def variables(self, f: int) -> set:
-        """The members of the sets of f."""
-        seen, out, stack = set(), set(), [f]
-        while stack:
-            f = stack.pop()
-            if f > BASE and f not in seen:
-                seen.add(f)
-                out.add(self.var[f])
-                stack += (self.lo[f], self.hi[f])
+    def variables(self, f: int) -> list:
+        """The members of the sets of f, in order."""
+        out, rest = [], self.scope[f]
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
         return out
 
     def contains(self, f: int, s: int) -> bool:

@@ -370,6 +370,36 @@ def test_global_agrees_with_oracle_on_random_gtas():
     assert (engine_only, budget_hits, exhausted) == (0, 0, 0)
 
 
+def test_finished_blowups_agree_with_oracle(fig1):
+    # builds the explicit engine never finished: seeds 5/18/20/28 at
+    # max_const=3 and fig1.  Their families equal the oracle's union over
+    # n <= 3, fig1's on the sets of at most 3 locations that n <= 3 can occupy
+    for seed, size in ((5, 7), (18, 3), (20, 7), (28, 3)):
+        a = random_gta(seed, max_const=3)
+        family = reachable_location_sets(a)
+        assert len(family) == size and family == set().union(*(
+            explore_network(a, n, slot_cap=4).loc_sets for n in (1, 2, 3))), seed
+    family = reachable_location_sets(fig1)
+    oracle = set().union(*(explore_network(fig1, n, slot_cap=2).loc_sets
+                           for n in (1, 2, 3)))
+    small = {ls for ls in family if len(ls) <= 3}
+    assert (len(family), len(oracle)) == (56, 34) and small == oracle
+    assert sorted(map(len, family - small)) == [4] * 15 + [5] * 6 + [6]
+    # every ordered #q>=1 && #q'==0 gets the oracle's verdict from the chain
+    verdicts = []
+    for q, q2 in permutations(fig1.locations, 2):
+        node = parse_constraint(f"#{q}>=1 && #{q2}==0")
+        out = check_global(fig1, node)
+        seen = any(eval_constraint(ls, node) for ls in oracle)
+        assert out["result"] == ("reachable" if seen else "unreachable"), (q, q2)
+        verdicts.append(seen)
+    assert verdicts == [True] * 30
+    out = check_global(fig1, "#init>=1 && #init==0")  # walks the whole chain
+    assert (out["result"], out["i0"], out["l0"], out["shift"]) == (
+        "unreachable", 12, 14, 1)
+    assert out["supports_total"] == 6_931_843_651_919_771_554
+
+
 @pytest.mark.parametrize("name", ["fig3", "r3", "r13", "r18"])
 def test_location_sets_answer_check_global(name):
     # the family gives check_global's verdict on every differential constraint
