@@ -20,36 +20,25 @@ slot.  Supports evolve by three kinds of steps:
 
 Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
-up to a slot shift.  The loop is region_graph's `LayeredBuild`, the one the
-local algorithm runs.
+up to a slot shift.  The loop is region_graph's `LayeredBuild`.  Members are
+the ids of its shared `MemberTable`; `SupportMembers` adds the sort rank and
+slot flags per id and the mask of ids per location.
 
-Members are the ids of region_graph's shared `MemberTable`; `SupportMembers`
-adds the sort rank and slot flags per id and the mask of ids per location.
-A single support is an int with bit i set for member i.  A layer holds its
-supports symbolically, as a family in a zero-suppressed decision diagram
-(`zdd.ZDD`) whose variables are the member ids, and closes by frontier
-rings (Burch et al., "Symbolic model checking: 10^20 states and beyond",
-LICS 1990): each ring is the image of the last one under rules 1 and 2,
-minus the layer so far.  Rule 2 works per member and step on the supports
-holding the member; rule 1 is one image giving each mover the options keep,
-split and move, or moving every punctual member; the boundary keeps the
-supports of crossing members and maps each member to its successor.  The
-loop-back signature is the layer's node.
-
-Every non-streaming build on an automaton walks one chain of completed
-layers, kept in `a.tables` next to the member table, and extends it when it
-runs out; a budget overrun leaves the chain at its last complete layer.  A
-streaming build has a diagram of its own and holds one layer.  A watched
-constraint becomes filters on the families, applied to each layer; the
-reported support is the least by member rank in the layer's lowest ring
-holding one, and a dra witness walks back to the rank-least predecessor in
-each earlier ring, and from a seed to its rank-least source in the lowest
-ring of the layer before, so no output depends on member ids.
+A layer is a zero-suppressed decision diagram (`zdd.ZDD`) over member ids,
+closed by frontier rings (Burch et al., "Symbolic model checking: 10^20
+states and beyond", LICS 1990): each ring is the image of the last under
+rules 1 and 2, minus the layer so far.  Its node is its loop-back signature.
+Every non-streaming build on an automaton walks and extends one chain of
+completed layers in `a.tables`; a budget overrun leaves it at its last
+complete layer.  A streaming build holds one layer in a diagram of its own.
+The reported support is the least by member rank in the lowest ring meeting
+the constraint; a dra witness walks back to the least predecessor in each
+ring before, and from a seed to its least source in the lowest ring of the
+layer before, so no output depends on member ids.
 
 `rule1_steps`, `rule2_steps` and `boundary_support` are the same relation on
-one explicit support; `find_guard_timelock` enumerates the layers' supports
-and searches them with it, and `support_key` keys a RegionState support.
-`eval_constraint` evaluates a constraint on a location set.
+one support, a bitmask of member ids: `find_guard_timelock` searches the
+enumerated supports with it.  `support_key` keys a RegionState support.
 """
 
 from __future__ import annotations
@@ -172,15 +161,12 @@ class SupportMembers(MemberTable):
         self.rank = []  # id -> repr of its member key, the visiting order
         self.punctual = 0  # mask of ids where any positive delay moves a clock but t
         self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
-        self.locbit = []  # id -> bit of its location in the order of `at`
-        self._bit = {q: 1 << k for k, q in enumerate(self.at)}
         self._last = (0, [])  # the last support ordered and its ids
         self.text = {}  # id -> region text without t, for the JSON
 
     def _added(self, m) -> None:
         bit = 1 << len(self.rank)
         self.at[m.loc] |= bit
-        self.locbit.append(self._bit[m.loc])
         self.rank.append(repr(member_key(m)))
         if m.base.is_time_punctual(skip=(T,)):
             self.punctual |= bit
@@ -189,12 +175,7 @@ class SupportMembers(MemberTable):
         """The ids of a support by rank, kept for the last support asked."""
         last, ids = self._last
         if support != last:
-            ids, rest = [], support
-            while rest:
-                low = rest & -rest
-                ids.append(low.bit_length() - 1)
-                rest ^= low
-            ids.sort(key=self.rank.__getitem__)
+            ids = sorted(ZDD.members(support), key=self.rank.__getitem__)
             self._last = (support, ids)
         return ids
 
@@ -268,10 +249,7 @@ def boundary_support(support, index, members: SupportMembers):
     """The crossed support when every member's next change enters the next
     slot, else None."""
     crossed, point, row = 0, members.point, members.delay_row(index)
-    while support:
-        low = support & -support
-        support ^= low
-        i = low.bit_length() - 1
+    for i in ZDD.members(support):
         j = row[i]
         if j is False:
             j = members.delay(i, index)
@@ -282,15 +260,11 @@ def boundary_support(support, index, members: SupportMembers):
 
 
 class _Chain:
-    """An automaton's completed global layers and the seeds of the next one."""
+    """An automaton's complete layers, the seeds of each once taken, and the
+    witness steps walked back: (layer, ring, support) -> (src, layer, ring, kind)."""
 
     def __init__(self):
-        self.zdd = ZDD()
-        self.layers = []  # GlobalLayer 0, 1, ... up to the last complete one
-        self.seeds = []  # layer number -> the family of its seeds, once taken
-        # (layer, ring, support) -> (its predecessor or source, the latter's
-        # layer and ring, the step's kind), for each witness step walked back
-        self.back = {}
+        self.zdd, self.layers, self.seeds, self.back = ZDD(), [], [], {}
 
 
 class _GlobalBuilder(LayeredBuild):
@@ -300,15 +274,11 @@ class _GlobalBuilder(LayeredBuild):
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
         # a streaming build never touches the automaton's chain
-        self.chain = None if streaming else a.tables.get(_Chain)
-        if self.chain is None:
-            self.chain = _Chain()
-            if not streaming:
-                a.tables[_Chain] = self.chain
+        self.chain = _Chain() if streaming else a.tables.get(_Chain) or \
+            a.tables.setdefault(_Chain, _Chain())
         self.zdd = self.chain.zdd
-        self.watch = watch  # the constraint node, or None
+        self.watch = watch  # the constraint node; a hit is (layer, slot, ring, support)
         self.supports_total = 0
-        # hit: (layer number, slot, ring number, least support meeting watch)
 
     def build(self):
         try:
@@ -317,21 +287,19 @@ class _GlobalBuilder(LayeredBuild):
             self.zdd.clear()  # the operation caches last one build
 
     def _initial_seeds(self):
-        seeds = self.chain.seeds
-        if not seeds:
+        if not self.chain.seeds:
             init = self.members.intern(self.ctx.initial_state())
-            seeds.append(self.zdd.node(init, EMPTY, BASE))
-        return seeds[0]
+            self.chain.seeds.append(self.zdd.node(init, EMPTY, BASE))
+        return self.chain.seeds[0]
 
     def _count(self, number, n):
         self.supports_total += n
-        limit = self.max_states
-        if limit is not None and self.supports_total > limit:
-            raise BudgetExceeded(f"global construction exceeds {limit}"
+        if self.max_states is not None and self.supports_total > self.max_states:
+            raise BudgetExceeded(f"global construction exceeds {self.max_states}"
                                  f" supports while building layer {number}")
 
     def _close_layer(self, number, slot, seeds):
-        layers = self.chain.layers
+        layers, watch = self.chain.layers, self.watch
         if number < len(layers):
             layer = layers[number]
             self._count(number, layer.count)
@@ -339,24 +307,18 @@ class _GlobalBuilder(LayeredBuild):
             layer = self._closure(number, slot, seeds)
             if not self.streaming:
                 layers.append(layer)
-        watch = self.watch
         if watch is not None and self.hit is None and any(
                 _eval_on(locs.__contains__, watch) for locs in self._locations(layer)):
-            z = self.zdd
-            for r, ring in enumerate(layer.rings):
-                hits = self._filter(ring, watch)
-                if hits:
-                    self.hit = (number, slot, r,
-                                z.least(hits, self.members.rank.__getitem__))
-                    break
+            r, hits = next((r, hits) for r, ring in enumerate(layer.rings)
+                           if (hits := self._filter(ring, watch)))
+            least = self.zdd.least(hits, self.members.rank.__getitem__)
+            self.hit = number, slot, r, least
         return layer
 
     def _locations(self, layer):
         if layer.locations is None:
-            locs = list(self.members.at)
-            layer.locations = frozenset(
-                frozenset(q for k, q in enumerate(locs) if mask >> k & 1)
-                for mask in self.zdd.project(layer.family, self.members.locbit))
+            layer.locations = frozenset(self.zdd.project(
+                layer.family, [frozenset((q,)) for q in self.members.loc]))
         return layer.locations
 
     def _closure(self, number, slot, seeds):
@@ -367,69 +329,66 @@ class _GlobalBuilder(LayeredBuild):
         while True:
             ring = z.diff(self._image(ring, slot), family)
             if not ring:
-                break
+                return GlobalLayer(number, slot, family, count, rings)
             n = z.count(ring)
             self._count(number, n)
             family, count = z.union(family, ring), count + n
             rings.append(ring)
-        return GlobalLayer(number, slot, family, count, rings)
 
     def _image(self, ring, slot):
         """The rule-1 and rule-2 outcomes of the supports of `ring`, with
         some of those supports themselves."""
         z, m = self.zdd, self.members
-        at, row = m.at, m.discrete_row
-        members = z.variables(ring)
         acts = {}  # location guard -> member -> (targets, targets it may drop into)
-        for i in members:
-            steps = row[i]
-            if steps is None:
-                steps = m.discrete(i)
-            for tr, j, lg in steps:
+        for i in z.variables(ring):
+            for tr, j, lg in m.discrete_row[i] or m.discrete(i):
                 plus, into = acts.setdefault(lg, {}).setdefault(i, ([], []))
                 plus.append(j)
                 if j != i:  # every process at i fires: drop i
                     into.append(j)
-        outs = []
+        out = self._delays(ring, slot.index) if slot.kind == "open" else EMPTY
         for lg, moves in acts.items():
             # a step needs a member at lg before it, and a drop one after it
-            src = ring if lg is None else z.hits(ring, at[lg])
-            adds, drops = z.fire(src, moves)
-            outs += (adds, drops if lg is None else z.hits(drops, at[lg]))
-        if slot.kind == "open":
-            outs.append(self._delays(ring, members, slot.index))
-        return z.union_all(outs)
+            adds, drops = z.fire(ring if lg is None else z.hits(ring, m.at[lg]), moves)
+            out = z.union(out, z.union(adds, drops if lg is None else
+                                       z.hits(drops, m.at[lg])))
+        return out
 
-    def _delays(self, ring, members, index):
+    def _delays(self, ring, index):
         """Rule 1 in an open slot: a support with punctual members moves all
         of them unless an invariant pins one; in any other, each mover may
         keep, split or move (keeping all gives the support itself)."""
-        z, m = self.zdd, self.members
-        row, point, punctual = m.delay_row(index), m.point, m.punctual
+        z, point, punctual = self.zdd, self.members.point, self.members.punctual
         movers, moved, pinned = {}, {}, 0
-        for i in members:
-            j = row[i]
-            if j is False:
-                j = m.delay(i, index)
+        for i, j in self._successors(ring, index).items():
             if punctual >> i & 1:
-                if j is None:
-                    pinned |= 1 << i
-                else:
-                    moved[i] = ((False, j),)
+                pinned |= (j is None) << i
+                moved[i] = ((False, j),)  # never taken when pinned
             elif j is not None and not point[j]:
                 movers[i] = ((True, None), (True, j), (False, j))
         out = z.image(z.avoid(ring, punctual), movers) if movers else EMPTY
         if moved:
-            rest = z.avoid(z.hits(ring, punctual), pinned)
-            out = z.union(out, z.image(rest, moved))
+            out = z.union(out, z.image(z.avoid(z.hits(ring, punctual), pinned), moved))
         return out
+
+    def _successors(self, family, index):
+        """Member of the family -> its delay successor, or None."""
+        m = self.members
+        row = m.delay_row(index)
+        return {i: m.delay(i, index) if row[i] is False else row[i]
+                for i in self.zdd.variables(family)}
+
+    def _crossing(self, layer):
+        """Member -> its successor, for the layer's members whose next change
+        enters the next slot."""
+        point, succ = self.members.point, self._successors(layer.family, layer.slot.index)
+        return {i: j for i, j in succ.items() if j is not None and (point[i] or point[j])}
 
     def _boundary(self, layer):
         """The next layer's seeds: the crossed supports."""
-        seeds, number = self.chain.seeds, layer.number
+        seeds, number, z = self.chain.seeds, layer.number, self.zdd
         if number + 1 < len(seeds):
             return seeds[number + 1]
-        z = self.zdd
         cross = self._crossing(layer)
         out = z.image(z.within(layer.family, sum(1 << i for i in cross)),
                       {i: ((False, j),) for i, j in cross.items()})
@@ -437,74 +396,56 @@ class _GlobalBuilder(LayeredBuild):
             seeds.append(out)
         return out
 
-    def _crossing(self, layer):
-        """Member -> its delay successor, for the layer's members whose next
-        change enters the next slot."""
-        m, index = self.members, layer.slot.index
-        return {i: j for i, j in self._delay_steps(layer.family, index)
-                if j is not None and (m.point[i] or m.point[j])}
-
-    def _delay_steps(self, family, index):
-        """(member, delay successor or None) per member of the family."""
-        m = self.members
-        row = m.delay_row(index)
-        for i in self.zdd.variables(family):
-            j = row[i]
-            yield i, m.delay(i, index) if j is False else j
-
     def _signature(self, layer):
         return layer.family  # nodes are hash-consed
 
     def _filter(self, f, node):
         """The supports of f on which the constraint holds."""
-        kind = node[0]
-        if kind == "some":
-            return self.zdd.hits(f, self.members.at[node[1]])
-        if kind == "none":
-            return self.zdd.avoid(f, self.members.at[node[1]])
+        kind, z = node[0], self.zdd
+        if kind in ("some", "none"):
+            return (z.hits if kind == "some" else z.avoid)(f, self.members.at[node[1]])
         left = self._filter(f, node[1])
         if kind == "and":
             return self._filter(left, node[2])
-        return self.zdd.union(left, self._filter(f, node[2]))
+        return z.union(left, self._filter(f, node[2]))
 
-    def _rank_order(self, sups):
-        """The supports sorted as `ZDD.least` orders them by member rank."""
-        members = self.members.ordered(reduce(or_, sups, 0))
-        weight = {i: 1 << k for k, i in enumerate(reversed(members))}
-        return sorted(sups, key=lambda sup: sum(
-            w for i, w in weight.items() if sup >> i & 1))
-
-    def _predecessor(self, layer, r, sup):
-        """The rank-least support of the layer's ring r with `sup` among its
-        outcomes, and the step's kind: "delay" or the transition."""
-        z, m, slot = self.zdd, self.members, layer.slot
-        ring = layer.rings[r]
+    def _predecessor(self, number, r, sup):
+        """(the least support of ring r - 1 of layer `number` with `sup` among
+        its outcomes, number, r - 1, "delay" or the step's transition)."""
+        z, m, slot = self.zdd, self.members, self.chain.layers[number].slot
+        ring = self.chain.layers[number].rings[r - 1]
+        delays = self._successors(ring, slot.index) if slot.kind == "open" else {}
         near = sup  # what a predecessor may hold: sup's members and theirs
-        steps = self._delay_steps(ring, slot.index) if slot.kind == "open" else \
-            ((i, None) for i in z.variables(ring))
-        for i, j in steps:
-            if j is not None and sup >> j & 1 or any(
-                    sup >> k & 1 for _, k, _ in m.discrete_row[i] or m.discrete(i)):
+        for i in z.variables(ring):
+            if any(sup >> j & 1 for _, j, _ in m.discrete(i)) or \
+                    delays.get(i) is not None and sup >> delays[i] & 1:
                 near |= 1 << i
-        for src in self._rank_order(list(z.sets(z.within(ring, near)))):
-            if slot.kind == "open" and z.contains(self._delays(
-                    z.single(src), z.variables(z.single(src)), slot.index), sup):
-                return src, "delay"
-            for nxt, tr in rule2_steps(src, m):
-                if nxt == sup:
-                    return src, tr
-        raise AssertionError("a ring's support has no predecessor")
+        found = [src for src in z.sets(z.within(ring, near))
+                 if self._kind(src, sup, slot)]
+        src = z.least(reduce(z.union, map(z.single, found)), m.rank.__getitem__)
+        return src, number, r - 1, self._kind(src, sup, slot)
 
-    def _source(self, layer, sup):
-        """The rank-least support crossing into `sup` from the lowest ring of
-        the layer that holds one, and that ring's number."""
-        z, cross = self.zdd, self._crossing(layer)
+    def _kind(self, src, sup, slot):
+        """The step from src to sup: "delay", its transition, or None."""
+        z, steps = self.zdd, rule2_steps(src, self.members)
+        if slot.kind == "open" and not z.diff(
+                z.single(sup), self._delays(z.single(src), slot.index)):
+            return "delay"
+        return next((tr for nxt, tr in steps if nxt == sup), None)
+
+    def _source(self, number, sup):
+        """(the least support crossing into `sup`, a seed of layer `number`, in
+        the lowest ring of layer number - 1 holding one, number - 1, the ring)."""
+        z, layer = self.zdd, self.chain.layers[number - 1]
+        cross = self._crossing(layer)
         near = sum(1 << i for i, j in cross.items() if sup >> j & 1)
         for r, ring in enumerate(layer.rings):
-            found = [src for src in z.sets(z.within(ring, near)) if reduce(
-                or_, (1 << cross[i] for i in self.members.ordered(src))) == sup]
+            found = [src for src in z.sets(z.within(ring, near))
+                     if reduce(or_, (1 << cross[i] for i in z.members(src))) == sup]
             if found:
-                return self._rank_order(found)[0], r
+                src = z.least(reduce(z.union, map(z.single, found)),
+                              self.members.rank.__getitem__)
+                return src, number - 1, r, "cross"
         raise AssertionError("a seed has no source")
 
 
@@ -559,32 +500,24 @@ def _support_json(sup, slot, members: SupportMembers):
 
 def _witness_chain(b: _GlobalBuilder, number, r, sup):
     """The steps from the initial support to `sup`, in ring r of layer
-    `number`: each to a rank-least predecessor in the ring before, a seed to
-    its source in the layer before."""
-    chain, layers, back = [], b.chain.layers, b.chain.back
-    try:
-        while sup is not None:
-            key = (number, r, sup)
-            if key not in back:
-                if r:
-                    src, kind = b._predecessor(layers[number], r - 1, sup)
-                    back[key] = (src, number, r - 1, kind)
-                elif number:
-                    src, ring = b._source(layers[number - 1], sup)
-                    back[key] = (src, number - 1, ring, "cross")
-                else:
-                    back[key] = (None, 0, 0, "init")
-            src, prev, ring, kind = back[key]
-            trans = not isinstance(kind, str)
-            step = {"kind": "trans" if trans else kind, "layer": number,
-                    "support": _support_json(sup, layers[number].slot, b.members)}
-            if trans:
-                step["internal_label"] = kind.label
-                step["label"] = b.relabel_map.get(kind.label)
-            chain.append(step)
-            sup, number, r = src, prev, ring
-    finally:
-        b.zdd.clear()
+    `number`: each to a least predecessor in the ring before, a seed to its
+    least source in the layer before."""
+    chain, back = [], b.chain.back
+    while sup is not None:
+        key = (number, r, sup)
+        if key not in back:
+            back[key] = b._predecessor(number, r, sup) if r else \
+                b._source(number, sup) if number else (None, 0, 0, "init")
+        src, prev, ring, kind = back[key]
+        trans = not isinstance(kind, str)
+        step = {"kind": "trans" if trans else kind, "layer": number,
+                "support": _support_json(sup, b.chain.layers[number].slot, b.members)}
+        if trans:
+            step["internal_label"] = kind.label
+            step["label"] = b.relabel_map.get(kind.label)
+        chain.append(step)
+        sup, number, r = src, prev, ring
+    b.zdd.clear()
     chain.reverse()
     return chain
 

@@ -294,8 +294,7 @@ def _check_references(a: Automaton) -> None:
 
 
 def check_initial_invariant(a: Automaton) -> None:
-    """ModelError if the initial location's invariant fails with every clock
-    at 0, as `c < 0` does: such a model has no run."""
+    """Refuse an initial invariant failing at time 0, like `c < 0`: no run."""
     for atom in a.invariant(a.initial):
         if atom.d < 0 or atom.d == 0 and atom.op == "<":
             raise ModelError(f"initial location {a.initial!r} breaks its invariant "

@@ -1,20 +1,19 @@
-"""Zero-suppressed decision diagrams: families of sets of small ints.
+"""Zero-suppressed decision diagrams (Minato, "Zero-suppressed BDDs for set
+manipulation in combinatorial problems", DAC 1993): families of sets of ints.
 
-A family is a node id (Minato, "Zero-suppressed BDDs for set manipulation in
-combinatorial problems", DAC 1993).  Node 0 is the empty family, node 1 the
-family holding only the empty set; node k > 1 splits on `var[k]` into the
-sets without it (`lo[k]`) and those with it, minus it (`hi[k]`), and no node
-has hi 0.  Nodes are hash-consed, so two families are equal iff their ids
-are.  Variables are ordered by value, the smallest at the root, so a
-variable numbered after every other one fits below all existing nodes.  A
-single set is an int with bit v set for each member v.
-
-Binary operations are memoized in caches that `clear` empties; filters and
-images memoize per call.  The recursions are methods, never nested
-closures, so a diagram is no reference cycle.
+A family is a node: 0 is the empty family, 1 the family of the empty set,
+and node k > 1 splits on `var[k]` into the sets without it (`lo[k]`) and
+those with it, minus it (`hi[k]`, never 0).  Nodes are hash-consed, so equal
+families are equal nodes.  The smallest variable sits at the root, so a new
+largest variable fits below every node.  A set is an int with bit v set for
+each member v; `scope[k]` is the set of variables below node k.  Binary
+operations memoize in caches that `clear` empties, filters and images per
+call; the recursions are methods, so a diagram is no reference cycle.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 EMPTY, BASE = 0, 1
 _LEAF = 1 << 62  # the variable of both terminals, below every real one
@@ -24,13 +23,12 @@ _KEEP = ((True, None),)
 class ZDD:
     def __init__(self):
         self.var, self.lo, self.hi = [_LEAF, _LEAF], [0, 1], [0, 1]
-        self.scope = [0, 0]  # node -> the set of variables its sets use
+        self.scope = [0, 0]
         self.unique = {}  # (var, lo, hi) -> node
-        self.caches = ({}, {}, {}, {})  # union, difference, add, onset
+        self.clear()
 
     def clear(self) -> None:
-        for cache in self.caches:
-            cache.clear()
+        self.caches = ({}, {}, {})  # union, difference, add
 
     def node(self, v: int, lo: int, hi: int) -> int:
         if not hi:
@@ -46,14 +44,7 @@ class ZDD:
         return k
 
     def single(self, s: int) -> int:
-        """The family holding only the set s."""
-        f, v = BASE, s.bit_length()
-        while s:
-            v -= 1
-            if s >> v & 1:
-                f = self.node(v, EMPTY, f)
-                s ^= 1 << v
-        return f
+        return reduce(self.add, self.members(s), BASE)  # the family {s}
 
     def union(self, f: int, g: int) -> int:
         if f == g or not g:
@@ -62,8 +53,7 @@ class ZDD:
             return g
         if f > g:
             f, g = g, f
-        key = f << 32 | g
-        cache = self.caches[0]
+        key, cache = f << 32 | g, self.caches[0]
         r = cache.get(key)
         if r is None:
             vf, vg = self.var[f], self.var[g]
@@ -77,21 +67,13 @@ class ZDD:
             cache[key] = r
         return r
 
-    def union_all(self, fs: list) -> int:
-        """The union of the families, merged pairwise."""
-        while len(fs) > 1:
-            fs = [self.union(*fs[k:k + 2]) if k + 1 < len(fs) else fs[k]
-                  for k in range(0, len(fs), 2)]
-        return fs[0] if fs else EMPTY
-
     def diff(self, f: int, g: int) -> int:
         """The sets of f not in g."""
         if f == g or not f:
             return EMPTY
         if not g:
             return f
-        key = f << 32 | g
-        cache = self.caches[1]
+        key, cache = f << 32 | g, self.caches[1]
         r = cache.get(key)
         if r is None:
             vf, vg = self.var[f], self.var[g]
@@ -110,8 +92,7 @@ class ZDD:
         vf = self.var[f]
         if vf > v:
             return self.node(v, EMPTY, f) if f else EMPTY
-        key = f << 32 | v
-        cache = self.caches[2]
+        key, cache = f << 32 | v, self.caches[2]
         r = cache.get(key)
         if r is None:
             if vf == v:
@@ -121,83 +102,41 @@ class ZDD:
             cache[key] = r
         return r
 
-    def onset(self, f: int, v: int) -> int:
-        """The sets of f holding v, with v removed."""
-        vf = self.var[f]
-        if vf >= v:
-            return self.hi[f] if vf == v else EMPTY
-        key = f << 32 | v
-        cache = self.caches[3]
-        r = cache.get(key)
-        if r is None:
-            r = cache[key] = self.node(vf, self.onset(self.lo[f], v),
-                                       self.onset(self.hi[f], v))
-        return r
-
-    def avoid(self, f: int, mask: int, memo=None) -> int:
-        """The sets of f disjoint from the set `mask`."""
-        if not self.scope[f] & mask:
-            return f
-        if memo is None:
-            memo = {}
-        r = memo.get(f)
-        if r is None:
-            v = self.var[f]
-            lo = self.avoid(self.lo[f], mask, memo)
-            r = memo[f] = lo if mask >> v & 1 else \
-                self.node(v, lo, self.avoid(self.hi[f], mask, memo))
-        return r
-
-    def hits(self, f: int, mask: int, memo=None) -> int:
-        """The sets of f meeting the set `mask`."""
-        if not self.scope[f] & mask:
-            return EMPTY
-        if memo is None:
-            memo = {}
-        r = memo.get(f)
-        if r is None:
-            v = self.var[f]
-            hi = self.hi[f] if mask >> v & 1 else self.hits(self.hi[f], mask, memo)
-            r = memo[f] = self.node(v, self.hits(self.lo[f], mask, memo), hi)
-        return r
-
     def within(self, f: int, mask: int, memo=None) -> int:
-        """The sets of f inside the set `mask`."""
+        """The sets of f inside the set `mask`, or outside ~mask if negative."""
         if not self.scope[f] & ~mask:
             return f
-        if not self.scope[f] & mask:  # only the empty set can be inside
-            while f > BASE:
-                f = self.lo[f]
-            return f
-        if memo is None:
-            memo = {}
-        r = memo.get(f)
-        if r is None:
-            v = self.var[f]
-            lo = self.within(self.lo[f], mask, memo)
-            r = memo[f] = self.node(v, lo, self.within(self.hi[f], mask, memo)) \
+        memo = {} if memo is None else memo
+        if f not in memo:
+            v, lo = self.var[f], self.within(self.lo[f], mask, memo)
+            memo[f] = self.node(v, lo, self.within(self.hi[f], mask, memo)) \
                 if mask >> v & 1 else lo
-        return r
+        return memo[f]
+
+    def avoid(self, f: int, mask: int) -> int:
+        """The sets of f disjoint from the set `mask`."""
+        return self.within(f, ~mask)
+
+    def hits(self, f: int, mask: int) -> int:
+        """The sets of f meeting the set `mask`."""
+        return self.diff(f, self.within(f, ~mask)) if self.scope[f] & mask else EMPTY
 
     def image(self, f: int, options: dict, moving=None, memo=None) -> int:
-        """The family of every outcome of every set of f, where each member v
-        independently takes one of `options.get(v, keep)`: (stays, added
-        member or None) pairs.  Members a set loses are dropped before any is
-        added, so an added member stays even if another option dropped it."""
+        """Every outcome of the sets of f, each member v taking one of
+        `options.get(v, keep)`, (stays, added member or None) pairs; losses
+        come first, so a member one option drops and another adds stays."""
         if moving is None:
             moving, memo = sum(1 << v for v in options), {}
         if not self.scope[f] & moving:
             return f
-        r = memo.get(f)
-        if r is None:
-            v = self.var[f]
-            r = self.image(self.lo[f], options, moving, memo)
+        if f not in memo:
+            v, r = self.var[f], self.image(self.lo[f], options, moving, memo)
             rest = self.image(self.hi[f], options, moving, memo)
             for stays, j in options.get(v, _KEEP):
                 out = self.add(rest, v) if stays else rest
                 r = self.union(r, out if j is None else self.add(out, j))
             memo[f] = r
-        return r
+        return memo[f]
 
     def fire(self, f: int, acts: dict, acting=None, memo=None) -> tuple:
         """(adds, drops): every set of f with one member v of `acts` acting
@@ -206,90 +145,61 @@ class ZDD:
             acting, memo = sum(1 << v for v in acts), {}
         if not self.scope[f] & acting:
             return EMPTY, EMPTY
-        r = memo.get(f)
-        if r is None:
+        if f not in memo:
             v, hi = self.var[f], self.hi[f]
             adds, drops = self.fire(self.lo[f], acts, acting, memo)
             a1, d1 = self.fire(hi, acts, acting, memo)
-            if a1:
-                adds = self.union(adds, self.add(a1, v))
-            if d1:
-                drops = self.union(drops, self.add(d1, v))
-            act = acts.get(v)
-            if act is not None:
-                held = self.add(hi, v)
-                for j in act[0]:
-                    adds = self.union(adds, self.add(held, j))
-                for j in act[1]:
-                    drops = self.union(drops, self.add(hi, j))
-            r = memo[f] = (adds, drops)
-        return r
+            adds, drops = self.union(adds, self.add(a1, v)), \
+                self.union(drops, self.add(d1, v))
+            plus, into = acts.get(v, ((), ()))
+            for j in plus:
+                adds = self.union(adds, self.add(self.add(hi, v), j))
+            for j in into:
+                drops = self.union(drops, self.add(hi, j))
+            memo[f] = adds, drops
+        return memo[f]
 
     def count(self, f: int, memo=None) -> int:
-        if f <= BASE:
-            return f
-        if memo is None:
-            memo = {}
-        r = memo.get(f)
-        if r is None:
-            r = memo[f] = self.count(self.lo[f], memo) + self.count(self.hi[f], memo)
-        return r
+        memo = {} if memo is None else memo
+        if f > BASE and f not in memo:
+            memo[f] = self.count(self.lo[f], memo) + self.count(self.hi[f], memo)
+        return memo.get(f, f)
+
+    def project(self, f: int, labels, memo=None) -> set:
+        """{the union of labels[v], a frozenset, over the members v of s : s in f}."""
+        memo = {EMPTY: set(), BASE: {frozenset()}} if memo is None else memo
+        if f not in memo:
+            b = labels[self.var[f]]
+            memo[f] = self.project(self.lo[f], labels, memo) | {
+                m | b for m in self.project(self.hi[f], labels, memo)}
+        return memo[f]
+
+    @staticmethod
+    def members(s: int) -> list:
+        """The members of the set s, in order."""
+        out = []
+        while s:
+            low = s & -s
+            out.append(low.bit_length() - 1)
+            s ^= low
+        return out
 
     def variables(self, f: int) -> list:
         """The members of the sets of f, in order."""
-        out, rest = [], self.scope[f]
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        return out
-
-    def contains(self, f: int, s: int) -> bool:
-        while f > BASE:
-            v = self.var[f]
-            low = s & -s
-            if low and low.bit_length() - 1 < v:
-                return False
-            if s >> v & 1:
-                f, s = self.hi[f], s ^ low
-            else:
-                f = self.lo[f]
-        return f == BASE and not s
+        return self.members(self.scope[f])
 
     def sets(self, f: int):
-        """Every set of f, as an int."""
+        """Every set of f."""
         stack = [(f, 0)]
         while stack:
             f, s = stack.pop()
-            if f <= BASE:
-                if f:
-                    yield s
-                continue
-            stack.append((self.hi[f], s | 1 << self.var[f]))
-            stack.append((self.lo[f], s))
+            if f > BASE:
+                stack += ((self.hi[f], s | 1 << self.var[f]), (self.lo[f], s))
+            elif f:
+                yield s
 
     def least(self, f: int, key) -> int:
-        """The set of nonempty f that lacks the member first by `key` in which
-        any two sets differ."""
-        s = 0
+        """The set of f lacking the first member by `key` that sets differ in."""
         for v in sorted(self.variables(f), key=key):
-            without = self.avoid(f, 1 << v)
-            if without:
-                f = without
-            else:
-                s |= 1 << v
-                f = self.onset(f, v)
-        return s
-
-    def project(self, f: int, bits, memo=None) -> set:
-        """{OR of bits[v] over the members v of s : s in f}."""
-        if f <= BASE:
-            return {0} if f else set()
-        if memo is None:
-            memo = {}
-        r = memo.get(f)
-        if r is None:
-            b = bits[self.var[f]]
-            r = memo[f] = self.project(self.lo[f], bits, memo) | {
-                m | b for m in self.project(self.hi[f], bits, memo)}
-        return r
+            f = self.avoid(f, 1 << v) or f  # all sets left agree on v
+        return next(self.sets(f))
