@@ -24,8 +24,8 @@ its successor is a point member; a discrete step is a guard check, a
 their records with `regions.new_record`.  `delay_row`
 and `discrete_row` expose the steps computed so far, read-only, so that a
 hot loop pays for the `delay` or `discrete` call only on a miss.  The local
-engine holds a layer's states as ids, the global engine its supports as
-bitmasks of ids; both carry the slot index beside them.
+engine holds a layer's states as ids, the global engine its supports as a
+diagram over ids; both carry the slot index beside them.
 
 There is one table per automaton and table class, kept in `Automaton.tables`
 with the relabeled automaton and its `RegionContext`: every build and query
