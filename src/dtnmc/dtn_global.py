@@ -311,8 +311,7 @@ class _GlobalBuilder(LayeredBuild):
                 _eval_on(locs.__contains__, watch) for locs in self._locations(layer)):
             r, hits = next((r, hits) for r, ring in enumerate(layer.rings)
                            if (hits := self._filter(ring, watch)))
-            least = self.zdd.least(hits, self.members.rank.__getitem__)
-            self.hit = number, slot, r, least
+            self.hit = number, slot, r, self.zdd.least(hits, self.members.rank.__getitem__)
         return layer
 
     def _locations(self, layer):
@@ -411,7 +410,7 @@ class _GlobalBuilder(LayeredBuild):
 
     def _predecessor(self, number, r, sup):
         """(the least support of ring r - 1 of layer `number` with `sup` among
-        its outcomes, number, r - 1, "delay" or the step's transition)."""
+        its outcomes, number, r - 1, "delay" or the transition)."""
         z, m, slot = self.zdd, self.members, self.chain.layers[number].slot
         ring = self.chain.layers[number].rings[r - 1]
         delays = self._successors(ring, slot.index) if slot.kind == "open" else {}
@@ -435,7 +434,8 @@ class _GlobalBuilder(LayeredBuild):
 
     def _source(self, number, sup):
         """(the least support crossing into `sup`, a seed of layer `number`, in
-        the lowest ring of layer number - 1 holding one, number - 1, the ring)."""
+        the lowest ring of layer number - 1 holding one, number - 1, the ring,
+        "cross")."""
         z, layer = self.zdd, self.chain.layers[number - 1]
         cross = self._crossing(layer)
         near = sum(1 << i for i, j in cross.items() if sup >> j & 1)

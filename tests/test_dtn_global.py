@@ -481,12 +481,13 @@ def test_global_outputs_match_golden_digests(name):
     assert got == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["fig1"])
 def test_golden_witnesses_replay_through_the_reference_rules(name):
     # every dra witness starts at the initial support in [0,0], takes one
     # rule-1, rule-2 or boundary step of the explicit relation at a time,
     # with the kind it prints, and ends on a support meeting the constraint
-    a = _golden_global_model(name)
+    a = parse_file(MODELS / "fig1.gta") if name == "fig1" else \
+        _golden_global_model(name)
     replayed = 0
     for q, q2 in permutations(sorted(a.locations), 2):
         node = parse_constraint(f"#{q}>=1 && #{q2}==0")
