@@ -22,6 +22,7 @@ from dtnmc.dtn_global import (
     support_key,
 )
 from dtnmc.dtn_local import build_layers
+from test_dtn_local import seeded_gta
 from dtnmc.model import BudgetExceeded, parse_file, parse_model
 from dtnmc.oracle import explore_network
 from dtnmc.region_graph import member_key
@@ -306,6 +307,43 @@ def test_global_supports_contained_in_oracle_reachability(fig3, fig3_build):
             c, m = missing_oracle_supports(b, res)
             checked, missing = checked + c, missing + m
     assert (checked, missing) == (1697, 0)
+
+
+def reference_layers(b):
+    """Each layer of `b` rebuilt on its member table from the initial support
+    with the explicit relation: rule 1 and rule 2 to closure, then the
+    boundary of every support."""
+    m, seeds, out = b.members, {1 << b.members.intern(b.ctx.initial_state())}, []
+    for layer in b.layers:
+        index = layer.slot.index
+        seen, todo = set(seeds), list(seeds)
+        while todo:
+            sup = todo.pop()
+            for nxt in rule1_steps(sup, index, m) + [n for n, _ in rule2_steps(sup, m)]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        out.append(seen)
+        seeds = {boundary_support(sup, index, m) for sup in seen} - {None}
+    return out
+
+
+def test_layer_families_equal_the_reference_relation(fig3_build):
+    # every symbolic layer holds exactly the supports the explicit relation
+    # reaches, on fig3, LOCK2 and random gTAs with one clock and with two
+    layers = skipped = 0
+    models = [parse_model(LOCK2)] + [random_gta(seed) for seed in range(60)] + [
+        seeded_gta(seed) for seed in range(20)]
+    for b in [fig3_build] + models:
+        if not isinstance(b, _GlobalBuilder):
+            try:
+                b = build_global_layers(b, max_states=20_000)
+            except BudgetExceeded:
+                skipped += 1
+                continue
+        assert [set(supports(b, l)) for l in b.layers] == reference_layers(b)
+        layers += len(b.layers)
+    assert (layers, skipped) == (648, 6)
 
 
 def test_global_layers_union_to_local_layers(fig3, fig3_build):
