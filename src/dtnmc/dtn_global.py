@@ -21,8 +21,9 @@ slot.  Supports evolve by three kinds of steps:
 Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
 up to a slot shift.  The loop is region_graph's `LayeredBuild`.  Members are
-the ids of its shared `MemberTable`; `SupportMembers` adds the sort rank and
-slot flags per id and the mask of ids per location.
+the ids of the automaton's one `MemberTable`, which the local engine shares,
+and which keeps the id masks per location and of the punctual members and
+the rank supports are ordered by.
 
 A layer is a zero-suppressed decision diagram (`zdd.ZDD`) over member ids,
 closed by frontier rings (Burch et al., "Symbolic model checking: 10^20
@@ -51,7 +52,7 @@ from operator import or_
 
 from .model import Automaton, BudgetExceeded
 from .region_graph import LayeredBuild, MemberTable, member_key
-from .regions import T, Slot
+from .regions import Slot
 from .zdd import BASE, EMPTY, ZDD
 
 
@@ -153,34 +154,7 @@ def _eval_on(occupied, node):
 # -- the global layer algorithm ---------------------------------------------------
 
 
-class SupportMembers(MemberTable):
-    """The shared member table plus the per-id and per-location fields supports need."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.rank = []  # id -> repr of its member key, the visiting order
-        self.punctual = 0  # mask of ids where any positive delay moves a clock but t
-        self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
-        self._last = (0, [])  # the last support ordered and its ids
-        self.text = {}  # id -> region text without t, for the JSON
-
-    def _added(self, m) -> None:
-        bit = 1 << len(self.rank)
-        self.at[m.loc] |= bit
-        self.rank.append(repr(member_key(m)))
-        if m.base.is_time_punctual(skip=(T,)):
-            self.punctual |= bit
-
-    def ordered(self, support) -> list:
-        """The ids of a support by rank, kept for the last support asked."""
-        last, ids = self._last
-        if support != last:
-            ids = sorted(ZDD.members(support), key=self.rank.__getitem__)
-            self._last = (support, ids)
-        return ids
-
-
-def rule1_steps(support, index, members: SupportMembers):
+def rule1_steps(support, index, members: MemberTable):
     """In-slot delay outcomes of a support (empty in a singleton slot), as a
     new list."""
     ids, point = members.ordered(support), members.point
@@ -225,7 +199,7 @@ def rule1_steps(support, index, members: SupportMembers):
     return out
 
 
-def rule2_steps(support, members: SupportMembers):
+def rule2_steps(support, members: MemberTable):
     """Discrete outcomes: (successor support, transition) pairs."""
     at, row = members.at, members.discrete_row
     out = []
@@ -245,7 +219,7 @@ def rule2_steps(support, members: SupportMembers):
     return out
 
 
-def boundary_support(support, index, members: SupportMembers):
+def boundary_support(support, index, members: MemberTable):
     """The crossed support when every member's next change enters the next
     slot, else None."""
     crossed, point, row = 0, members.point, members.delay_row(index)
@@ -268,8 +242,6 @@ class _Chain:
 
 
 class _GlobalBuilder(LayeredBuild):
-    table = SupportMembers
-
     def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
@@ -450,7 +422,11 @@ class _GlobalBuilder(LayeredBuild):
 
 
 def build_global_layers(a: Automaton, cap=None, max_states=None):
-    """Run the global construction to termination; returns the builder state."""
+    """Run the global construction to termination; returns the builder state.
+
+    `max_states` counts supports, not the diagram nodes holding them: a build
+    can hold gigabytes before the count passes the budget.
+    """
     return _GlobalBuilder(a, cap, max_states).build()
 
 
@@ -472,7 +448,10 @@ def constraint_node(a: Automaton, constraint):
 
 def check_global(a: Automaton, constraint, streaming=False, cap=None,
                  max_states=None) -> dict:
-    """Is some configuration, at any network size, satisfying the constraint?"""
+    """Is some configuration, at any network size, satisfying the constraint?
+
+    `max_states` counts supports, as in `build_global_layers`, not memory.
+    """
     node = constraint_node(a, constraint)
     b = _GlobalBuilder(a, cap, max_states, watch=node, streaming=streaming).build()
     query = constraint if isinstance(constraint, str) else repr(constraint)
@@ -489,13 +468,10 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
     return out
 
 
-def _support_json(sup, slot, members: SupportMembers):
-    out, text = [], str(slot)
-    for i in members.ordered(sup):
-        if i not in members.text:
-            members.text[i] = members.states[i].base.eliminate((T,)).pretty() or "true"
-        out.append({"loc": members.loc[i], "region": members.text[i], "slot": text})
-    return out
+def _support_json(sup, slot, members: MemberTable):
+    text = str(slot)
+    return [{"loc": members.loc[i], "region": members.text[i], "slot": text}
+            for i in members.ordered(sup)]
 
 
 def _witness_chain(b: _GlobalBuilder, number, r, sup):
@@ -529,6 +505,10 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     total elapsed time is bounded: a timelock caused by location guards (the
     guard-free skeleton may still be timelock-free).  Returns a dict with
     "found", and the support and layer when found.
+
+    The search enumerates every distinct support of the layers, so the
+    budget is what makes it return on a large fixpoint: on fig1 it does not
+    return without one, and `max_states=10**6` stops its build in layer 3.
     """
     b = build_global_layers(a, cap, max_states)
     layer_of, last = {}, {}  # support -> number of its first / index of its last layer

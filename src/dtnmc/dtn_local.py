@@ -11,9 +11,10 @@ process's behaviors in the infinite family of networks.
 
 The loop is region_graph's `LayeredBuild`; `_Builder` supplies the layer
 closure, the boundary and the signature of a singleton-slot layer, its set of
-member ids.  Steps come from the automaton's one `MemberTable`, so the
-successors of a (location, region) pair are computed once however many
-layers, builds and label queries it recurs in.  A layer's cross steps, kept
+member ids.  Steps come from the automaton's one `MemberTable`, which the
+global engine shares, so the successors of a (location, region) pair are
+computed once however many layers, builds and queries of either engine it
+recurs in; so is its region text in witnesses and the DOT.  A layer's cross steps, kept
 as it closes, give the next layer's seeds.  All states of a layer share its
 slot index, so a state is named by its layer number and member id:
 `Layer.ids` holds the ids in discovery order, the build keeps the table's
@@ -50,6 +51,7 @@ class Layer:
 class DtnRegionAutomaton:
     layers: list
     states: list  # member id -> RegionState; the layer's slot gives the index
+    text: dict  # member id -> region text without t, filled on first read
     arcs: list  # intra-layer, cross and loop edges among kept layers, as id tuples
     i0: Optional[int]
     l0: Optional[int]
@@ -178,8 +180,9 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
     arcs = list(build.edges) if l0 is None else [
         e if e[4] < l0 else (e[0], e[1], "loop", None, i0, e[5])
         for e in build.edges if e[0] < l0]
-    return DtnRegionAutomaton(build.layers[:l0], build.states, arcs, i0, l0,
-                              build.shift, build.ctx, build.relabel_map, build.automaton)
+    return DtnRegionAutomaton(build.layers[:l0], build.states, build.members.text, arcs,
+                              i0, l0, build.shift, build.ctx, build.relabel_map,
+                              build.automaton)
 
 
 def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
@@ -225,11 +228,10 @@ def _witness_path(b: _Builder):
 
 def _step_json(b: _Builder, kind, tr, node):
     number, i = node
-    state = b.states[i]
     out = {
         "kind": kind,
-        "loc": state.loc,
-        "region": state.base.eliminate((T,)).pretty() or "true",
+        "loc": b.states[i].loc,
+        "region": b.members.text[i],
         "slot": str(b.layers[number].slot),
     }
     if tr is not None:
@@ -383,8 +385,7 @@ def _dot_lines(dra: DtnRegionAutomaton):
         yield f"  subgraph cluster_{layer.number} {{"
         yield f'    label="W{layer.number} t in {layer.slot}";'
         for i in layer.ids:
-            rs = dra.states[i]
-            label = f"{rs.loc}\\n{rs.base.eliminate((T,)).pretty() or 'true'}"
+            label = f"{dra.states[i].loc}\\n{dra.text[i]}"
             yield f'    {names[layer.number][i]} [label="{label}"];'
         yield "  }"
     for ls, i, kind, label, ld, j in dra.arcs:

@@ -78,8 +78,9 @@ class Automaton:
     transitions: tuple
     broadcasts: tuple = ()
     tclock: Optional[str] = None  # the global clock, when added by unguard
-    # member table class -> (relabeled automaton, relabel map, RegionContext,
-    # table), shared by every layered build; oracle._SigTable -> its table
+    # MemberTable -> (relabeled automaton, relabel map, RegionContext, table),
+    # shared by both layer engines; dtn_global._Chain -> the global layers;
+    # oracle._SigTable -> its table
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def invariant(self, q: str) -> tuple:

@@ -25,24 +25,27 @@ their records with `regions.new_record`.  `delay_row`
 and `discrete_row` expose the steps computed so far, read-only, so that a
 hot loop pays for the `delay` or `discrete` call only on a miss.  The local
 engine holds a layer's states as ids, the global engine its supports as a
-diagram over ids; both carry the slot index beside them.
+diagram over ids; both carry the slot index beside them.  Beside the steps
+the table keeps the id masks per location and of the punctual members, and
+fills two memos on first read: the rank the global engine orders members
+by, and the region text the JSON and the DOT print.
 
-There is one table per automaton and table class, kept in `Automaton.tables`
+There is one table per automaton, kept in `Automaton.tables[MemberTable]`
 with the relabeled automaton and its `RegionContext`: every build and query
-on an automaton reuses the successors the earlier ones computed, and the
-table goes when the automaton does.  No output depends on an id: layers keep
-discovery order, the global engine orders members by the repr of their
-`member_key`, and signatures are compared within one build.
+on an automaton, by either engine, reuses the successors the earlier ones
+computed, and the table goes when the automaton does.  No output depends on
+an id: layers keep discovery order, the global engine orders members by the
+repr of their `member_key`, and signatures are compared within one build.
 
 `LayeredBuild` is the layered fixpoint both engines run: close a layer in
 its slot, stop once a singleton-slot layer repeats an earlier one up to a
 slot shift, else cross the slot boundary into the next layer.  It refuses
 `lbta` automata, whose broadcasts its steps would ignore.
 
-`check_timelock_free` walks a member table too: ids are interned in BFS
-order, and the rebased t serves as the tick clock, a delay step with slot
-shift 1 being one tick.  Time diverges from a state iff it reaches a cycle
-through a tick (Tarjan's components on the id graph, then a backward pass).
+`check_timelock_free` walks a member table of its own: ids are interned in
+BFS order, and the rebased t serves as the tick clock, a delay step with
+slot shift 1 being one tick.  Time diverges from every reachable state iff
+each reaches a tick (a backward pass from the ticks over the id graph).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .model import (Automaton, BudgetExceeded, ModelError, check_initial_invaria
                     compute_bounds, relabel_unique)
 from .regions import (T, Memo, Region, RegionState, Slot, count_regions,
                       initial_region, new_record, next_slot, nogc)
+from .zdd import ZDD
 
 
 class RegionContext:
@@ -162,20 +166,28 @@ def member_key(m: RegionState):
 
 
 class MemberTable:
-    """Int ids for members, with their successors computed once."""
+    """Int ids for members, with their successors computed once, and the
+    per-id fields the global engine reads."""
 
     def __init__(self, ctx: RegionContext):
         self.ctx = ctx
         self.ids = {}  # member, a RegionState at slot index 0 -> id
-        self.states = []  # id -> member
+        self.states = states = []  # id -> member
         self.loc = []  # id -> location
         self.point = []  # id -> t sits on an integer: a singleton slot
+        self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
+        self.punctual = 0  # mask of ids where any positive delay moves a clock but t
+        # id -> repr of its member key, the global engine's visiting order
+        self.rank = Memo(lambda i: repr(member_key(states[i])))
+        # id -> region text without t, for the JSON and the DOT
+        self.text = Memo(lambda i: states[i].base.eliminate((T,)).pretty() or "true")
         # index >= tmax -> id -> id of its time successor, None when delay is
         # blocked, False when not yet computed
         self._delay = ([], [])
         # id -> ((transition, id, location guard), ...), None when not yet computed
         self.discrete_row = []
         self._shared = {}  # one object per distinct vals or fracs
+        self._last = (0, [])  # the last support ordered and its ids
 
     def intern(self, m: RegionState) -> int:
         if m.index:
@@ -191,14 +203,16 @@ class MemberTable:
             self.states.append(m)
             self.loc.append(m.loc)
             self.point.append(not m.unbounded and vals[-1][1])  # t is the last clock
+            bit = 1 << i
+            self.at[m.loc] |= bit
+            for v in vals[:-1]:  # a clock but t on an integer
+                if v and v[1]:
+                    self.punctual |= bit
+                    break
             self._delay[0].append(False)
             self._delay[1].append(False)
             self.discrete_row.append(None)
-            self._added(m)
         return i
-
-    def _added(self, m: RegionState) -> None:
-        """Hook for subclasses keeping more per-id fields."""
 
     def state(self, i: int, index: int) -> RegionState:
         m = self.states[i]
@@ -239,16 +253,25 @@ class MemberTable:
                 for tr, nxt in discrete_successors(self.states[i], self.ctx)])
         return out
 
+    def ordered(self, support) -> list:
+        """The ids of a support, a bitmask of ids, by rank; kept for the last
+        support asked."""
+        last, ids = self._last
+        if support != last:
+            ids = sorted(ZDD.members(support), key=self.rank.__getitem__)
+            self._last = (support, ids)
+        return ids
+
 
 class LayeredBuild:
     """The layered fixpoint; subclasses supply the layers it chains.
 
-    Subclasses define `table` (the member table class), `_initial_seeds()`,
-    `_close_layer(number, slot, seeds)` returning a layer stamped with the
-    given slot, `_boundary(layer)` returning the next layer's seeds, and
-    `_signature(layer)`, which identifies a singleton-slot layer up to its
-    slot index (a frozenset, or its sha256 when streaming).  `_close_layer`
-    sets `hit` to stop the build at the end of the layer.
+    Subclasses define `_initial_seeds()`, `_close_layer(number, slot, seeds)`
+    returning a layer stamped with the given slot, `_boundary(layer)`
+    returning the next layer's seeds, and `_signature(layer)`, which
+    identifies a singleton-slot layer up to its slot index (a frozenset, or
+    its sha256 when streaming).  `_close_layer` sets `hit` to stop the build
+    at the end of the layer.
 
     The build owns the slot walk: layer 0 sits in [0,0], and each boundary
     enters `next_slot`.  Every member of a layer has the layer's slot, since
@@ -259,20 +282,18 @@ class LayeredBuild:
     Layers 0..cap may be built; the default cap 2^(na+1) bounds the layers
     before a loop-back.  A streaming build keeps only the layer being closed.
     The relabeled automaton, its context and member table come from
-    `a.tables`, made by the first build of this class on `a`.
+    `a.tables[MemberTable]`, made by the first build of either engine on `a`.
     """
-
-    table = MemberTable
 
     def __init__(self, a: Automaton, cap=None, max_states=None, streaming=False):
         if a.kind == "lbta":  # the steps would ignore broadcasts
             raise ModelError("the layer engines do not take lbta models; translate "
                              "with `dtnmc translate --to gta` first")
-        entry = a.tables.get(self.table)
+        entry = a.tables.get(MemberTable)
         if entry is None:
             ra, relabel_map = relabel_unique(a)
             ctx = RegionContext(ra)
-            entry = a.tables[self.table] = (ra, relabel_map, ctx, self.table(ctx))
+            entry = a.tables[MemberTable] = (ra, relabel_map, ctx, MemberTable(ctx))
         self.automaton, self.relabel_map, self.ctx, self.members = entry
         self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
         self.max_states = max_states
@@ -337,36 +358,30 @@ def check_timelock_free(a: Automaton, max_states=None):
 
     Explores the member table of a with the global clock t.  The rebased t is
     the tick clock: a delay step whose slot shift is 1 lets t pass an integer,
-    so any run letting one time unit pass takes such a tick.  Time can
-    diverge from a state iff it reaches a cycle through a tick.  Returns
-    ("proved", None) or ("refuted", (location, region text without t)).
+    so any run letting one time unit pass takes such a tick.  Time diverges
+    from every reachable state iff every reachable state can reach a tick,
+    since a run that keeps reaching ticks passes some tick twice in the
+    finite graph.  Returns ("proved", None) or ("refuted", (location, region
+    text without t)) for a reachable state that reaches no tick.
     """
     ctx = RegionContext(a)
     members = MemberTable(ctx)
     members.intern(ctx.initial_state())
-    adj = []  # id -> [(successor id, is tick)]; ids are interned in BFS order
+    point = members.point
+    adj, capable = [], []  # id -> [successor id] / its delay is a tick; BFS order
     while len(adj) < len(members.states):
         i = len(adj)
-        j, point = members.delay(i, 0), members.point
-        succs = [] if j is None else [(j, not point[i] and point[j])]
-        succs += [(j, False) for _, j, _ in members.discrete(i)]
-        adj.append(succs)
+        j = members.delay(i, 0)
+        capable.append(j is not None and not point[i] and point[j])
+        adj.append(([] if j is None else [j]) + [k for _, k, _ in members.discrete(i)])
         if max_states is not None and len(members.states) > max_states:
             raise BudgetExceeded(f"timelock check exceeds {max_states} states")
 
-    comp = _scc(adj)
-    good = {
-        comp[u]
-        for u, succs in enumerate(adj)
-        for v, tick in succs
-        if tick and comp[u] == comp[v]
-    }
-    # ids that can reach a good component
+    # ids that can reach a tick
     rev = [[] for _ in adj]
     for u, succs in enumerate(adj):
-        for v, _ in succs:
+        for v in succs:
             rev[v].append(u)
-    capable = [c in good for c in comp]
     stack = [u for u, ok in enumerate(capable) if ok]
     while stack:
         for u in rev[stack.pop()]:
@@ -380,45 +395,3 @@ def check_timelock_free(a: Automaton, max_states=None):
     stuck = [u for u in bad if not adj[u]]
     m = members.states[(stuck or bad)[0]]
     return ("refuted", (m.loc, m.base.eliminate((T,)).pretty()))
-
-
-def _scc(adj):
-    """Iterative Tarjan on an id adjacency list; returns id -> component id.
-
-    A visited id is on Tarjan's stack exactly while it has no component.
-    """
-    n = len(adj)
-    index, low, comp = [None] * n, [0] * n, [None] * n
-    stack = []
-    counter = cid = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            node, it = work[-1]
-            for succ, _ in it:
-                if index[succ] is None:
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    work.append((succ, iter(adj[succ])))
-                    break
-                if comp[succ] is None:
-                    low[node] = min(low[node], index[succ])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = cid
-                        if w == node:
-                            break
-                    cid += 1
-    return comp

@@ -83,13 +83,6 @@ class Region(NamedTuple):
 
     # -- queries ------------------------------------------------------------
 
-    def is_time_punctual(self, skip=()) -> bool:
-        """True if any positive delay leaves the region (ignoring clocks in skip)."""
-        return any(
-            v is not None and v[1] and c not in skip
-            for c, v in zip(self.clocks, self.vals)
-        )
-
     def clock_range(self, c: str):
         """Exact value range as (lo, lo_strict, hi, hi_strict)."""
         v = self.val(c)

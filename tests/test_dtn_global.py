@@ -270,6 +270,13 @@ def test_find_guard_timelock_absent(fig3):
     assert not out["found"]
 
 
+def test_find_guard_timelock_stops_within_its_budget(fig1):
+    # the search enumerates every distinct support, so on fig1, whose fixpoint
+    # holds 6.9e18 supports, only a budget on the build makes it return
+    with pytest.raises(BudgetExceeded, match="1000000 supports while building layer 3"):
+        find_guard_timelock(fig1, max_states=10**6)
+
+
 def missing_oracle_supports(b, res):
     """(checked, missing): oracle supports in slots the layers cover, and
     those the layers lack."""

@@ -324,6 +324,15 @@ def test_targeted_search_reads_no_supports(fig1):
     assert explore_network(fig1, 3, slot_cap=2, target="s0").states_explored == 1
 
 
+def test_slot_cap_zero_explores_the_first_two_slots(fig1):
+    # cap 0 is a valid cap: the search keeps to [0,0] and (0,1)
+    res = explore_network(fig1, 2, slot_cap=0)
+    assert (res.states_explored, sorted(res.labels), res.exhausted) == \
+        (60, ["s0", "s1", "s2"], False)
+    assert {slot: len(sups) for slot, sups in res.supports.items()} == \
+        {("point", 0): 6, ("open", 0): 45}
+
+
 def test_unlabelled_steps_replay_along_the_fired_transition(fig1, fig3):
     # fig3's init -> init and init -> q1 are both unlabelled; each entry's
     # destination picks the one the witness fired

@@ -8,8 +8,9 @@ from itertools import product
 import pytest
 
 from conftest import LABEL_POOL, OPS, random_gta
-from dtnmc.dtn_global import (SupportMembers, _Chain, _GlobalBuilder,
-                               build_global_layers, check_global)
+from dtnmc import region_graph
+from dtnmc.dtn_global import (_Chain, _GlobalBuilder, build_global_layers,
+                               check_global)
 from dtnmc.dtn_local import (_Builder, apply_loopback, build_layers,
                              check_label_reachable, dra_to_dot, summary_automaton)
 from dtnmc.lbta_bridge import fresh_name
@@ -264,6 +265,12 @@ def test_timelock_check_matches_tick_clock_reference(fig1, fig3):
     assert verdicts[2:].count("refuted") == 129
 
 
+def test_timelock_witness_reaches_no_tick():
+    # the initial state reaches a tick but no cycle through one; the witness
+    # is a reachable state from which no tick is reachable at all
+    assert check_timelock_free(random_plain_ta(25)) == ("refuted", ("q0", "c=2 d=2"))
+
+
 def _query_outputs(a, queries):
     """The JSON or text of each query on `a`, a budget overrun as its message."""
     out = []
@@ -304,16 +311,35 @@ def test_shared_tables_ignore_query_order(name, fig1, fig3):
         except BudgetExceeded:
             pass
         members = builder(a).members
-        for m in reversed(copy.tables[builder.table][3].states):
+        for m in reversed(copy.tables[MemberTable][3].states):
             members.intern(m)
-        assert members.states != copy.tables[builder.table][3].states
+        assert members.states != copy.tables[MemberTable][3].states
     shared = _query_outputs(a, queries)
     fresh = [_query_outputs(replace(a), [q])[0] for q in queries]
     assert shared == fresh
-    assert set(a.tables) == {MemberTable, SupportMembers, _Chain}
+    assert set(a.tables) == {MemberTable, _Chain}
     assert replace(a).tables == {} and replace(a) == a
     with pytest.raises(FrozenInstanceError):
         a.name = "renamed"
+
+
+@pytest.mark.parametrize("first", ["local", "global"])
+def test_engines_share_one_member_table(first, fig3, monkeypatch):
+    # after a complete build by one engine, a complete build by the other on
+    # the same automaton finds every successor it needs in the table
+    runs = {"local": build_layers, "global": build_global_layers}
+    second = runs["global" if first == "local" else "local"]
+
+    def computed(*args):
+        raise AssertionError("a successor was computed twice")
+
+    for a in [fig3] + [random_gta(s) for s in range(30)]:
+        runs[first](a)
+        with monkeypatch.context() as m:
+            m.setattr(region_graph, "immediate_time_successor", computed)
+            m.setattr(region_graph, "discrete_successors", computed)
+            second(a)
+        assert set(a.tables) == {MemberTable, _Chain}, a.name
 
 
 def _layer_ids(kind, b, layer):
