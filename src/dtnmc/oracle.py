@@ -15,10 +15,18 @@ Permuting processes permutes `ids` and nothing else, and interning is
 one-to-one, so the state with sorted ids is its orbit key (Ip & Dill, FMSD
 1996; Hendriks et al., FORMATS 2003); which ids earlier queries took changes
 no orbit.  `explore_network` is the one search: a BFS that queues only the
-first-reached member of each orbit, unsorted.  Without a target it runs to
-the slot cap or the budget; location sets and supports are read off the
-reached orbit keys when first asked for.  With a target, a label or a
-counting constraint, it keeps parent links and stops at the first hit.
+first-reached member of each orbit at each slot index, unsorted.  Without a
+target it runs to the slot cap or the budget; location sets and supports are
+read off the reached orbits when first asked for.  With a target, a label
+or a counting constraint, it keeps parent links and stops at the first hit.
+
+No guard or invariant reads t, so a state's successors depend on its member
+(ids, tcell) and not on its index, except that `_Net.delay` cuts the delay
+out of the last slot (A^n has a finite region graph: Alur & Dill, TCS 1994).
+The search keeps one successor row per member expanded below the cap and
+reuses it at any other index, shifted and without the delay out of the last
+slot, until it expands the member at the cap.  The reached set maps each
+index-free orbit (sorted ids, tcell) to a bitmask of the indices reached.
 Successors commute with permuting processes, so the first hit and its parent
 chain, and so the returned path, are those of the unreduced search.  Only the
 path's steps become `RegionState`s, which `concretize` turns into a timed
@@ -265,20 +273,22 @@ class OracleResult:
     exhausted: bool = False
     witness: list = None  # the step list ending at the target's hit, or None
     net: _Net = field(default=None, repr=False)
-    reached: dict = field(default_factory=dict, repr=False)  # orbit key -> link
+    reached: dict = field(default_factory=dict, repr=False)  # orbit -> index bits
 
     @cached_property
     def loc_sets(self):
         loc = self.net.loc
-        return {frozenset([loc[i] for i in ids]) for ids, _, _ in self.reached}
+        return {frozenset([loc[i] for i in ids]) for ids, _ in self.reached}
 
     @cached_property
     def supports(self):
         """("point"|"open", index) -> the supports reached in that slot."""
         member, out = self.net.member, {}
-        for ids, tcell, index in self.reached:
-            out.setdefault(("point" if tcell[0][1] else "open", index), set()).add(
-                frozenset([member[i, tcell] for i in ids]))
+        for (ids, tcell), mask in self.reached.items():
+            sup = frozenset([member[i, tcell] for i in ids])
+            for index in [i for i in range(mask.bit_length()) if mask >> i & 1]:
+                out.setdefault(("point" if tcell[0][1] else "open", index),
+                               set()).add(sup)
         return out
 
 
@@ -286,7 +296,8 @@ class OracleResult:
 def explore_network(a: Automaton, n: int, slot_cap: int = 8,
                     max_states: int = 10 ** 6, target=None) -> OracleResult:
     """Breadth-first search of A^n's product-region states, with slot index
-    <= slot_cap, up to process symmetry; `max_states` counts orbits.
+    <= slot_cap, up to process symmetry, on successor rows (see the module
+    docstring); `max_states` counts (orbit, index) pairs.
 
     `target` is None, a label or a parsed constraint node.  A label is tested
     on each firing step, a constraint on the location set of each state
@@ -302,9 +313,11 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
     net = _Net(a, n, slot_cap)
     res = OracleResult(n, slot_cap, net=net)
     start = net.initial()
-    seen = res.reached
-    seen[(tuple(sorted(start[0])), start[1], start[2])] = None
-    queue = deque([start])
+    reached = res.reached
+    reached[tuple(sorted(start[0])), start[1]] = 1  # at index 0
+    # per queued state: its orbit's index bits before it was queued and, for a
+    # target, its link (parent's position, step, parent)
+    queue, earlier, links = deque([start]), deque([0]), [None]
     label = target if isinstance(target, str) else None
     node = None if label is not None else target
     loc = net.loc
@@ -319,34 +332,51 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
         return res
     successors, labels = net.successors, res.labels
     popleft, push = queue.popleft, queue.append
+    get, rows, count = reached.get, {}, 1
     while queue:
         state = popleft()
         res.states_explored += 1
-        succs = successors(state)
-        for step, _ in succs:
-            if step[0] == "fire":
-                for _, tr in step[1]:
-                    if tr.label is not None:
-                        labels.add(tr.label)
-        # a label fires from this state iff it has just joined the labels
-        if label in labels or node is not None:
-            for step, nxt in succs:
-                if hits(step, nxt):
-                    steps = [(step, net.region_state(nxt))]
-                    while link := seen[tuple(sorted(state[0])), state[1], state[2]]:
-                        steps.append((link[1], net.region_state(state)))
-                        state = link[0]
-                    res.witness = steps[::-1]
-                    return res
+        # a row exists only if the orbit had other bits when the state was queued
+        row = rows.get(state[:2]) if earlier.popleft() else None
+        if row is None:
+            shift, succs = 0, successors(state)
+            if state[2] < slot_cap:  # no delay was cut at the cap
+                rows[state[:2]] = state[2], succs
+            for step, _ in succs:
+                if step[0] == "fire":
+                    for _, tr in step[1]:
+                        if tr.label is not None:
+                            labels.add(tr.label)
+            # a label fires from this state iff it has just joined the labels
+            if label in labels or node is not None:
+                for step, nxt in succs:
+                    if hits(step, nxt):
+                        steps = [(step, net.region_state(nxt))]
+                        i = res.states_explored - 1  # the position of state
+                        while link := links[i]:
+                            steps.append((link[1], net.region_state(state)))
+                            i, _, state = link
+                        res.witness = steps[::-1]
+                        return res
+        else:  # its labels and targets were tested when it was built
+            if state[2] == slot_cap:
+                del rows[state[:2]]
+            shift, succs = state[2] - row[0], row[1]
         for step, nxt in succs:
-            k = (tuple(sorted(nxt[0])), nxt[1], nxt[2])
-            if k not in seen:
-                if len(seen) >= max_states:
+            k = (tuple(sorted(nxt[0])), nxt[1])
+            mask = get(k, 0)
+            index = nxt[2] + shift
+            if not mask >> index & 1 and index <= slot_cap:
+                if count >= max_states:
                     res.exhausted = True
                     return res
-                # parent links only where a witness may be read back
-                seen[k] = None if target is None else (state, step)
+                count += 1
+                reached[k] = mask | 1 << index
+                nxt = (nxt[0], nxt[1], index) if shift else nxt
+                if target is not None:
+                    links.append((res.states_explored - 1, step, state))
                 push(nxt)  # as first reached; only the key is sorted
+                earlier.append(mask)
     return res
 
 

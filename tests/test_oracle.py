@@ -3,6 +3,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -164,6 +165,59 @@ def _reference_witness(a, n, label, slot_cap=8, max_states=10 ** 6):
     return None
 
 
+def _reference_explore(a, n, slot_cap, max_states=10 ** 6, target=None):
+    """explore_network without successor rows: a BFS that expands every
+    (orbit, index) pair afresh and keys it by (sorted ids, tcell, index)."""
+    net = _Net(a, n, slot_cap)
+    res = SimpleNamespace(states_explored=0, labels=set(), exhausted=False,
+                          witness=None)
+    start = net.initial()
+    seen = {_orbit_key(start): None}
+    queue = deque([start])
+    label = target if isinstance(target, str) else None
+
+    def hits(step, state):
+        if label is not None:
+            return step[0] == "fire" and any(tr.label == label for _, tr in step[1])
+        return eval_constraint([net.loc[i] for i in state[0]], target)
+
+    def done():
+        res.loc_sets = {frozenset(net.loc[i] for i in ids) for ids, _, _ in seen}
+        res.supports = {}
+        for ids, tcell, index in seen:
+            sup = frozenset(net.member[i, tcell] for i in ids)
+            res.supports.setdefault(("point" if tcell[0][1] else "open", index),
+                                    set()).add(sup)
+        return res
+
+    if target is not None and label is None and hits(None, start):
+        res.witness = []
+        return done()
+    while queue:
+        state = queue.popleft()
+        res.states_explored += 1
+        succs = net.successors(state)
+        for step, _ in succs:
+            if step[0] == "fire":
+                res.labels |= {tr.label for _, tr in step[1] if tr.label is not None}
+        for step, nxt in succs:
+            if target is not None and hits(step, nxt):
+                steps = [(step, net.region_state(nxt))]
+                while link := seen[_orbit_key(state)]:
+                    steps.append((link[1], net.region_state(state)))
+                    state = link[0]
+                res.witness = steps[::-1]
+                return done()
+        for step, nxt in succs:
+            if _orbit_key(nxt) not in seen:
+                if len(seen) >= max_states:
+                    res.exhausted = True
+                    return done()
+                seen[_orbit_key(nxt)] = (state, step)
+                queue.append(nxt)
+    return done()
+
+
 def _golden_model(name):
     """fig1/fig3, rS = random_gta(S), mS its max_const=3 draw, lS = the lbta
     translation of random_gta(S), W = TWO_CLOCKS, D = DIAG."""
@@ -283,6 +337,51 @@ def test_every_fired_label_has_a_replaying_witness(explored):
             simulate_trace(a, n, concretize(a, n, steps))
             witnesses += 1
     assert witnesses == 56
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3", "r3", "l3", "r18", "l18",
+                                  "r20", "l20"])
+def test_successors_shift_with_the_slot_index(name):
+    # a state's successors at index k + 1 are those at index k with every
+    # index raised by one, less the delay out of the last slot: the search
+    # reuses one successor row per (ids, tcell) on this
+    a = _golden_model(name)
+    cut = 0
+    for n in (1, 2, 3):
+        net = _Net(a, n, 2)
+        for ids, tcell in {s[:2] for s in _bfs_states(net, 400)}:
+            for k in (0, 1):
+                low = net.successors((ids, tcell, k))
+                want = [(step, (s[0], s[1], s[2] + 1)) for step, s in low if s[2] < 2]
+                assert net.successors((ids, tcell, k + 1)) == want
+                cut += len(low) - len(want)
+    assert cut
+
+
+# gta models, lbta translations (l3, l20), two clocks (W) and no labels (fig3, W)
+@pytest.mark.parametrize("name,n", [("fig1", 2), ("fig3", 3), ("r20", 3), ("l20", 3),
+                                    ("r3", 3), ("l3", 3), ("W", 2)])
+def test_search_matches_the_reference_search(name, n):
+    # slot caps 0-3; no target, labels and a constraint; no budget and
+    # budgets that stop the search a quarter, half and three quarters in
+    a = _golden_model(name)
+    node = constraint_node(a, f"#{max(a.locations)}>=1 && #{a.initial}==0")
+    labels = sorted(a.labels())
+    targets = [None, node] + labels[:1] + labels[-1:]
+    outcomes = set()
+    for cap in range(4):
+        full = _reference_explore(a, n, cap).states_explored
+        for budget in [10 ** 6] + [full * q // 4 for q in (1, 2, 3)]:
+            for target in targets:
+                ref = _reference_explore(a, n, cap, budget, target)
+                res = explore_network(a, n, slot_cap=cap, max_states=budget,
+                                      target=target)
+                assert (res.states_explored, res.labels, res.loc_sets, res.supports,
+                        res.exhausted, res.witness) == \
+                    (ref.states_explored, ref.labels, ref.loc_sets, ref.supports,
+                     ref.exhausted, ref.witness), (cap, budget, target)
+                outcomes.add((res.exhausted, res.witness is not None))
+    assert outcomes == {(True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
