@@ -21,9 +21,9 @@ slot.  Supports evolve by three kinds of steps:
 Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
 up to a slot shift.  The loop is region_graph's `LayeredBuild`.  Members are
-the ids of the automaton's one `MemberTable`, which the local engine shares,
-and which keeps the id masks per location and of the punctual members and
-the rank supports are ordered by.
+the ids of the automaton's one `MemberTable`, which the local engine shares:
+the rank orders supports, and the rules extend its id masks per location and
+of the punctual members with `sync_masks` before they read them.
 
 A layer is a zero-suppressed decision diagram (`zdd.ZDD`) over member ids,
 closed by frontier rings (Burch et al., "Symbolic model checking: 10^20
@@ -161,6 +161,7 @@ def rule1_steps(support, index, members: MemberTable):
     if point[ids[0]]:
         return []
     row = members.delay_row(index)
+    members.sync_masks()
     # in an open slot a step stays in it iff its successor is no point member
     punctual = support & members.punctual
     if punctual:
@@ -201,12 +202,11 @@ def rule1_steps(support, index, members: MemberTable):
 
 def rule2_steps(support, members: MemberTable):
     """Discrete outcomes: (successor support, transition) pairs."""
-    at, row = members.at, members.discrete_row
-    out = []
-    for i in members.ordered(support):
-        steps = row[i]
-        if steps is None:
-            steps = members.discrete(i)
+    ids, row = members.ordered(support), members.discrete_row
+    rows = [row[i] or members.discrete(i) for i in ids]
+    members.sync_masks()  # after the rows: a drop's mask test reads its target
+    at, out = members.at, []
+    for i, steps in zip(ids, rows):
         for tr, j, lg in steps:
             if lg is not None and not support & at[lg]:
                 continue
@@ -317,6 +317,7 @@ class _GlobalBuilder(LayeredBuild):
                 plus.append(j)
                 if j != i:  # every process at i fires: drop i
                     into.append(j)
+        m.sync_masks()
         out = self._delays(ring, slot.index) if slot.kind == "open" else EMPTY
         for lg, moves in acts.items():
             # a step needs a member at lg before it, and a drop one after it
@@ -329,6 +330,7 @@ class _GlobalBuilder(LayeredBuild):
         """Rule 1 in an open slot: a support with punctual members moves all
         of them unless an invariant pins one; in any other, each mover may
         keep, split or move (keeping all gives the support itself)."""
+        self.members.sync_masks()
         z, point, punctual = self.zdd, self.members.point, self.members.punctual
         movers, moved, pinned = {}, {}, 0
         for i, j in self._successors(ring, index).items():
@@ -374,6 +376,7 @@ class _GlobalBuilder(LayeredBuild):
         """The supports of f on which the constraint holds."""
         kind, z = node[0], self.zdd
         if kind in ("some", "none"):
+            self.members.sync_masks()
             return (z.hits if kind == "some" else z.avoid)(f, self.members.at[node[1]])
         left = self._filter(f, node[1])
         if kind == "and":

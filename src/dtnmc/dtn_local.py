@@ -14,18 +14,20 @@ closure, the boundary and the signature of a singleton-slot layer, its set of
 member ids.  Steps come from the automaton's one `MemberTable`, which the
 global engine shares, so the successors of a (location, region) pair are
 computed once however many layers, builds and queries of either engine it
-recurs in; so is its region text in witnesses and the DOT.  A layer's cross steps, kept
-as it closes, give the next layer's seeds.  All states of a layer share its
-slot index, so a state is named by its layer number and member id:
-`Layer.ids` holds the ids in discovery order, the build keeps the table's
-id -> RegionState list `states` for their locations and base regions, and
-`Layer.slot` gives the index.  A DRA edge is the tuple (src
-layer, src id, kind, internal label, dst layer, dst id), kept once in an
-insertion-ordered dict.  Internal labels are unique after `relabel_unique`,
-so the label gives back the transition.  A dra-mode build records what its
-caller reads: the edges when no label is watched (`apply_loopback`,
-`reachable_labels`), else each state's parent link (`_witness_path`).  A
-streaming build records neither.
+recurs in; so is its region text in witnesses and the DOT.  `_close_layer`
+takes each popped state's delay and discrete steps in one inlined loop,
+calling the table only on a miss in its rows.  A layer's cross steps, kept as
+it closes, give the next layer's seeds.  All states of a layer share its slot
+index, so a state is named by its layer number and member id: `Layer.ids`
+holds the ids in discovery order, the build keeps the table's id ->
+RegionState list `states` for their locations and base regions, and
+`Layer.slot` gives the index.  A DRA edge is the tuple (src layer, src id,
+kind, internal label, dst layer, dst id), kept once in an insertion-ordered
+dict, where `cut` marks the last boundary's first edge.  Internal labels are
+unique after `relabel_unique`, so the label gives back the transition.  A
+dra-mode build records what its caller reads: the edges when no label is
+watched (`apply_loopback`, `reachable_labels`), else each state's parent link
+(`_witness_path`).  A streaming build records neither.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class DtnRegionAutomaton:
 
     def state_names(self) -> list:
         """Deterministic display names: per layer number, id -> wLnI."""
-        return [{i: f"w{layer.number}n{pos}" for pos, i in enumerate(layer.ids)}
-                for layer in self.layers]
+        return [{i: prefix + str(pos) for pos, i in enumerate(layer.ids)}
+                for layer in self.layers for prefix in [f"w{layer.number}n"]]
 
 
 class _Builder(LayeredBuild):
@@ -81,6 +83,7 @@ class _Builder(LayeredBuild):
         self.record_edges = not self.watched and not streaming
         self.states = self.members.states  # id -> RegionState at slot index 0
         self.states_total = 0
+        self.cut = 0  # edges recorded before the last boundary's
         # id -> its successor in the next slot, for the layer last closed
         self.crossing = {}
 
@@ -98,50 +101,67 @@ class _Builder(LayeredBuild):
         members, edges, parent = self.members, self.edges, self.parent
         record_edges, record_parent = self.record_edges, self.record_parent
         watched, loc, point = self.watched, members.loc, members.point
-        ids, waiting, locs, crossing = {}, {}, set(), {}
-        wl, index = deque(), slot.index
-
-        def add(j, ls=None, i=None, kind=None, tr=None):
+        index, drow, row = slot.index, members.delay_row(slot.index), members.discrete_row
+        total, limit = self.states_total, self.max_states
+        ids, waiting, locs, crossing, wl = {}, {}, set(), {}, deque()
+        for ls, i, j in seeds:
             if j not in ids:
                 ids[j] = None
                 if record_parent:
-                    parent[number, j] = (ls, i, kind, tr)
-                self.states_total += 1
-                if self.max_states is not None and self.states_total > self.max_states:
-                    raise BudgetExceeded(f"layer construction exceeds {self.max_states}"
-                                         f" states while building layer {number}")
+                    parent[number, j] = (ls, i, "cross" if ls is not None else None, None)
+                total += 1
+                if limit is not None and total > limit:
+                    raise self._over_budget(number, total)
                 wl.append(j)
-                if loc[j] not in locs:
-                    locs.add(loc[j])
-                    wl.extend(waiting.pop(loc[j], ()))
+                locs.add(loc[j])  # nothing waits before the first state is popped
             if record_edges and ls is not None:
-                edges[ls, i, kind, tr.label if tr else None, number, j] = None
-            if tr is not None and tr.label in watched and self.hit is None:
-                self.hit = ((ls, i), tr, (number, j))
-
-        for ls, i, j in seeds:
-            add(j, ls, i, "cross" if ls is not None else None)
+                edges[ls, i, "cross", None, number, j] = None
         while wl:
             i = wl.popleft()
-            j = members.delay(i, index)
+            j = drow[i]
+            if j is False:
+                j = members.delay(i, index)
+            steps = row[i] or members.discrete(i)
             if j is not None:
                 if point[i] or point[j]:
                     crossing[i] = j
                 else:
-                    add(j, number, i, "delay")
-            for tr, j, lg in members.discrete(i):
+                    steps = ((None, j, None),) + steps  # the delay step first
+            for tr, j, lg in steps:
                 if lg is not None and lg not in locs:
                     waiting.setdefault(lg, {})[i] = None
-                else:
-                    add(j, number, i, "trans", tr)
-        self.crossing = crossing
+                    continue
+                if j not in ids:
+                    ids[j] = None
+                    if record_parent:
+                        parent[number, j] = (number, i, "trans" if tr else "delay", tr)
+                    total += 1
+                    if limit is not None and total > limit:
+                        raise self._over_budget(number, total)
+                    wl.append(j)
+                    q = loc[j]
+                    if q not in locs:
+                        locs.add(q)
+                        wl.extend(waiting.pop(q, ()))
+                if record_edges:  # then no label is watched
+                    edges[number, i, "trans" if tr else "delay", tr and tr.label,
+                          number, j] = None
+                elif tr is not None and tr.label in watched and self.hit is None:
+                    self.hit = ((number, i), tr, (number, j))
+        self.states_total, self.crossing = total, crossing
         return Layer(number, slot, ids)
 
+    def _over_budget(self, number: int, total: int) -> BudgetExceeded:
+        self.states_total = total
+        return BudgetExceeded(f"layer construction exceeds {self.max_states}"
+                              f" states while building layer {number}")
+
     def _boundary(self, layer: Layer):
-        """The next layer's seeds, from the cross steps `_close_layer` kept.
-        Those are in discovery order: an id is first taken off the FIFO
-        worklist in the order it was added to the layer."""
+        """The next layer's seeds, from the cross steps `_close_layer` kept, in
+        discovery order: an id is first taken off the FIFO worklist in the
+        order it was added to the layer.  `cut` is where their edges begin."""
         seeds, seen = [], set()
+        self.cut = len(self.edges)
         for i, j in self.crossing.items():
             if j in seen and self.record_edges:
                 # _close_layer records every seed's edge as well; recording a
@@ -173,13 +193,15 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
     """Trim to layers 0..l0-1 and redirect the last boundary onto W_i0.
 
     W_l0 holds the same ids as W_i0, so a cross edge into (l0, id) becomes a
-    loop edge onto (i0, id).
+    loop edge onto (i0, id); only the edges from the last boundary's `cut` on
+    touch layer l0, and its own are dropped.
     """
     l0, i0 = build.l0, build.i0
     # an edge e is (ls, i, kind, label, ld, j); kept edges are shared, not copied
-    arcs = list(build.edges) if l0 is None else [
-        e if e[4] < l0 else (e[0], e[1], "loop", None, i0, e[5])
-        for e in build.edges if e[0] < l0]
+    arcs = list(build.edges)
+    if l0 is not None:
+        arcs[build.cut:] = [(e[0], e[1], "loop", None, i0, e[5])
+                            for e in arcs[build.cut:] if e[0] < l0]
     return DtnRegionAutomaton(build.layers[:l0], build.states, build.members.text, arcs,
                               i0, l0, build.shift, build.ctx, build.relabel_map,
                               build.automaton)

@@ -25,10 +25,10 @@ their records with `regions.new_record`.  `delay_row`
 and `discrete_row` expose the steps computed so far, read-only, so that a
 hot loop pays for the `delay` or `discrete` call only on a miss.  The local
 engine holds a layer's states as ids, the global engine its supports as a
-diagram over ids; both carry the slot index beside them.  Beside the steps
-the table keeps the id masks per location and of the punctual members, and
-fills two memos on first read: the rank the global engine orders members
-by, and the region text the JSON and the DOT print.
+diagram over ids; both carry the slot index beside them.  The id masks per
+location and of the punctual members grow only when the global engine calls
+`sync_masks`, not on intern; two memos fill on first read: the rank the
+global engine orders members by, and the region text the JSON and DOT print.
 
 There is one table per automaton, kept in `Automaton.tables[MemberTable]`
 with the relabeled automaton and its `RegionContext`: every build and query
@@ -177,6 +177,7 @@ class MemberTable:
         self.point = []  # id -> t sits on an integer: a singleton slot
         self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
         self.punctual = 0  # mask of ids where any positive delay moves a clock but t
+        self._masked = 0  # how many ids `at` and `punctual` cover
         # id -> repr of its member key, the global engine's visiting order
         self.rank = Memo(lambda i: repr(member_key(states[i])))
         # id -> region text without t, for the JSON and the DOT
@@ -203,16 +204,19 @@ class MemberTable:
             self.states.append(m)
             self.loc.append(m.loc)
             self.point.append(not m.unbounded and vals[-1][1])  # t is the last clock
-            bit = 1 << i
-            self.at[m.loc] |= bit
-            for v in vals[:-1]:  # a clock but t on an integer
-                if v and v[1]:
-                    self.punctual |= bit
-                    break
             self._delay[0].append(False)
             self._delay[1].append(False)
             self.discrete_row.append(None)
         return i
+
+    def sync_masks(self):
+        """Extend `at` and `punctual` over the ids interned since the last call."""
+        for i in range(self._masked, len(self.states)):
+            m, bit = self.states[i], 1 << i
+            self.at[m.loc] |= bit
+            if any(v and v[1] for v in m.base.vals[:-1]):  # a clock but t on an integer
+                self.punctual |= bit
+        self._masked = len(self.states)
 
     def state(self, i: int, index: int) -> RegionState:
         m = self.states[i]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -25,8 +26,8 @@ from dtnmc.dtn_local import build_layers
 from test_dtn_local import seeded_gta
 from dtnmc.model import BudgetExceeded, parse_file, parse_model
 from dtnmc.oracle import explore_network
-from dtnmc.region_graph import member_key
-from dtnmc.regions import next_slot
+from dtnmc.region_graph import MemberTable, RegionContext, member_key
+from dtnmc.regions import T, Region, RegionState, next_slot
 
 MODELS = __import__("pathlib").Path(__file__).parent.parent / "models"
 
@@ -197,6 +198,7 @@ def test_check_global_streaming_agrees(fig3):
 
 def test_constraint_filter_agrees_with_eval_constraint(fig3_build):
     b = fig3_build
+    b.members.sync_masks()
     texts = list(differential_constraints(sorted(b.members.at))) + [
         "(#q1>=1 || #init==0) && (#init>=1 || #q1==0)",
         "#q1==0 && (#init>=1 && #q1>=1 || #init==0)",
@@ -582,6 +584,7 @@ def test_reachable_supports_total_counts_complete_layers(fig3):
             b.build()
         except BudgetExceeded:
             pass  # b.layers holds the completed layers
+        b.members.sync_masks()
         at = b.members.at.items()
         loc_sets = {frozenset(q for q, ids in at if sup & ids)
                     for layer in b.layers for sup in supports(b, layer)}
@@ -599,3 +602,85 @@ def test_reachable_supports_total_counts_complete_layers(fig3):
                     (a.name, text, streaming)
                 checked += 1
     assert checked == 2 * 359
+
+
+def recomputed_masks(m):
+    """The location masks and the punctual mask from the table's locations and
+    members: a member is punctual when a clock but t sits on an integer."""
+    at, punctual = dict.fromkeys(m.ctx.automaton.locations, 0), 0
+    for i, (q, s) in enumerate(zip(m.loc, m.states)):
+        at[q] |= 1 << i
+        if any(v is not None and v[1]
+               for c, v in zip(s.base.clocks, s.base.vals) if c != T):
+            punctual |= 1 << i
+    return at, punctual
+
+
+def global_outcomes(a):
+    """A full build, a query and the guard-timelock search on `a`."""
+    out = []
+    for call, args in ((build_global_layers, ()),
+                       (check_global, (f"#{a.locations[-1]}>=1 && #{a.initial}==0",)),
+                       (find_guard_timelock, ())):
+        try:
+            r = call(a, *args, max_states=5_000)
+            out.append(r if isinstance(r, dict) else (r.supports_total, r.l0))
+        except BudgetExceeded:
+            out.append("budget")
+    return out
+
+
+@pytest.mark.parametrize("first", ["global", "local"])
+def test_masks_sync_with_the_table(first, fig3):
+    # the local engine interns without touching the masks and the global
+    # engine extends them before it reads them, so its answers on a table a
+    # local build filled equal those on an empty one
+    for a in [fig3] + [random_gta(seed) for seed in range(30)]:
+        a = replace(a)
+        if first == "local":
+            build_layers(a)
+            assert a.tables[MemberTable][3]._masked == 0
+        outcomes = global_outcomes(a)
+        m = a.tables[MemberTable][3]
+        at, punctual = recomputed_masks(m)
+        covered = (1 << m._masked) - 1
+        assert m.at == {q: mask & covered for q, mask in at.items()}
+        assert m.punctual == punctual & covered
+        m.sync_masks()
+        assert (m._masked, m.at, m.punctual) == (len(m.states), at, punctual)
+        if first == "local":
+            assert outcomes == global_outcomes(replace(a)), a.name
+
+
+def test_rule2_steps_read_the_masks_of_new_targets():
+    # a step from p back to p witnessed by the mover itself: the drop outcome
+    # needs the location mask of a target that rule2_steps interns first
+    a = parse_model("gta M\nclocks c\nlocation p initial\n"
+                    "trans p -> p label: a guard: c >= 1 reset: c locguard: p\n")
+    table = MemberTable(RegionContext(a))
+    c1 = Region(("c", T), (1, 1), ((1, True), (0, True)), ())  # c = 1, t = 0
+    i = table.intern(RegionState("p", c1, 0))
+    cold = rule2_steps(1 << i, table)  # computes the row, interning c = 0
+    assert [sup for sup, _ in cold] == [0b11, 0b10]  # the copy added; i dropped
+    assert rule2_steps(1 << i, table) == cold
+
+
+def test_mask_readers_sync_first(fig3):
+    # on a table only a local build filled, each reader extends the masks
+    # itself: its answer equals the one it gives once they are synced
+    a = replace(fig3)
+    build_layers(a)
+    b = _GlobalBuilder(a)
+    m, z = b.members, b.zdd
+    # q1 just entered with c reset in (0,1): c is punctual, t is not
+    i = next(i for i, s in enumerate(m.states)
+             if s.loc == "q1" and s.base.val("c") == (0, True) and not m.point[i])
+    sup, node = 1 << i | 1, parse_constraint("#q1>=1")
+    calls = [lambda: rule1_steps(1 << i, 0, m), lambda: b._delays(z.single(1 << i), 0),
+             lambda: list(z.sets(b._filter(z.single(sup), node)))]
+    for call in calls:
+        assert m._masked < len(m.states)
+        cold = call()
+        m.sync_masks()
+        assert call() == cold
+        m._masked, m.punctual, m.at = 0, 0, dict.fromkeys(m.at, 0)

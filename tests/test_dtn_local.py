@@ -20,8 +20,9 @@ from dtnmc.dtn_local import (
     summary_automaton,
 )
 from dtnmc.model import BudgetExceeded, parse_file, parse_model, relabel_unique
-from dtnmc.region_graph import member_key
-from dtnmc.regions import T, initial_region
+from dtnmc.region_graph import (RegionContext, discrete_successors,
+                                immediate_time_successor, member_key)
+from dtnmc.regions import T, RegionState, Slot, initial_region, next_slot
 from zones import region_of
 
 
@@ -283,3 +284,69 @@ def test_reachable_states_total_counts_complete_layers(fig1, fig3):
                     len(layer.ids) for layer in full.layers[:out["layers_built"]]), \
                     (a.name, label, streaming)
     assert (verdicts.count("reachable"), verdicts.count("unreachable")) == (84, 100)
+
+
+# -- certificates: the layers as an inductive invariant ----------------------------
+
+
+def slot_of(rs):
+    if rs.unbounded:
+        return Slot("inf", rs.index)
+    return Slot("point" if rs.base.val(T)[1] else "open", rs.index)
+
+
+def check_certificate(a, b) -> set:
+    """Check a full local build's layers with the plain step functions on
+    RegionStates, in a context of their own: no member table, no worklist, no
+    `LayeredBuild`.  By induction over any run of any size, a process in slot
+    k is in W_k: a location guard it passes names a location some process
+    holds at that moment, so one of W_k's.  Returns the user labels the
+    checked steps fire, which bounds every label any network can fire."""
+    ra, relabel_map = relabel_unique(a)
+    ctx = RegionContext(ra)
+    layers = [frozenset(RegionState(b.states[i].loc, b.states[i].base, layer.slot.index,
+                                    b.states[i].unbounded) for i in layer.ids)
+              for layer in b.layers]
+    assert b.layers[0].slot == Slot("point", 0) and ctx.initial_state() in layers[0]
+    fired = set()
+    for k, w in enumerate(layers[:b.l0]):
+        slot, locs = b.layers[k].slot, {rs.loc for rs in w}
+        for rs in w:
+            assert slot_of(rs) == slot
+            nxt = immediate_time_successor(rs, ctx)
+            if nxt is not None and slot_of(nxt) == slot:
+                assert nxt in w, ("delay", k, rs, nxt)
+            elif nxt is not None:  # the step leaves the slot
+                assert slot_of(nxt) == next_slot(slot, ctx.tmax)
+                assert k + 1 < len(layers) and nxt in layers[k + 1], ("cross", k, rs, nxt)
+            for tr, succ in discrete_successors(rs, ctx):
+                if tr.locguard is None or tr.locguard in locs:
+                    assert succ in w, ("trans", k, rs, tr.label)
+                    fired.add(relabel_map.get(tr.label, tr.label))
+    if b.l0 is not None:  # W_l0 is W_i0, shifted: the slots after repeat
+        i0, l0, shift = b.i0, b.l0, b.shift
+        assert b.layers[i0].slot.kind == b.layers[l0].slot.kind == "point"
+        assert b.layers[l0].slot.index - b.layers[i0].slot.index == shift > 0
+        assert {rs._replace(index=rs.index - shift) for rs in layers[l0]} == layers[i0]
+    return fired - {None}
+
+
+CERTIFIED = (["fig1", "fig3", "lock2"] + [f"r{s}" for s in range(60)]
+             + [f"s{name[1:]}" for name in sorted(GOLDEN) if name[0] == "r"])
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_local_layers_certify_themselves(name):
+    # rN is random_gta(N); sN / sNc3 the benchmark generator's seed N with two
+    # or three clocks
+    if name in ("fig1", "fig3"):
+        a = parse_file(MODELS / f"{name}.gta")
+    elif name == "lock2":
+        a = parse_model(LOCK2)
+    elif name[0] == "r":
+        a = random_gta(int(name[1:]))
+    else:
+        seed, _, clocks = name[1:].partition("c")
+        a = seeded_gta(int(seed), int(clocks or 2))
+    b = build_layers(a)
+    assert check_certificate(a, b) == reachable_labels(a)

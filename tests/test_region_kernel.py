@@ -8,21 +8,32 @@ NamedTuple constructor and reads fields by name.  The kernel must return
 equal values of the same record class on every member of the fig1, fig3 and
 `random_gta(0..59)` member tables, on seeded random regions with 2-3 clocks
 plus t, and for the summary automata of fig1 and fig3.
+
+The local layer closure is checked the same way: `RefBuilder` keeps the
+closure as first written, with a nested `add` per layer and the table's
+`delay` and `discrete` called for every state, and `ref_loopback_arcs` the
+loop-back that filtered every edge.  Both engines must agree in order on
+every layer's ids and cross steps, the edges, parent links, hit and state
+count, the loop-back arcs, and where a budget stops a build.
 """
 
 import random
 from itertools import combinations
 
+from collections import deque
+from dataclasses import replace
+
 import pytest
 
 from conftest import OPS, random_gta, random_region
-from dtnmc.dtn_local import (apply_loopback, build_layers, region_to_atoms,
-                             summary_automaton)
-from dtnmc.model import Atom, Automaton, Transition
+from dtnmc.dtn_local import (Layer, _Builder, apply_loopback, build_layers,
+                             region_to_atoms, summary_automaton)
+from dtnmc.model import Atom, Automaton, BudgetExceeded, Transition, relabel_unique
 from dtnmc.region_graph import (MemberTable, compile_atoms, discrete_successors,
                                 holds)
 from dtnmc.regions import (FRAC, INT, T, NonUniformGuard, Region, RegionState,
                            fracs_without)
+from test_dtn_local import seeded_gta
 
 # -- reference bodies -----------------------------------------------------------
 
@@ -188,6 +199,60 @@ def ref_summary_automaton(dra):
                      locations, locations[0], {}, tuple(trs))
 
 
+class RefBuilder(_Builder):
+    """The local builder with the layer closure as first written."""
+
+    def _close_layer(self, number, slot, seeds):
+        members, edges, parent = self.members, self.edges, self.parent
+        record_edges, record_parent = self.record_edges, self.record_parent
+        watched, loc, point = self.watched, members.loc, members.point
+        ids, waiting, locs, crossing = {}, {}, set(), {}
+        wl, index = deque(), slot.index
+
+        def add(j, ls=None, i=None, kind=None, tr=None):
+            if j not in ids:
+                ids[j] = None
+                if record_parent:
+                    parent[number, j] = (ls, i, kind, tr)
+                self.states_total += 1
+                if self.max_states is not None and self.states_total > self.max_states:
+                    raise BudgetExceeded(f"layer construction exceeds {self.max_states}"
+                                         f" states while building layer {number}")
+                wl.append(j)
+                if loc[j] not in locs:
+                    locs.add(loc[j])
+                    wl.extend(waiting.pop(loc[j], ()))
+            if record_edges and ls is not None:
+                edges[ls, i, kind, tr.label if tr else None, number, j] = None
+            if tr is not None and tr.label in watched and self.hit is None:
+                self.hit = ((ls, i), tr, (number, j))
+
+        for ls, i, j in seeds:
+            add(j, ls, i, "cross" if ls is not None else None)
+        while wl:
+            i = wl.popleft()
+            j = members.delay(i, index)
+            if j is not None:
+                if point[i] or point[j]:
+                    crossing[i] = j
+                else:
+                    add(j, number, i, "delay")
+            for tr, j, lg in members.discrete(i):
+                if lg is not None and lg not in locs:
+                    waiting.setdefault(lg, {})[i] = None
+                else:
+                    add(j, number, i, "trans", tr)
+        self.crossing = crossing
+        return Layer(number, slot, ids)
+
+
+def ref_loopback_arcs(build):
+    l0, i0 = build.l0, build.i0
+    return list(build.edges) if l0 is None else [
+        e if e[4] < l0 else (e[0], e[1], "loop", None, i0, e[5])
+        for e in build.edges if e[0] < l0]
+
+
 # -- comparison ---------------------------------------------------------------
 
 
@@ -290,3 +355,64 @@ def test_summary_matches_constructor_built_reference(name, request):
         same(g, w)
         assert hash(g) == hash(w)
     assert all(type(at) is Atom for tr in got.transitions for at in tr.guard)
+
+
+def closure_trace(cls, a, max_states=None, **kw):
+    """What a build of class cls on `a` leaves: per closed layer its ids, cross
+    steps and running state count, then the edges, parent links, hit and
+    loop-back arcs, or the budget's message and the state of the build."""
+    layers = []
+
+    class Traced(cls):
+        def _close_layer(self, number, slot, seeds):
+            layer = super()._close_layer(number, slot, seeds)
+            layers.append((list(layer.ids), list(self.crossing.items()),
+                           self.states_total))
+            return layer
+
+    b = Traced(a, max_states=max_states, **kw)
+    try:
+        b.build()
+    except BudgetExceeded as e:
+        return ("budget", str(e), b.states_total, layers, list(b.edges),
+                list(b.parent.items()))
+    arcs = (apply_loopback(b).arcs if cls is _Builder else ref_loopback_arcs(b)) \
+        if b.record_edges else None
+    return (layers, list(b.edges), list(b.parent.items()), b.hit, b.states_total,
+            (b.i0, b.l0, b.shift), arcs)
+
+
+CLOSURE_MODELS = (["fig1", "fig3"] + [f"r{s}" for s in range(0, 40, 3)]
+                  + [f"s{s}c2" for s in (3, 20, 21, 26)]
+                  + [f"s{s}c3" for s in (1, 43, 49)])
+
+
+@pytest.mark.parametrize("name", CLOSURE_MODELS)
+def test_layer_closure_matches_reference(name, request):
+    # rN is random_gta(N), one clock; sNcK the benchmark generator's seed N
+    # with K clocks
+    if name[0] == "f":
+        a = request.getfixturevalue(name)
+    elif name[0] == "r":
+        a = random_gta(int(name[1:]))
+    else:
+        seed, clocks = name[1:].split("c")
+        a = seeded_gta(int(seed), int(clocks))
+    labels = sorted(set(relabel_unique(a)[1].values()) - {None})
+    modes = [{}] + [dict(watch=label, streaming=streaming)
+                    for label in labels for streaming in (False, True)]
+    sizes = [len(layer.ids) for layer in build_layers(replace(a)).layers]
+    # budgets that stop the build inside its first, middle and last layer
+    budgets = [sum(sizes[:k]) + sizes[k] // 2
+               for k in (0, len(sizes) // 2, len(sizes) - 1)]
+    stops = 0
+    for kw in modes:
+        for max_states in [None] + budgets:
+            # the build under test runs first, on an empty table, so it takes
+            # every miss path; the reference then reads the same ids
+            fresh = replace(a)
+            got = closure_trace(_Builder, fresh, max_states, **kw)
+            want = closure_trace(RefBuilder, fresh, max_states, **kw)
+            assert got == want, (kw, max_states)
+            stops += got[0] == "budget"
+    assert stops >= len(modes)  # at least the budget inside layer 0 stops each
