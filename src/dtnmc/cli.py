@@ -4,8 +4,8 @@ Subcommands: validate, check-local, check-global, build-dra, summary,
 product, translate, oracle.  Every subcommand accepts --json <path> and
 --dot <path>; the layer builders (check-local, check-global, build-dra,
 summary, product) also take --max-layers and --max-states, and oracle takes
---max-states.  Results printed to stdout are JSON (sorted keys) unless the
-artifact is a model or a report.
+--max-states; a negative budget is a usage error.  Results printed to
+stdout are JSON (sorted keys) unless the artifact is a model or a report.
 Exit codes: 0 query answered, 1 unreachable under --fail-on-unreachable,
 2 usage or model error, 3 budget exceeded.
 """

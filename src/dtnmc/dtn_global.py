@@ -32,6 +32,8 @@ rules 1 and 2, minus the layer so far.  Its node is its loop-back signature.
 Every non-streaming build on an automaton walks and extends one chain of
 completed layers in `a.tables`; a budget overrun leaves it at its last
 complete layer.  A streaming build holds one layer in a diagram of its own.
+Either closes a layer only for seeds, slot kind and side of tmax not closed
+before, and crosses a family out of a slot only once (`_Chain`'s memos).
 The reported support is the least by member rank in the lowest ring meeting
 the constraint; a dra witness walks back to the least predecessor in each
 ring before, and from a seed to its least source in the lowest ring of the
@@ -67,7 +69,6 @@ class GlobalLayer:
     family: int  # its supports, a node of the builder's diagram
     count: int  # how many supports
     rings: list  # frontier rings: the seeds, then each step's new supports
-    locations: frozenset = None  # the location sets of its supports, once asked
 
 
 # -- constraints ----------------------------------------------------------------
@@ -234,11 +235,16 @@ def boundary_support(support, index, members: MemberTable):
 
 
 class _Chain:
-    """An automaton's complete layers, the seeds of each once taken, and the
-    witness steps walked back: (layer, ring, support) -> (src, layer, ring, kind)."""
+    """An automaton's complete layers, the seeds of each once taken, the
+    witness steps walked back, (layer, ring, support) -> (src, layer, ring,
+    kind), and memos on nodes, exact as a closure or crossing reads its slot
+    only by kind and side of tmax: `closed`, (kind, index >= tmax, seeds) ->
+    the first layer closed from them; `crossed`, (family, index >= tmax) ->
+    its crossed seeds; `locations`, family -> its supports' location sets."""
 
     def __init__(self):
         self.zdd, self.layers, self.seeds, self.back = ZDD(), [], [], {}
+        self.closed, self.crossed, self.locations = {}, {}, {}
 
 
 class _GlobalBuilder(LayeredBuild):
@@ -276,7 +282,13 @@ class _GlobalBuilder(LayeredBuild):
             layer = layers[number]
             self._count(number, layer.count)
         else:
-            layer = self._closure(number, slot, seeds)
+            key = (slot.kind, slot.index >= self.ctx.tmax, seeds)
+            layer = self.chain.closed.get(key)
+            if layer is None:
+                layer = self.chain.closed[key] = self._closure(number, slot, seeds)
+            else:  # closed before from these seeds: charge its count at once
+                self._count(number, layer.count)
+                layer = GlobalLayer(number, slot, layer.family, layer.count, layer.rings)
             if not self.streaming:
                 layers.append(layer)
         if watch is not None and self.hit is None and any(
@@ -287,10 +299,11 @@ class _GlobalBuilder(LayeredBuild):
         return layer
 
     def _locations(self, layer):
-        if layer.locations is None:
-            layer.locations = frozenset(self.zdd.project(
-                layer.family, [frozenset((q,)) for q in self.members.loc]))
-        return layer.locations
+        sets, family = self.chain.locations, layer.family
+        if family not in sets:
+            sets[family] = frozenset(self.zdd.project(
+                family, [frozenset((q,)) for q in self.members.loc]))
+        return sets[family]
 
     def _closure(self, number, slot, seeds):
         z = self.zdd
@@ -362,9 +375,13 @@ class _GlobalBuilder(LayeredBuild):
         seeds, number, z = self.chain.seeds, layer.number, self.zdd
         if number + 1 < len(seeds):
             return seeds[number + 1]
-        cross = self._crossing(layer)
-        out = z.image(z.within(layer.family, sum(1 << i for i in cross)),
-                      {i: ((False, j),) for i, j in cross.items()})
+        key = (layer.family, layer.slot.index >= self.ctx.tmax)
+        out = self.chain.crossed.get(key)
+        if out is None:
+            cross = self._crossing(layer)
+            out = self.chain.crossed[key] = z.image(
+                z.within(layer.family, sum(1 << i for i in cross)),
+                {i: ((False, j),) for i, j in cross.items()})
         if not self.streaming:
             seeds.append(out)
         return out

@@ -310,6 +310,8 @@ def explore_network(a: Automaton, n: int, slot_cap: int = 8,
     if n < 1 or slot_cap < 0:
         raise ValueError(f"the oracle needs n >= 1 and a slot cap >= 0, "
                          f"not n={n} and slot cap {slot_cap}")
+    if max_states < 0:
+        raise ValueError(f"the oracle needs max_states >= 0, not {max_states}")
     net = _Net(a, n, slot_cap)
     res = OracleResult(n, slot_cap, net=net)
     start = net.initial()

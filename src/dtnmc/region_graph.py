@@ -284,7 +284,8 @@ class LayeredBuild:
     (tmax,inf), where no member is a point member.
 
     Layers 0..cap may be built; the default cap 2^(na+1) bounds the layers
-    before a loop-back.  A streaming build keeps only the layer being closed.
+    before a loop-back, and a negative cap or max_states raises ValueError.
+    A streaming build keeps only the layer being closed.
     The relabeled automaton, its context and member table come from
     `a.tables[MemberTable]`, made by the first build of either engine on `a`.
     """
@@ -293,6 +294,9 @@ class LayeredBuild:
         if a.kind == "lbta":  # the steps would ignore broadcasts
             raise ModelError("the layer engines do not take lbta models; translate "
                              "with `dtnmc translate --to gta` first")
+        for name, value in (("layer cap", cap), ("max_states", max_states)):
+            if value is not None and value < 0:
+                raise ValueError(f"the {name} must be >= 0, not {value}")
         entry = a.tables.get(MemberTable)
         if entry is None:
             ra, relabel_map = relabel_unique(a)

@@ -10,7 +10,8 @@ import dtnmc
 from conftest import MODELS
 from dtnmc.cli import main
 from dtnmc.dtn_global import constraint_node, eval_constraint
-from dtnmc.dtn_global import build_global_layers
+from dtnmc.dtn_global import build_global_layers, check_global, reachable_location_sets
+from dtnmc.dtn_local import build_layers, check_label_reachable
 from dtnmc.model import ModelError, parse_file, parse_model
 from dtnmc.oracle import explore_network, simulate_trace
 
@@ -120,6 +121,57 @@ def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("DTNMC_MAX_STATES", "lots")
     rc, _, err = run(capsys, "check-local", FIG1, "--label", "serr")
     assert rc == 2 and "not an integer" in err
+
+
+LAYER_COMMANDS = [("check-local", FIG1, "--label", "serr"),
+                  ("check-global", FIG3, "--constraint", "#q1>=1 && #q1==0"),
+                  ("build-dra", FIG3), ("summary", FIG3), ("product", FIG3, "-k", "2")]
+
+
+@pytest.mark.parametrize("command", LAYER_COMMANDS, ids=lambda c: c[0])
+def test_negative_budgets_are_usage_errors(capsys, monkeypatch, command):
+    # a negative layer cap or state budget used to exit 3 as if it were spent
+    for flag, message in (("--max-layers", "the layer cap must be >= 0, not -1"),
+                          ("--max-states", "the max_states must be >= 0, not -1")):
+        rc, out, err = run(capsys, *command, flag, "-1")
+        assert (rc, out) == (2, "") and err == f"error: {message}\n", (flag, err)
+    monkeypatch.setenv("DTNMC_MAX_STATES", "-1")
+    rc, out, err = run(capsys, *command)
+    assert rc == 2 and "max_states must be >= 0" in err
+    # zero stays a budget: layer 0 alone, or not one state, is too little
+    monkeypatch.delenv("DTNMC_MAX_STATES")
+    for flag in ("--max-layers", "--max-states"):
+        rc, _, err = run(capsys, *command, flag, "0")
+        assert rc == 3 and err.startswith("budget exceeded"), (flag, err)
+
+
+def test_oracle_rejects_a_negative_budget(capsys, monkeypatch):
+    # it used to report one state explored and exit 0
+    rc, out, err = run(capsys, "oracle", FIG3, "-n", "2", "--max-states", "-3")
+    assert (rc, out) == (2, "") and "max_states >= 0, not -3" in err
+    monkeypatch.setenv("DTNMC_MAX_STATES", "-1")
+    rc, out, err = run(capsys, "oracle", FIG3, "-n", "2")
+    assert (rc, out) == (2, "") and "max_states >= 0, not -1" in err
+    rc, out, _ = run(capsys, "oracle", FIG3, "-n", "2", "--max-states", "0")
+    payload = json.loads(out)
+    assert rc == 0 and (payload["states_explored"], payload["exhausted"]) == (1, True)
+
+
+def test_library_calls_reject_negative_budgets():
+    a = parse_file(FIG3)
+    calls = [lambda **kw: build_layers(a, **kw),
+             lambda **kw: check_label_reachable(parse_file(FIG1), "serr", **kw),
+             lambda **kw: build_global_layers(a, **kw),
+             lambda **kw: check_global(a, "#q1>=1", **kw),
+             lambda **kw: check_global(a, "#q1>=1", streaming=True, **kw),
+             lambda **kw: reachable_location_sets(a, **kw)]
+    for call in calls:
+        for budget in ({"cap": -1}, {"max_states": -1}, {"cap": -2, "max_states": 5}):
+            with pytest.raises(ValueError, match="must be >= 0, not -"):
+                call(**budget)
+    with pytest.raises(ValueError, match="max_states >= 0, not -1"):
+        explore_network(a, 2, max_states=-1)
+    assert explore_network(a, 2, max_states=0).exhausted
 
 
 def test_json_is_byte_deterministic(capsys, tmp_path):

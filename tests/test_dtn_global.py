@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from functools import reduce
 from itertools import permutations
 
 import pytest
@@ -28,6 +29,7 @@ from dtnmc.model import BudgetExceeded, parse_file, parse_model
 from dtnmc.oracle import explore_network
 from dtnmc.region_graph import MemberTable, RegionContext, member_key
 from dtnmc.regions import T, Region, RegionState, next_slot
+from dtnmc.zdd import BASE, EMPTY, ZDD
 
 MODELS = __import__("pathlib").Path(__file__).parent.parent / "models"
 
@@ -353,6 +355,99 @@ def test_layer_families_equal_the_reference_relation(fig3_build):
         assert [set(supports(b, l)) for l in b.layers] == reference_layers(b)
         layers += len(b.layers)
     assert (layers, skipped) == (648, 6)
+
+
+def chain_models():
+    """fig3, LOCK2, random gTAs with one clock and seeded ones with two."""
+    return [parse_file(MODELS / "fig3.gta"), parse_model(LOCK2)] + [
+        random_gta(seed) for seed in range(60)] + [seeded_gta(seed) for seed in range(20)]
+
+
+def test_reused_layers_equal_their_closures():
+    # a layer whose slot kind, side of tmax and seeds repeat is taken from
+    # the chain's memo, and so is a family's crossing: closing every complete
+    # layer again from its seeds, and crossing it again, gives the same nodes
+    layers = closures = 0
+    for a in chain_models():
+        try:
+            b = build_global_layers(a, max_states=20_000)
+        except BudgetExceeded:
+            continue
+        chain, z, again = b.chain, b.zdd, _GlobalBuilder(a)  # the same diagram
+        for layer in chain.layers:
+            closed = again._closure(layer.number, layer.slot, chain.seeds[layer.number])
+            assert (closed.family, closed.count, closed.rings) == \
+                (layer.family, layer.count, layer.rings), (a.name, layer.number)
+            if layer.number + 1 < len(chain.seeds):
+                cross = b._crossing(layer)
+                assert chain.seeds[layer.number + 1] == z.image(
+                    z.within(layer.family, sum(1 << i for i in cross)),
+                    {i: ((False, j),) for i, j in cross.items()}), (a.name, layer.number)
+        layers, closures = layers + len(chain.layers), closures + len(chain.closed)
+    assert (layers, closures) == (648, 499)
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["dra", "streaming"])
+def test_fig3_closes_five_of_its_seven_layers(streaming, monkeypatch):
+    # layers 5 and 6 are seeded as layers 3 and 4 were, so they are not
+    # closed again; a second dra ask walks the chain and closes nothing, a
+    # second streaming ask closes the same five on a diagram of its own
+    closed, closure = [], _GlobalBuilder._closure
+    monkeypatch.setattr(_GlobalBuilder, "_closure", lambda self, number, *args:
+                        closed.append(number) or closure(self, number, *args))
+    a = parse_file(MODELS / "fig3.gta")
+    query = "#q1>=1 && #init>=1 && #q1==0"
+    for _ in range(2):
+        out = check_global(a, query, streaming=streaming)
+        assert (out["result"], out["supports_total"], out["layers_built"]) == \
+            ("unreachable", 4477, 7)
+        assert (out["i0"], out["l0"], out["shift"]) == (4, 6, 1)
+    assert closed == [0, 1, 2, 3, 4] * (1 + streaming)
+
+
+def pairwise_unions(z, f, g, memo):
+    """The family {s | t : s in f, t in g}."""
+    if f <= BASE or g <= BASE:
+        return EMPTY if not f or not g else g if f == BASE else f
+    if z.var[f] > z.var[g]:
+        f, g = g, f  # f splits on the least variable
+    if (f, g) not in memo:
+        v, lo, hi = z.var[f], z.lo[f], z.hi[f]
+        if z.var[g] == v:
+            glo, ghi = z.lo[g], z.hi[g]
+            with_v = reduce(z.union, [pairwise_unions(z, x, y, memo)
+                                      for x, y in ((hi, ghi), (hi, glo), (lo, ghi))])
+            memo[f, g] = z.node(v, pairwise_unions(z, lo, glo, memo), with_v)
+        else:
+            memo[f, g] = z.node(v, pairwise_unions(z, lo, g, memo),
+                                pairwise_unions(z, hi, g, memo))
+    return memo[f, g]
+
+
+def test_point_slot_families_are_closed_under_union():
+    # the copycat argument: two runs that sit at the same integer time run
+    # side by side, and extra processes never disable a disjunctive guard, so
+    # the union of two supports of a point-slot layer is in it too
+    models = [parse_file(MODELS / "fig3.gta"), parse_model(LOCK2)] + [
+        random_gta(seed) for seed in range(60)] + [
+        seeded_gta(seed, 2, 4, 6, 2) for seed in range(40)]
+    point = 0
+    for a in models:
+        try:
+            b = build_global_layers(a, max_states=20_000)
+        except BudgetExceeded:
+            continue
+        z = b.zdd
+        for layer in b.layers:
+            if layer.slot.kind == "point":
+                joins = pairwise_unions(z, layer.family, layer.family, {})
+                assert not z.diff(joins, layer.family), (a.name, layer.number)
+                point += 1
+    assert point == 408
+    # the helper against brute force, on a family that is not closed
+    z, sets = ZDD(), [0b0011, 0b0110, 0b1000]
+    f = reduce(z.union, map(z.single, sets))
+    assert set(z.sets(pairwise_unions(z, f, f, {}))) == {s | t for s in sets for t in sets}
 
 
 def test_global_layers_union_to_local_layers(fig3, fig3_build):

@@ -221,13 +221,14 @@ def test_k_product():
         k_product(s, 4, max_states=3)
 
 
-def seeded_gta(seed, clocks=2):
-    """A seeded gTA, drawn as the benchmark's local-random models are."""
+def seeded_gta(seed, clocks=2, max_locs=6, max_trans=12, max_const=4):
+    """A seeded gTA, drawn as the benchmark's local-random models are unless
+    the sizes say otherwise."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", MODELS.parent / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return parse_model(gen.random_gta_text(seed, clocks, 6, 12, 4))
+    return parse_model(gen.random_gta_text(seed, clocks, max_locs, max_trans, max_const))
 
 
 # sha256 prefixes of the summary automaton's repr, the DRA's dot text and the
