@@ -204,7 +204,7 @@ def rule1_steps(support, index, members: MemberTable):
 def rule2_steps(support, members: MemberTable):
     """Discrete outcomes: (successor support, transition) pairs."""
     ids, row = members.ordered(support), members.discrete_row
-    rows = [row[i] or members.discrete(i) for i in ids]
+    rows = [members.discrete(i) if row[i] is None else row[i] for i in ids]
     members.sync_masks()  # after the rows: a drop's mask test reads its target
     at, out = members.at, []
     for i, steps in zip(ids, rows):
@@ -322,10 +322,10 @@ class _GlobalBuilder(LayeredBuild):
     def _image(self, ring, slot):
         """The rule-1 and rule-2 outcomes of the supports of `ring`, with
         some of those supports themselves."""
-        z, m = self.zdd, self.members
+        z, m, row = self.zdd, self.members, self.members.discrete_row
         acts = {}  # location guard -> member -> (targets, targets it may drop into)
         for i in z.variables(ring):
-            for tr, j, lg in m.discrete_row[i] or m.discrete(i):
+            for tr, j, lg in m.discrete(i) if row[i] is None else row[i]:
                 plus, into = acts.setdefault(lg, {}).setdefault(i, ([], []))
                 plus.append(j)
                 if j != i:  # every process at i fires: drop i

@@ -26,8 +26,18 @@ kind, internal label, dst layer, dst id), kept once in an insertion-ordered
 dict, where `cut` marks the last boundary's first edge.  Internal labels are
 unique after `relabel_unique`, so the label gives back the transition.  A
 dra-mode build records what its caller reads: the edges when no label is
-watched (`apply_loopback`, `reachable_labels`), else each state's parent link
-(`_witness_path`).  A streaming build records neither.
+watched (`apply_loopback`), else each state's parent link (`_witness_path`).
+A streaming build records neither.
+
+A build that reaches its loop-back or runs out of seeds, by `build_layers` or
+by a label query in either mode, leaves an `Outline` in `a.tables`: its
+states per layer, the first layer each internal label fires in (the labels
+`reachable_labels` reads), and how it ended.  A label query that needs no
+witness, in streaming mode or in dra mode on a label that never fires, walks
+stub layers of the outline through the same `LayeredBuild` loop, so caps,
+budgets, the loop-back and `peak_layers_held` come out as a build's, and
+closes no layer.  The outline is O(layers + labels): a streaming build still
+holds one layer.
 """
 
 from __future__ import annotations
@@ -35,10 +45,10 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition
-from .region_graph import LayeredBuild, RegionContext
+from .region_graph import LayeredBuild, RegionContext, nonnegative
 from .regions import T, Region, Slot, fracs_without, new_record, nogc
 
 
@@ -86,6 +96,14 @@ class _Builder(LayeredBuild):
         self.cut = 0  # edges recorded before the last boundary's
         # id -> its successor in the next slot, for the layer last closed
         self.crossing = {}
+        self.tables, self.counts, self.first = a.tables, [], {}  # the outline so far
+
+    def build(self):
+        super().build()
+        if self.hit is None or self.l0 is not None:  # a loop-back, or no seeds left
+            self.tables[Outline] = Outline(tuple(self.counts), self.first,
+                                           self.i0, self.l0, self.shift)
+        return self
 
     def _initial_seeds(self):
         return [(None, None, self.members.intern(self.ctx.initial_state()))]
@@ -100,7 +118,7 @@ class _Builder(LayeredBuild):
         """
         members, edges, parent = self.members, self.edges, self.parent
         record_edges, record_parent = self.record_edges, self.record_parent
-        watched, loc, point = self.watched, members.loc, members.point
+        watched, first, loc, point = self.watched, self.first, members.loc, members.point
         index, drow, row = slot.index, members.delay_row(slot.index), members.discrete_row
         total, limit = self.states_total, self.max_states
         ids, waiting, locs, crossing, wl = {}, {}, set(), {}, deque()
@@ -121,7 +139,9 @@ class _Builder(LayeredBuild):
             j = drow[i]
             if j is False:
                 j = members.delay(i, index)
-            steps = row[i] or members.discrete(i)
+            steps = row[i]
+            if steps is None:
+                steps = members.discrete(i)
             if j is not None:
                 if point[i] or point[j]:
                     crossing[i] = j
@@ -143,12 +163,15 @@ class _Builder(LayeredBuild):
                     if q not in locs:
                         locs.add(q)
                         wl.extend(waiting.pop(q, ()))
-                if record_edges:  # then no label is watched
+                if tr is not None and tr.label not in first:
+                    first[tr.label] = number
+                    if tr.label in watched and self.hit is None:
+                        self.hit = ((number, i), tr, (number, j))
+                if record_edges:
                     edges[number, i, "trans" if tr else "delay", tr and tr.label,
                           number, j] = None
-                elif tr is not None and tr.label in watched and self.hit is None:
-                    self.hit = ((number, i), tr, (number, j))
         self.states_total, self.crossing = total, crossing
+        self.counts.append(len(ids))
         return Layer(number, slot, ids)
 
     def _over_budget(self, number: int, total: int) -> BudgetExceeded:
@@ -177,6 +200,46 @@ class _Builder(LayeredBuild):
         if self.streaming:
             return hashlib.sha256(repr(sorted(layer.ids)).encode()).hexdigest()
         return frozenset(layer.ids)
+
+
+class Outline(NamedTuple):
+    """A finished local build: its states per layer, internal label -> the
+    layer it first fires in, and its loop-back, all None if it ran out of seeds."""
+    counts: tuple
+    first: dict
+    i0: Optional[int]
+    l0: Optional[int]
+    shift: Optional[int]
+
+
+class _Walk(_Builder):
+    """A label query that walks the automaton's outline: each layer is a stub,
+    its number, that charges the finished build's count, hits where a watched
+    label first fired and is signed by its number, or by i0's at l0."""
+
+    build = LayeredBuild.build  # the outline it reads stays as it is
+
+    def __init__(self, a: Automaton, *args, **kw):
+        super().__init__(a, *args, **kw)
+        self.outline = o = a.tables[Outline]
+        self.fires = min((o.first[k] for k in self.watched if k in o.first), default=None)
+
+    def _initial_seeds(self):
+        return None
+
+    def _close_layer(self, number, slot, seeds):
+        total = self.states_total = self.states_total + self.outline.counts[number]
+        if self.max_states is not None and total > self.max_states:
+            raise self._over_budget(number, total)
+        if number == self.fires:
+            self.hit = number
+        return number
+
+    def _boundary(self, number):
+        return number + 1 < len(self.outline.counts)  # False: no seeds left
+
+    def _signature(self, number):
+        return self.outline.i0 if number == self.outline.l0 else number
 
 
 def build_layers(a: Automaton, cap=None, max_states=None) -> _Builder:
@@ -210,21 +273,18 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
 def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
     """User labels some process can fire, at some network size."""
     b = build_layers(a, cap, max_states)
-    out = set()
-    for _, _, kind, label, _, _ in b.edges:
-        if kind == "trans":
-            user = b.relabel_map.get(label, label)
-            if user is not None:
-                out.add(user)
-    return out
+    return {b.relabel_map.get(label, label) for label in b.first} - {None}
 
 
 def check_label_reachable(a: Automaton, label: str, streaming=False, cap=None,
                           max_states=None) -> dict:
     """Decide whether some process can ever fire `label`, at any network size."""
-    b = _Builder(a, cap, max_states, watch=label, streaming=streaming)
+    walk = Outline in a.tables
+    b = (_Walk if walk else _Builder)(a, cap, max_states, label, streaming)
     if not b.watched:
         raise ValueError(f"unknown label {label!r}")
+    if walk and b.fires is not None and not streaming:  # a witness needs real layers
+        b = _Builder(a, cap, max_states, watch=label)
     b.build()
     out = b.report(label, "states_total", b.states_total, witness=None)
     if b.hit is not None and not streaming:
@@ -233,19 +293,13 @@ def check_label_reachable(a: Automaton, label: str, streaming=False, cap=None,
 
 
 def _witness_path(b: _Builder):
-    src, tr, dst = b.hit
-    chain = []
-    cur = src
+    cur, tr, dst = b.hit
+    chain = [("trans", tr, dst)]
     while cur[0] is not None:
         ls, i, kind, ptr = b.parent[cur]
-        chain.append((kind, ptr, cur))
+        chain.append((kind or "init", ptr, cur))
         cur = (ls, i)
-    chain.reverse()
-    steps = []
-    for kind, ptr, node in chain:
-        steps.append(_step_json(b, kind or "init", ptr, node))
-    steps.append(_step_json(b, "trans", tr, dst))
-    return steps
+    return [_step_json(b, *step) for step in reversed(chain)]
 
 
 def _step_json(b: _Builder, kind, tr, node):
@@ -348,6 +402,8 @@ def k_product(s: Automaton, k: int, max_states=None) -> Automaton:
     Locations are k-tuples reachable in the location graph; clock c of copy i
     becomes c_p{i}; labels are kept as-is (several copies may share them).
     """
+    nonnegative("max_states", max_states)
+
     def ren(c, i):
         return f"{c}_p{i + 1}"
 

@@ -79,7 +79,8 @@ class Automaton:
     broadcasts: tuple = ()
     tclock: Optional[str] = None  # the global clock, when added by unguard
     # MemberTable -> (relabeled automaton, relabel map, RegionContext, table),
-    # shared by both layer engines; dtn_global._Chain -> the global layers;
+    # shared by both layer engines; dtn_local.Outline -> the finished local
+    # build's outline; dtn_global._Chain -> the global layers;
     # oracle._SigTable -> its table
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -267,15 +267,21 @@ class MemberTable:
         return ids
 
 
+def nonnegative(name: str, budget):
+    """Raise ValueError for a negative budget; None is no budget."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"the {name} must be >= 0, not {budget}")
+
+
 class LayeredBuild:
     """The layered fixpoint; subclasses supply the layers it chains.
 
     Subclasses define `_initial_seeds()`, `_close_layer(number, slot, seeds)`
     returning a layer stamped with the given slot, `_boundary(layer)`
     returning the next layer's seeds, and `_signature(layer)`, which
-    identifies a singleton-slot layer up to its slot index (a frozenset, or
-    its sha256 when streaming).  `_close_layer` sets `hit` to stop the build
-    at the end of the layer.
+    identifies a singleton-slot layer up to its slot index (a hashable: a
+    frozenset, its sha256 when streaming, a diagram node, a stub's number).
+    `_close_layer` sets `hit` to stop the build at the end of the layer.
 
     The build owns the slot walk: layer 0 sits in [0,0], and each boundary
     enters `next_slot`.  Every member of a layer has the layer's slot, since
@@ -294,16 +300,15 @@ class LayeredBuild:
         if a.kind == "lbta":  # the steps would ignore broadcasts
             raise ModelError("the layer engines do not take lbta models; translate "
                              "with `dtnmc translate --to gta` first")
-        for name, value in (("layer cap", cap), ("max_states", max_states)):
-            if value is not None and value < 0:
-                raise ValueError(f"the {name} must be >= 0, not {value}")
+        nonnegative("layer cap", cap)
+        nonnegative("max_states", max_states)
         entry = a.tables.get(MemberTable)
         if entry is None:
             ra, relabel_map = relabel_unique(a)
             ctx = RegionContext(ra)
             entry = a.tables[MemberTable] = (ra, relabel_map, ctx, MemberTable(ctx))
         self.automaton, self.relabel_map, self.ctx, self.members = entry
-        self.cap = cap if cap is not None else 2 ** (self.ctx.na + 1)
+        self.cap = cap if cap is not None else self.ctx.tmax  # 2^(na+1)
         self.max_states = max_states
         self.streaming = streaming
         self.layers = []
@@ -315,29 +320,30 @@ class LayeredBuild:
     @nogc
     def build(self):
         seeds, slot = self._initial_seeds(), Slot("point", 0)
-        sigs = []  # (layer number, slot index, signature) of singleton-slot layers
+        layers, cap, tmax = self.layers, self.cap, self.ctx.tmax
+        sigs = {}  # signature of a singleton-slot layer -> (its number, slot index)
         while True:
             number = self.layers_built
-            if number > self.cap:
+            if number > cap:
                 raise BudgetExceeded(f"building layer {number} would pass the layer "
-                                     f"cap {self.cap} (layers 0..{self.cap})")
+                                     f"cap {cap} (layers 0..{cap})")
             layer = self._close_layer(number, slot, seeds)
-            self.layers_built += 1
-            self.layers.append(layer)
-            self.peak_layers_held = max(self.peak_layers_held, len(self.layers))
+            self.layers_built = number + 1
+            layers.append(layer)
+            if len(layers) > self.peak_layers_held:
+                self.peak_layers_held = len(layers)
             if slot.kind == "point":
                 sig = self._signature(layer)
-                for i, idx, s in sigs:
-                    if s == sig:
-                        self.i0, self.l0 = i, number
-                        self.shift = slot.index - idx
-                        return self
-                sigs.append((number, slot.index, sig))
+                if sig in sigs:
+                    self.i0, index = sigs[sig]
+                    self.l0, self.shift = number, slot.index - index
+                    return self
+                sigs[sig] = (number, slot.index)
             if self.hit is not None:
                 return self
-            seeds, slot = self._boundary(layer), next_slot(slot, self.ctx.tmax)
+            seeds, slot = self._boundary(layer), next_slot(slot, tmax)
             if self.streaming:
-                self.layers.pop()
+                layers.pop()
             if not seeds:
                 return self  # nothing can cross this slot boundary; network is done
 
@@ -372,6 +378,7 @@ def check_timelock_free(a: Automaton, max_states=None):
     finite graph.  Returns ("proved", None) or ("refuted", (location, region
     text without t)) for a reachable state that reaches no tick.
     """
+    nonnegative("max_states", max_states)
     ctx = RegionContext(a)
     members = MemberTable(ctx)
     members.intern(ctx.initial_state())

@@ -285,10 +285,11 @@ class Slot(NamedTuple):
 
 
 def next_slot(s: Slot, tmax: int) -> Slot:
-    if s.kind == "open":
-        return Slot("point", s.index + 1)
-    if s.kind == "point":
-        return Slot("open", s.index) if s.index < tmax else Slot("inf", tmax)
+    kind, index = s
+    if kind == "open":
+        return new_record(Slot, ("point", index + 1))
+    if kind == "point":
+        return new_record(Slot, ("open", index) if index < tmax else ("inf", tmax))
     return s
 
 

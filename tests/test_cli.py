@@ -11,9 +11,11 @@ from conftest import MODELS
 from dtnmc.cli import main
 from dtnmc.dtn_global import constraint_node, eval_constraint
 from dtnmc.dtn_global import build_global_layers, check_global, reachable_location_sets
-from dtnmc.dtn_local import build_layers, check_label_reachable
-from dtnmc.model import ModelError, parse_file, parse_model
+from dtnmc.dtn_local import (apply_loopback, build_layers, check_label_reachable,
+                             k_product, summary_automaton)
+from dtnmc.model import BudgetExceeded, ModelError, parse_file, parse_model
 from dtnmc.oracle import explore_network, simulate_trace
+from dtnmc.region_graph import check_timelock_free
 
 FIG1 = str(MODELS / "fig1.gta")
 FIG3 = str(MODELS / "fig3.gta")
@@ -172,6 +174,14 @@ def test_library_calls_reject_negative_budgets():
     with pytest.raises(ValueError, match="max_states >= 0, not -1"):
         explore_network(a, 2, max_states=-1)
     assert explore_network(a, 2, max_states=0).exhausted
+    # these raised BudgetExceeded, as if a budget of -1 had been spent
+    summary = summary_automaton(apply_loopback(build_layers(a)))
+    for call in (lambda m: k_product(summary, 2, max_states=m),
+                 lambda m: check_timelock_free(a, max_states=m)):
+        with pytest.raises(ValueError, match=r"^the max_states must be >= 0, not -1$"):
+            call(-1)
+        with pytest.raises(BudgetExceeded):
+            call(0)
 
 
 def test_json_is_byte_deterministic(capsys, tmp_path):

@@ -2,13 +2,16 @@ import hashlib
 import importlib.util
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
 from conftest import LOCK2, MODELS, random_gta, random_region
 from dtnmc.dtn_local import (
+    Outline,
     _Builder,
     apply_loopback,
     build_layers,
@@ -20,7 +23,7 @@ from dtnmc.dtn_local import (
     summary_automaton,
 )
 from dtnmc.model import BudgetExceeded, parse_file, parse_model, relabel_unique
-from dtnmc.region_graph import (RegionContext, discrete_successors,
+from dtnmc.region_graph import (MemberTable, RegionContext, discrete_successors,
                                 immediate_time_successor, member_key)
 from dtnmc.regions import T, RegionState, Slot, initial_region, next_slot
 from zones import region_of
@@ -351,3 +354,123 @@ def test_local_layers_certify_themselves(name):
         a = seeded_gta(int(seed), int(clocks or 2))
     b = build_layers(a)
     assert check_certificate(a, b) == reachable_labels(a)
+
+
+# -- the outline: label queries answered from a finished build ----------------------
+
+
+def outline_model(name):
+    """fig1, LOCK2, rN = random_gta(N), or a golden seeded model."""
+    if name == "fig1":
+        return parse_file(MODELS / "fig1.gta")
+    if name == "lock2":
+        return parse_model(LOCK2)
+    if name in GOLDEN:
+        seed, _, clocks = name[1:].partition("c")
+        return seeded_gta(int(seed), int(clocks or 2))
+    return random_gta(int(name[1:]))
+
+
+OUTLINE_MODELS = (["fig1", "lock2"] + [f"r{s}" for s in range(60)]
+                  + [name for name in sorted(GOLDEN) if name[0] == "r"])
+
+
+def label_answer(a, label, streaming, cap, max_states):
+    """The JSON of a label query, or its budget message."""
+    try:
+        return json.dumps(check_label_reachable(a, label, streaming=streaming, cap=cap,
+                                                max_states=max_states))
+    except BudgetExceeded as e:
+        return f"budget: {e}"
+
+
+def answer_kind(text):
+    """reachable, unreachable, or the budget that stopped the query: cap or budget."""
+    if text.startswith("budget"):
+        return "cap" if "cap" in text else "budget"
+    return json.loads(text)["result"]
+
+
+def test_outline_answers_equal_built_answers():
+    # every label in both modes, under every budget that stops a build in or
+    # right after a layer and under small caps: a query on an automaton with
+    # an outline answers as one that builds its layers; `built` drops its
+    # outline before each ask, so every answer there comes from real layers
+    cases, firsts = Counter(), Counter()
+    for name in OUTLINE_MODELS:
+        a = outline_model(name)
+        build_layers(a)
+        outline, built = a.tables[Outline], replace(a)
+        end = len(outline.counts) - (outline.l0 is not None)  # layers before l0
+        firsts["no seeds left" if outline.l0 is None else "loop-back"] += 1
+        for k in outline.first.values():
+            # W_l0 holds W_i0's ids, so it fires no label W_i0 does not
+            assert k < end, name
+            firsts["first fires in the last layer before l0" if k == end - 1
+                   else "first fires earlier"] += 1
+        totals = list(accumulate(outline.counts))
+        budgets = [None, 0] + sorted(set(totals) | {t - 1 for t in totals} - {0})
+        for label in a.labels():
+            for streaming in (False, True):
+                for cap in (None, 0, 1, 3):
+                    for max_states in budgets:
+                        got = label_answer(a, label, streaming, cap, max_states)
+                        built.tables.pop(Outline, None)
+                        want = label_answer(built, label, streaming, cap, max_states)
+                        assert got == want, (name, label, streaming, cap, max_states)
+                        cases["streaming" if streaming else "dra", answer_kind(got)] += 1
+        assert a.tables[Outline] is outline  # no query rewrote it
+        # a label query that reaches the loop-back or runs out of seeds writes
+        # the same outline as the build
+        for streaming in (False, True):
+            for label in a.labels():
+                fresh = replace(a)
+                check_label_reachable(fresh, label, streaming=streaming)
+                if Outline in fresh.tables:
+                    assert fresh.tables[Outline] == outline, (name, label)
+                    firsts["written by a query"] += 1
+    assert firsts == {"loop-back": 70, "no seeds left": 1, "first fires earlier": 94,
+                      "first fires in the last layer before l0": 1,
+                      "written by a query": 150}
+    assert cases == {(mode, kind): n for mode in ("dra", "streaming") for kind, n in
+                     (("reachable", 4684), ("unreachable", 152), ("cap", 3416),
+                      ("budget", 2180))}
+
+
+def test_outline_answers_close_no_layer(fig1, monkeypatch):
+    # queries answered from the outline close no layer and compute no
+    # successor; builds stopped by a hit, a cap or a budget leave no outline
+    lock2 = parse_model(LOCK2)
+    stopped = [(fig1, "serr", False, None, None), (fig1, "s0", True, None, None),
+               (fig1, "serr", False, 2, None), (fig1, "serr", True, None, 40),
+               (lock2, "b", False, None, 2), (lock2, "b", True, 0, None)]
+    kinds = []
+    for a, label, streaming, cap, max_states in stopped:
+        kinds.append(answer_kind(label_answer(a, label, streaming, cap, max_states)))
+        assert Outline not in a.tables, (a.name, label)
+    assert kinds == ["reachable", "reachable", "cap", "budget", "budget", "cap"]
+    for a in (fig1, lock2):
+        with pytest.raises(BudgetExceeded):
+            build_layers(a, max_states=2)
+        with pytest.raises(BudgetExceeded):
+            build_layers(a, cap=0)
+        assert Outline not in a.tables
+
+    def closed(*args):
+        raise AssertionError("a layer was closed or a successor computed")
+
+    answered = Counter()
+    for a in (fig1, lock2, seeded_gta(3)):
+        build_layers(a)
+        # a dra query of a label that fires builds its witness's layers
+        walks = [(label, streaming) for label in a.labels() for streaming in (False, True)
+                 if streaming or check_label_reachable(a, label)["witness"] is None]
+        with monkeypatch.context() as m:
+            for owner, name in ((_Builder, "_close_layer"), (MemberTable, "delay"),
+                                (MemberTable, "discrete"), (MemberTable, "intern")):
+                m.setattr(owner, name, closed)
+            for (label, streaming), cap, max_states in product(
+                    walks, (None, 0, 2), (None, 0, 7, 60)):
+                out = label_answer(a, label, streaming, cap, max_states)
+                answered[answer_kind(out)] += 1
+    assert answered == {"reachable": 58, "unreachable": 14, "cap": 37, "budget": 59}

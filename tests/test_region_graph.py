@@ -10,8 +10,8 @@ import pytest
 from conftest import LABEL_POOL, OPS, random_gta
 from dtnmc import region_graph
 from dtnmc.dtn_global import (_Chain, _GlobalBuilder, build_global_layers,
-                               check_global)
-from dtnmc.dtn_local import (_Builder, apply_loopback, build_layers,
+                               check_global, find_guard_timelock, rule2_steps)
+from dtnmc.dtn_local import (Outline, _Builder, apply_loopback, build_layers,
                              check_label_reachable, dra_to_dot, summary_automaton)
 from dtnmc.lbta_bridge import fresh_name
 from dtnmc.model import (
@@ -317,7 +317,7 @@ def test_shared_tables_ignore_query_order(name, fig1, fig3):
     shared = _query_outputs(a, queries)
     fresh = [_query_outputs(replace(a), [q])[0] for q in queries]
     assert shared == fresh
-    assert set(a.tables) == {MemberTable, _Chain}
+    assert set(a.tables) == {MemberTable, _Chain, Outline}
     assert replace(a).tables == {} and replace(a) == a
     with pytest.raises(FrozenInstanceError):
         a.name = "renamed"
@@ -339,7 +339,33 @@ def test_engines_share_one_member_table(first, fig3, monkeypatch):
             m.setattr(region_graph, "immediate_time_successor", computed)
             m.setattr(region_graph, "discrete_successors", computed)
             second(a)
-        assert set(a.tables) == {MemberTable, _Chain}, a.name
+        assert set(a.tables) == {MemberTable, _Chain, Outline}, a.name
+
+
+def test_warm_tables_take_empty_rows_as_rows(fig1, fig3, monkeypatch):
+    # a member with no enabled discrete step has the empty row (); the engines
+    # read it as a row, so a second pass over a warm table calls no
+    # MemberTable.discrete: the local layer closure, the global image in
+    # streaming mode (it keeps a chain of its own) and rule2_steps
+    fixpoint = "#q1>=1 && #init>=1 && #q1==0"  # unreachable: every layer
+    again = [lambda: build_layers(fig1), lambda: build_layers(fig3),
+             lambda: check_global(fig1, "#error>=1", streaming=True),
+             lambda: check_global(fig3, fixpoint, streaming=True),
+             lambda: find_guard_timelock(fig3)]
+    for run in again:
+        run()
+    members = fig1.tables[MemberTable][3]
+    assert members.discrete_row.count(()) == 36  # fig3 has no ()
+    # rule2_steps on the one-member support of each of fig1's members
+    again.append(lambda: [rule2_steps(1 << i, members)
+                          for i in range(len(members.states))])
+    calls = []
+    discrete = MemberTable.discrete
+    monkeypatch.setattr(MemberTable, "discrete",
+                        lambda self, i: calls.append(i) or discrete(self, i))
+    for run in again:
+        run()
+    assert calls == []
 
 
 def _layer_ids(kind, b, layer):
