@@ -32,12 +32,12 @@ A streaming build records neither.
 A build that reaches its loop-back or runs out of seeds, by `build_layers` or
 by a label query in either mode, leaves an `Outline` in `a.tables`: its
 states per layer, the first layer each internal label fires in (the labels
-`reachable_labels` reads), and how it ended.  A label query that needs no
-witness, in streaming mode or in dra mode on a label that never fires, walks
-stub layers of the outline through the same `LayeredBuild` loop, so caps,
-budgets, the loop-back and `peak_layers_held` come out as a build's, and
-closes no layer.  The outline is O(layers + labels): a streaming build still
-holds one layer.
+`reachable_labels` reads), and how it ended.  From then on `reachable_labels`
+and a label query that needs no witness (streaming, or dra on a label that
+never fires) compute their outcome from it in closed form, closing no layer:
+`_Builder.replay` applies the build's cap and budget tests to its counts, so
+messages, the hit layer, the loop-back and `peak_layers_held` are a build's.
+The outline is O(layers + labels): a streaming build still holds one layer.
 """
 
 from __future__ import annotations
@@ -174,6 +174,27 @@ class _Builder(LayeredBuild):
         self.counts.append(len(ids))
         return Layer(number, slot, ids)
 
+    def replay(self, o: Outline):
+        """Set the outcome `build` would reach from a finished build's outline:
+        per layer the cap test, then the budget test, up to the layer a watched
+        label first fires in, never l0 (W_l0 holds W_i0's ids), else to the end."""
+        fires = min((o.first[k] for k in self.watched if k in o.first), default=None)
+        total, limit = 0, self.max_states
+        for number, count in enumerate(o.counts):
+            if number > self.cap:
+                raise self._over_cap(number)
+            total += count
+            if limit is not None and total > limit:
+                raise self._over_budget(number, total)
+            if number == fires:
+                self.hit = number
+                break
+        else:
+            self.i0, self.l0, self.shift = o.i0, o.l0, o.shift
+        self.layers_built, self.states_total = number + 1, total
+        self.peak_layers_held = 1 if self.streaming else number + 1
+        return self
+
     def _over_budget(self, number: int, total: int) -> BudgetExceeded:
         self.states_total = total
         return BudgetExceeded(f"layer construction exceeds {self.max_states}"
@@ -212,36 +233,6 @@ class Outline(NamedTuple):
     shift: Optional[int]
 
 
-class _Walk(_Builder):
-    """A label query that walks the automaton's outline: each layer is a stub,
-    its number, that charges the finished build's count, hits where a watched
-    label first fired and is signed by its number, or by i0's at l0."""
-
-    build = LayeredBuild.build  # the outline it reads stays as it is
-
-    def __init__(self, a: Automaton, *args, **kw):
-        super().__init__(a, *args, **kw)
-        self.outline = o = a.tables[Outline]
-        self.fires = min((o.first[k] for k in self.watched if k in o.first), default=None)
-
-    def _initial_seeds(self):
-        return None
-
-    def _close_layer(self, number, slot, seeds):
-        total = self.states_total = self.states_total + self.outline.counts[number]
-        if self.max_states is not None and total > self.max_states:
-            raise self._over_budget(number, total)
-        if number == self.fires:
-            self.hit = number
-        return number
-
-    def _boundary(self, number):
-        return number + 1 < len(self.outline.counts)  # False: no seeds left
-
-    def _signature(self, number):
-        return self.outline.i0 if number == self.outline.l0 else number
-
-
 def build_layers(a: Automaton, cap=None, max_states=None) -> _Builder:
     """Run the layer construction to termination (no early label stop).
 
@@ -272,20 +263,24 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
 
 def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
     """User labels some process can fire, at some network size."""
-    b = build_layers(a, cap, max_states)
-    return {b.relabel_map.get(label, label) for label in b.first} - {None}
+    b, tables = _Builder(a, cap, max_states), a.tables
+    if Outline in tables:
+        b.replay(tables[Outline])
+    else:
+        b.build()  # watching no label, it ends where it leaves the outline
+    return {b.relabel_map.get(k, k) for k in tables[Outline].first} - {None}
 
 
 def check_label_reachable(a: Automaton, label: str, streaming=False, cap=None,
                           max_states=None) -> dict:
     """Decide whether some process can ever fire `label`, at any network size."""
-    walk = Outline in a.tables
-    b = (_Walk if walk else _Builder)(a, cap, max_states, label, streaming)
+    b, o = _Builder(a, cap, max_states, label, streaming), a.tables.get(Outline)
     if not b.watched:
         raise ValueError(f"unknown label {label!r}")
-    if walk and b.fires is not None and not streaming:  # a witness needs real layers
-        b = _Builder(a, cap, max_states, watch=label)
-    b.build()
+    if o is not None and (streaming or b.watched.isdisjoint(o.first)):
+        b.replay(o)  # no witness: its parent links would need real layers
+    else:
+        b.build()
     out = b.report(label, "states_total", b.states_total, witness=None)
     if b.hit is not None and not streaming:
         out["witness"] = _witness_path(b)

@@ -280,7 +280,7 @@ class LayeredBuild:
     returning a layer stamped with the given slot, `_boundary(layer)`
     returning the next layer's seeds, and `_signature(layer)`, which
     identifies a singleton-slot layer up to its slot index (a hashable: a
-    frozenset, its sha256 when streaming, a diagram node, a stub's number).
+    frozenset, its sha256 when streaming, a diagram node).
     `_close_layer` sets `hit` to stop the build at the end of the layer.
 
     The build owns the slot walk: layer 0 sits in [0,0], and each boundary
@@ -325,8 +325,7 @@ class LayeredBuild:
         while True:
             number = self.layers_built
             if number > cap:
-                raise BudgetExceeded(f"building layer {number} would pass the layer "
-                                     f"cap {cap} (layers 0..{cap})")
+                raise self._over_cap(number)
             layer = self._close_layer(number, slot, seeds)
             self.layers_built = number + 1
             layers.append(layer)
@@ -346,6 +345,10 @@ class LayeredBuild:
                 layers.pop()
             if not seeds:
                 return self  # nothing can cross this slot boundary; network is done
+
+    def _over_cap(self, number: int) -> BudgetExceeded:
+        return BudgetExceeded(f"building layer {number} would pass the layer "
+                              f"cap {self.cap} (layers 0..{self.cap})")
 
     def report(self, query, total_key: str, total: int, **rest) -> dict:
         """A check's result: the build's outcome, then `rest` in its order."""

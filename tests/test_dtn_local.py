@@ -10,6 +10,7 @@ from itertools import accumulate, product
 import pytest
 
 from conftest import LOCK2, MODELS, random_gta, random_region
+from dtnmc import region_graph, regions
 from dtnmc.dtn_local import (
     Outline,
     _Builder,
@@ -23,8 +24,9 @@ from dtnmc.dtn_local import (
     summary_automaton,
 )
 from dtnmc.model import BudgetExceeded, parse_file, parse_model, relabel_unique
-from dtnmc.region_graph import (MemberTable, RegionContext, discrete_successors,
-                                immediate_time_successor, member_key)
+from dtnmc.region_graph import (LayeredBuild, MemberTable, RegionContext,
+                                discrete_successors, immediate_time_successor,
+                                member_key)
 from dtnmc.regions import T, RegionState, Slot, initial_region, next_slot
 from zones import region_of
 
@@ -467,10 +469,40 @@ def test_outline_answers_close_no_layer(fig1, monkeypatch):
                  if streaming or check_label_reachable(a, label)["witness"] is None]
         with monkeypatch.context() as m:
             for owner, name in ((_Builder, "_close_layer"), (MemberTable, "delay"),
-                                (MemberTable, "discrete"), (MemberTable, "intern")):
+                                (MemberTable, "discrete"), (MemberTable, "intern"),
+                                (LayeredBuild, "build"), (regions, "next_slot"),
+                                (region_graph, "next_slot")):
                 m.setattr(owner, name, closed)
             for (label, streaming), cap, max_states in product(
                     walks, (None, 0, 2), (None, 0, 7, 60)):
                 out = label_answer(a, label, streaming, cap, max_states)
                 answered[answer_kind(out)] += 1
     assert answered == {"reachable": 58, "unreachable": 14, "cap": 37, "budget": 59}
+
+
+def test_reachable_labels_read_the_outline(monkeypatch):
+    # with an outline, reachable_labels closes no layer, and its labels and
+    # budget messages under caps and budgets are those of a fresh automaton
+    def closed(*args):
+        raise AssertionError("a layer was closed")
+
+    def labels(a, cap, max_states):
+        try:
+            return sorted(reachable_labels(a, cap, max_states))
+        except BudgetExceeded as e:
+            return f"budget: {e}"
+
+    kinds = Counter()
+    for name in ["fig1", "lock2"] + [f"r{s}" for s in range(60)]:
+        a = outline_model(name)
+        build_layers(a)
+        outline = a.tables[Outline]
+        for cap, max_states in product((None, 0, 3), (None, 0, 30)):
+            want = labels(replace(a), cap, max_states)
+            with monkeypatch.context() as m:
+                m.setattr(_Builder, "_close_layer", closed)
+                got = labels(a, cap, max_states)
+            assert got == want, (name, cap, max_states)
+            kinds[answer_kind(got) if isinstance(got, str) else "labels"] += 1
+        assert a.tables[Outline] is outline
+    assert kinds == {"labels": 112, "cap": 243, "budget": 203}
