@@ -108,12 +108,16 @@ class ValidationReport:
 
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_LABEL = rf"{_ID}(?:#\d+)?"  # relabel_unique adds #k suffixes
+_ID_RE = re.compile(_ID)
+_LABEL_RE = re.compile(rf"{_ID}(?:#\d+)?")  # relabel_unique adds #k suffixes
 _COMMENT = re.compile(r"(?:^|(?<=\s))#")  # a `#` at line start or after whitespace
 _ATOM_RE = re.compile(
     rf"^\s*({_ID})\s*(<=|==|>=|<|>)\s*(?:({_ID})\s*\+\s*)?(\d+)\s*$"
 )
-_TRANS_KEYS = ("label", "guard", "reset", "locguard", "sync")
+_TRANS_RE = re.compile(rf"({_ID})\s*->\s*({_ID})")
+_SYNC_RE = re.compile(rf"({_ID})\s*(!!|\?\?)")
+_INV_KEYS = re.compile(r"\b(inv)\s*:")
+_TRANS_KEYS = re.compile(r"\b(label|guard|reset|locguard|sync)\s*:")
 
 
 def _parse_atoms(text: str, line: int, col: int) -> tuple:
@@ -127,11 +131,10 @@ def _parse_atoms(text: str, line: int, col: int) -> tuple:
     return tuple(atoms)
 
 
-def _split_fields(rest: str, keys, line: int):
+def _split_fields(rest: str, keys: re.Pattern, line: int):
     """Split "src -> dst key: value key: value" into head and key/value map."""
-    pat = re.compile(r"\b(" + "|".join(keys) + r")\s*:")
     out = {}
-    marks = list(pat.finditer(rest))
+    marks = list(keys.finditer(rest))
     head = rest[: marks[0].start()] if marks else rest
     for i, m in enumerate(marks):
         end = marks[i + 1].start() if i + 1 < len(marks) else len(rest)
@@ -151,7 +154,7 @@ def parse_model(text: str) -> Automaton:
     def _idlist(raw: str, line: int, col: int):
         items = [s.strip() for s in raw.split(",")]
         for s in items:
-            if not re.fullmatch(_ID, s):
+            if not _ID_RE.fullmatch(s):
                 raise ModelError(f"bad identifier {s!r}", line, col)
         return items
 
@@ -164,7 +167,7 @@ def parse_model(text: str) -> Automaton:
         if kw in ("gta", "lbta", "ta"):
             if kind is not None:
                 raise ModelError("second header line", lno, 1)
-            if not re.fullmatch(_ID, rest.strip()):
+            if not _ID_RE.fullmatch(rest.strip()):
                 raise ModelError("missing or bad model name", lno, len(kw) + 2)
             kind, name = kw, rest.strip()
             continue
@@ -188,9 +191,9 @@ def parse_model(text: str) -> Automaton:
                     raise ModelError(f"duplicate declaration of {b!r}", lno, 1)
                 broadcasts.append(b)
         elif kw == "location":
-            head, fields = _split_fields(rest, ("inv",), lno)
+            head, fields = _split_fields(rest, _INV_KEYS, lno)
             parts = head.split()
-            if not parts or not re.fullmatch(_ID, parts[0]):
+            if not parts or not _ID_RE.fullmatch(parts[0]):
                 raise ModelError("bad location declaration", lno, len(kw) + 2)
             loc = parts[0]
             if loc in locations:
@@ -220,13 +223,13 @@ def parse_model(text: str) -> Automaton:
                 invariants[loc] = atoms
         elif kw == "trans":
             head, fields = _split_fields(rest, _TRANS_KEYS, lno)
-            m = re.fullmatch(rf"({_ID})\s*->\s*({_ID})", head)
+            m = _TRANS_RE.fullmatch(head)
             if not m:
                 raise ModelError("expected `trans <src> -> <dst>`", lno, len(kw) + 2)
             label = guard = resets = locguard = sync = None
             if "label" in fields:
                 val, col = fields["label"]
-                if not re.fullmatch(_LABEL, val):
+                if not _LABEL_RE.fullmatch(val):
                     raise ModelError(f"bad label {val!r}", lno, col)
                 label = val
             if "guard" in fields:
@@ -238,14 +241,14 @@ def parse_model(text: str) -> Automaton:
                 if kind != "gta":
                     raise ModelError("locguard is only valid in gta models", lno, 1)
                 val, col = fields["locguard"]
-                if not re.fullmatch(_ID, val):
+                if not _ID_RE.fullmatch(val):
                     raise ModelError(f"bad locguard {val!r}", lno, col)
                 locguard = val
             if "sync" in fields:
                 if kind != "lbta":
                     raise ModelError("sync is only valid in lbta models", lno, 1)
                 val, col = fields["sync"]
-                ms = re.fullmatch(rf"({_ID})\s*(!!|\?\?)", val)
+                ms = _SYNC_RE.fullmatch(val)
                 if not ms:
                     raise ModelError(f"bad sync {val!r}, expected a!! or a??", lno, col)
                 sync = (ms.group(1), ms.group(2))
@@ -441,6 +444,8 @@ def compute_bounds(a: Automaton) -> dict:
 
 
 def validate(a: Automaton) -> ValidationReport:
+    """Diagnostics and Assumption 1 on the guard-stripped automaton; the region
+    explorer runs only where the location-graph lemma does not decide it."""
     diagnostics = []
     if a.kind == "lbta":
         senders = {tr.sync[0] for tr in a.transitions if tr.sync and tr.sync[1] == "!!"}
@@ -454,7 +459,8 @@ def validate(a: Automaton) -> ValidationReport:
     from . import region_graph
 
     stripped = strip_guarded(a) if a.kind != "lbta" else strip_receives(a)
-    verdict, witness = region_graph.check_timelock_free(stripped)
+    verdict, witness = (("proved", None) if region_graph.time_always_passes(stripped)
+                        else region_graph.check_timelock_free(stripped))
     if verdict == "refuted":
         diagnostics.append(
             "Assumption 1 does not hold; layer construction may under-approximate"

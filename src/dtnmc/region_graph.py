@@ -46,6 +46,15 @@ slot shift, else cross the slot boundary into the next layer.  It refuses
 BFS order, and the rebased t serves as the tick clock, a delay step with
 slot shift 1 being one tick.  Time diverges from every reachable state iff
 each reaches a tick (a backward pass from the ticks over the id graph).
+
+`time_always_passes` proves the same verdict from the location graph alone
+(a static progress condition after Tripakis, ARTS 1999).  Lemma: with no
+diagonal atom (on which the explorer may raise `NonUniformGuard`), if every
+location reachable from the initial one has no invariant or an exit with an
+empty clock guard into an invariant-free location, every reachable member
+reaches a tick.  Proof: each sits at such a location.  Without an invariant,
+delay alone takes the never-collapsed t to its next integer; otherwise the
+exit fires in every region, into a location without one.
 """
 
 from __future__ import annotations
@@ -65,9 +74,7 @@ class RegionContext:
     left to the caller."""
 
     def __init__(self, ta: Automaton):
-        if T in ta.clocks:
-            raise ModelError("clock name t is reserved for the global clock")
-        check_initial_invariant(ta)
+        check_explorable(ta)
         self.automaton = ta
         cclocks = tuple(sorted(ta.clocks))
         self.cclocks = cclocks
@@ -92,6 +99,13 @@ class RegionContext:
         return RegionState(
             self.automaton.initial, initial_region(self.clocks, self.bounds), 0
         )
+
+
+def check_explorable(ta: Automaton) -> None:
+    """Refuse a clock named t and an initial invariant failing at time 0."""
+    if T in ta.clocks:
+        raise ModelError("clock name t is reserved for the global clock")
+    check_initial_invariant(ta)
 
 
 def compile_atoms(atoms, clocks, bounds) -> tuple:
@@ -413,3 +427,19 @@ def check_timelock_free(a: Automaton, max_states=None):
     stuck = [u for u in bad if not adj[u]]
     m = members.states[(stuck or bad)[0]]
     return ("refuted", (m.loc, m.base.eliminate((T,)).pretty()))
+
+
+def time_always_passes(a: Automaton) -> bool:
+    """The module docstring's lemma: True only if `check_timelock_free(a)`
+    proves `a`; raises the ModelErrors its `RegionContext` would."""
+    check_explorable(a)
+    atoms = [tr.guard for tr in a.transitions] + list(a.invariants.values())
+    if any(x.right is not None for xs in atoms for x in xs):
+        return False
+    reach = [a.initial]  # grows while the loop reads it; a repeat is harmless
+    for q in reach:
+        exits = [tr for tr in a.transitions if tr.src == q]
+        if a.invariant(q) and all(tr.guard or a.invariant(tr.dst) for tr in exits):
+            return False
+        reach += [tr.dst for tr in exits if tr.dst not in reach]
+    return True

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, product
 
 import pytest
@@ -226,14 +227,21 @@ def test_k_product():
         k_product(s, 4, max_states=3)
 
 
-def seeded_gta(seed, clocks=2, max_locs=6, max_trans=12, max_const=4):
-    """A seeded gTA, drawn as the benchmark's local-random models are unless
-    the sizes say otherwise."""
+@lru_cache(maxsize=None)
+def _gen():
+    """The benchmark's model generator, perfbench/gen.py, loaded once."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_gen", MODELS.parent / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return parse_model(gen.random_gta_text(seed, clocks, max_locs, max_trans, max_const))
+    return gen
+
+
+def seeded_gta(seed, clocks=2, max_locs=6, max_trans=12, max_const=4):
+    """A seeded gTA, drawn as the benchmark's local-random models are unless
+    the sizes say otherwise."""
+    return parse_model(_gen().random_gta_text(seed, clocks, max_locs, max_trans,
+                                               max_const))
 
 
 # sha256 prefixes of the summary automaton's repr, the DRA's dot text and the

@@ -84,6 +84,26 @@ def test_engines_leave_no_cyclic_garbage():
     assert garbage == 0
 
 
+def test_lemma_decided_validate_leaves_no_cyclic_garbage(monkeypatch):
+    # the location-graph lemma decides fig1 and random_gta's models, so the
+    # region explorer, which pauses the collector, must not run
+    def refuse(a, max_states=None):
+        raise AssertionError("the region explorer ran")
+
+    models = [parse_file(MODELS / "fig1.gta")] + [random_gta(s) for s in (1, 3)]
+    monkeypatch.setattr(region_graph, "check_timelock_free", refuse)
+    try:
+        for enabled in (True, False):
+            gc.collect()
+            (gc.enable if enabled else gc.disable)()
+            for a in models:
+                assert validate(a).timelock_free == "proved"
+            assert gc.isenabled() == enabled
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_paused_calls_keep_the_callers_collector_state(monkeypatch):
     inside = []  # gc.isenabled() at each step the paused loops compute
 

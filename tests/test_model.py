@@ -17,6 +17,7 @@ from dtnmc.model import (
     Automaton,
     ModelError,
     Transition,
+    ValidationReport,
     compute_bounds,
     parse_model,
     pretty_model,
@@ -246,6 +247,28 @@ def test_validate_fig1_proved(fig1):
     assert report.timelock_free == "proved"
     assert report.witness is None
     assert report.relabel_map["serr"] == "serr"
+
+
+def test_validate_runs_the_explorer_only_where_the_lemma_declines(fig1, fig3,
+                                                                  monkeypatch):
+    from dtnmc import region_graph
+
+    explorer, calls = region_graph.check_timelock_free, []
+
+    def refuse(a, max_states=None):
+        raise AssertionError("the region explorer ran")
+
+    def counted(a, max_states=None):
+        calls.append(a.name)
+        return explorer(a, max_states)
+
+    monkeypatch.setattr(region_graph, "check_timelock_free", refuse)
+    assert validate(fig1).timelock_free == "proved"
+    monkeypatch.setattr(region_graph, "check_timelock_free", counted)
+    assert validate(fig3) == ValidationReport(
+        "refuted", ("q1", "c=1"), {"eps#1": None, "eps#2": None, "eps#3": None},
+        ["Assumption 1 does not hold; layer construction may under-approximate"])
+    assert calls == ["fig3"]
 
 
 def test_validate_lbta_orphan_receive():

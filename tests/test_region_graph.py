@@ -13,16 +13,19 @@ from dtnmc.dtn_global import (_Chain, _GlobalBuilder, build_global_layers,
                                check_global, find_guard_timelock, rule2_steps)
 from dtnmc.dtn_local import (Outline, _Builder, apply_loopback, build_layers,
                              check_label_reachable, dra_to_dot, summary_automaton)
-from dtnmc.lbta_bridge import fresh_name
+from dtnmc.lbta_bridge import fresh_name, gta_to_lbta
 from dtnmc.model import (
     Atom,
     Automaton,
     BudgetExceeded,
+    ModelError,
     Transition,
     compute_bounds,
     parse_model,
     pretty_model,
     strip_guarded,
+    strip_receives,
+    validate,
 )
 from dtnmc.region_graph import (
     MemberTable,
@@ -32,8 +35,10 @@ from dtnmc.region_graph import (
     discrete_successors,
     holds,
     immediate_time_successor,
+    time_always_passes,
 )
 from dtnmc.regions import T, NonUniformGuard, Slot, initial_region, next_slot
+from test_dtn_local import seeded_gta
 from zones import region_of, state_slot
 
 
@@ -263,6 +268,81 @@ def test_timelock_check_matches_tick_clock_reference(fig1, fig3):
         verdicts.append(verdict)
     assert verdicts[:2] == ["proved", "refuted"]
     assert verdicts[2:].count("refuted") == 129
+
+
+def test_lemma_decides_only_what_the_explorer_proves(fig1, fig3):
+    # validate answers as the explorer on the stripped automaton does, and
+    # whenever the location-graph lemma decides, the explorer proves
+    gtas = [fig1, fig3] + [random_gta(seed) for seed in range(400)]
+    suites = {
+        "gta": gtas,
+        "lbta": [gta_to_lbta(a) for a in gtas],
+        "seeded": [seeded_gta(s, c, 4, 6, 2) for s in range(300) for c in (1, 2, 3)],
+        "plain": [random_plain_ta(seed) for seed in range(300)],
+    }
+    decided = dict.fromkeys(suites, 0)
+    for name, models in suites.items():
+        for a in models:
+            stripped = strip_receives(a) if a.kind == "lbta" else strip_guarded(a)
+            explored = check_timelock_free(stripped)
+            report = validate(a)
+            assert (report.timelock_free, report.witness) == explored, a.name
+            if time_always_passes(stripped):
+                assert explored == ("proved", None), a.name
+                decided[name] += 1
+    assert decided == {"gta": 401, "lbta": 401, "seeded": 900, "plain": 131}
+
+
+# each model breaks one clause of the lemma, so only the explorer decides it
+LEMMA_DECLINES = {
+    "exit with a clock guard": (
+        "location q initial inv: c <= 1\nlocation p\ntrans q -> p guard: c >= 1\n",
+        ("proved", None)),
+    "exit into an invariant": (
+        "location q initial inv: c <= 1\nlocation p inv: c <= 2\n"
+        "trans q -> p reset: c\ntrans p -> q reset: c\n", ("proved", None)),
+    "exit with only a location guard": (
+        "location q initial inv: c <= 1\nlocation p\ntrans q -> p locguard: p\n",
+        ("refuted", ("q", "c=1"))),
+    # the explorer raises NonUniformGuard on a reachable diagonal guard, so
+    # this one leaves an unreachable location
+    "diagonal atom": (
+        "clocks d\nlocation q initial\nlocation p\n"
+        "trans p -> q guard: c <= d + 1\n", ("proved", None)),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(LEMMA_DECLINES))
+def test_lemma_declines_where_a_clause_fails(clause):
+    body, verdict = LEMMA_DECLINES[clause]
+    a = strip_guarded(parse_model("gta M\nclocks c\n" + body))
+    assert not time_always_passes(a)
+    assert check_timelock_free(a) == verdict
+
+
+def test_lemma_reads_only_reachable_locations():
+    # p's invariant stops time and p has no exit; stripping its only entry
+    # leaves it unreachable, and the lemma decides
+    text = "gta M\nclocks c\nlocation q initial\nlocation p inv: c <= 1\ntrans q -> p"
+    a = strip_guarded(parse_model(text + " locguard: q\n"))
+    assert time_always_passes(a) and check_timelock_free(a) == ("proved", None)
+    a = strip_guarded(parse_model(text + "\n"))
+    assert not time_always_passes(a)
+    assert check_timelock_free(a) == ("refuted", ("p", "c=1"))
+
+
+def test_lemma_raises_the_explorers_errors():
+    # both automata would satisfy the lemma: q's exit is unguarded into p
+    trs = (Transition("q", "p", None),)
+    late = {"q": (Atom("c", "<", None, 0),)}
+    for clocks, inv, text in [
+            (("t",), {}, "clock name t is reserved for the global clock"),
+            (("c",), late, "initial location 'q' breaks its invariant c<0 at time 0")]:
+        a = Automaton("gta", "M", clocks, ("q", "p"), "q", inv, trs)
+        for call in (time_always_passes, check_timelock_free, validate):
+            with pytest.raises(ModelError) as err:
+                call(a)
+            assert str(err.value) == text, call
 
 
 def test_timelock_witness_reaches_no_tick():
