@@ -37,6 +37,7 @@ from .model import (
     validate,
 )
 from .oracle import concretize, explore_network
+from .regions import NonUniformGuard
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -52,8 +53,7 @@ def _parser() -> argparse.ArgumentParser:
         if layers:
             sp.add_argument("--max-layers", type=int, default=None, metavar="N",
                             help="build layers 0..N at most (N+1 layers); exit 3 "
-                                 "if layer N+1 is needed (default 2^(na+1), na = "
-                                 "locations x clock regions)")
+                                 "if layer N+1 is needed (default: no cap)")
         if states:
             sp.add_argument("--max-states", type=int, default=None,
                             help="abort after this many stored states "
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         payload, text, dot = _run(args)
-    except (ModelError, ValueError, OSError) as e:
+    except (ModelError, NonUniformGuard, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:

@@ -32,8 +32,8 @@ rules 1 and 2, minus the layer so far.  Its node is its loop-back signature.
 Every non-streaming build on an automaton walks and extends one chain of
 completed layers in `a.tables`; a budget overrun leaves it at its last
 complete layer.  A streaming build holds one layer in a diagram of its own.
-Either closes a layer only for seeds, slot kind and side of tmax not closed
-before, and crosses a family out of a slot only once (`_Chain`'s memos).
+Either closes a layer only for seeds and slot kind not closed before, and
+crosses a family out of a slot only once (`_Chain`'s memos).
 The reported support is the least by member rank in the lowest ring meeting
 the constraint; a dra witness walks back to the least predecessor in each
 ring before, and from a seed to its least source in the lowest ring of the
@@ -155,13 +155,13 @@ def _eval_on(occupied, node):
 # -- the global layer algorithm ---------------------------------------------------
 
 
-def rule1_steps(support, index, members: MemberTable):
+def rule1_steps(support, members: MemberTable):
     """In-slot delay outcomes of a support (empty in a singleton slot), as a
     new list."""
     ids, point = members.ordered(support), members.point
     if point[ids[0]]:
         return []
-    row = members.delay_row(index)
+    row = members.delay_row
     members.sync_masks()
     # in an open slot a step stays in it iff its successor is no point member
     punctual = support & members.punctual
@@ -171,7 +171,7 @@ def rule1_steps(support, index, members: MemberTable):
             if punctual >> i & 1:
                 j = row[i]
                 if j is False:
-                    j = members.delay(i, index)
+                    j = members.delay(i)
                 if j is None:
                     return []  # an invariant pins a punctual member: time is stuck
                 assert not point[j]
@@ -181,7 +181,7 @@ def rule1_steps(support, index, members: MemberTable):
     for i in ids:
         j = row[i]
         if j is False:
-            j = members.delay(i, index)
+            j = members.delay(i)
         if j is not None and not point[j]:
             movers.append((1 << i, 1 << j))
     # any nonempty set of members whose clocks share a fractional phase can hit
@@ -220,14 +220,14 @@ def rule2_steps(support, members: MemberTable):
     return out
 
 
-def boundary_support(support, index, members: MemberTable):
+def boundary_support(support, members: MemberTable):
     """The crossed support when every member's next change enters the next
     slot, else None."""
-    crossed, point, row = 0, members.point, members.delay_row(index)
+    crossed, point, row = 0, members.point, members.delay_row
     for i in ZDD.members(support):
         j = row[i]
         if j is False:
-            j = members.delay(i, index)
+            j = members.delay(i)
         if j is None or not (point[i] or point[j]):
             return None
         crossed |= 1 << j
@@ -237,10 +237,10 @@ def boundary_support(support, index, members: MemberTable):
 class _Chain:
     """An automaton's complete layers, the seeds of each once taken, the
     witness steps walked back, (layer, ring, support) -> (src, layer, ring,
-    kind), and memos on nodes, exact as a closure or crossing reads its slot
-    only by kind and side of tmax: `closed`, (kind, index >= tmax, seeds) ->
-    the first layer closed from them; `crossed`, (family, index >= tmax) ->
-    its crossed seeds; `locations`, family -> its supports' location sets."""
+    kind), and memos on nodes, exact as a closure reads its slot only by kind
+    and a crossing not at all: `closed`, (kind, seeds) -> the first layer
+    closed from them; `crossed`, family -> its crossed seeds; `locations`,
+    family -> its supports' location sets."""
 
     def __init__(self):
         self.zdd, self.layers, self.seeds, self.back = ZDD(), [], [], {}
@@ -282,7 +282,7 @@ class _GlobalBuilder(LayeredBuild):
             layer = layers[number]
             self._count(number, layer.count)
         else:
-            key = (slot.kind, slot.index >= self.ctx.tmax, seeds)
+            key = (slot.kind, seeds)
             layer = self.chain.closed.get(key)
             if layer is None:
                 layer = self.chain.closed[key] = self._closure(number, slot, seeds)
@@ -331,7 +331,7 @@ class _GlobalBuilder(LayeredBuild):
                 if j != i:  # every process at i fires: drop i
                     into.append(j)
         m.sync_masks()
-        out = self._delays(ring, slot.index) if slot.kind == "open" else EMPTY
+        out = self._delays(ring) if slot.kind == "open" else EMPTY
         for lg, moves in acts.items():
             # a step needs a member at lg before it, and a drop one after it
             adds, drops = z.fire(ring if lg is None else z.hits(ring, m.at[lg]), moves)
@@ -339,14 +339,14 @@ class _GlobalBuilder(LayeredBuild):
                                        z.hits(drops, m.at[lg])))
         return out
 
-    def _delays(self, ring, index):
+    def _delays(self, ring):
         """Rule 1 in an open slot: a support with punctual members moves all
         of them unless an invariant pins one; in any other, each mover may
         keep, split or move (keeping all gives the support itself)."""
         self.members.sync_masks()
         z, point, punctual = self.zdd, self.members.point, self.members.punctual
         movers, moved, pinned = {}, {}, 0
-        for i, j in self._successors(ring, index).items():
+        for i, j in self._successors(ring).items():
             if punctual >> i & 1:
                 pinned |= (j is None) << i
                 moved[i] = ((False, j),)  # never taken when pinned
@@ -357,17 +357,17 @@ class _GlobalBuilder(LayeredBuild):
             out = z.union(out, z.image(z.avoid(z.hits(ring, punctual), pinned), moved))
         return out
 
-    def _successors(self, family, index):
+    def _successors(self, family):
         """Member of the family -> its delay successor, or None."""
         m = self.members
-        row = m.delay_row(index)
-        return {i: m.delay(i, index) if row[i] is False else row[i]
+        row = m.delay_row
+        return {i: m.delay(i) if row[i] is False else row[i]
                 for i in self.zdd.variables(family)}
 
     def _crossing(self, layer):
         """Member -> its successor, for the layer's members whose next change
         enters the next slot."""
-        point, succ = self.members.point, self._successors(layer.family, layer.slot.index)
+        point, succ = self.members.point, self._successors(layer.family)
         return {i: j for i, j in succ.items() if j is not None and (point[i] or point[j])}
 
     def _boundary(self, layer):
@@ -375,11 +375,10 @@ class _GlobalBuilder(LayeredBuild):
         seeds, number, z = self.chain.seeds, layer.number, self.zdd
         if number + 1 < len(seeds):
             return seeds[number + 1]
-        key = (layer.family, layer.slot.index >= self.ctx.tmax)
-        out = self.chain.crossed.get(key)
+        out = self.chain.crossed.get(layer.family)
         if out is None:
             cross = self._crossing(layer)
-            out = self.chain.crossed[key] = z.image(
+            out = self.chain.crossed[layer.family] = z.image(
                 z.within(layer.family, sum(1 << i for i in cross)),
                 {i: ((False, j),) for i, j in cross.items()})
         if not self.streaming:
@@ -405,7 +404,7 @@ class _GlobalBuilder(LayeredBuild):
         its outcomes, number, r - 1, "delay" or the transition)."""
         z, m, slot = self.zdd, self.members, self.chain.layers[number].slot
         ring = self.chain.layers[number].rings[r - 1]
-        delays = self._successors(ring, slot.index) if slot.kind == "open" else {}
+        delays = self._successors(ring) if slot.kind == "open" else {}
         near = sup  # what a predecessor may hold: sup's members and theirs
         for i in z.variables(ring):
             if any(sup >> j & 1 for _, j, _ in m.discrete(i)) or \
@@ -420,7 +419,7 @@ class _GlobalBuilder(LayeredBuild):
         """The step from src to sup: "delay", its transition, or None."""
         z, steps = self.zdd, rule2_steps(src, self.members)
         if slot.kind == "open" and not z.diff(
-                z.single(sup), self._delays(z.single(src), slot.index)):
+                z.single(sup), self._delays(z.single(src))):
             return "delay"
         return next((tr for nxt, tr in steps if nxt == sup), None)
 
@@ -531,21 +530,20 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     return without one, and `max_states=10**6` stops its build in layer 3.
     """
     b = build_global_layers(a, cap, max_states)
-    layer_of, last = {}, {}  # support -> number of its first / index of its last layer
+    layer_of = {}  # support -> number of its first layer
     for layer in b.layers:
         # rebased supports recur across slots; keep the earliest occurrence
         for sup in b.zdd.sets(layer.family):
             layer_of.setdefault(sup, layer.number)
-            last[sup] = layer.slot.index
-    # a support is safe if it can delay in the last layer holding it or reaches
-    # one that can (delay edges leave safe supports; rule 2 ignores the index)
+    # a support is safe if it can delay or reaches one that can (no step
+    # reads the slot index)
     rev = {k: [] for k in layer_of}
     safe = set()
-    for k, index in last.items():
-        delays = rule1_steps(k, index, b.members)
+    for k in layer_of:
+        delays = rule1_steps(k, b.members)
         for nxt in delays + [nxt for nxt, _ in rule2_steps(k, b.members)]:
             rev[nxt].append(k)
-        if delays or boundary_support(k, index, b.members) is not None:
+        if delays or boundary_support(k, b.members) is not None:
             safe.add(k)
     queue = deque(safe)
     while queue:

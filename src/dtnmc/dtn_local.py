@@ -119,7 +119,7 @@ class _Builder(LayeredBuild):
         members, edges, parent = self.members, self.edges, self.parent
         record_edges, record_parent = self.record_edges, self.record_parent
         watched, first, loc, point = self.watched, self.first, members.loc, members.point
-        index, drow, row = slot.index, members.delay_row(slot.index), members.discrete_row
+        drow, row = members.delay_row, members.discrete_row
         total, limit = self.states_total, self.max_states
         ids, waiting, locs, crossing, wl = {}, {}, set(), {}, deque()
         for ls, i, j in seeds:
@@ -138,7 +138,7 @@ class _Builder(LayeredBuild):
             i = wl.popleft()
             j = drow[i]
             if j is False:
-                j = members.delay(i, index)
+                j = members.delay(i)
             steps = row[i]
             if steps is None:
                 steps = members.discrete(i)
@@ -179,9 +179,9 @@ class _Builder(LayeredBuild):
         per layer the cap test, then the budget test, up to the layer a watched
         label first fires in, never l0 (W_l0 holds W_i0's ids), else to the end."""
         fires = min((o.first[k] for k in self.watched if k in o.first), default=None)
-        total, limit = 0, self.max_states
+        total, limit, cap = 0, self.max_states, self.cap
         for number, count in enumerate(o.counts):
-            if number > self.cap:
+            if cap is not None and number > cap:
                 raise self._over_cap(number)
             total += count
             if limit is not None and total > limit:

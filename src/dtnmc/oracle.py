@@ -151,7 +151,7 @@ class _SigTable:
             i, tcell = key
             sig = sigs[i]
             region = _region(cclocks + (T,), cbounds + (1,), sig[1:] + (tcell,))
-            return (sig[0], False, region.key())
+            return (sig[0], region.key())
 
         self.cclocks, self.cbounds = cclocks, cbounds
         self.sigs, self.loc, self.ranks, self.kind = sigs, loc, ranks, kind
@@ -429,7 +429,6 @@ def _delay_into(vals, target: RegionState):
     Clock values are real; the target's t carries integer part `index` on top
     of its rebased class.
     """
-    assert not target.unbounded
     lo, hi, exact = Fraction(0), None, None
     for idx, c in enumerate(target.base.clocks):
         v = vals[c]

@@ -15,9 +15,9 @@ to `Region.satisfies_atom`, so `holds` raises `NonUniformGuard` exactly where
 `MemberTable` is the successor cache both layer engines share.  It
 hash-conses (Filliatre & Conchon, "Type-safe modular hash-consing", 2006)
 each member, a RegionState restamped to slot index 0, to an int id, and
-computes each id's delay step once per side of the slot bound tmax and its
-discrete steps once; equal vals and fracs of different members are held
-once.  A delay step is `immediate_time_successor`'s state, `RegionState.advance`
+computes each id's delay step and its discrete steps once, as no step reads
+the slot index; equal vals and fracs of different members are held once.  A
+delay step is `immediate_time_successor`'s state, `RegionState.advance`
 checked against the invariant, which enters the next slot iff the member or
 its successor is a point member; a discrete step is a guard check, a
 `Region.reset` and a target-invariant check.  The steps and the table build
@@ -63,8 +63,8 @@ from functools import lru_cache
 
 from .model import (Automaton, BudgetExceeded, ModelError, check_initial_invariant,
                     compute_bounds, relabel_unique)
-from .regions import (T, Memo, Region, RegionState, Slot, count_regions,
-                      initial_region, new_record, next_slot, nogc)
+from .regions import (T, Memo, Region, RegionState, Slot, initial_region,
+                      new_record, next_slot, nogc)
 from .zdd import ZDD
 
 
@@ -82,10 +82,6 @@ class RegionContext:
         self.cbounds = compute_bounds(ta)
         # t is rebased; the real slot index lives in RegionState
         self.bounds = {**self.cbounds, T: 1}
-        self.na = len(ta.locations) * count_regions(
-            {c: self.cbounds[c] for c in cclocks}
-        )
-        self.tmax = 2 ** (self.na + 1)
         # compiled on first use: location -> invariant, and location ->
         # [(transition, guard, target's invariant)]; no closure holds self
         clocks, bounds = self.clocks, self.bounds
@@ -144,15 +140,15 @@ def holds(region, compiled) -> bool:
 
 def immediate_time_successor(rs: RegionState, ctx: RegionContext):
     """The state the next region in time reaches, or None when delay is
-    blocked or idempotent.
+    blocked.
 
     A successor violating the location invariant blocks delay.  The step
     enters the next slot iff t leaves or reaches an integer, i.e. iff `rs` or
-    the successor is a point state (t on an integer below tmax).
+    the successor is a point state (t on an integer).
     """
-    nxt = rs.advance(ctx.tmax)
+    nxt = rs.advance()
     inv = ctx.invariant[rs.loc]
-    if nxt is None or inv and not holds(nxt.base, inv):
+    if inv and not holds(nxt.base, inv):
         return None
     return nxt
 
@@ -163,7 +159,7 @@ def discrete_successors(rs: RegionState, ctx: RegionContext):
     A transition fires when the region satisfies its guard uniformly and the
     reset image satisfies the target invariant; the slot never changes.
     """
-    loc, base, index, unbounded = rs
+    loc, base, index = rs
     out = []
     for tr, guard, inv in ctx.steps[loc]:
         if guard and not holds(base, guard):
@@ -171,12 +167,12 @@ def discrete_successors(rs: RegionState, ctx: RegionContext):
         nb = base.reset(tr.resets)
         if inv and not holds(nb, inv):
             continue
-        out.append((tr, new_record(RegionState, (tr.dst, nb, index, unbounded))))
+        out.append((tr, new_record(RegionState, (tr.dst, nb, index))))
     return out
 
 
 def member_key(m: RegionState):
-    return (m.loc, m.unbounded, m.base.key())
+    return (m.loc, m.base.key())
 
 
 class MemberTable:
@@ -196,9 +192,10 @@ class MemberTable:
         self.rank = Memo(lambda i: repr(member_key(states[i])))
         # id -> region text without t, for the JSON and the DOT
         self.text = Memo(lambda i: states[i].base.eliminate((T,)).pretty() or "true")
-        # index >= tmax -> id -> id of its time successor, None when delay is
-        # blocked, False when not yet computed
-        self._delay = ([], [])
+        # id -> id of its time successor, None when delay is blocked, False
+        # when not yet computed; read-only, for callers that test an entry
+        # before paying for the `delay` call
+        self.delay_row = []
         # id -> ((transition, id, location guard), ...), None when not yet computed
         self.discrete_row = []
         self._shared = {}  # one object per distinct vals or fracs
@@ -206,20 +203,19 @@ class MemberTable:
 
     def intern(self, m: RegionState) -> int:
         if m.index:
-            m = new_record(RegionState, (m.loc, m.base, 0, m.unbounded))
+            m = new_record(RegionState, (m.loc, m.base, 0))
         i = self.ids.get(m)
         if i is None:
             b, share = m.base, self._shared.setdefault
             vals, fracs = share(b.vals, b.vals), share(b.fracs, b.fracs)
             if vals is not b.vals or fracs is not b.fracs:
                 b = new_record(Region, (b.clocks, b.bounds, vals, fracs))
-                m = new_record(RegionState, (m.loc, b, 0, m.unbounded))
+                m = new_record(RegionState, (m.loc, b, 0))
             i = self.ids[m] = len(self.states)
             self.states.append(m)
             self.loc.append(m.loc)
-            self.point.append(not m.unbounded and vals[-1][1])  # t is the last clock
-            self._delay[0].append(False)
-            self._delay[1].append(False)
+            self.point.append(vals[-1][1])  # t is the last clock
+            self.delay_row.append(False)
             self.discrete_row.append(None)
         return i
 
@@ -236,30 +232,21 @@ class MemberTable:
         m = self.states[i]
         if index == 0:
             return m
-        return new_record(RegionState, (m.loc, m.base, index, m.unbounded))
+        return new_record(RegionState, (m.loc, m.base, index))
 
-    def delay(self, i: int, index: int):
-        """The id of immediate_time_successor of member i in slot `index`, or
-        None when delay is blocked.
+    def delay(self, i: int):
+        """The id of immediate_time_successor of member i, or None when delay
+        is blocked; `delay_row[i]` holds it, or False before the first call.
 
         The step crosses into the next slot iff t leaves or reaches an
         integer, so iff i or its successor is a point member, and it adds 1
         to the slot index iff t reaches one.
         """
-        late = index >= self.ctx.tmax
-        succ = self._delay[late]
-        j = succ[i]
+        j = self.delay_row[i]
         if j is False:
-            probe = self.ctx.tmax if late else 0
-            nxt = immediate_time_successor(self.state(i, probe), self.ctx)
-            j = succ[i] = None if nxt is None else self.intern(nxt)
+            nxt = immediate_time_successor(self.states[i], self.ctx)
+            j = self.delay_row[i] = None if nxt is None else self.intern(nxt)
         return j
-
-    def delay_row(self, index: int) -> list:
-        """The delay steps of slot `index`'s side of tmax, id -> what `delay`
-        returns, or False where it has not run yet; read-only, for callers
-        that test an entry before paying for the call."""
-        return self._delay[index >= self.ctx.tmax]
 
     def discrete(self, i: int) -> tuple:
         """discrete_successors of member i as (transition, id, location guard)
@@ -299,12 +286,14 @@ class LayeredBuild:
 
     The build owns the slot walk: layer 0 sits in [0,0], and each boundary
     enters `next_slot`.  Every member of a layer has the layer's slot, since
-    a boundary step moves t from [k,k] into (k,k+1), or into (tmax,inf) once
-    k reaches tmax, and from (k,k+1) onto [k+1,k+1]; nothing crosses out of
-    (tmax,inf), where no member is a point member.
+    a boundary step moves t from [k,k] into (k,k+1) and from (k,k+1) onto
+    [k+1,k+1].
 
-    Layers 0..cap may be built; the default cap 2^(na+1) bounds the layers
-    before a loop-back, and a negative cap or max_states raises ValueError.
+    Layers 0..cap may be built, and cap=None means no cap: the build stops
+    anyway, as each point-slot layer is a function of the one before it over
+    a finite set (the local engine loops back at a point index of at most
+    2^(point members)), and max_states bounds it where that is too late.  A
+    negative cap or max_states raises ValueError.
     A streaming build keeps only the layer being closed.
     The relabeled automaton, its context and member table come from
     `a.tables[MemberTable]`, made by the first build of either engine on `a`.
@@ -322,7 +311,7 @@ class LayeredBuild:
             ctx = RegionContext(ra)
             entry = a.tables[MemberTable] = (ra, relabel_map, ctx, MemberTable(ctx))
         self.automaton, self.relabel_map, self.ctx, self.members = entry
-        self.cap = cap if cap is not None else self.ctx.tmax  # 2^(na+1)
+        self.cap = cap
         self.max_states = max_states
         self.streaming = streaming
         self.layers = []
@@ -334,11 +323,11 @@ class LayeredBuild:
     @nogc
     def build(self):
         seeds, slot = self._initial_seeds(), Slot("point", 0)
-        layers, cap, tmax = self.layers, self.cap, self.ctx.tmax
+        layers, cap = self.layers, self.cap
         sigs = {}  # signature of a singleton-slot layer -> (its number, slot index)
         while True:
             number = self.layers_built
-            if number > cap:
+            if cap is not None and number > cap:
                 raise self._over_cap(number)
             layer = self._close_layer(number, slot, seeds)
             self.layers_built = number + 1
@@ -354,7 +343,7 @@ class LayeredBuild:
                 sigs[sig] = (number, slot.index)
             if self.hit is not None:
                 return self
-            seeds, slot = self._boundary(layer), next_slot(slot, tmax)
+            seeds, slot = self._boundary(layer), next_slot(slot)
             if self.streaming:
                 layers.pop()
             if not seeds:
@@ -403,7 +392,7 @@ def check_timelock_free(a: Automaton, max_states=None):
     adj, capable = [], []  # id -> [successor id] / its delay is a tick; BFS order
     while len(adj) < len(members.states):
         i = len(adj)
-        j = members.delay(i, 0)
+        j = members.delay(i)
         capable.append(j is not None and not point[i] and point[j])
         adj.append(([] if j is None else [j]) + [k for _, k, _ in members.discrete(i)])
         if max_states is not None and len(members.states) > max_states:

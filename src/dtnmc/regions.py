@@ -8,8 +8,9 @@ canonical DBM, which the tests compare regions against, is in tests/zones.py.
 
 Region states used by the layer algorithms are normalized: the global clock t
 is rebased so its integer part is 0 and the slot index is carried separately
-as a plain (arbitrary precision) int.  `next_slot` is the order in which the
-layered build visits the slots.
+as a plain (arbitrary precision) int, so t never collapses and there is no
+last slot.  `next_slot` is the order in which the layered build visits the
+slots: [0,0], (0,1), [1,1], (1,2), ...
 
 `Region`, `Slot` and `RegionState` are NamedTuples like `model.Atom`, built
 in a third of the time of frozen dataclasses with the same hash (that of the
@@ -18,8 +19,8 @@ field tuple) and repr.  The `index` fields shadow `tuple.index`.
 The region steps, the member table and the summary build their records on
 hot paths with `new_record(Cls, (...))`, i.e. `tuple.__new__`, which skips
 the NamedTuple's Python-level `__new__` (a `Region` in 184 against 607 ns on
-Python 3.11).  It applies no defaults: pass every field, `RegionState.unbounded`
-and a `Transition`'s last four included.
+Python 3.11).  It applies no defaults: pass every field, a `Transition`'s last
+four included.
 
 `nogc` pauses the cyclic collector in the loops that build the engines'
 records, `LayeredBuild.build`, `summary_automaton`, `check_timelock_free` and
@@ -273,99 +274,43 @@ ZERO = INT[0]
 
 
 class Slot(NamedTuple):
-    kind: str  # "point", "open" or "inf"
-    index: int  # [k,k] / (k,k+1) / (tmax,inf)
+    kind: str  # "point" or "open"
+    index: int  # [k,k] / (k,k+1)
 
     def __str__(self):
         if self.kind == "point":
             return f"[{self.index},{self.index}]"
-        if self.kind == "open":
-            return f"({self.index},{self.index + 1})"
-        return f"({self.index},inf)"
+        return f"({self.index},{self.index + 1})"
 
 
-def next_slot(s: Slot, tmax: int) -> Slot:
+def next_slot(s: Slot) -> Slot:
     kind, index = s
     if kind == "open":
         return new_record(Slot, ("point", index + 1))
-    if kind == "point":
-        return new_record(Slot, ("open", index) if index < tmax else ("inf", tmax))
-    return s
-
-
-# -- region counting (for the t bound 2^(N_A + 1)) -----------------------------
-
-
-def fubini(n: int) -> int:
-    """Number of ordered set partitions of an n-element set."""
-    a = [1]
-    for k in range(1, n + 1):
-        a.append(sum(_binom(k, j) * a[k - j] for j in range(1, k + 1)))
-    return a[n]
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def count_regions(bounds) -> int:
-    """Number of regions over the given clocks and per-clock bounds."""
-    # coefficient vector over the number of fractional clocks
-    coeffs = [1]
-    for c in bounds:
-        m = bounds[c]
-        nxt = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            nxt[i] += a * (m + 2)  # collapsed, or integer part 0..m
-            nxt[i + 1] += a * m  # fractional with integer part 0..m-1
-        coeffs = nxt
-    return sum(a * fubini(i) for i, a in enumerate(coeffs))
+    return new_record(Slot, ("open", index))
 
 
 # -- normalized region states --------------------------------------------------
 
 
 class RegionState(NamedTuple):
-    """A (location, region) pair with t rebased so the slot is [0,0] or (0,1).
-
-    `index` is the real slot index; `unbounded` marks slots past tmax, where t
-    is collapsed in the base region.
-    """
+    """A (location, region) pair with t rebased so the slot is [0,0] or (0,1);
+    `index` is the real slot index."""
 
     loc: str
     base: Region
     index: int
-    unbounded: bool = False
 
-    def advance(self, tmax: int):
-        """Immediate time successor, or None when delay is idempotent."""
-        loc, base, index, unbounded = self
+    def advance(self):
+        """Immediate time successor (t never collapses: its bound is 1)."""
+        loc, base, index = self
         succ = base.delay_successor()
-        if succ is base:  # every clock is collapsed
-            return None
-        i = base.clocks.index(T)
-        tv = succ.vals[i]
-        if tv == base.vals[i]:  # t moved within its slot, or is collapsed
-            return new_record(RegionState, (loc, succ, index, unbounded))
-        if tv == (0, False):  # slot [k,k] opened into (k,k+1)
-            if index >= tmax:
-                return new_record(RegionState, (loc, _collapse_t(succ), tmax, True))
-            return new_record(RegionState, (loc, succ, index, False))
+        tv = succ.vals[base.clocks.index(T)]
+        if tv == (0, False):  # t moved within (k,k+1), or [k,k] opened into it
+            return new_record(RegionState, (loc, succ, index))
         if tv == (1, True):  # slot (k,k+1) landed on [k+1,k+1]
-            return new_record(RegionState,
-                              (loc, succ.shift_clock(T, -1), index + 1, False))
+            return new_record(RegionState, (loc, succ.shift_clock(T, -1), index + 1))
         raise AssertionError(f"unexpected t value {tv}")
-
-
-def _collapse_t(region: Region) -> Region:
-    clocks, bounds, vals, fracs = region
-    out = list(vals)
-    out[clocks.index(T)] = None
-    return new_record(Region, (clocks, bounds, tuple(out),
-                               fracs_without(fracs, (T,))))
 
 
 def initial_region(clocks, bounds) -> Region:

@@ -437,6 +437,27 @@ def test_missing_file(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+# past both bounds c <= d + 1 holds on part of the region c>1 d>1 only
+DIAGONAL = """gta D
+clocks c, d
+location q initial
+trans q -> q guard: c <= d + 1 reset: c
+"""
+
+
+@pytest.mark.parametrize("command, extra", [
+    (["validate"], ""),
+    # z labels a transition no process reaches, so the query builds every layer
+    (["check-local", "--label", "z"], "location r\ntrans r -> q label: z\n"),
+], ids=["validate", "check-local"])
+def test_non_uniform_guard_is_a_model_error(capsys, tmp_path, command, extra):
+    path = tmp_path / "diagonal.gta"
+    path.write_text(DIAGONAL + extra)
+    rc, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (rc, out) == (2, "")
+    assert err == "error: atom c <= d + 1 is not uniform on c>1 d>1 0<t<1\n"
+
+
 def test_public_names_resolve():
     missing = [name for name in dtnmc.__all__ if not hasattr(dtnmc, name)]
     assert not missing

@@ -128,10 +128,10 @@ def test_rule1_point_slot_is_quiet(fig3_build):
     b = fig3_build
     layer0 = b.layers[0]
     index = layer0.slot.index
-    crossed_index = next_slot(layer0.slot, b.ctx.tmax).index
+    crossed_index = next_slot(layer0.slot).index
     for sup in supports(b, layer0):
-        assert rule1_steps(sup, index, b.members) == []
-        crossed = boundary_support(sup, index, b.members)
+        assert rule1_steps(sup, b.members) == []
+        crossed = boundary_support(sup, b.members)
         assert crossed is not None  # nothing pins time at t=0
         crossed_key = decoded_key(b, crossed, crossed_index)
         assert crossed_key != decoded_key(b, sup, index)
@@ -144,7 +144,7 @@ def test_rule1_open_slot_properties(fig3_build):
     seen_any = False
     index, sups = layer1.slot.index, supports(b, layer1)
     for sup in sups:
-        for nxt in rule1_steps(sup, index, b.members):
+        for nxt in rule1_steps(sup, b.members):
             seen_any = True
             assert decoded_key(b, nxt, index) != decoded_key(b, sup, index)
             assert nxt in sups
@@ -326,16 +326,15 @@ def reference_layers(b):
     boundary of every support."""
     m, seeds, out = b.members, {1 << b.members.intern(b.ctx.initial_state())}, []
     for layer in b.layers:
-        index = layer.slot.index
         seen, todo = set(seeds), list(seeds)
         while todo:
             sup = todo.pop()
-            for nxt in rule1_steps(sup, index, m) + [n for n, _ in rule2_steps(sup, m)]:
+            for nxt in rule1_steps(sup, m) + [n for n, _ in rule2_steps(sup, m)]:
                 if nxt not in seen:
                     seen.add(nxt)
                     todo.append(nxt)
         out.append(seen)
-        seeds = {boundary_support(sup, index, m) for sup in seen} - {None}
+        seeds = {boundary_support(sup, m) for sup in seen} - {None}
     return out
 
 
@@ -364,7 +363,7 @@ def chain_models():
 
 
 def test_reused_layers_equal_their_closures():
-    # a layer whose slot kind, side of tmax and seeds repeat is taken from
+    # a layer whose slot kind and seeds repeat is taken from
     # the chain's memo, and so is a family's crossing: closing every complete
     # layer again from its seeds, and crossing it again, gives the same nodes
     layers = closures = 0
@@ -650,11 +649,10 @@ def test_golden_witnesses_replay_through_the_reference_rules(name):
         assert steps[0] == (0, 1 << m.intern(b.ctx.initial_state()))
         assert witness[0]["kind"] == "init" and str(b.layers[0].slot) == "[0,0]"
         for (k, src), (k2, dst), step in zip(steps, steps[1:], witness[1:]):
-            index = b.layers[k].slot.index
             if step["kind"] == "cross":
-                assert k2 == k + 1 and boundary_support(src, index, m) == dst
+                assert k2 == k + 1 and boundary_support(src, m) == dst
             elif step["kind"] == "delay":
-                assert k2 == k and dst in rule1_steps(src, index, m)
+                assert k2 == k and dst in rule1_steps(src, m)
             else:
                 assert k2 == k and step["kind"] == "trans"
                 assert any(nxt == dst and tr.label == step["internal_label"]
@@ -771,7 +769,7 @@ def test_mask_readers_sync_first(fig3):
     i = next(i for i, s in enumerate(m.states)
              if s.loc == "q1" and s.base.val("c") == (0, True) and not m.point[i])
     sup, node = 1 << i | 1, parse_constraint("#q1>=1")
-    calls = [lambda: rule1_steps(1 << i, 0, m), lambda: b._delays(z.single(1 << i), 0),
+    calls = [lambda: rule1_steps(1 << i, m), lambda: b._delays(z.single(1 << i)),
              lambda: list(z.sets(b._filter(z.single(sup), node)))]
     for call in calls:
         assert m._masked < len(m.states)

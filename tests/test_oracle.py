@@ -23,7 +23,7 @@ from dtnmc.oracle import (
     simulate_trace,
     witness_region_path,
 )
-from dtnmc.regions import RegionState
+from dtnmc.regions import T, RegionState
 
 LOSSY = """lbta B
 clocks c
@@ -116,8 +116,7 @@ def _permuted(net, state, perm):
     mapping = {_pclock(c, p): _pclock(c, j)
                for j, p in enumerate(perm) for c in net.cclocks}
     return RegionState(tuple(state.loc[p] for p in perm),
-                       state.base.rename(mapping, order=net.clocks),
-                       state.index, state.unbounded)
+                       state.base.rename(mapping, order=net.clocks), state.index)
 
 
 def _reference_canon(net, state):
@@ -241,47 +240,47 @@ def _sha(text):
 # (model, n, slot cap), and of repr(witness_region_path(...)), keyed by
 # (model, n, label, slot cap)
 GOLDEN_EXPLORE = {
-    ("fig1", 1, 2): "46294e01ca2d3012",
-    ("fig1", 2, 2): "c98152113eafbcc4",
-    ("fig1", 3, 2): "81f753acc78f6d11",
-    ("fig3", 1, 2): "15a94b2c6e4a8b26",
-    ("fig3", 2, 2): "c7f7c9693f5fa64b",
-    ("fig3", 3, 2): "c0af0d3463735b8f",
-    ("r3", 2, 3): "1eb763fc680c42a5",
-    ("r3", 3, 3): "edfb5baf820bdc15",
-    ("l3", 2, 3): "1eb763fc680c42a5",
-    ("l3", 3, 3): "edfb5baf820bdc15",
-    ("r18", 2, 3): "5dd6bfd971144a91",
-    ("r18", 3, 3): "5dad82e0422fea09",
-    ("l18", 2, 3): "5dd6bfd971144a91",
-    ("l18", 3, 3): "5dad82e0422fea09",
-    ("r20", 2, 3): "0d965dee89ca1316",
-    ("r20", 3, 3): "29926f7ffcccecf5",
-    ("l20", 2, 3): "0d965dee89ca1316",
-    ("l20", 3, 3): "29926f7ffcccecf5",
-    ("m18", 2, 3): "7ab5cf72a8f1972c",
-    ("m18", 3, 3): "9e60aa579e2146bc",
-    ("W", 2, 3): "0c26cde851af8c2e",
-    ("W", 3, 3): "5d84cffb71aa0dcc",
-    ("D", 2, 2): "1d16c4bbffbe5f84",
-    ("D", 3, 1): "77fb30a34c9abd8a",
+    ("fig1", 1, 2): "663dd433a68dabb7",
+    ("fig1", 2, 2): "77065dd153522fd6",
+    ("fig1", 3, 2): "c3228ff118d8c368",
+    ("fig3", 1, 2): "b7954618a363562d",
+    ("fig3", 2, 2): "9a56e3e51094c3ce",
+    ("fig3", 3, 2): "29ee81964fd91bb8",
+    ("r3", 2, 3): "121de69afe82c8cb",
+    ("r3", 3, 3): "84c090913d106998",
+    ("l3", 2, 3): "121de69afe82c8cb",
+    ("l3", 3, 3): "84c090913d106998",
+    ("r18", 2, 3): "216b4cc12a74ee98",
+    ("r18", 3, 3): "4c6a79e5ffd3bf91",
+    ("l18", 2, 3): "216b4cc12a74ee98",
+    ("l18", 3, 3): "4c6a79e5ffd3bf91",
+    ("r20", 2, 3): "f8bd41b275d09604",
+    ("r20", 3, 3): "8f03047de92eb543",
+    ("l20", 2, 3): "f8bd41b275d09604",
+    ("l20", 3, 3): "8f03047de92eb543",
+    ("m18", 2, 3): "c826bebee6e162a9",
+    ("m18", 3, 3): "c38524f2adc12494",
+    ("W", 2, 3): "20352e0b0cdd30bf",
+    ("W", 3, 3): "8dd54d8bd355883d",
+    ("D", 2, 2): "7365df29bf7d2d12",
+    ("D", 3, 1): "b4dba15155eb98e6",
 }
 GOLDEN_WITNESS = {
-    ("fig1", 3, "serr", 2): "73c20ad6d6ef61c4",
-    ("r20", 3, "b", 3): "471e0d08f8b4b886",
-    ("l20", 3, "b", 3): "7fe13397f8aa3396",
+    ("fig1", 3, "serr", 2): "fc3d31215e1f31c6",
+    ("r20", 3, "b", 3): "4e65032ed2910ba9",
+    ("l20", 3, "b", 3): "248281827716c214",
     # "b" is a self-loop whose every firing reaches a state already seen
-    ("r18", 3, "b", 3): "b44fb0a2f4f20de1",
-    ("D", 2, "fin", 2): "bb16fca5112f6711",
-    ("D", 2, "back", 2): "00c7261cb2497173",
+    ("r18", 3, "b", 3): "370acb2b0120195f",
+    ("D", 2, "fin", 2): "563c6393777bab1a",
+    ("D", 2, "back", 2): "f681e16695590a8d",
 }
 # the same payload digests for runs that stop at their budget, keyed by
 # (model, n, slot cap, max_states); they pin the order in which states are
 # first reached
 GOLDEN_EXHAUSTED = {
-    ("fig3", 3, 3, 40): "691e15233e885a81",
-    ("fig1", 3, 2, 500): "26f393bc64357799",
-    ("l20", 3, 3, 300): "3e396d06dc5cb1ae",
+    ("fig3", 3, 3, 40): "96268fce855f9595",
+    ("fig1", 3, 2, 500): "91ad539066240ec8",
+    ("l20", 3, 3, 300): "bcaeb2bf4b4095db",
 }
 GOLDEN_CASES = [("explore",) + k for k in GOLDEN_EXPLORE] + \
     [("witness",) + k for k in GOLDEN_WITNESS] + \
@@ -566,9 +565,10 @@ def test_supports_shape(fig3):
     for (kind, index), sups in res.supports.items():
         assert kind in ("point", "open") and 0 <= index <= 1
         for sup in sups:
-            for loc, unbounded, _key in sup:
-                assert loc in fig3.locations
-                assert unbounded is False  # slot cap keeps t bounded
+            for loc, (vals, _fracs, clocks) in sup:
+                assert loc in fig3.locations and clocks == ("c", T)
+                # t is rebased into the slot, which its cell names
+                assert vals[-1] == (0, kind == "point")
 
 
 def test_exhaustion_flag(fig3):

@@ -105,10 +105,8 @@ def test_region_context_shape(fig3):
     ctx = RegionContext(fig3)
     assert ctx.automaton is fig3 and ctx.clocks == ("c", T)
     assert ctx.bounds == {"c": 1, T: 1}
-    assert ctx.na == 2 * 4  # two locations, four one-clock regions at bound 1
-    assert ctx.tmax == 2 ** (ctx.na + 1)
     start = ctx.initial_state()
-    assert start.loc == "init" and start.index == 0 and not start.unbounded
+    assert start.loc == "init" and start.index == 0
 
 
 def test_discrete_successors_respect_guards(fig1):
@@ -465,11 +463,11 @@ def test_layers_walk_next_slot(kind, fig1, fig3):
         except BudgetExceeded:
             skipped += 1
             continue
-        slot, tmax = Slot("point", 0), b.ctx.tmax
+        slot = Slot("point", 0)
         for layer in b.layers:
             assert layer.slot == slot
             for i in _layer_ids(kind, b, layer):
-                assert state_slot(b.members.state(i, slot.index), tmax) == slot
-            slot = next_slot(slot, tmax)
+                assert state_slot(b.members.state(i, slot.index)) == slot
+            slot = next_slot(slot)
             layers += 1
     assert (layers, skipped) == {"local": (492, 0), "global": (463, 3)}[kind]

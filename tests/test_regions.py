@@ -14,13 +14,13 @@ from dtnmc.regions import (
     Region,
     RegionState,
     Slot,
-    count_regions,
-    fubini,
     initial_region,
     next_slot,
 )
 from zones import (
+    count_regions,
     from_dbm,
+    fubini,
     inf_sup,
     is_proper,
     region_of,
@@ -156,11 +156,11 @@ def test_slots_arithmetic():
     s = Slot("point", 0)
     seen = [s]
     for _ in range(4):
-        s = next_slot(s, tmax=2)
+        s = next_slot(s)
         seen.append(s)
     assert [str(x) for x in seen] == ["[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]"]
-    assert str(next_slot(Slot("open", 1), tmax=2)) == "[2,2]"
-    assert next_slot(Slot("point", 2), tmax=2).kind == "inf"
+    assert str(next_slot(Slot("open", 1))) == "[2,2]"
+    assert next_slot(Slot("point", 2 ** 70)) == Slot("open", 2 ** 70)
 
 
 def _proper_regions(seed, want):
@@ -205,47 +205,44 @@ def test_to_dbm_round_trip():
         assert from_dbm(to_dbm(r), dict(zip(r.clocks, r.bounds))) == r
 
 
-def crosses(rs, nxt, tmax):
+def crosses(rs, nxt):
     """Does the delay step rs -> nxt enter the next slot?  It does iff t
     leaves or reaches an integer, i.e. iff either state is a point state."""
-    slot, nslot = state_slot(rs, tmax), state_slot(nxt, tmax)
+    slot, nslot = state_slot(rs), state_slot(nxt)
     cross = "point" in (slot.kind, nslot.kind)
-    assert nslot == (next_slot(slot, tmax) if cross else slot)
+    assert nslot == (next_slot(slot) if cross else slot)
     return cross
 
 
 def test_region_state_advance_walks_slots():
     bounds = {"c": 1, T: 1}
     rs = RegionState("q", initial_region(("c", T), bounds), 0)
-    tmax = 3
-    seen = [str(state_slot(rs, tmax))]
+    seen = [str(state_slot(rs))]
     kinds = []
     for _ in range(12):
-        nxt = rs.advance(tmax)
-        if nxt is None:
-            break
-        kinds.append(crosses(rs, nxt, tmax))
+        nxt = rs.advance()
+        kinds.append(crosses(rs, nxt))
         rs = nxt
-        if str(state_slot(rs, tmax)) != seen[-1]:
-            seen.append(str(state_slot(rs, tmax)))
-    assert seen[:5] == ["[0,0]", "(0,1)", "[1,1]", "(1,2)", "[2,2]"]
-    assert rs.unbounded and str(state_slot(rs, tmax)) == "(3,inf)"
+        seen.append(str(state_slot(rs)))
+    # c collapses in (1,2); t alone walks on, every slot in turn
+    assert seen == [str(Slot(kind, k)) for k in range(7) for kind in ("point", "open")][:13]
+    assert rs.base.val("c") is None and rs.index == 6
     # c and t start in lockstep, so every region change is a slot change
-    assert kinds and all(kinds)
+    assert all(kinds)
 
 
 def test_advance_in_slot_after_reset():
     bounds = {"c": 1, T: 1}
     rs = RegionState("q", initial_region(("c", T), bounds), 0)
-    rs = rs.advance(3)  # t now in (0,1)
+    rs = rs.advance()  # t now in (0,1)
     rs = rs._replace(base=rs.base.reset(("c",)))
-    nxt = rs.advance(3)
-    assert not crosses(rs, nxt, 3)  # c leaves 0 but trails t inside the same slot
-    assert str(state_slot(nxt, 3)) == str(state_slot(rs, 3)) == "(0,1)"
+    nxt = rs.advance()
+    assert not crosses(rs, nxt)  # c leaves 0 but trails t inside the same slot
+    assert str(state_slot(nxt)) == str(state_slot(rs)) == "(0,1)"
     kinds = []
     for _ in range(3):
-        prev, nxt = nxt, nxt.advance(3)
-        kinds.append(crosses(prev, nxt, 3))
+        prev, nxt = nxt, nxt.advance()
+        kinds.append(crosses(prev, nxt))
     # t is ahead of c, so t crosses 1 and reopens before c reaches 1 in-slot
     assert kinds == [True, True, False]
     assert nxt.base.val("c") == (1, True) and nxt.index == 1
@@ -284,7 +281,7 @@ def test_region_records_keep_the_dataclass_contract():
     rs = RegionState("q", r, 3)
     assert_record_contract(
         rs, "RegionState(loc='q', base=Region(clocks=('c', 't'), bounds=(2, 1), "
-            "vals=((1, False), (0, True)), fracs=(('c',),)), index=3, unbounded=False)")
+            "vals=((1, False), (0, True)), fracs=(('c',),)), index=3)")
     assert rs.index == 3
     s = Slot("open", 2)
     assert_record_contract(s, "Slot(kind='open', index=2)")

@@ -3,7 +3,8 @@
 Difference bound matrices with integer constants (Dill, "Timing assumptions
 and verification of finite-state concurrent systems", 1989), and the
 region <-> zone, region <-> valuation and slot helpers the tests use, criteria
-6 and 7 among them.  The checker itself never builds a zone.
+6 and 7 among them, and the region count the partition test checks.  The
+checker itself never builds a zone.
 
 A bound is a pair (d, w): the constraint x - y < d when w == 0 and
 x - y <= d when w == 1, with INF for "no constraint".  Plain tuple
@@ -295,16 +296,14 @@ def inf_sup(s: Slot):
     return (s.index, inf)
 
 
-def state_slot(rs: RegionState, tmax: int) -> Slot:
+def state_slot(rs: RegionState) -> Slot:
     """The slot of a region state, read from its own t."""
-    if rs.unbounded:
-        return Slot("inf", tmax)
     return Slot("point" if rs.base.val(T)[1] else "open", rs.index)
 
 
 def slot_of(region: Region, tname: str = T) -> Slot:
     v = region.val(tname)
-    if v is None:
+    if v is None:  # t above its bound: a kind of these helpers only
         return Slot("inf", region.bound(tname))
     return Slot("point" if v[1] else "open", v[0])
 
@@ -336,3 +335,35 @@ def is_proper(region: Region, tname: str = T) -> bool:
         if z.get(c, tname) != bound_add(z.get(c, "0"), z.get("0", tname)):
             return False
     return True
+
+
+# -- region counting ---------------------------------------------------------------
+
+
+def fubini(n: int) -> int:
+    """Number of ordered set partitions of an n-element set."""
+    a = [1]
+    for k in range(1, n + 1):
+        a.append(sum(_binom(k, j) * a[k - j] for j in range(1, k + 1)))
+    return a[n]
+
+
+def _binom(n: int, k: int) -> int:
+    out = 1
+    for i in range(k):
+        out = out * (n - i) // (i + 1)
+    return out
+
+
+def count_regions(bounds) -> int:
+    """Number of regions over the given clocks and per-clock bounds."""
+    # coefficient vector over the number of fractional clocks
+    coeffs = [1]
+    for c in bounds:
+        m = bounds[c]
+        nxt = [0] * (len(coeffs) + 1)
+        for i, a in enumerate(coeffs):
+            nxt[i] += a * (m + 2)  # collapsed, or integer part 0..m
+            nxt[i + 1] += a * m  # fractional with integer part 0..m-1
+        coeffs = nxt
+    return sum(a * fubini(i) for i, a in enumerate(coeffs))
