@@ -39,15 +39,16 @@ the constraint; a dra witness walks back to the least predecessor in each
 ring before, and from a seed to its least source in the lowest ring of the
 layer before, so no output depends on member ids.
 
-`rule1_steps`, `rule2_steps` and `boundary_support` are the same relation on
-one support, a bitmask of member ids: `find_guard_timelock` searches the
-enumerated supports with it.  `support_key` keys a RegionState support.
+`find_guard_timelock` closes the supports that delay or cross backward under
+rule 2, on the union of the layer families.  `rule1_steps`, `rule2_steps` and
+`boundary_support` (the same relation on one support, a bitmask of member
+ids) and `support_key` stay for the tests' reference, the witness walk's
+`_kind` (rule 2) and perfbench/tracing.py, which wraps them by name.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -518,49 +519,48 @@ def _witness_chain(b: _GlobalBuilder, number, r, sup):
 
 
 def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
-    """Search for a reachable support from which time can never flow again.
-
-    From such a support every continuation is a zero-delay discrete loop, so
-    total elapsed time is bounded: a timelock caused by location guards (the
-    guard-free skeleton may still be timelock-free).  Returns a dict with
-    "found", and the support and layer when found.
-
-    The search enumerates every distinct support of the layers, so the
-    budget is what makes it return on a large fixpoint: on fig1 it does not
-    return without one, and `max_states=10**6` stops its build in layer 3.
-    """
+    """Search for a reachable support from which time can never flow again,
+    a timelock that location guards cause (the guard-free skeleton may be
+    timelock-free).  Returns "found" and, when found, the least such support
+    by member rank in the first layer holding one, and that layer."""
     b = build_global_layers(a, cap, max_states)
-    layer_of = {}  # support -> number of its first layer
-    for layer in b.layers:
-        # rebased supports recur across slots; keep the earliest occurrence
-        for sup in b.zdd.sets(layer.family):
-            layer_of.setdefault(sup, layer.number)
-    # a support is safe if it can delay or reaches one that can (no step
-    # reads the slot index)
-    rev = {k: [] for k in layer_of}
-    safe = set()
-    for k in layer_of:
-        delays = rule1_steps(k, b.members)
-        for nxt in delays + [nxt for nxt, _ in rule2_steps(k, b.members)]:
-            rev[nxt].append(k)
-        if delays or boundary_support(k, b.members) is not None:
-            safe.add(k)
-    queue = deque(safe)
-    while queue:
-        v = queue.popleft()
-        for u in rev[v]:
-            if u not in safe:
-                safe.add(u)
-                queue.append(u)
-    stuck = [k for k in layer_of if k not in safe]
-    if not stuck:
-        return {"found": False, "support": None, "layer": None}
-    states, ordered = b.members.states, b.members.ordered
-    k = min(stuck, key=lambda x: (
-        layer_of[x], [member_key(states[i]) for i in ordered(x)]))
-    number = layer_of[k]
-    return {
-        "found": True,
-        "support": _support_json(k, b.layers[number].slot, b.members),
-        "layer": number,
-    }
+    z, stuck, out = b.zdd, _stuck(b), {"found": False, "support": None, "layer": None}
+    layer = next((l for l in b.layers if z.diff(l.family, stuck) != l.family), None)
+    if layer is not None:
+        held = z.diff(layer.family, z.diff(layer.family, stuck))
+        out.update(found=True, layer=layer.number, support=_support_json(
+            z.least(held, b.members.rank.__getitem__), layer.slot, b.members))
+    z.clear()
+    return out
+
+
+def _stuck(b: _GlobalBuilder) -> int:
+    """The supports of b's layers from which time never passes: their union
+    U (no step reads the slot index) less the least fixpoint of those that
+    delay or cross (Burch et al., LICS 1990), grown by rule-2 preimages."""
+    z, m = b.zdd, b.members
+    every = reduce(z.union, [layer.family for layer in b.layers])
+    succ, row, steps = b._successors(every), m.discrete_row, {}
+    for i in z.variables(every):  # (location guard, target) -> (sources, options)
+        for _, j, lg in m.discrete(i) if row[i] is None else row[i]:
+            # before the step a support lacks j (an add), or holds i beside or
+            # in place of j (a drop)
+            sources, options = steps.get((lg, j), (0, ((False, None),)))
+            steps[lg, j] = sources | 1 << i, options + ((True, i), (False, i)) * (j != i)
+    m.sync_masks()  # after the rows and successors, which may intern members
+    opened = z.avoid(every, sum(1 << i for i in succ if m.point[i]))
+    blocked = sum(1 << i for i, j in succ.items() if j is None)
+    moving = sum(1 << i for i, j in succ.items() if j is not None and not m.point[j])
+    rest, new = every, reduce(z.union, (  # those that cross or have a rule-1 outcome
+        z.avoid(every, blocked), z.hits(z.avoid(opened, m.punctual), moving),
+        z.avoid(z.hits(opened, m.punctual), blocked & m.punctual)))
+    while new and (rest := z.diff(rest, new)):
+        pre = EMPTY
+        for (lg, j), (sources, options) in steps.items():
+            after = z.hits(new, 1 << j)
+            if lg is not None:  # a drop needs a witness after it, any step one before
+                after = z.hits(after, m.at[lg])
+            out = z.hits(z.image(after, {j: options}), sources)
+            pre = z.union(pre, out if lg is None else z.hits(out, m.at[lg]))
+        new = z.diff(rest, z.diff(rest, pre))
+    return rest

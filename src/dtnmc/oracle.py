@@ -16,8 +16,8 @@ one-to-one, so the state with sorted ids is its orbit key (Ip & Dill, FMSD
 1996; Hendriks et al., FORMATS 2003); which ids earlier queries took changes
 no orbit.  `explore_network` is the one search: a BFS that queues only the
 first-reached member of each orbit at each slot index, unsorted.  Without a
-target it runs to the slot cap or the budget; location sets and supports are
-read off the reached orbits when first asked for.  With a target, a label
+target it runs to the slot cap or the budget; location sets are read off
+the reached orbits when first asked for.  With a target, a label
 or a counting constraint, it keeps parent links and stops at the first hit.
 
 No guard or invariant reads t, so a state's successors depend on its member
@@ -80,8 +80,8 @@ class _SigTable:
     `intern` numbers signatures and `sigs` maps an id back; `loc`, `ranks`
     (the fractional ranks the id's clocks hold) and `kind` ((delay kind, top
     rank)) grow with it.  The memos are keyed on ids: `inv_ok`, `fire` (the
-    fire row), `step` ((id, delay mode) -> id' or None), `closed` ((id, gone)
-    -> closed-up id) and `member` ((id, tcell) -> member key).  They compute
+    fire row), `step` ((id, delay mode) -> id' or None) and `closed` ((id,
+    gone) -> closed-up id).  They compute
     through closures over these containers and the automaton's fields, never
     over the table or the automaton, so the table is no reference cycle.
     """
@@ -146,17 +146,10 @@ class _SigTable:
             nid = intern((sig[0],) + tuple(cells))
             return nid if inv_ok[nid] else None
 
-        def member(key):
-            """The process and t as a one-process `region_graph.member_key`."""
-            i, tcell = key
-            sig = sigs[i]
-            region = _region(cclocks + (T,), cbounds + (1,), sig[1:] + (tcell,))
-            return (sig[0], region.key())
-
         self.cclocks, self.cbounds = cclocks, cbounds
         self.sigs, self.loc, self.ranks, self.kind = sigs, loc, ranks, kind
         self.intern, self.inv_ok, self.fire = intern, inv_ok, Memo(fire)
-        self.step, self.member = Memo(step), Memo(member)
+        self.step = Memo(step)
         self.closed = Memo(lambda k: intern((loc[k[0]],)  # (id, gone) -> closed-up id
                                             + _close_up(sigs[k[0]][1:], k[1])))
         self.moves = _lbta_moves if a.kind == "lbta" else _gta_moves
@@ -279,17 +272,6 @@ class OracleResult:
     def loc_sets(self):
         loc = self.net.loc
         return {frozenset([loc[i] for i in ids]) for ids, _ in self.reached}
-
-    @cached_property
-    def supports(self):
-        """("point"|"open", index) -> the supports reached in that slot."""
-        member, out = self.net.member, {}
-        for (ids, tcell), mask in self.reached.items():
-            sup = frozenset([member[i, tcell] for i in ids])
-            for index in [i for i in range(mask.bit_length()) if mask >> i & 1]:
-                out.setdefault(("point" if tcell[0][1] else "open", index),
-                               set()).add(sup)
-        return out
 
 
 @nogc

@@ -228,12 +228,6 @@ class MemberTable:
                 self.punctual |= bit
         self._masked = len(self.states)
 
-    def state(self, i: int, index: int) -> RegionState:
-        m = self.states[i]
-        if index == 0:
-            return m
-        return new_record(RegionState, (m.loc, m.base, index))
-
     def delay(self, i: int):
         """The id of immediate_time_successor of member i, or None when delay
         is blocked; `delay_row[i]` holds it, or False before the first call.

@@ -1,4 +1,4 @@
-"""Shared generators for the test suite.
+"""Shared generators and helpers for the test suite.
 
 Random gTAs are small by design (few locations, one clock, small constants)
 and timelock-free by construction: every location with an invariant gets an
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from dtnmc.model import Atom, Automaton, Transition, strip_guarded
+from dtnmc.oracle import _region
 from dtnmc.region_graph import check_timelock_free
 from dtnmc.regions import T, Region
 
@@ -62,6 +63,36 @@ def random_gta(seed, max_locs=4, max_trans=6, max_const=2) -> Automaton:
     a = Automaton("gta", f"r{seed}", ("c",), locs, "q0", inv, tuple(trans))
     assert check_timelock_free(strip_guarded(a))[0] == "proved", seed
     return a
+
+
+def member_state(members, i, index):
+    """Member i of a `MemberTable`, a RegionState at slot index 0, moved to
+    slot index `index`."""
+    return members.states[i]._replace(index=index)
+
+
+def oracle_member(net, i, tcell):
+    """Process signature i of an oracle `_Net` and t's cell as a one-process
+    `region_graph.member_key`."""
+    sig = net.sigs[i]
+    return (sig[0], _region(net.cclocks + (T,), net.cbounds + (1,),
+                            sig[1:] + (tcell,)).key())
+
+
+def oracle_supports(res):
+    """("point"|"open", index) -> the supports an `explore_network` result
+    reached in that slot, each a frozenset of `oracle_member` keys."""
+    keys, out = {}, {}
+    for (ids, tcell), mask in res.reached.items():
+        for i in ids:
+            if (i, tcell) not in keys:
+                keys[i, tcell] = oracle_member(res.net, i, tcell)
+        sup = frozenset([keys[i, tcell] for i in ids])
+        for index in range(mask.bit_length()):
+            if mask >> index & 1:
+                out.setdefault(("point" if tcell[0][1] else "open", index),
+                               set()).add(sup)
+    return out
 
 
 def assert_record_contract(x, text):

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 from functools import reduce
 from itertools import permutations
 
 import pytest
 
-from conftest import LOCK2, random_gta
+from conftest import LOCK2, member_state, oracle_supports, random_gta
 from dtnmc import dtn_global
 from dtnmc.dtn_global import (
     _Chain,
@@ -84,7 +85,7 @@ def test_eval_constraint_counts_do_not_matter():
 def decoded_key(b, sup, index):
     """support_key of a support (a bitmask of member ids), rebuilt in slot
     `index`."""
-    return support_key(b.members.state(i, index) for i in b.members.ordered(sup))
+    return support_key(member_state(b.members, i, index) for i in b.members.ordered(sup))
 
 
 @pytest.fixture(scope="module")
@@ -244,23 +245,121 @@ def test_check_global_budgets(fig3):
 def test_find_guard_timelock_fig3(fig3):
     out = find_guard_timelock(fig3)
     assert out["found"] and out["layer"] == 2
-    assert {m["loc"] for m in out["support"]} == {"q1"}
-    assert any(m["region"] == "c=1" for m in out["support"])
+    assert out["support"] == [{"loc": "q1", "region": "c=1", "slot": "[1,1]"}]
 
 
-def test_find_guard_timelock_computes_each_support_once(fig3, monkeypatch):
-    # the relation on explicit supports runs once per distinct support: both
-    # rules on each, the boundary only on those of which no delay leaves
-    calls = {name: [] for name in ("rule1_steps", "rule2_steps", "boundary_support")}
-    for name, seen in calls.items():
-        rule = getattr(dtn_global, name)
-        monkeypatch.setattr(dtn_global, name, lambda sup, *args, rule=rule, seen=seen:
-                            seen.append(sup) or rule(sup, *args))
-    assert find_guard_timelock(fig3)["found"]
-    assert len(calls["rule1_steps"]) == len(set(calls["rule1_steps"])) == 2174
-    assert sorted(calls["rule2_steps"]) == sorted(calls["rule1_steps"])
-    boundaries = calls["boundary_support"]
-    assert boundaries and len(boundaries) == len(set(boundaries)) < 2174
+def test_find_guard_timelock_fig1(fig1):
+    # the search runs on fig1's diagram of 6.9e18 supports without a budget.
+    # reading at c=3 can neither delay (c<=3) nor leave: s4 would break
+    # post's c<=1, s5 done's c<=1, and serr needs a process at done, which
+    # no zero-delay step provides
+    out = find_guard_timelock(fig1)
+    assert (out["found"], out["layer"]) == (True, 8)
+    assert [(m["loc"], m["region"], m["slot"]) for m in out["support"]] == [
+        ("post", "c=1", "[4,4]"), ("reading", "c=3", "[4,4]")]
+
+
+def reference_stuck(b):
+    """Support -> the first layer holding it, for the supports of b's layers
+    from which no run of the explicit relation delays or crosses: each
+    support enumerated, and safety spread back along rule-1 and rule-2 steps."""
+    layer_of = {}
+    for layer in b.layers:
+        for sup in supports(b, layer):
+            layer_of.setdefault(sup, layer.number)
+    rev, safe = {k: [] for k in layer_of}, set()
+    for k in layer_of:
+        delays = rule1_steps(k, b.members)
+        for nxt in delays + [nxt for nxt, _ in rule2_steps(k, b.members)]:
+            rev[nxt].append(k)
+        if delays or boundary_support(k, b.members) is not None:
+            safe.add(k)
+    todo = list(safe)
+    while todo:
+        for u in rev[todo.pop()]:
+            if u not in safe:
+                safe.add(u)
+                todo.append(u)
+    return {k: n for k, n in layer_of.items() if k not in safe}
+
+
+def reference_guard_timelock(b):
+    """find_guard_timelock's answer from reference_stuck: the least stuck
+    support by member rank in the first layer holding one."""
+    stuck = reference_stuck(b)
+    if not stuck:
+        return {"found": False, "support": None, "layer": None}
+    number, z = min(stuck.values()), b.zdd
+    first = reduce(z.union, [z.single(k) for k, n in stuck.items() if n == number])
+    sup = z.least(first, b.members.rank.__getitem__)
+    return {"found": True, "support": dtn_global._support_json(
+        sup, b.layers[number].slot, b.members), "layer": number}
+
+
+def guarded_gta(seed):
+    """random_gta(seed, max_const=3) with each unguarded transition given,
+    with probability 0.6, a location guard drawn from its locations and an
+    unreachable location `dead`."""
+    a, rng = random_gta(seed, max_const=3), random.Random(seed)
+    locations = a.locations + ("dead",)
+    return replace(a, name=f"g{seed}", locations=locations, transitions=tuple(
+        tr._replace(locguard=rng.choice(locations))
+        if tr.locguard is None and rng.random() < 0.6 else tr
+        for tr in a.transitions))
+
+
+def test_find_guard_timelock_equals_the_reference_search(fig3):
+    # the symbolic fixpoint finds the stuck supports the enumeration finds,
+    # and reports the same one, on every model whose build fits the budget
+    models = [fig3, parse_model(LOCK2)] + [random_gta(s) for s in range(60)] + [
+        seeded_gta(s) for s in range(20)] + [guarded_gta(s) for s in range(200)]
+    built = skipped = found = 0
+    for a in models:
+        try:
+            b = build_global_layers(a, max_states=20_000)
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        stuck = reference_stuck(b)
+        assert set(b.zdd.sets(dtn_global._stuck(b))) == set(stuck), a.name
+        assert find_guard_timelock(a, max_states=20_000) == \
+            reference_guard_timelock(b), a.name
+        built, found = built + 1, found + bool(stuck)
+    assert (built, skipped, found) == (260, 22, 5)
+
+
+# hand-written guard timelocks: (text, layer, reported members).  r629's
+# members key a collapsed clock as None and an open one as (m, is_int), so
+# the report is chosen by member rank, never by comparing keys.  In w only p
+# itself witnesses its step to q, so no drop empties p, though {q} is
+# reached from a: a safe support that a barred drop would lead to.  In v a
+# support whose only way out is a rule-1 delay is safe
+CRAFTED = {
+    "r629": ("gta r629\nclocks c\nlocation dead\nlocation q0 initial\n"
+             "location q1 inv: c<=0\n"
+             "trans q0 -> q1 label: e guard: c>1 reset: c locguard: q0\n"
+             "trans q1 -> q0 label: a reset: c locguard: q1\n",
+             3, [("q0", "c>1", "(1,2)"), ("q1", "c=0", "(1,2)")]),
+    "w": ("gta w\nclocks c\nlocation a initial\nlocation p inv: c<=0\n"
+          "location q\ntrans a -> p label: x\ntrans a -> q label: y\n"
+          "trans p -> q label: z locguard: p\n",
+          0, [("p", "c=0", "[0,0]")]),
+    "v": ("gta v\nclocks c\nlocation a initial\nlocation b inv: c<2\nlocation m\n"
+          "trans a -> b label: x\ntrans a -> m label: y reset: c\n",
+          3, [("b", "1<c<2", "(1,2)")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_find_guard_timelock_crafted(name):
+    text, layer, members = CRAFTED[name]
+    a = parse_model(text)
+    out = find_guard_timelock(a)
+    assert (out["found"], out["layer"]) == (True, layer)
+    assert [(m["loc"], m["region"], m["slot"]) for m in out["support"]] == members
+    b = build_global_layers(a)
+    assert set(b.zdd.sets(dtn_global._stuck(b))) == set(reference_stuck(b))
+    assert out == reference_guard_timelock(b)
 
 
 def test_find_guard_timelock_absent(fig3):
@@ -275,8 +374,8 @@ def test_find_guard_timelock_absent(fig3):
 
 
 def test_find_guard_timelock_stops_within_its_budget(fig1):
-    # the search enumerates every distinct support, so on fig1, whose fixpoint
-    # holds 6.9e18 supports, only a budget on the build makes it return
+    # the search runs on the finished build, and fig1's build passes a
+    # budget of 10**6 supports in layer 3, before the search starts
     with pytest.raises(BudgetExceeded, match="1000000 supports while building layer 3"):
         find_guard_timelock(fig1, max_states=10**6)
 
@@ -291,7 +390,7 @@ def missing_oracle_supports(b, res):
             decoded_key(b, sup, layer.slot.index) for sup in supports(b, layer)
         )
     checked = missing = 0
-    for slot, sups in res.supports.items():
+    for slot, sups in oracle_supports(res).items():
         if slot not in by_slot:
             continue
         for s in sups:
@@ -305,7 +404,7 @@ def test_global_supports_contained_in_oracle_reachability(fig3, fig3_build):
     res = explore_network(fig3, 2, slot_cap=2)
     checked, missing = missing_oracle_supports(fig3_build, res)
     assert missing == 0
-    assert checked == sum(len(sups) for sups in res.supports.values())
+    assert checked == sum(len(sups) for sups in oracle_supports(res).values())
     # and on random gTAs with 1 or 2 processes, where in-slot delay (rule 1)
     # matters: every slot the layers cover is checked
     checked = missing = 0
@@ -460,7 +559,7 @@ def test_global_layers_union_to_local_layers(fig3, fig3_build):
         assert (g.i0, g.l0, g.shift) == (loc.i0, loc.l0, loc.shift)
         assert [l.slot for l in g.layers] == [l.slot for l in loc.layers]
         for gl, ll in zip(g.layers, loc.layers):
-            members = {member_key(g.members.state(i, gl.slot.index))
+            members = {member_key(member_state(g.members, i, gl.slot.index))
                        for i in g.zdd.variables(gl.family)}
             assert members == {member_key(loc.states[i]) for i in ll.ids}, (seed, gl.number)
         layers += len(g.layers)
@@ -568,7 +667,7 @@ def _golden_global_model(name):
 # find_guard_timelock JSON, and of (i0, l0, shift, per-layer support counts,
 # supports_total) of build_global_layers
 GOLDEN = {
-    "fig3": ("809c35f5461732df", "2d49dcd52b0fe2d3", "60f5cf86474784f9", "586e8aad7f03f55d"),
+    "fig3": ("809c35f5461732df", "2d49dcd52b0fe2d3", "4ecd174f8a4af7cf", "586e8aad7f03f55d"),
     "LOCK2": ("ea14a255e7b5bdf1", "281df394e15dcbaf", "1fa7917a5786b327", "ddab55e0888cd85c"),
     "r3": ("78ac94ccaea2eedc", "c44e8b32cdf1499c", "f26955ad3b22271e", "51652b5518725250"),
     "r6": ("be69dd92d34269eb", "9fe0fd368a3359c8", "f26955ad3b22271e", "5084786a5346cbc8"),

@@ -12,7 +12,7 @@ import gc
 
 import pytest
 
-from conftest import MODELS, random_gta
+from conftest import MODELS, oracle_supports, random_gta
 from dtnmc import dtn_local, oracle, region_graph
 from dtnmc.dtn_global import (build_global_layers, check_global,
                               find_guard_timelock, parse_constraint,
@@ -58,7 +58,7 @@ def _library_calls(a, outcomes):
     _budgeted(reachable_location_sets, a, max_states=3_000)
     _budgeted(find_guard_timelock, a, max_states=3_000)
     res = explore_network(a, 2, slot_cap=2)
-    assert res.loc_sets and res.supports
+    assert res.loc_sets and oracle_supports(res)
     explore_network(a, 2, slot_cap=2, target=parse_constraint(queries[0]))
     for label in labels[:2]:
         steps = witness_region_path(a, 2, label, slot_cap=2)

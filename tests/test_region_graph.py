@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import LABEL_POOL, OPS, random_gta
+from conftest import LABEL_POOL, OPS, member_state, random_gta
 from dtnmc import region_graph
 from dtnmc.dtn_global import (_Chain, _GlobalBuilder, build_global_layers,
                                check_global, find_guard_timelock, rule2_steps)
@@ -467,7 +467,7 @@ def test_layers_walk_next_slot(kind, fig1, fig3):
         for layer in b.layers:
             assert layer.slot == slot
             for i in _layer_ids(kind, b, layer):
-                assert state_slot(b.members.state(i, slot.index)) == slot
+                assert state_slot(member_state(b.members, i, slot.index)) == slot
             slot = next_slot(slot)
             layers += 1
     assert (layers, skipped) == {"local": (492, 0), "global": (463, 3)}[kind]

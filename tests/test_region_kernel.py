@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import OPS, random_gta, random_region
+from conftest import OPS, member_state, random_gta, random_region
 from dtnmc.dtn_local import (Layer, _Builder, apply_loopback, build_layers,
                              region_to_atoms, summary_automaton)
 from dtnmc.model import Atom, Automaton, BudgetExceeded, Transition, relabel_unique
@@ -300,7 +300,7 @@ def test_kernel_matches_reference_on_member_tables(name, request):
         check_region(m.base, compiled)
         same(m.base.shift_clock(T, 0), ref_shift_clock(m.base, T, 0))
         for index in (0, 1, 2 ** 70):
-            rs = table.state(table.intern(m), index)
+            rs = member_state(table, table.intern(m), index)
             same(rs, RegionState(m.loc, m.base, index))
             check_state(rs)
             same(discrete_successors(rs, ctx), ref_discrete_successors(rs, ctx))
