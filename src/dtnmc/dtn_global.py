@@ -40,21 +40,23 @@ ring before, and from a seed to its least source in the lowest ring of the
 layer before, so no output depends on member ids.
 
 `find_guard_timelock` closes the supports that delay or cross backward under
-rule 2, on the union of the layer families.  `rule1_steps`, `rule2_steps` and
-`boundary_support` (the same relation on one support, a bitmask of member
-ids) and `support_key` stay for the tests' reference, the witness walk's
-`_kind` (rule 2) and perfbench/tracing.py, which wraps them by name.
+rule 2, on the union of the layer families, in a diagram of its own that
+holds copies of the families, so the chain's keeps no node of the search.
+`rule1_steps`, `rule2_steps` and `boundary_support` (the same relation on one
+support, a bitmask of member ids) and `support_key` stay for the tests'
+reference, the witness walk's `_kind` (rule 2) and perfbench/tracing.py,
+which wraps them by name.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import or_
 
 from .model import Automaton, BudgetExceeded
-from .region_graph import LayeredBuild, MemberTable, member_key
+from .region_graph import LayeredBuild, MemberTable, check_report, member_key
 from .regions import Slot
 from .zdd import BASE, EMPTY, ZDD
 
@@ -74,60 +76,59 @@ class GlobalLayer:
 
 # -- constraints ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\(|\)|&&|\|\||#[A-Za-z_][A-Za-z0-9_]*|>=\s*1|==\s*0|=\s*0)")
+# one token per match; where none matches, the rest of the text is one stray match
+_TOKEN = re.compile(r"\s*(?:(\(|\)|&&|\|\||#[A-Za-z_][A-Za-z0-9_]*|>=\s*1|==\s*0|=\s*0)"
+                    r"|(\S.*))", re.S)
 
 
 def parse_constraint(text: str):
     """Grammar: or := and ('||' and)*; and := atom ('&&' atom)*;
     atom := '(' or ')' | '#loc >= 1' | '#loc == 0'."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"malformed constraint at {text[pos:].strip()!r}")
-            break
-        tokens.append("".join(m.group(1).split()))
-        pos = m.end()
-    tokens.append(None)  # the end of the text
+    found = _TOKEN.findall(text)
+    if found and found[-1][1]:
+        raise ValueError(f"malformed constraint at {found[-1][1].rstrip()!r}")
+    tokens = [tok for tok, _ in found] + [None]  # None: the end of the text
     node, pos = _parse(tokens, 0)
     if tokens[pos] is not None:
-        raise ValueError(f"malformed constraint: trailing {tokens[pos]!r}")
+        raise ValueError(f"malformed constraint: trailing {_bare(tokens[pos])!r}")
     return node
 
 
-def _parse(tokens, pos, level=0):
-    """The grammar's `or` (level 0), `and` (1) or `atom` (2) from tokens[pos]
-    on, and the position after it; module functions, as nested closures that
-    call each other would be a reference cycle."""
-    if level == 2:
-        return _atom(tokens, pos)
-    op, kind = (("||", "or"), ("&&", "and"))[level]
-    node, pos = _parse(tokens, pos, level + 1)
-    while tokens[pos] == op:
-        right, pos = _parse(tokens, pos + 1, level + 1)
-        node = (kind, node, right)
-    return node, pos
+def _parse(tokens, pos):
+    """The grammar's `or` from tokens[pos] on, and the position after it; a
+    module function, as a nested closure calling itself would be a reference
+    cycle."""
+    node = None
+    while True:
+        conj = None
+        while True:  # an `and`
+            tok = tokens[pos]
+            if tok == "(":
+                atom, pos = _parse(tokens, pos + 1)
+                if tokens[pos] != ")":
+                    raise ValueError("malformed constraint: missing ')'")
+                pos += 1
+            elif tok is not None and tok[0] == "#":
+                op = tokens[pos + 1]
+                if op is None or op[0] not in ">=":  # not >=1, ==0 or =0
+                    raise ValueError("malformed constraint: only #loc>=1 and #loc==0 "
+                                     f"are supported, got {op!r}")
+                atom, pos = ("some" if op[0] == ">" else "none", tok[1:]), pos + 2
+            else:
+                raise ValueError(f"malformed constraint: expected #loc, got {_bare(tok)!r}")
+            conj = atom if conj is None else ("and", conj, atom)
+            if tokens[pos] != "&&":
+                break
+            pos += 1
+        node = conj if node is None else ("or", node, conj)
+        if tokens[pos] != "||":
+            return node, pos
+        pos += 1
 
 
-def _atom(tokens, pos):
-    tok = tokens[pos]
-    if tok == "(":
-        node, pos = _parse(tokens, pos + 1)
-        if tokens[pos] != ")":
-            raise ValueError("malformed constraint: missing ')'")
-        return node, pos + 1
-    if tok is None or not tok.startswith("#"):
-        raise ValueError(f"malformed constraint: expected #loc, got {tok!r}")
-    op = tokens[pos + 1]
-    if op == ">=1":
-        return ("some", tok[1:]), pos + 2
-    if op in ("==0", "=0"):
-        return ("none", tok[1:]), pos + 2
-    raise ValueError(
-        f"malformed constraint: only #loc>=1 and #loc==0 are supported, got {op!r}"
-    )
+def _bare(tok):
+    """A token without the spaces its operator may hold."""
+    return tok and "".join(tok.split())
 
 
 def constraint_locations(node) -> set:
@@ -475,8 +476,9 @@ def check_global(a: Automaton, constraint, streaming=False, cap=None,
     node = constraint_node(a, constraint)
     b = _GlobalBuilder(a, cap, max_states, watch=node, streaming=streaming).build()
     query = constraint if isinstance(constraint, str) else repr(constraint)
-    out = b.report(query, "supports_total", b.supports_total, support=None,
-                   witness=None)
+    out = check_report(query, streaming, b.hit is not None, b.layers_built,
+                       (b.i0, b.l0, b.shift), b.peak_layers_held, "supports_total",
+                       b.supports_total, support=None, witness=None)
     if b.hit is not None:
         number, slot, r, sup = b.hit
         if streaming:
@@ -523,14 +525,17 @@ def find_guard_timelock(a: Automaton, cap=None, max_states=None) -> dict:
     a timelock that location guards cause (the guard-free skeleton may be
     timelock-free).  Returns "found" and, when found, the least such support
     by member rank in the first layer holding one, and that layer."""
-    b = build_global_layers(a, cap, max_states)
-    z, stuck, out = b.zdd, _stuck(b), {"found": False, "support": None, "layer": None}
+    b, z, memo = build_global_layers(a, cap, max_states), ZDD(), {}
+    # the search's nodes go to a diagram of its own, dropped on return
+    b.layers = [replace(l, family=z.copy(b.zdd, l.family, memo), rings=None)
+                for l in b.layers]
+    b.zdd = z
+    stuck, out = _stuck(b), {"found": False, "support": None, "layer": None}
     layer = next((l for l in b.layers if z.diff(l.family, stuck) != l.family), None)
     if layer is not None:
         held = z.diff(layer.family, z.diff(layer.family, stuck))
         out.update(found=True, layer=layer.number, support=_support_json(
             z.least(held, b.members.rank.__getitem__), layer.slot, b.members))
-    z.clear()
     return out
 
 

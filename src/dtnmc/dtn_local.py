@@ -34,10 +34,12 @@ by a label query in either mode, leaves an `Outline` in `a.tables`: its
 states per layer, the first layer each internal label fires in (the labels
 `reachable_labels` reads), and how it ended.  From then on `reachable_labels`
 and a label query that needs no witness (streaming, or dra on a label that
-never fires) compute their outcome from it in closed form, closing no layer:
-`_Builder.replay` applies the build's cap and budget tests to its counts, so
+never fires) compute their outcome from it in closed form, constructing no
+builder: `_replay` applies the build's cap and budget tests to its counts, so
 messages, the hit layer, the loop-back and `peak_layers_held` are a build's.
-The outline is O(layers + labels): a streaming build still holds one layer.
+The watched internal labels come from the label index in the member-table
+entry.  The outline is O(layers + labels): a streaming build still holds one
+layer.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import Atom, Automaton, BudgetExceeded, Transition
-from .region_graph import LayeredBuild, RegionContext, nonnegative
+from .region_graph import (LayeredBuild, RegionContext, check_report, layer_entry,
+                           nonnegative, over_cap)
 from .regions import T, Region, Slot, fracs_without, new_record, nogc
 
 
@@ -83,10 +86,7 @@ class _Builder(LayeredBuild):
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
         # hit: ((layer, id), tr, (layer, id)), the first firing of a watched label
-        self.watched = {
-            internal for internal, user in self.relabel_map.items()
-            if watch is not None and watch in (internal, user)
-        }
+        self.watched = self.labels.get(watch, frozenset())
         self.edges = {}  # DRA edge tuple -> None, in first-seen order
         self.parent = {}  # (layer, id) -> (layer, id, kind, tr)
         self.record_parent = bool(self.watched) and not streaming
@@ -174,31 +174,9 @@ class _Builder(LayeredBuild):
         self.counts.append(len(ids))
         return Layer(number, slot, ids)
 
-    def replay(self, o: Outline):
-        """Set the outcome `build` would reach from a finished build's outline:
-        per layer the cap test, then the budget test, up to the layer a watched
-        label first fires in, never l0 (W_l0 holds W_i0's ids), else to the end."""
-        fires = min((o.first[k] for k in self.watched if k in o.first), default=None)
-        total, limit, cap = 0, self.max_states, self.cap
-        for number, count in enumerate(o.counts):
-            if cap is not None and number > cap:
-                raise self._over_cap(number)
-            total += count
-            if limit is not None and total > limit:
-                raise self._over_budget(number, total)
-            if number == fires:
-                self.hit = number
-                break
-        else:
-            self.i0, self.l0, self.shift = o.i0, o.l0, o.shift
-        self.layers_built, self.states_total = number + 1, total
-        self.peak_layers_held = 1 if self.streaming else number + 1
-        return self
-
     def _over_budget(self, number: int, total: int) -> BudgetExceeded:
         self.states_total = total
-        return BudgetExceeded(f"layer construction exceeds {self.max_states}"
-                              f" states while building layer {number}")
+        return _over_states(self.max_states, number)
 
     def _boundary(self, layer: Layer):
         """The next layer's seeds, from the cross steps `_close_layer` kept, in
@@ -263,28 +241,56 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
 
 def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
     """User labels some process can fire, at some network size."""
-    b, tables = _Builder(a, cap, max_states), a.tables
-    if Outline in tables:
-        b.replay(tables[Outline])
+    relabel_map, o = layer_entry(a, cap, max_states)[1], a.tables.get(Outline)
+    if o is None:
+        _Builder(a, cap, max_states).build()  # watching no label, it leaves the outline
     else:
-        b.build()  # watching no label, it ends where it leaves the outline
-    return {b.relabel_map.get(k, k) for k in tables[Outline].first} - {None}
+        _replay(o, cap, max_states)
+    return {relabel_map.get(k, k) for k in a.tables[Outline].first} - {None}
 
 
 def check_label_reachable(a: Automaton, label: str, streaming=False, cap=None,
                           max_states=None) -> dict:
     """Decide whether some process can ever fire `label`, at any network size."""
-    b, o = _Builder(a, cap, max_states, label, streaming), a.tables.get(Outline)
-    if not b.watched:
+    watched, o = layer_entry(a, cap, max_states)[4].get(label), a.tables.get(Outline)
+    if watched is None:
         raise ValueError(f"unknown label {label!r}")
-    if o is not None and (streaming or b.watched.isdisjoint(o.first)):
-        b.replay(o)  # no witness: its parent links would need real layers
-    else:
-        b.build()
-    out = b.report(label, "states_total", b.states_total, witness=None)
+    if o is not None and (streaming or watched.isdisjoint(o.first)):
+        # no witness: its parent links would need real layers
+        hit, layers, total = _replay(o, cap, max_states, watched)
+        loop = (None, None, None) if hit else (o.i0, o.l0, o.shift)
+        return check_report(label, streaming, hit, layers, loop, 1 if streaming else layers,
+                            "states_total", total, witness=None)
+    b = _Builder(a, cap, max_states, label, streaming).build()
+    out = check_report(label, streaming, b.hit is not None, b.layers_built,
+                       (b.i0, b.l0, b.shift), b.peak_layers_held, "states_total",
+                       b.states_total, witness=None)
     if b.hit is not None and not streaming:
         out["witness"] = _witness_path(b)
     return out
+
+
+def _replay(o: Outline, cap, max_states, watched=frozenset()) -> tuple:
+    """(hit, layers built, states total): the outcome a build reaches from a
+    finished build's outline, per layer the cap test, then the budget test, up
+    to the layer a watched label first fires in, never l0 (W_l0 holds W_i0's
+    ids), else to the end, where it takes the loop-back."""
+    fires = min((o.first[k] for k in watched if k in o.first), default=None)
+    total = 0
+    for number, count in enumerate(o.counts):
+        if cap is not None and number > cap:
+            raise over_cap(number, cap)
+        total += count
+        if max_states is not None and total > max_states:
+            raise _over_states(max_states, number)
+        if number == fires:
+            return True, number + 1, total
+    return False, number + 1, total
+
+
+def _over_states(limit: int, number: int) -> BudgetExceeded:
+    return BudgetExceeded(f"layer construction exceeds {limit}"
+                          f" states while building layer {number}")
 
 
 def _witness_path(b: _Builder):

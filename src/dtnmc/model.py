@@ -78,10 +78,10 @@ class Automaton:
     transitions: tuple
     broadcasts: tuple = ()
     tclock: Optional[str] = None  # the global clock, when added by unguard
-    # MemberTable -> (relabeled automaton, relabel map, RegionContext, table),
-    # shared by both layer engines; dtn_local.Outline -> the finished local
-    # build's outline; dtn_global._Chain -> the global layers;
-    # oracle._SigTable -> its table
+    # MemberTable -> (relabeled automaton, relabel map, RegionContext, table,
+    # label index: user or internal label -> its internal labels), shared by
+    # both layer engines; dtn_local.Outline -> the finished local build's
+    # outline; dtn_global._Chain -> the global layers; oracle._SigTable -> its table
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def invariant(self, q: str) -> tuple:

@@ -31,11 +31,12 @@ location and of the punctual members grow only when the global engine calls
 global engine orders members by, and the region text the JSON and DOT print.
 
 There is one table per automaton, kept in `Automaton.tables[MemberTable]`
-with the relabeled automaton and its `RegionContext`: every build and query
-on an automaton, by either engine, reuses the successors the earlier ones
-computed, and the table goes when the automaton does.  No output depends on
-an id: layers keep discovery order, the global engine orders members by the
-repr of their `member_key`, and signatures are compared within one build.
+with the relabeled automaton, its `RegionContext` and the label index a label
+query reads: every build and query on an automaton, by either engine, reuses
+the successors the earlier ones computed, and the table goes when the
+automaton does.  No output depends on an id: layers keep discovery order, the
+global engine orders members by the repr of their `member_key`, and
+signatures are compared within one build.
 
 `LayeredBuild` is the layered fixpoint both engines run: close a layer in
 its slot, stop once a singleton-slot layer repeats an earlier one up to a
@@ -286,25 +287,17 @@ class LayeredBuild:
     Layers 0..cap may be built, and cap=None means no cap: the build stops
     anyway, as each point-slot layer is a function of the one before it over
     a finite set (the local engine loops back at a point index of at most
-    2^(point members)), and max_states bounds it where that is too late.  A
-    negative cap or max_states raises ValueError.
+    2^(point members)), and max_states bounds it where that is too late.
     A streaming build keeps only the layer being closed.
-    The relabeled automaton, its context and member table come from
-    `a.tables[MemberTable]`, made by the first build of either engine on `a`.
+    The relabeled automaton, its context, member table and label index come
+    from `layer_entry`, which raises for an lbta automaton and a negative cap
+    or max_states.  `over_cap` and `check_report` give the cap's message and
+    a check's result, also to the local engine's answers from an outline.
     """
 
     def __init__(self, a: Automaton, cap=None, max_states=None, streaming=False):
-        if a.kind == "lbta":  # the steps would ignore broadcasts
-            raise ModelError("the layer engines do not take lbta models; translate "
-                             "with `dtnmc translate --to gta` first")
-        nonnegative("layer cap", cap)
-        nonnegative("max_states", max_states)
-        entry = a.tables.get(MemberTable)
-        if entry is None:
-            ra, relabel_map = relabel_unique(a)
-            ctx = RegionContext(ra)
-            entry = a.tables[MemberTable] = (ra, relabel_map, ctx, MemberTable(ctx))
-        self.automaton, self.relabel_map, self.ctx, self.members = entry
+        self.automaton, self.relabel_map, self.ctx, self.members, self.labels = \
+            layer_entry(a, cap, max_states)
         self.cap = cap
         self.max_states = max_states
         self.streaming = streaming
@@ -322,7 +315,7 @@ class LayeredBuild:
         while True:
             number = self.layers_built
             if cap is not None and number > cap:
-                raise self._over_cap(number)
+                raise over_cap(number, cap)
             layer = self._close_layer(number, slot, seeds)
             self.layers_built = number + 1
             layers.append(layer)
@@ -343,24 +336,43 @@ class LayeredBuild:
             if not seeds:
                 return self  # nothing can cross this slot boundary; network is done
 
-    def _over_cap(self, number: int) -> BudgetExceeded:
-        return BudgetExceeded(f"building layer {number} would pass the layer "
-                              f"cap {self.cap} (layers 0..{self.cap})")
 
-    def report(self, query, total_key: str, total: int, **rest) -> dict:
-        """A check's result: the build's outcome, then `rest` in its order."""
-        return {
-            "query": query,
-            "mode": "streaming" if self.streaming else "dra",
-            "result": "unreachable" if self.hit is None else "reachable",
-            "layers_built": self.layers_built,
-            "i0": self.i0,
-            "l0": self.l0,
-            "shift": self.shift,
-            total_key: total,
-            "peak_layers_held": self.peak_layers_held,
-            **rest,
-        }
+def layer_entry(a: Automaton, cap=None, max_states=None) -> tuple:
+    """`a.tables[MemberTable]`: (the relabeled automaton, its relabel map, its
+    `RegionContext`, its `MemberTable`, its label index: user or internal label
+    -> the frozenset of internal labels it names), made on the first call.
+    Raises ModelError for an lbta automaton, then ValueError for a negative
+    cap or max_states, then the context's ModelError."""
+    if a.kind == "lbta":  # the steps would ignore broadcasts
+        raise ModelError("the layer engines do not take lbta models; translate "
+                         "with `dtnmc translate --to gta` first")
+    nonnegative("layer cap", cap)
+    nonnegative("max_states", max_states)
+    entry = a.tables.get(MemberTable)
+    if entry is None:
+        ra, relabel_map = relabel_unique(a)
+        ctx, labels = RegionContext(ra), {}
+        for internal, user in relabel_map.items():
+            for k in {internal, user} - {None}:
+                labels[k] = labels.get(k, frozenset()) | {internal}
+        entry = a.tables[MemberTable] = (ra, relabel_map, ctx, MemberTable(ctx), labels)
+    return entry
+
+
+def over_cap(number: int, cap: int) -> BudgetExceeded:
+    return BudgetExceeded(f"building layer {number} would pass the layer "
+                          f"cap {cap} (layers 0..{cap})")
+
+
+def check_report(query, streaming, hit, layers_built, loop, peak_layers_held,
+                 total_key: str, total: int, **rest) -> dict:
+    """A check's result: the build's outcome, loop being (i0, l0, shift), then
+    `rest` in its order."""
+    i0, l0, shift = loop
+    return {"query": query, "mode": "streaming" if streaming else "dra",
+            "result": "reachable" if hit else "unreachable", "layers_built": layers_built,
+            "i0": i0, "l0": l0, "shift": shift, total_key: total,
+            "peak_layers_held": peak_layers_held, **rest}
 
 
 # -- timelock-freedom (time divergence from every reachable state) -------------

@@ -43,6 +43,13 @@ class ZDD:
             self.scope.append(self.scope[lo] | self.scope[hi] | 1 << v)
         return k
 
+    def copy(self, src: ZDD, f: int, memo: dict) -> int:
+        """This diagram's node for node f of `src`; memo maps src's nodes to ours."""
+        if f > BASE and f not in memo:
+            memo[f] = self.node(src.var[f], self.copy(src, src.lo[f], memo),
+                                self.copy(src, src.hi[f], memo))
+        return memo.get(f, f)
+
     def single(self, s: int) -> int:
         return reduce(self.add, self.members(s), BASE)  # the family {s}
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import reduce
 from itertools import permutations
@@ -66,6 +67,102 @@ def test_parse_constraint_shapes():
 def test_parse_constraint_errors(text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_constraint(text)
+
+
+# the parser as first written, a regex match per token and a recursion per
+# grammar level: the reference parse_constraint's one scan must equal
+_REF_TOKEN = __import__("re").compile(
+    r"\s*(\(|\)|&&|\|\||#[A-Za-z_][A-Za-z0-9_]*|>=\s*1|==\s*0|=\s*0)")
+
+
+def reference_parse_constraint(text):
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"malformed constraint at {text[pos:].strip()!r}")
+            break
+        tokens.append("".join(m.group(1).split()))
+        pos = m.end()
+    tokens.append(None)
+    node, pos = _reference_parse(tokens, 0)
+    if tokens[pos] is not None:
+        raise ValueError(f"malformed constraint: trailing {tokens[pos]!r}")
+    return node
+
+
+def _reference_parse(tokens, pos, level=0):
+    if level == 2:
+        tok = tokens[pos]
+        if tok == "(":
+            node, pos = _reference_parse(tokens, pos + 1)
+            if tokens[pos] != ")":
+                raise ValueError("malformed constraint: missing ')'")
+            return node, pos + 1
+        if tok is None or not tok.startswith("#"):
+            raise ValueError(f"malformed constraint: expected #loc, got {tok!r}")
+        op = tokens[pos + 1]
+        if op == ">=1":
+            return ("some", tok[1:]), pos + 2
+        if op in ("==0", "=0"):
+            return ("none", tok[1:]), pos + 2
+        raise ValueError(
+            f"malformed constraint: only #loc>=1 and #loc==0 are supported, got {op!r}")
+    op, kind = (("||", "or"), ("&&", "and"))[level]
+    node, pos = _reference_parse(tokens, pos, level + 1)
+    while tokens[pos] == op:
+        right, pos = _reference_parse(tokens, pos + 1, level + 1)
+        node = (kind, node, right)
+    return node, pos
+
+
+def constraint_corpus(seed=31, n=500):
+    """n random &&/|| trees with parentheses over location names, randomly
+    spaced, each also with one character deleted, inserted and replaced."""
+    rng = random.Random(seed)
+    names = ["a", "q1", "init", "_x2", "Reading", "error_9"]
+    spaces = ["", "", " ", "  ", "\t", "\n", " "]
+    chars = "#()&|>=01 aqx_\t !-"
+
+    def sp():
+        return rng.choice(spaces)
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.4:
+            op = rng.choice([">=" + sp() + "1", "==" + sp() + "0", "=" + sp() + "0"])
+            return f"#{rng.choice(names)}{sp()}{op}"
+        text = sp().join([tree(depth - 1), rng.choice(["&&", "||"]), tree(depth - 1)])
+        return f"({sp()}{text}{sp()})" if rng.random() < 0.3 else text
+
+    out = []
+    for _ in range(n):
+        text = sp() + tree(rng.randrange(4)) + sp()
+        k = rng.randrange(len(text))
+        out += [text, text[:k] + text[k + 1:], text[:k] + rng.choice(chars) + text[k:],
+                text[:k] + rng.choice(chars) + text[k + 1:]]
+    return out + ["", " ", "()", "#a", "#a>=1 &&", "(#a>=1", "#a>=1)", "#a>= 1 == 0"]
+
+
+def test_parse_constraint_equals_the_reference_parser():
+    # every text gives the reference's node, or its ValueError and message;
+    # `raised` counts the errors by kind
+    raised = Counter()
+    for text in constraint_corpus():
+        try:
+            want = reference_parse_constraint(text)
+        except ValueError as e:
+            want = f"error: {e}"
+        try:
+            got = parse_constraint(text)
+        except ValueError as e:
+            got = f"error: {e}"
+        assert got == want, text
+        if isinstance(got, str):
+            raised[next(k for k in ("constraint at", "trailing", "expected", "only",
+                                    "missing") if k in got)] += 1
+    assert raised == {"constraint at": 872, "only": 33, "missing": 12, "trailing": 13,
+                      "expected": 17}  # 947 of 2,008 texts
 
 
 def test_eval_constraint_counts_do_not_matter():
@@ -322,8 +419,11 @@ def test_find_guard_timelock_equals_the_reference_search(fig3):
             continue
         stuck = reference_stuck(b)
         assert set(b.zdd.sets(dtn_global._stuck(b))) == set(stuck), a.name
-        assert find_guard_timelock(a, max_states=20_000) == \
-            reference_guard_timelock(b), a.name
+        nodes = len(a.tables[_Chain].zdd.var)
+        got = find_guard_timelock(a, max_states=20_000)
+        # the search leaves no node in the diagram of the automaton's layers
+        assert len(a.tables[_Chain].zdd.var) == nodes, a.name
+        assert got == reference_guard_timelock(b), a.name
         built, found = built + 1, found + bool(stuck)
     assert (built, skipped, found) == (260, 22, 5)
 

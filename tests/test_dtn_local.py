@@ -491,17 +491,39 @@ def test_outline_answers_close_no_layer(fig1, monkeypatch):
         # a dra query of a label that fires builds its witness's layers
         walks = [(label, streaming) for label in a.labels() for streaming in (False, True)
                  if streaming or check_label_reachable(a, label)["witness"] is None]
+        labels = sorted(reachable_labels(a))
         with monkeypatch.context() as m:
+            # nor do they construct a builder
             for owner, name in ((_Builder, "_close_layer"), (MemberTable, "delay"),
                                 (MemberTable, "discrete"), (MemberTable, "intern"),
-                                (LayeredBuild, "build"), (regions, "next_slot"),
-                                (region_graph, "next_slot")):
+                                (LayeredBuild, "build"), (LayeredBuild, "__init__"),
+                                (regions, "next_slot"), (region_graph, "next_slot")):
                 m.setattr(owner, name, closed)
             for (label, streaming), cap, max_states in product(
                     walks, (None, 0, 2), (None, 0, 7, 60)):
                 out = label_answer(a, label, streaming, cap, max_states)
                 answered[answer_kind(out)] += 1
+            assert sorted(reachable_labels(a)) == labels
     assert answered == {"reachable": 58, "unreachable": 14, "cap": 37, "budget": 59}
+
+
+@pytest.mark.parametrize("cap,max_states,label,error", [
+    (-1, None, "nosuch", "the layer cap must be >= 0, not -1"),
+    (None, -1, "nosuch", "the max_states must be >= 0, not -1"),
+    (-1, -2, "nosuch", "the layer cap must be >= 0, not -1"),
+    (None, None, "nosuch", "unknown label 'nosuch'"),
+    (-1, None, "serr", "the layer cap must be >= 0, not -1"),
+])
+def test_outline_answers_raise_in_a_build_order(fig1, cap, max_states, label, error):
+    # with an outline, a negative budget beside an unknown label raises the
+    # budget's ValueError, an unknown label alone `unknown label`, each with
+    # the text a fresh automaton gives
+    build_layers(fig1)
+    for a in (fig1, replace(fig1)):
+        for streaming in (False, True):
+            with pytest.raises(ValueError) as e:
+                check_label_reachable(a, label, streaming, cap, max_states)
+            assert str(e.value) == error
 
 
 def test_reachable_labels_read_the_outline(monkeypatch):

@@ -293,7 +293,7 @@ def check_state(rs):
 def test_kernel_matches_reference_on_member_tables(name, request):
     a = request.getfixturevalue(name) if name[0] == "f" else random_gta(int(name[1:]))
     build_layers(a)
-    _, _, ctx, table = a.tables[MemberTable]
+    _, _, ctx, table, _ = a.tables[MemberTable]
     assert table.states
     for m in list(table.states):
         compiled = [ctx.invariant[m.loc]] + [g for _, g, _ in ctx.steps[m.loc]]
