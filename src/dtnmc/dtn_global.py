@@ -29,11 +29,11 @@ A layer is a zero-suppressed decision diagram (`zdd.ZDD`) over member ids,
 closed by frontier rings (Burch et al., "Symbolic model checking: 10^20
 states and beyond", LICS 1990): each ring is the image of the last under
 rules 1 and 2, minus the layer so far.  Its node is its loop-back signature.
-Every non-streaming build on an automaton walks and extends one chain of
-completed layers in `a.tables`; a budget overrun leaves it at its last
-complete layer.  A streaming build holds one layer in a diagram of its own.
-Either closes a layer only for seeds and slot kind not closed before, and
-crosses a family out of a slot only once (`_Chain`'s memos).
+Every build on an automaton, in either mode, shares its `_Chain` in
+`a.tables`: the diagram and memos by which it closes a layer only for seeds
+and slot kind not closed before, and crosses a family out of a slot only
+once.  A build keeps its own layers, a streaming one only the last; a budget
+overrun leaves the memos at the last complete layer.
 The reported support is the least by member rank in the lowest ring meeting
 the constraint; a dra witness walks back to the least predecessor in each
 ring before, and from a seed to its least source in the lowest ring of the
@@ -237,15 +237,15 @@ def boundary_support(support, members: MemberTable):
 
 
 class _Chain:
-    """An automaton's complete layers, the seeds of each once taken, the
-    witness steps walked back, (layer, ring, support) -> (src, layer, ring,
-    kind), and memos on nodes, exact as a closure reads its slot only by kind
-    and a crossing not at all: `closed`, (kind, seeds) -> the first layer
-    closed from them; `crossed`, family -> its crossed seeds; `locations`,
-    family -> its supports' location sets."""
+    """An automaton's global diagram and memos on its nodes, exact as a
+    closure reads its slot only by kind and a crossing not at all: `closed`,
+    (kind, seeds) -> the first layer closed from them; `crossed`, family ->
+    its crossed seeds; `locations`, family -> its supports' location sets;
+    `back`, (layer, ring, support) -> (src, layer, ring, kind) of the witness
+    walk (layer l is the same in every build); `start`, layer 0's seeds."""
 
     def __init__(self):
-        self.zdd, self.layers, self.seeds, self.back = ZDD(), [], [], {}
+        self.zdd, self.back, self.start = ZDD(), {}, None
         self.closed, self.crossed, self.locations = {}, {}, {}
 
 
@@ -253,9 +253,7 @@ class _GlobalBuilder(LayeredBuild):
     def __init__(self, a: Automaton, cap=None, max_states=None, watch=None,
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
-        # a streaming build never touches the automaton's chain
-        self.chain = _Chain() if streaming else a.tables.get(_Chain) or \
-            a.tables.setdefault(_Chain, _Chain())
+        self.chain = a.tables.get(_Chain) or a.tables.setdefault(_Chain, _Chain())
         self.zdd = self.chain.zdd
         self.watch = watch  # the constraint node; a hit is (layer, slot, ring, support)
         self.supports_total = 0
@@ -267,10 +265,10 @@ class _GlobalBuilder(LayeredBuild):
             self.zdd.clear()  # the operation caches last one build
 
     def _initial_seeds(self):
-        if not self.chain.seeds:
-            init = self.members.intern(self.ctx.initial_state())
-            self.chain.seeds.append(self.zdd.node(init, EMPTY, BASE))
-        return self.chain.seeds[0]
+        if self.chain.start is None:
+            self.chain.start = self.zdd.node(
+                self.members.intern(self.ctx.initial_state()), EMPTY, BASE)
+        return self.chain.start
 
     def _count(self, number, n):
         self.supports_total += n
@@ -279,20 +277,14 @@ class _GlobalBuilder(LayeredBuild):
                                  f" supports while building layer {number}")
 
     def _close_layer(self, number, slot, seeds):
-        layers, watch = self.chain.layers, self.watch
-        if number < len(layers):
-            layer = layers[number]
+        closed, watch = self.chain.closed, self.watch
+        layer = closed.get((slot.kind, seeds))
+        if layer is None:
+            layer = closed[slot.kind, seeds] = self._closure(number, slot, seeds)
+        else:  # closed before from these seeds: charge its count at once
             self._count(number, layer.count)
-        else:
-            key = (slot.kind, seeds)
-            layer = self.chain.closed.get(key)
-            if layer is None:
-                layer = self.chain.closed[key] = self._closure(number, slot, seeds)
-            else:  # closed before from these seeds: charge its count at once
-                self._count(number, layer.count)
+            if layer.number != number:
                 layer = GlobalLayer(number, slot, layer.family, layer.count, layer.rings)
-            if not self.streaming:
-                layers.append(layer)
         if watch is not None and self.hit is None and any(
                 _eval_on(locs.__contains__, watch) for locs in self._locations(layer)):
             r, hits = next((r, hits) for r, ring in enumerate(layer.rings)
@@ -361,8 +353,7 @@ class _GlobalBuilder(LayeredBuild):
 
     def _successors(self, family):
         """Member of the family -> its delay successor, or None."""
-        m = self.members
-        row = m.delay_row
+        m, row = self.members, self.members.delay_row
         return {i: m.delay(i) if row[i] is False else row[i]
                 for i in self.zdd.variables(family)}
 
@@ -374,17 +365,12 @@ class _GlobalBuilder(LayeredBuild):
 
     def _boundary(self, layer):
         """The next layer's seeds: the crossed supports."""
-        seeds, number, z = self.chain.seeds, layer.number, self.zdd
-        if number + 1 < len(seeds):
-            return seeds[number + 1]
         out = self.chain.crossed.get(layer.family)
         if out is None:
-            cross = self._crossing(layer)
+            z, cross = self.zdd, self._crossing(layer)
             out = self.chain.crossed[layer.family] = z.image(
                 z.within(layer.family, sum(1 << i for i in cross)),
                 {i: ((False, j),) for i, j in cross.items()})
-        if not self.streaming:
-            seeds.append(out)
         return out
 
     def _signature(self, layer):
@@ -404,8 +390,8 @@ class _GlobalBuilder(LayeredBuild):
     def _predecessor(self, number, r, sup):
         """(the least support of ring r - 1 of layer `number` with `sup` among
         its outcomes, number, r - 1, "delay" or the transition)."""
-        z, m, slot = self.zdd, self.members, self.chain.layers[number].slot
-        ring = self.chain.layers[number].rings[r - 1]
+        z, m, slot = self.zdd, self.members, self.layers[number].slot
+        ring = self.layers[number].rings[r - 1]
         delays = self._successors(ring) if slot.kind == "open" else {}
         near = sup  # what a predecessor may hold: sup's members and theirs
         for i in z.variables(ring):
@@ -420,8 +406,7 @@ class _GlobalBuilder(LayeredBuild):
     def _kind(self, src, sup, slot):
         """The step from src to sup: "delay", its transition, or None."""
         z, steps = self.zdd, rule2_steps(src, self.members)
-        if slot.kind == "open" and not z.diff(
-                z.single(sup), self._delays(z.single(src))):
+        if slot.kind == "open" and not z.diff(z.single(sup), self._delays(z.single(src))):
             return "delay"
         return next((tr for nxt, tr in steps if nxt == sup), None)
 
@@ -429,7 +414,7 @@ class _GlobalBuilder(LayeredBuild):
         """(the least support crossing into `sup`, a seed of layer `number`, in
         the lowest ring of layer number - 1 holding one, number - 1, the ring,
         "cross")."""
-        z, layer = self.zdd, self.chain.layers[number - 1]
+        z, layer = self.zdd, self.layers[number - 1]
         cross = self._crossing(layer)
         near = sum(1 << i for i, j in cross.items() if sup >> j & 1)
         for r, ring in enumerate(layer.rings):
@@ -509,7 +494,7 @@ def _witness_chain(b: _GlobalBuilder, number, r, sup):
         src, prev, ring, kind = back[key]
         trans = not isinstance(kind, str)
         step = {"kind": "trans" if trans else kind, "layer": number,
-                "support": _support_json(sup, b.chain.layers[number].slot, b.members)}
+                "support": _support_json(sup, b.layers[number].slot, b.members)}
         if trans:
             step["internal_label"] = kind.label
             step["label"] = b.relabel_map.get(kind.label)

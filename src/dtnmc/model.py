@@ -81,7 +81,8 @@ class Automaton:
     # MemberTable -> (relabeled automaton, relabel map, RegionContext, table,
     # label index: user or internal label -> its internal labels), shared by
     # both layer engines; dtn_local.Outline -> the finished local build's
-    # outline; dtn_global._Chain -> the global layers; oracle._SigTable -> its table
+    # outline; dtn_global._Chain -> the global diagram and its memos, shared by
+    # every global query; oracle._SigTable -> its table
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def invariant(self, q: str) -> tuple:
@@ -402,22 +403,22 @@ def relabel_unique(a: Automaton):
 
     Returns (automaton, map internal label -> user label or None for silent).
     Unique user labels are kept as-is; duplicates get #1, #2 suffixes in
-    declaration order; silent transitions get eps#k names.
+    declaration order, and silent transitions eps#1, eps#2 (one count per
+    base), skipping a suffix that would make a user label.
     """
     counts = {}
     for tr in a.transitions:
         counts[tr.label] = counts.get(tr.label, 0) + 1
-    seen, eps_n = {}, 0
-    relabel_map, trs = {}, []
+    last, relabel_map, trs = {}, {}, []  # base -> its last suffix
     for tr in a.transitions:
-        if tr.label is None:
-            eps_n += 1
-            internal = f"eps#{eps_n}"
-        elif counts[tr.label] == 1:
+        if tr.label is not None and counts[tr.label] == 1:
             internal = tr.label
         else:
-            seen[tr.label] = seen.get(tr.label, 0) + 1
-            internal = f"{tr.label}#{seen[tr.label]}"
+            base = "eps" if tr.label is None else tr.label
+            k = last.get(base, 0) + 1
+            while f"{base}#{k}" in counts:  # a user label
+                k += 1
+            last[base], internal = k, f"{base}#{k}"
         relabel_map[internal] = tr.label
         trs.append(Transition(tr.src, tr.dst, internal, tr.guard, tr.resets,
                               tr.locguard, tr.sync))

@@ -282,18 +282,11 @@ def test_check_global_streaming_agrees(fig3):
         for key in ("result", "layers_built", "i0", "l0", "shift", "supports_total"):
             assert slim[key] == full[key], (a.name, text, key)
         assert slim["peak_layers_held"] == 1 and slim["witness"] is None
-    # a streaming build holds one layer in a diagram of its own, and leaves
-    # the automaton's chain as it was
+    # a streaming build holds one layer, in the automaton's one chain
     fresh = parse_file(MODELS / "fig3.gta")
     b = _GlobalBuilder(fresh, streaming=True).build()
     assert b.peak_layers_held == 1 and len(b.layers) == 1
-    assert b.chain.layers == [] and len(b.chain.seeds) == 1
-    assert _Chain not in fresh.tables
-    chain = fig3.tables[_Chain]
-    assert b.zdd is not chain.zdd
-    layers, seeds = list(chain.layers), list(chain.seeds)
-    check_global(fig3, "#q1>=1 && #q1==0", streaming=True)
-    assert (chain.layers, chain.seeds) == (layers, seeds)
+    assert b.chain is fresh.tables[_Chain] and b.zdd is b.chain.zdd
 
 
 def test_constraint_filter_agrees_with_eval_constraint(fig3_build):
@@ -572,24 +565,24 @@ def test_reused_layers_equal_their_closures():
         except BudgetExceeded:
             continue
         chain, z, again = b.chain, b.zdd, _GlobalBuilder(a)  # the same diagram
-        for layer in chain.layers:
-            closed = again._closure(layer.number, layer.slot, chain.seeds[layer.number])
+        seeds = chain.start
+        for layer in b.layers:
+            closed = again._closure(layer.number, layer.slot, seeds)
             assert (closed.family, closed.count, closed.rings) == \
                 (layer.family, layer.count, layer.rings), (a.name, layer.number)
-            if layer.number + 1 < len(chain.seeds):
-                cross = b._crossing(layer)
-                assert chain.seeds[layer.number + 1] == z.image(
+            if layer.family in chain.crossed:  # every layer but a last one never crossed
+                cross, seeds = b._crossing(layer), b._boundary(layer)
+                assert seeds == z.image(
                     z.within(layer.family, sum(1 << i for i in cross)),
                     {i: ((False, j),) for i, j in cross.items()}), (a.name, layer.number)
-        layers, closures = layers + len(chain.layers), closures + len(chain.closed)
+        layers, closures = layers + len(b.layers), closures + len(chain.closed)
     assert (layers, closures) == (648, 499)
 
 
 @pytest.mark.parametrize("streaming", [False, True], ids=["dra", "streaming"])
 def test_fig3_closes_five_of_its_seven_layers(streaming, monkeypatch):
     # layers 5 and 6 are seeded as layers 3 and 4 were, so they are not
-    # closed again; a second dra ask walks the chain and closes nothing, a
-    # second streaming ask closes the same five on a diagram of its own
+    # closed again, and a second ask in either mode closes nothing
     closed, closure = [], _GlobalBuilder._closure
     monkeypatch.setattr(_GlobalBuilder, "_closure", lambda self, number, *args:
                         closed.append(number) or closure(self, number, *args))
@@ -600,7 +593,40 @@ def test_fig3_closes_five_of_its_seven_layers(streaming, monkeypatch):
         assert (out["result"], out["supports_total"], out["layers_built"]) == \
             ("unreachable", 4477, 7)
         assert (out["i0"], out["l0"], out["shift"]) == (4, 6, 1)
-    assert closed == [0, 1, 2, 3, 4] * (1 + streaming)
+    assert closed == [0, 1, 2, 3, 4]
+
+
+def test_one_chain_answers_both_modes(monkeypatch):
+    # every query on an automaton, dra or streaming, runs on its one chain: a
+    # second ask in the other mode closes no layer, and each answer is the
+    # one a fresh copy gives
+    def refuse(*args):
+        raise AssertionError("a second ask closed a layer")
+
+    models = [lambda: parse_file(MODELS / "fig3.gta"), lambda: parse_model(LOCK2)] + [
+        lambda seed=seed: random_gta(seed) for seed in range(60)]
+    asks = skipped = 0
+    for make in models:
+        try:
+            locations = build_global_layers(make(), max_states=20_000).automaton.locations
+        except BudgetExceeded:
+            skipped += 1
+            continue
+        fresh = {}
+        for order in ((False, True), (True, False)):
+            a = make()
+            for q, q2 in permutations(locations, 2):
+                text = f"#{q}>=1 && #{q2}==0"
+                for second, streaming in enumerate(order):
+                    with monkeypatch.context() as m:
+                        if second:
+                            m.setattr(_GlobalBuilder, "_closure", refuse)
+                        out = check_global(a, text, streaming, max_states=20_000)
+                    if (text, streaming) not in fresh:
+                        fresh[text, streaming] = check_global(make(), text, streaming)
+                    assert out == fresh[text, streaming], (a.name, text, streaming)
+                    asks += 1
+    assert (asks, skipped) == (1552, 2)
 
 
 def pairwise_unions(z, f, g, memo):

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,43 @@ def test_relabel_unique():
     assert len(set(labels)) == len(labels)
 
 
+def relabel_is_injective(a):
+    """relabel_unique gives every transition its own internal label, which
+    the map sends back to the transition's label."""
+    out, mapping = relabel_unique(a)
+    internal = [tr.label for tr in out.transitions]
+    return len(set(internal)) == len(internal) and \
+        [mapping[label] for label in internal] == [tr.label for tr in a.transitions]
+
+
+def test_relabel_unique_skips_user_labels():
+    # a suffix that would make a user label is skipped, so no two
+    # transitions share an internal label
+    dup = parse_model("gta M\nclocks c\nlocation p initial\nlocation q\nlocation r\n"
+                      "trans p -> q label: a\ntrans q -> r label: a\n"
+                      "trans r -> p label: a#1\n")
+    silent = parse_model("gta M\nclocks c\nlocation p initial\nlocation q\n"
+                         "trans p -> q\ntrans q -> p label: eps#1\n")
+    for a, want in ((dup, ["a#2", "a#3", "a#1"]), (silent, ["eps#2", "eps#1"])):
+        assert [tr.label for tr in relabel_unique(a)[0].transitions] == want
+        assert relabel_is_injective(a)
+    last = check_label_reachable(dup, "a#1")["witness"][-2:]
+    assert [step["loc"] for step in last] == ["r", "p"]
+    assert (last[-1]["internal_label"], last[-1]["label"]) == ("a#1", "a#1")
+    # random gTAs given a user label <base>#1, base a repeated label or eps
+    collide = 0
+    for seed in range(60):
+        a = random_gta(seed)
+        labels = [tr.label for tr in a.transitions]
+        base = next(("eps" if label is None else label for label in labels
+                     if label is None or labels.count(label) > 1), None)
+        collide += base is not None
+        a = replace(a, transitions=a.transitions + (
+            Transition(a.initial, a.initial, f"{base or 'a'}#1", (), (), None),))
+        assert relabel_is_injective(a), seed
+    assert collide == 33
+
+
 def test_unguard_and_strips(fig1):
     u = unguard(fig1)
     assert u.kind == "ta" and u.tclock == "t"
@@ -297,8 +335,6 @@ BAD_START = {
 
 @pytest.mark.parametrize("kind", ["gta", "lbta"])
 def test_initial_invariant_must_hold_at_time_zero(kind, tmp_path, capsys):
-    from dataclasses import replace
-
     from dtnmc.cli import main
     from dtnmc.oracle import explore_network
 
