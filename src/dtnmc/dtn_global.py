@@ -35,17 +35,17 @@ and slot kind not closed before, and crosses a family out of a slot only
 once.  A build keeps its own layers, a streaming one only the last; a budget
 overrun leaves the memos at the last complete layer.
 The reported support is the least by member rank in the lowest ring meeting
-the constraint; a dra witness walks back to the least predecessor in each
-ring before, and from a seed to its least source in the lowest ring of the
-layer before, so no output depends on member ids.
+the constraint; a dra witness walks back to the least source in each ring
+before, and from a seed to its least source in the lowest ring of the layer
+before, so no output depends on member ids.  The walk looks at one support
+at a time, by `rule2_steps` and `boundary_support`, the same relation on one
+support (a bitmask of member ids), and by `_delays` on a one-support family.
 
 `find_guard_timelock` closes the supports that delay or cross backward under
 rule 2, on the union of the layer families, in a diagram of its own that
 holds copies of the families, so the chain's keeps no node of the search.
-`rule1_steps`, `rule2_steps` and `boundary_support` (the same relation on one
-support, a bitmask of member ids) and `support_key` stay for the tests'
-reference, the witness walk's `_kind` (rule 2) and perfbench/tracing.py,
-which wraps them by name.
+`rule1_steps` and `support_key` stay for the tests' reference and
+perfbench/tracing.py, which wraps them by name.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import or_
 
 from .model import Automaton, BudgetExceeded
 from .region_graph import LayeredBuild, MemberTable, check_report, member_key
@@ -137,21 +136,16 @@ def constraint_locations(node) -> set:
     return constraint_locations(node[1]) | constraint_locations(node[2])
 
 
-def eval_constraint(support, node) -> bool:
-    """Truth of a constraint on a support; depends only on the location set."""
-    locs = {m if isinstance(m, str) else m.loc for m in support}
-    return _eval_on(locs.__contains__, node)
-
-
-def _eval_on(occupied, node):
+def eval_constraint(locs, node) -> bool:
+    """Truth of a constraint on a support, given its location names."""
     kind = node[0]
     if kind == "some":
-        return occupied(node[1])
+        return node[1] in locs
     if kind == "none":
-        return not occupied(node[1])
+        return node[1] not in locs
     if kind == "and":
-        return _eval_on(occupied, node[1]) and _eval_on(occupied, node[2])
-    return _eval_on(occupied, node[1]) or _eval_on(occupied, node[2])
+        return eval_constraint(locs, node[1]) and eval_constraint(locs, node[2])
+    return eval_constraint(locs, node[1]) or eval_constraint(locs, node[2])
 
 
 # -- the global layer algorithm ---------------------------------------------------
@@ -163,7 +157,6 @@ def rule1_steps(support, members: MemberTable):
     ids, point = members.ordered(support), members.point
     if point[ids[0]]:
         return []
-    row = members.delay_row
     members.sync_masks()
     # in an open slot a step stays in it iff its successor is no point member
     punctual = support & members.punctual
@@ -171,9 +164,7 @@ def rule1_steps(support, members: MemberTable):
         added = 0
         for i in ids:
             if punctual >> i & 1:
-                j = row[i]
-                if j is False:
-                    j = members.delay(i)
+                j = members.delay(i)
                 if j is None:
                     return []  # an invariant pins a punctual member: time is stuck
                 assert not point[j]
@@ -181,9 +172,7 @@ def rule1_steps(support, members: MemberTable):
         return [support & ~punctual | added]
     movers = []
     for i in ids:
-        j = row[i]
-        if j is False:
-            j = members.delay(i)
+        j = members.delay(i)
         if j is not None and not point[j]:
             movers.append((1 << i, 1 << j))
     # any nonempty set of members whose clocks share a fractional phase can hit
@@ -205,8 +194,8 @@ def rule1_steps(support, members: MemberTable):
 
 def rule2_steps(support, members: MemberTable):
     """Discrete outcomes: (successor support, transition) pairs."""
-    ids, row = members.ordered(support), members.discrete_row
-    rows = [members.discrete(i) if row[i] is None else row[i] for i in ids]
+    ids = members.ordered(support)
+    rows = [members.discrete(i) for i in ids]
     members.sync_masks()  # after the rows: a drop's mask test reads its target
     at, out = members.at, []
     for i, steps in zip(ids, rows):
@@ -225,11 +214,9 @@ def rule2_steps(support, members: MemberTable):
 def boundary_support(support, members: MemberTable):
     """The crossed support when every member's next change enters the next
     slot, else None."""
-    crossed, point, row = 0, members.point, members.delay_row
+    crossed, point = 0, members.point
     for i in ZDD.members(support):
-        j = row[i]
-        if j is False:
-            j = members.delay(i)
+        j = members.delay(i)
         if j is None or not (point[i] or point[j]):
             return None
         crossed |= 1 << j
@@ -286,7 +273,7 @@ class _GlobalBuilder(LayeredBuild):
             if layer.number != number:
                 layer = GlobalLayer(number, slot, layer.family, layer.count, layer.rings)
         if watch is not None and self.hit is None and any(
-                _eval_on(locs.__contains__, watch) for locs in self._locations(layer)):
+                eval_constraint(locs, watch) for locs in self._locations(layer)):
             r, hits = next((r, hits) for r, ring in enumerate(layer.rings)
                            if (hits := self._filter(ring, watch)))
             self.hit = number, slot, r, self.zdd.least(hits, self.members.rank.__getitem__)
@@ -316,10 +303,10 @@ class _GlobalBuilder(LayeredBuild):
     def _image(self, ring, slot):
         """The rule-1 and rule-2 outcomes of the supports of `ring`, with
         some of those supports themselves."""
-        z, m, row = self.zdd, self.members, self.members.discrete_row
+        z, m = self.zdd, self.members
         acts = {}  # location guard -> member -> (targets, targets it may drop into)
         for i in z.variables(ring):
-            for tr, j, lg in m.discrete(i) if row[i] is None else row[i]:
+            for tr, j, lg in m.discrete(i):
                 plus, into = acts.setdefault(lg, {}).setdefault(i, ([], []))
                 plus.append(j)
                 if j != i:  # every process at i fires: drop i
@@ -353,21 +340,16 @@ class _GlobalBuilder(LayeredBuild):
 
     def _successors(self, family):
         """Member of the family -> its delay successor, or None."""
-        m, row = self.members, self.members.delay_row
-        return {i: m.delay(i) if row[i] is False else row[i]
-                for i in self.zdd.variables(family)}
-
-    def _crossing(self, layer):
-        """Member -> its successor, for the layer's members whose next change
-        enters the next slot."""
-        point, succ = self.members.point, self._successors(layer.family)
-        return {i: j for i, j in succ.items() if j is not None and (point[i] or point[j])}
+        return {i: self.members.delay(i) for i in self.zdd.variables(family)}
 
     def _boundary(self, layer):
-        """The next layer's seeds: the crossed supports."""
+        """The next layer's seeds: the crossed supports, those whose every
+        member's next change enters the next slot."""
         out = self.chain.crossed.get(layer.family)
         if out is None:
-            z, cross = self.zdd, self._crossing(layer)
+            z, point = self.zdd, self.members.point
+            cross = {i: j for i, j in self._successors(layer.family).items()
+                     if j is not None and (point[i] or point[j])}
             out = self.chain.crossed[layer.family] = z.image(
                 z.within(layer.family, sum(1 << i for i in cross)),
                 {i: ((False, j),) for i, j in cross.items()})
@@ -387,44 +369,35 @@ class _GlobalBuilder(LayeredBuild):
             return self._filter(left, node[2])
         return z.union(left, self._filter(f, node[2]))
 
-    def _predecessor(self, number, r, sup):
-        """(the least support of ring r - 1 of layer `number` with `sup` among
-        its outcomes, number, r - 1, "delay" or the transition)."""
-        z, m, slot = self.zdd, self.members, self.layers[number].slot
-        ring = self.layers[number].rings[r - 1]
-        delays = self._successors(ring) if slot.kind == "open" else {}
-        near = sup  # what a predecessor may hold: sup's members and theirs
-        for i in z.variables(ring):
+    def _source(self, number, r, sup):
+        """(the least support with a step to `sup`, in ring r of layer `number`,
+        in ring r - 1, or for a seed (r = 0) in the lowest ring of layer
+        number - 1 holding one; its layer, its ring, the step's kind)."""
+        z, m, layer = self.zdd, self.members, self.layers[number - (not r)]
+        rings = [(r - 1, layer.rings[r - 1])] if r else enumerate(layer.rings)
+        # the build read delay rows only in an open slot and in a crossed layer
+        delays = {} if r and layer.slot.kind == "point" else self._successors(layer.family)
+        near = sup  # what a source may hold: sup's members and those with a step into sup
+        for i in z.variables(layer.family):
             if any(sup >> j & 1 for _, j, _ in m.discrete(i)) or \
                     delays.get(i) is not None and sup >> delays[i] & 1:
                 near |= 1 << i
-        found = [src for src in z.sets(z.within(ring, near))
-                 if self._kind(src, sup, slot)]
-        src = z.least(reduce(z.union, map(z.single, found)), m.rank.__getitem__)
-        return src, number, r - 1, self._kind(src, sup, slot)
+        for k, ring in rings:
+            found = {src: kind for src in z.sets(z.within(ring, near))
+                     if (kind := self._kind(src, sup, layer.slot, not r))}
+            if found:
+                src = z.least(reduce(z.union, map(z.single, found)), m.rank.__getitem__)
+                return src, layer.number, k, found[src]
+        raise AssertionError("a support has no source")
 
-    def _kind(self, src, sup, slot):
-        """The step from src to sup: "delay", its transition, or None."""
-        z, steps = self.zdd, rule2_steps(src, self.members)
+    def _kind(self, src, sup, slot, crossing):
+        """The step from src to sup: "cross", "delay", its transition, or None."""
+        z, m = self.zdd, self.members
+        if crossing:
+            return "cross" if boundary_support(src, m) == sup else None
         if slot.kind == "open" and not z.diff(z.single(sup), self._delays(z.single(src))):
             return "delay"
-        return next((tr for nxt, tr in steps if nxt == sup), None)
-
-    def _source(self, number, sup):
-        """(the least support crossing into `sup`, a seed of layer `number`, in
-        the lowest ring of layer number - 1 holding one, number - 1, the ring,
-        "cross")."""
-        z, layer = self.zdd, self.layers[number - 1]
-        cross = self._crossing(layer)
-        near = sum(1 << i for i, j in cross.items() if sup >> j & 1)
-        for r, ring in enumerate(layer.rings):
-            found = [src for src in z.sets(z.within(ring, near))
-                     if reduce(or_, (1 << cross[i] for i in z.members(src))) == sup]
-            if found:
-                src = z.least(reduce(z.union, map(z.single, found)),
-                              self.members.rank.__getitem__)
-                return src, number - 1, r, "cross"
-        raise AssertionError("a seed has no source")
+        return next((tr for nxt, tr in rule2_steps(src, m) if nxt == sup), None)
 
 
 def build_global_layers(a: Automaton, cap=None, max_states=None):
@@ -489,8 +462,7 @@ def _witness_chain(b: _GlobalBuilder, number, r, sup):
     while sup is not None:
         key = (number, r, sup)
         if key not in back:
-            back[key] = b._predecessor(number, r, sup) if r else \
-                b._source(number, sup) if number else (None, 0, 0, "init")
+            back[key] = b._source(number, r, sup) if r or number else (None, 0, 0, "init")
         src, prev, ring, kind = back[key]
         trans = not isinstance(kind, str)
         step = {"kind": "trans" if trans else kind, "layer": number,
@@ -530,9 +502,9 @@ def _stuck(b: _GlobalBuilder) -> int:
     delay or cross (Burch et al., LICS 1990), grown by rule-2 preimages."""
     z, m = b.zdd, b.members
     every = reduce(z.union, [layer.family for layer in b.layers])
-    succ, row, steps = b._successors(every), m.discrete_row, {}
+    succ, steps = b._successors(every), {}
     for i in z.variables(every):  # (location guard, target) -> (sources, options)
-        for _, j, lg in m.discrete(i) if row[i] is None else row[i]:
+        for _, j, lg in m.discrete(i):
             # before the step a support lacks j (an add), or holds i beside or
             # in place of j (a drop)
             sources, options = steps.get((lg, j), (0, ((False, None),)))

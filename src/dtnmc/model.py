@@ -404,7 +404,8 @@ def relabel_unique(a: Automaton):
     Returns (automaton, map internal label -> user label or None for silent).
     Unique user labels are kept as-is; duplicates get #1, #2 suffixes in
     declaration order, and silent transitions eps#1, eps#2 (one count per
-    base), skipping a suffix that would make a user label.
+    base), skipping a suffix that would make a user label.  A duplicate that
+    ends in #k takes its base without it, so every label parses again.
     """
     counts = {}
     for tr in a.transitions:
@@ -414,7 +415,7 @@ def relabel_unique(a: Automaton):
         if tr.label is not None and counts[tr.label] == 1:
             internal = tr.label
         else:
-            base = "eps" if tr.label is None else tr.label
+            base = "eps" if tr.label is None else re.sub(r"#\d+$", "", tr.label)
             k = last.get(base, 0) + 1
             while f"{base}#{k}" in counts:  # a user label
                 k += 1

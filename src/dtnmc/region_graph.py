@@ -21,14 +21,14 @@ delay step is `immediate_time_successor`'s state, `RegionState.advance`
 checked against the invariant, which enters the next slot iff the member or
 its successor is a point member; a discrete step is a guard check, a
 `Region.reset` and a target-invariant check.  The steps and the table build
-their records with `regions.new_record`.  `delay_row`
-and `discrete_row` expose the steps computed so far, read-only, so that a
-hot loop pays for the `delay` or `discrete` call only on a miss.  The local
-engine holds a layer's states as ids, the global engine its supports as a
-diagram over ids; both carry the slot index beside them.  The id masks per
-location and of the punctual members grow only when the global engine calls
-`sync_masks`, not on intern; two memos fill on first read: the rank the
-global engine orders members by, and the region text the JSON and DOT print.
+their records with `regions.new_record`.  Only the local layer loop reads
+`delay_row` and `discrete_row`, the steps computed so far, so that it pays
+for the `delay` or `discrete` call only on a miss.  The local engine holds a
+layer's states as ids, the global engine its supports as a diagram over ids;
+both carry the slot index beside them.  The id masks per location and of the
+punctual members grow only when the global engine calls `sync_masks`, not on
+intern; two memos fill on first read: the rank the global engine orders
+members by, and the region text the JSON and DOT print.
 
 There is one table per automaton, kept in `Automaton.tables[MemberTable]`
 with the relabeled automaton, its `RegionContext` and the label index a label
@@ -194,13 +194,11 @@ class MemberTable:
         # id -> region text without t, for the JSON and the DOT
         self.text = Memo(lambda i: states[i].base.eliminate((T,)).pretty() or "true")
         # id -> id of its time successor, None when delay is blocked, False
-        # when not yet computed; read-only, for callers that test an entry
-        # before paying for the `delay` call
+        # when not yet computed; read-only, for the local layer loop
         self.delay_row = []
         # id -> ((transition, id, location guard), ...), None when not yet computed
         self.discrete_row = []
         self._shared = {}  # one object per distinct vals or fracs
-        self._last = (0, [])  # the last support ordered and its ids
 
     def intern(self, m: RegionState) -> int:
         if m.index:
@@ -254,13 +252,8 @@ class MemberTable:
         return out
 
     def ordered(self, support) -> list:
-        """The ids of a support, a bitmask of ids, by rank; kept for the last
-        support asked."""
-        last, ids = self._last
-        if support != last:
-            ids = sorted(ZDD.members(support), key=self.rank.__getitem__)
-            self._last = (support, ids)
-        return ids
+        """The ids of a support, a bitmask of ids, by rank."""
+        return sorted(ZDD.members(support), key=self.rank.__getitem__)
 
 
 def nonnegative(name: str, budget):

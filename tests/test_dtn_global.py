@@ -311,11 +311,9 @@ def test_constraint_filter_agrees_with_eval_constraint(fig3_build):
 
 def test_builds_record_only_what_is_read(fig3, monkeypatch):
     # only a watched dra query walks the rings back to a witness
-    walks = []
-    for name in ("_predecessor", "_source"):
-        step = getattr(_GlobalBuilder, name)
-        monkeypatch.setattr(_GlobalBuilder, name, lambda self, *args, step=step:
-                            walks.append(self) or step(self, *args))
+    walks, step = [], _GlobalBuilder._source
+    monkeypatch.setattr(_GlobalBuilder, "_source", lambda self, *args:
+                        walks.append(self) or step(self, *args))
     build_global_layers(fig3)
     reachable_location_sets(fig3)
     slim = check_global(fig3, "#q1>=1 && #init==0", streaming=True)
@@ -571,12 +569,43 @@ def test_reused_layers_equal_their_closures():
             assert (closed.family, closed.count, closed.rings) == \
                 (layer.family, layer.count, layer.rings), (a.name, layer.number)
             if layer.family in chain.crossed:  # every layer but a last one never crossed
-                cross, seeds = b._crossing(layer), b._boundary(layer)
+                point, seeds = b.members.point, b._boundary(layer)
+                cross = {i: j for i, j in b._successors(layer.family).items()
+                         if j is not None and (point[i] or point[j])}
                 assert seeds == z.image(
                     z.within(layer.family, sum(1 << i for i in cross)),
                     {i: ((False, j),) for i, j in cross.items()}), (a.name, layer.number)
         layers, closures = layers + len(b.layers), closures + len(chain.closed)
     assert (layers, closures) == (648, 499)
+
+
+def steps_computed(members):
+    """How many members, and how many without a delay step or discrete steps."""
+    return (len(members.states), members.delay_row.count(False),
+            members.discrete_row.count(None))
+
+
+def test_witness_walks_compute_no_member_step():
+    # a streaming ask closes the layers a dra ask then reuses, so the dra
+    # ask's witness walk reads only the steps the builds computed: it interns
+    # no member and computes no delay or discrete step
+    models = [parse_file(MODELS / "fig3.gta"), parse_model(LOCK2)] + [
+        random_gta(seed) for seed in range(60)]
+    walks = skipped = 0
+    for a in models:
+        for q, q2 in permutations(a.locations, 2):
+            query = f"#{q}>=1 && #{q2}==0"
+            try:
+                check_global(a, query, streaming=True, max_states=20_000)
+            except BudgetExceeded:
+                skipped += 1
+                continue
+            members = a.tables[MemberTable][3]
+            held = steps_computed(members)
+            out = check_global(a, query, max_states=20_000)
+            assert steps_computed(members) == held, (a.name, query)
+            walks += out["witness"] is not None
+    assert (walks, skipped) == (160, 3)
 
 
 @pytest.mark.parametrize("streaming", [False, True], ids=["dra", "streaming"])

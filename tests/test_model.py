@@ -242,6 +242,20 @@ def test_relabel_unique_skips_user_labels():
     assert collide == 33
 
 
+def test_duplicated_suffixed_labels_parse_again():
+    # a duplicated user label that ends in #k takes the next free suffix of
+    # its base, not a second suffix the parser would reject in the summary
+    d = parse_model("gta D\nclocks c\nlocation p initial\nlocation q\n"
+                    "trans p -> q label: a#1\ntrans q -> p label: a#1\n")
+    assert relabel_unique(d)[1] == {"a#2": "a#1", "a#3": "a#1"}
+    assert relabel_is_injective(d)
+    summary = summary_automaton(apply_loopback(build_layers(d)))
+    assert {tr.label for tr in summary.transitions} == {"a#2", "a#3", None}
+    assert same_model(parse_model(pretty_model(summary)), summary)
+    out = check_label_reachable(d, "a#1")
+    assert out["result"] == "reachable" and out["witness"][-1]["label"] == "a#1"
+
+
 def test_unguard_and_strips(fig1):
     u = unguard(fig1)
     assert u.kind == "ta" and u.tclock == "t"

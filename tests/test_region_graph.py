@@ -422,8 +422,8 @@ def test_engines_share_one_member_table(first, fig3, monkeypatch):
 
 def test_warm_tables_take_empty_rows_as_rows(fig1, fig3, monkeypatch):
     # a member with no enabled discrete step has the empty row (); the engines
-    # read it as a row, so a second pass over a warm table calls no
-    # MemberTable.discrete: the local layer closure, the global image (on a
+    # read it as a row, so a second pass over a warm table computes no
+    # discrete step again: the local layer closure, the global image (on a
     # chain made anew) and rule2_steps
     fixpoint = "#q1>=1 && #init>=1 && #q1==0"  # unreachable: every layer
     again = [lambda: build_layers(fig1), lambda: build_layers(fig3),
@@ -440,9 +440,9 @@ def test_warm_tables_take_empty_rows_as_rows(fig1, fig3, monkeypatch):
     for a in (fig1, fig3):
         a.tables.pop(_Chain)  # else the global queries close no layer
     calls = []
-    discrete = MemberTable.discrete
-    monkeypatch.setattr(MemberTable, "discrete",
-                        lambda self, i: calls.append(i) or discrete(self, i))
+    discrete = region_graph.discrete_successors
+    monkeypatch.setattr(region_graph, "discrete_successors",
+                        lambda rs, ctx: calls.append(rs) or discrete(rs, ctx))
     for run in again:
         run()
     assert calls == []
