@@ -16,7 +16,6 @@ from .model import (
     parse_model,
     pretty_model,
     relabel_unique,
-    unguard,
     validate,
 )
 from .dtn_local import (
@@ -57,6 +56,5 @@ __all__ = [
     "reachable_location_sets",
     "relabel_unique",
     "summary_automaton",
-    "unguard",
     "validate",
 ]

@@ -48,7 +48,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"dtnmc {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, layers=False, states=False, unreachable=False, streaming=False):
+    def common(sp, layers=False, states=False, unreachable=False, streaming=None):
         sp.add_argument("file", help="model file")
         if layers:
             sp.add_argument("--max-layers", type=int, default=None, metavar="N",
@@ -67,19 +67,19 @@ def _parser() -> argparse.ArgumentParser:
                             help="exit 1 when the answer is unreachable")
         if streaming:
             sp.add_argument("--streaming", action="store_true",
-                            help="keep one layer in memory; no witness or DOT")
+                            help=f"keep one layer in memory; {streaming}")
 
     sp = sub.add_parser("validate", help="parse a model and check assumptions")
     common(sp)
 
     sp = sub.add_parser("check-local", help="label reachability for one process")
     sp.add_argument("--label", required=True)
-    common(sp, layers=True, states=True, unreachable=True, streaming=True)
+    common(sp, layers=True, states=True, unreachable=True, streaming="no witness or DOT")
 
     sp = sub.add_parser("check-global", help="counting-constraint reachability")
     sp.add_argument("--constraint", required=True,
                     help='e.g. "#q1>=1 && #init==0"')
-    common(sp, layers=True, states=True, unreachable=True, streaming=True)
+    common(sp, layers=True, states=True, unreachable=True, streaming="no witness")
 
     sp = sub.add_parser("build-dra", help="build the looping region automaton")
     common(sp, layers=True, states=True)
@@ -186,14 +186,7 @@ def _run(args):
     if args.command == "check-global":
         res = check_global(a, args.constraint, streaming=args.streaming,
                            cap=cap, max_states=max_states)
-        dot = None
-        if args.dot:
-            if args.streaming:
-                print("note: --dot needs the full build; skipped in streaming "
-                      "mode", file=sys.stderr)
-            else:
-                dot = _model_dot(a)
-        return res, None, dot
+        return res, None, _model_dot(a)
 
     if args.command == "build-dra":
         build = build_layers(a, cap=cap, max_states=max_states)

@@ -22,8 +22,8 @@ Layer l collects the supports reachable while global time sits in the l-th
 slot; construction stops when a singleton-slot layer repeats an earlier one
 up to a slot shift.  The loop is region_graph's `LayeredBuild`.  Members are
 the ids of the automaton's one `MemberTable`, which the local engine shares:
-the rank orders supports, and the rules extend its id masks per location and
-of the punctual members with `sync_masks` before they read them.
+the rank orders supports, and the rules read its id masks per location and of
+the punctual members, `mask(q)` and `punctual`, which cover every id.
 
 A layer is a zero-suppressed decision diagram (`zdd.ZDD`) over member ids,
 closed by frontier rings (Burch et al., "Symbolic model checking: 10^20
@@ -157,7 +157,6 @@ def rule1_steps(support, members: MemberTable):
     ids, point = members.ordered(support), members.point
     if point[ids[0]]:
         return []
-    members.sync_masks()
     # in an open slot a step stays in it iff its successor is no point member
     punctual = support & members.punctual
     if punctual:
@@ -194,19 +193,16 @@ def rule1_steps(support, members: MemberTable):
 
 def rule2_steps(support, members: MemberTable):
     """Discrete outcomes: (successor support, transition) pairs."""
-    ids = members.ordered(support)
-    rows = [members.discrete(i) for i in ids]
-    members.sync_masks()  # after the rows: a drop's mask test reads its target
-    at, out = members.at, []
-    for i, steps in zip(ids, rows):
-        for tr, j, lg in steps:
-            if lg is not None and not support & at[lg]:
+    out, mask = [], members.mask
+    for i in members.ordered(support):
+        for tr, j, lg in members.discrete(i):
+            if lg is not None and not support & mask(lg):
                 continue
             if not support >> j & 1:
                 out.append((support | 1 << j, tr))
             if j != i:
                 drop = support & ~(1 << i) | 1 << j
-                if lg is None or drop & at[lg]:
+                if lg is None or drop & mask(lg):
                     out.append((drop, tr))
     return out
 
@@ -311,20 +307,18 @@ class _GlobalBuilder(LayeredBuild):
                 plus.append(j)
                 if j != i:  # every process at i fires: drop i
                     into.append(j)
-        m.sync_masks()
         out = self._delays(ring) if slot.kind == "open" else EMPTY
         for lg, moves in acts.items():
             # a step needs a member at lg before it, and a drop one after it
-            adds, drops = z.fire(ring if lg is None else z.hits(ring, m.at[lg]), moves)
+            adds, drops = z.fire(ring if lg is None else z.hits(ring, m.mask(lg)), moves)
             out = z.union(out, z.union(adds, drops if lg is None else
-                                       z.hits(drops, m.at[lg])))
+                                       z.hits(drops, m.mask(lg))))
         return out
 
     def _delays(self, ring):
         """Rule 1 in an open slot: a support with punctual members moves all
         of them unless an invariant pins one; in any other, each mover may
         keep, split or move (keeping all gives the support itself)."""
-        self.members.sync_masks()
         z, point, punctual = self.zdd, self.members.point, self.members.punctual
         movers, moved, pinned = {}, {}, 0
         for i, j in self._successors(ring).items():
@@ -362,8 +356,7 @@ class _GlobalBuilder(LayeredBuild):
         """The supports of f on which the constraint holds."""
         kind, z = node[0], self.zdd
         if kind in ("some", "none"):
-            self.members.sync_masks()
-            return (z.hits if kind == "some" else z.avoid)(f, self.members.at[node[1]])
+            return (z.hits if kind == "some" else z.avoid)(f, self.members.mask(node[1]))
         left = self._filter(f, node[1])
         if kind == "and":
             return self._filter(left, node[2])
@@ -469,7 +462,7 @@ def _witness_chain(b: _GlobalBuilder, number, r, sup):
                 "support": _support_json(sup, b.layers[number].slot, b.members)}
         if trans:
             step["internal_label"] = kind.label
-            step["label"] = b.relabel_map.get(kind.label)
+            step["label"] = b.members.relabel_map.get(kind.label)
         chain.append(step)
         sup, number, r = src, prev, ring
     b.zdd.clear()
@@ -509,7 +502,6 @@ def _stuck(b: _GlobalBuilder) -> int:
             # in place of j (a drop)
             sources, options = steps.get((lg, j), (0, ((False, None),)))
             steps[lg, j] = sources | 1 << i, options + ((True, i), (False, i)) * (j != i)
-    m.sync_masks()  # after the rows and successors, which may intern members
     opened = z.avoid(every, sum(1 << i for i in succ if m.point[i]))
     blocked = sum(1 << i for i, j in succ.items() if j is None)
     moving = sum(1 << i for i, j in succ.items() if j is not None and not m.point[j])
@@ -521,8 +513,8 @@ def _stuck(b: _GlobalBuilder) -> int:
         for (lg, j), (sources, options) in steps.items():
             after = z.hits(new, 1 << j)
             if lg is not None:  # a drop needs a witness after it, any step one before
-                after = z.hits(after, m.at[lg])
+                after = z.hits(after, m.mask(lg))
             out = z.hits(z.image(after, {j: options}), sources)
-            pre = z.union(pre, out if lg is None else z.hits(out, m.at[lg]))
+            pre = z.union(pre, out if lg is None else z.hits(out, m.mask(lg)))
         new = z.diff(rest, z.diff(rest, pre))
     return rest

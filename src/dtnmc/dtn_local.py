@@ -27,7 +27,8 @@ dict, where `cut` marks the last boundary's first edge.  Internal labels are
 unique after `relabel_unique`, so the label gives back the transition.  A
 dra-mode build records what its caller reads: the edges when no label is
 watched (`apply_loopback`), else each state's parent link (`_witness_path`).
-A streaming build records neither.
+A streaming build records neither; `reachable_labels`, which reads only the
+outline, builds so.
 
 A build that reaches its loop-back or runs out of seeds, by `build_layers` or
 by a label query in either mode, leaves an `Outline` in `a.tables`: its
@@ -37,9 +38,8 @@ and a label query that needs no witness (streaming, or dra on a label that
 never fires) compute their outcome from it in closed form, constructing no
 builder: `_replay` applies the build's cap and budget tests to its counts, so
 messages, the hit layer, the loop-back and `peak_layers_held` are a build's.
-The watched internal labels come from the label index in the member-table
-entry.  The outline is O(layers + labels): a streaming build still holds one
-layer.
+The watched internal labels come from the member table's label index.  The
+outline is O(layers + labels): a streaming build still holds one layer.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class _Builder(LayeredBuild):
                  streaming=False):
         super().__init__(a, cap, max_states, streaming)
         # hit: ((layer, id), tr, (layer, id)), the first firing of a watched label
-        self.watched = self.labels.get(watch, frozenset())
+        self.watched = self.members.labels.get(watch, frozenset())
         self.edges = {}  # DRA edge tuple -> None, in first-seen order
         self.parent = {}  # (layer, id) -> (layer, id, kind, tr)
         self.record_parent = bool(self.watched) and not streaming
@@ -235,15 +235,15 @@ def apply_loopback(build: _Builder) -> DtnRegionAutomaton:
         arcs[build.cut:] = [(e[0], e[1], "loop", None, i0, e[5])
                             for e in arcs[build.cut:] if e[0] < l0]
     return DtnRegionAutomaton(build.layers[:l0], build.states, build.members.text, arcs,
-                              i0, l0, build.shift, build.ctx, build.relabel_map,
-                              build.automaton)
+                              i0, l0, build.shift, build.ctx, build.members.relabel_map,
+                              build.ctx.automaton)
 
 
 def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
     """User labels some process can fire, at some network size."""
-    relabel_map, o = layer_entry(a, cap, max_states)[1], a.tables.get(Outline)
-    if o is None:
-        _Builder(a, cap, max_states).build()  # watching no label, it leaves the outline
+    relabel_map, o = layer_entry(a, cap, max_states).relabel_map, a.tables.get(Outline)
+    if o is None:  # watching no label, it leaves the outline and records no edge
+        _Builder(a, cap, max_states, streaming=True).build()
     else:
         _replay(o, cap, max_states)
     return {relabel_map.get(k, k) for k in a.tables[Outline].first} - {None}
@@ -252,7 +252,7 @@ def reachable_labels(a: Automaton, cap=None, max_states=None) -> set:
 def check_label_reachable(a: Automaton, label: str, streaming=False, cap=None,
                           max_states=None) -> dict:
     """Decide whether some process can ever fire `label`, at any network size."""
-    watched, o = layer_entry(a, cap, max_states)[4].get(label), a.tables.get(Outline)
+    watched, o = layer_entry(a, cap, max_states).labels.get(label), a.tables.get(Outline)
     if watched is None:
         raise ValueError(f"unknown label {label!r}")
     if o is not None and (streaming or watched.isdisjoint(o.first)):
@@ -313,7 +313,7 @@ def _step_json(b: _Builder, kind, tr, node):
     }
     if tr is not None:
         out["internal_label"] = tr.label
-        out["label"] = b.relabel_map.get(tr.label)
+        out["label"] = b.members.relabel_map.get(tr.label)
     return out
 
 

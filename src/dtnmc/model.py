@@ -4,7 +4,7 @@ Three kinds of automata share one record type:
   - "gta":  transitions may carry a location guard (some other process must
             occupy that location for the transition to fire),
   - "lbta": transitions carry a broadcast send (a!!) or receive (a??) instead,
-  - "ta":   plain timed automaton, the output of unguard/strip_guarded.
+  - "ta":   plain timed automaton, the output of strip_guarded.
 
 The format is line oriented, one declaration per line; a `#` at the start of
 a line or after whitespace starts a comment:
@@ -77,12 +77,10 @@ class Automaton:
     invariants: dict  # location -> tuple of Atom (upper bounds only)
     transitions: tuple
     broadcasts: tuple = ()
-    tclock: Optional[str] = None  # the global clock, when added by unguard
-    # MemberTable -> (relabeled automaton, relabel map, RegionContext, table,
-    # label index: user or internal label -> its internal labels), shared by
-    # both layer engines; dtn_local.Outline -> the finished local build's
-    # outline; dtn_global._Chain -> the global diagram and its memos, shared by
-    # every global query; oracle._SigTable -> its table
+    # region_graph.MemberTable -> the member table of the relabeled automaton,
+    # shared by both layer engines; dtn_local.Outline -> the finished local
+    # build's outline; dtn_global._Chain -> the global diagram and its memos,
+    # shared by every global query; oracle._SigTable -> its table
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def invariant(self, q: str) -> tuple:
@@ -364,18 +362,6 @@ def _trans_key(tr: Transition):
 # -- transformations ------------------------------------------------------------
 
 
-def unguard(a: Automaton) -> Automaton:
-    """Drop location guards and add the global clock t (never guarded or reset)."""
-    if "t" in a.clocks:
-        raise ModelError("clock name t is reserved for the global clock")
-    trs = tuple(
-        Transition(tr.src, tr.dst, tr.label, tr.guard, tr.resets)
-        for tr in a.transitions
-    )
-    return Automaton("ta", a.name, a.clocks + ("t",), a.locations, a.initial,
-                     dict(a.invariants), trs, tclock="t")
-
-
 def strip_guarded(a: Automaton) -> Automaton:
     """Remove location-guarded transitions; keeps the clock set unchanged."""
     trs = tuple(
@@ -424,7 +410,7 @@ def relabel_unique(a: Automaton):
         trs.append(Transition(tr.src, tr.dst, internal, tr.guard, tr.resets,
                               tr.locguard, tr.sync))
     out = Automaton(a.kind, a.name, a.clocks, a.locations, a.initial,
-                    dict(a.invariants), tuple(trs), a.broadcasts, a.tclock)
+                    dict(a.invariants), tuple(trs), a.broadcasts)
     return out, relabel_map
 
 

@@ -26,17 +26,19 @@ their records with `regions.new_record`.  Only the local layer loop reads
 for the `delay` or `discrete` call only on a miss.  The local engine holds a
 layer's states as ids, the global engine its supports as a diagram over ids;
 both carry the slot index beside them.  The id masks per location and of the
-punctual members grow only when the global engine calls `sync_masks`, not on
-intern; two memos fill on first read: the rank the global engine orders
-members by, and the region text the JSON and DOT print.
+punctual members are read through `mask(q)` and `punctual`, and each read
+first extends them over the ids interned since the last, so `intern` does no
+mask work and a table only the local engine filled computes none; two memos
+fill on first read: the rank the global engine orders members by, and the
+region text the JSON and DOT print.
 
 There is one table per automaton, kept in `Automaton.tables[MemberTable]`
-with the relabeled automaton, its `RegionContext` and the label index a label
-query reads: every build and query on an automaton, by either engine, reuses
-the successors the earlier ones computed, and the table goes when the
-automaton does.  No output depends on an id: layers keep discovery order, the
-global engine orders members by the repr of their `member_key`, and
-signatures are compared within one build.
+and made by `layer_entry` with the relabeled automaton's `RegionContext`, its
+relabel map and the label index a label query reads: every build and query
+on an automaton, by either engine, reuses the successors the earlier ones
+computed, and the table goes when the automaton does.  No output depends on
+an id: layers keep discovery order, the global engine orders members by the
+repr of their `member_key`, and signatures are compared within one build.
 
 `LayeredBuild` is the layered fixpoint both engines run: close a layer in
 its slot, stop once a singleton-slot layer repeats an earlier one up to a
@@ -177,18 +179,24 @@ def member_key(m: RegionState):
 
 
 class MemberTable:
-    """Int ids for members, with their successors computed once, and the
-    per-id fields the global engine reads."""
+    """Int ids for members, with their successors computed once, the per-id
+    fields the global engine reads, and the relabel map (internal label ->
+    user label or None) and label index (user or internal label -> the
+    frozenset of internal labels it names) of `ctx.automaton`."""
 
-    def __init__(self, ctx: RegionContext):
-        self.ctx = ctx
+    def __init__(self, ctx: RegionContext, relabel_map=None):
+        self.ctx, self.relabel_map, self.labels = ctx, relabel_map, {}
+        for internal, user in (relabel_map or {}).items():
+            for k in {internal, user} - {None}:
+                self.labels[k] = self.labels.get(k, frozenset()) | {internal}
         self.ids = {}  # member, a RegionState at slot index 0 -> id
         self.states = states = []  # id -> member
         self.loc = []  # id -> location
         self.point = []  # id -> t sits on an integer: a singleton slot
-        self.at = dict.fromkeys(ctx.automaton.locations, 0)  # location -> id mask
-        self.punctual = 0  # mask of ids where any positive delay moves a clock but t
-        self._masked = 0  # how many ids `at` and `punctual` cover
+        # location -> id mask, and None -> the mask of the punctual ids; they
+        # cover the first `_masked` ids
+        self._masks = dict.fromkeys(ctx.automaton.locations + (None,), 0)
+        self._masked = 0
         # id -> repr of its member key, the global engine's visiting order
         self.rank = Memo(lambda i: repr(member_key(states[i])))
         # id -> region text without t, for the JSON and the DOT
@@ -218,14 +226,23 @@ class MemberTable:
             self.discrete_row.append(None)
         return i
 
-    def sync_masks(self):
-        """Extend `at` and `punctual` over the ids interned since the last call."""
-        for i in range(self._masked, len(self.states)):
-            m, bit = self.states[i], 1 << i
-            self.at[m.loc] |= bit
-            if any(v and v[1] for v in m.base.vals[:-1]):  # a clock but t on an integer
-                self.punctual |= bit
-        self._masked = len(self.states)
+    def mask(self, q) -> int:
+        """The ids at location q, a bitmask, or `punctual`'s for q None.  A
+        read first extends the masks over the ids interned since the last."""
+        masks, states = self._masks, self.states
+        if self._masked < len(states):
+            for i in range(self._masked, len(states)):
+                m, bit = states[i], 1 << i
+                masks[m.loc] |= bit
+                if any(v and v[1] for v in m.base.vals[:-1]):  # a clock but t on an integer
+                    masks[None] |= bit
+            self._masked = len(states)
+        return masks[q]
+
+    @property
+    def punctual(self) -> int:
+        """The ids where any positive delay moves a clock but t, a bitmask."""
+        return self.mask(None)
 
     def delay(self, i: int):
         """The id of immediate_time_successor of member i, or None when delay
@@ -282,15 +299,15 @@ class LayeredBuild:
     a finite set (the local engine loops back at a point index of at most
     2^(point members)), and max_states bounds it where that is too late.
     A streaming build keeps only the layer being closed.
-    The relabeled automaton, its context, member table and label index come
-    from `layer_entry`, which raises for an lbta automaton and a negative cap
-    or max_states.  `over_cap` and `check_report` give the cap's message and
-    a check's result, also to the local engine's answers from an outline.
+    The member table and its context come from `layer_entry`, which raises
+    for an lbta automaton and a negative cap or max_states.  `over_cap` and
+    `check_report` give the cap's message and a check's result, also to the
+    local engine's answers from an outline.
     """
 
     def __init__(self, a: Automaton, cap=None, max_states=None, streaming=False):
-        self.automaton, self.relabel_map, self.ctx, self.members, self.labels = \
-            layer_entry(a, cap, max_states)
+        self.members = layer_entry(a, cap, max_states)
+        self.ctx = self.members.ctx
         self.cap = cap
         self.max_states = max_states
         self.streaming = streaming
@@ -330,26 +347,21 @@ class LayeredBuild:
                 return self  # nothing can cross this slot boundary; network is done
 
 
-def layer_entry(a: Automaton, cap=None, max_states=None) -> tuple:
-    """`a.tables[MemberTable]`: (the relabeled automaton, its relabel map, its
-    `RegionContext`, its `MemberTable`, its label index: user or internal label
-    -> the frozenset of internal labels it names), made on the first call.
-    Raises ModelError for an lbta automaton, then ValueError for a negative
-    cap or max_states, then the context's ModelError."""
+def layer_entry(a: Automaton, cap=None, max_states=None) -> MemberTable:
+    """`a.tables[MemberTable]`, made on the first call from the relabeled
+    automaton and its relabel map.  Raises ModelError for an lbta automaton,
+    then ValueError for a negative cap or max_states, then the context's
+    ModelError."""
     if a.kind == "lbta":  # the steps would ignore broadcasts
         raise ModelError("the layer engines do not take lbta models; translate "
                          "with `dtnmc translate --to gta` first")
     nonnegative("layer cap", cap)
     nonnegative("max_states", max_states)
-    entry = a.tables.get(MemberTable)
-    if entry is None:
+    members = a.tables.get(MemberTable)
+    if members is None:
         ra, relabel_map = relabel_unique(a)
-        ctx, labels = RegionContext(ra), {}
-        for internal, user in relabel_map.items():
-            for k in {internal, user} - {None}:
-                labels[k] = labels.get(k, frozenset()) | {internal}
-        entry = a.tables[MemberTable] = (ra, relabel_map, ctx, MemberTable(ctx), labels)
-    return entry
+        members = a.tables[MemberTable] = MemberTable(RegionContext(ra), relabel_map)
+    return members
 
 
 def over_cap(number: int, cap: int) -> BudgetExceeded:

@@ -284,6 +284,19 @@ def test_streaming_skips_dot(capsys, tmp_path):
     assert not dot.exists()
 
 
+def test_check_global_writes_the_model_dot_in_both_modes(capsys, tmp_path):
+    # check-global's DOT is the input model's, so a streaming run writes it too
+    query = ["check-global", FIG3, "--constraint", "#q1>=1 && #init==0", "--dot"]
+    dots = []
+    for mode in ([], ["--streaming"]):
+        dot = tmp_path / f"global{len(dots)}.dot"
+        rc, _, err = run(capsys, *query, str(dot), *mode)
+        assert (rc, err) == (0, "")
+        dots.append(dot.read_bytes())
+    rc, _, _ = run(capsys, "validate", FIG3, "--dot", str(tmp_path / "model.dot"))
+    assert dots[0] == dots[1] == (tmp_path / "model.dot").read_bytes()
+
+
 def test_check_global(capsys):
     rc, out, _ = run(capsys, "check-global", FIG3, "--constraint",
                      "#q1>=1 && #init==0")

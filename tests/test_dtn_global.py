@@ -29,7 +29,7 @@ from dtnmc.dtn_local import build_layers
 from test_dtn_local import seeded_gta
 from dtnmc.model import BudgetExceeded, parse_file, parse_model
 from dtnmc.oracle import explore_network
-from dtnmc.region_graph import MemberTable, RegionContext, member_key
+from dtnmc.region_graph import MemberTable, RegionContext, layer_entry, member_key
 from dtnmc.regions import T, Region, RegionState, next_slot
 from dtnmc.zdd import BASE, EMPTY, ZDD
 
@@ -291,8 +291,7 @@ def test_check_global_streaming_agrees(fig3):
 
 def test_constraint_filter_agrees_with_eval_constraint(fig3_build):
     b = fig3_build
-    b.members.sync_masks()
-    texts = list(differential_constraints(sorted(b.members.at))) + [
+    texts = list(differential_constraints(sorted(b.ctx.automaton.locations))) + [
         "(#q1>=1 || #init==0) && (#init>=1 || #q1==0)",
         "#q1==0 && (#init>=1 && #q1>=1 || #init==0)",
     ]
@@ -600,7 +599,7 @@ def test_witness_walks_compute_no_member_step():
             except BudgetExceeded:
                 skipped += 1
                 continue
-            members = a.tables[MemberTable][3]
+            members = a.tables[MemberTable]
             held = steps_computed(members)
             out = check_global(a, query, max_states=20_000)
             assert steps_computed(members) == held, (a.name, query)
@@ -637,7 +636,7 @@ def test_one_chain_answers_both_modes(monkeypatch):
     asks = skipped = 0
     for make in models:
         try:
-            locations = build_global_layers(make(), max_states=20_000).automaton.locations
+            locations = build_global_layers(make(), max_states=20_000).ctx.automaton.locations
         except BudgetExceeded:
             skipped += 1
             continue
@@ -931,8 +930,7 @@ def test_reachable_supports_total_counts_complete_layers(fig3):
             b.build()
         except BudgetExceeded:
             pass  # b.layers holds the completed layers
-        b.members.sync_masks()
-        at = b.members.at.items()
+        at = [(q, b.members.mask(q)) for q in a.locations]
         loc_sets = {frozenset(q for q, ids in at if sup & ids)
                     for layer in b.layers for sup in supports(b, layer)}
         for text in differential_constraints(sorted(a.locations)):
@@ -977,26 +975,41 @@ def global_outcomes(a):
     return out
 
 
+def mask_reads(m):
+    """Every mask the table hands out, read through it."""
+    return {q: m.mask(q) for q in m.ctx.automaton.locations}, m.punctual
+
+
+def rule_outcomes(a):
+    """rule1_steps and rule2_steps on the one-member supports of the first 40
+    members of `a`'s table, the initial one first."""
+    m = layer_entry(a)
+    m.intern(m.ctx.initial_state())
+    return [(rule1_steps(1 << i, m), rule2_steps(1 << i, m))
+            for i in range(min(40, len(m.states)))]
+
+
 @pytest.mark.parametrize("first", ["global", "local"])
 def test_masks_sync_with_the_table(first, fig3):
-    # the local engine interns without touching the masks and the global
-    # engine extends them before it reads them, so its answers on a table a
-    # local build filled equal those on an empty one
+    # the local engine interns without touching the masks, and each read
+    # extends them over the ids interned since the last: after local builds,
+    # global builds, rule calls and the guard-timelock search in either
+    # order every read is current, and global answers on a table a local
+    # build filled equal those on an empty one
+    steps = [rule_outcomes, global_outcomes, build_layers]
+    if first == "local":
+        steps.reverse()
     for a in [fig3] + [random_gta(seed) for seed in range(30)]:
         a = replace(a)
-        if first == "local":
-            build_layers(a)
-            assert a.tables[MemberTable][3]._masked == 0
-        outcomes = global_outcomes(a)
-        m = a.tables[MemberTable][3]
-        at, punctual = recomputed_masks(m)
-        covered = (1 << m._masked) - 1
-        assert m.at == {q: mask & covered for q, mask in at.items()}
-        assert m.punctual == punctual & covered
-        m.sync_masks()
-        assert (m._masked, m.at, m.punctual) == (len(m.states), at, punctual)
-        if first == "local":
-            assert outcomes == global_outcomes(replace(a)), a.name
+        for step in steps:
+            got = step(a)
+            m = a.tables[MemberTable]
+            if step is build_layers and first == "local":
+                assert m._masked == 0, a.name  # no mask work
+                assert global_outcomes(a) == global_outcomes(replace(a)), a.name
+            assert mask_reads(m) == recomputed_masks(m), (a.name, step.__name__)
+            if step is rule_outcomes:
+                assert rule_outcomes(a)[:len(got)] == got, a.name  # a repeat agrees
 
 
 def test_rule2_steps_read_the_masks_of_new_targets():
@@ -1014,20 +1027,19 @@ def test_rule2_steps_read_the_masks_of_new_targets():
 
 def test_mask_readers_sync_first(fig3):
     # on a table only a local build filled, each reader extends the masks
-    # itself: its answer equals the one it gives once they are synced
-    a = replace(fig3)
-    build_layers(a)
-    b = _GlobalBuilder(a)
-    m, z = b.members, b.zdd
-    # q1 just entered with c reset in (0,1): c is punctual, t is not
-    i = next(i for i, s in enumerate(m.states)
-             if s.loc == "q1" and s.base.val("c") == (0, True) and not m.point[i])
-    sup, node = 1 << i | 1, parse_constraint("#q1>=1")
-    calls = [lambda: rule1_steps(1 << i, m), lambda: b._delays(z.single(1 << i)),
-             lambda: list(z.sets(b._filter(z.single(sup), node)))]
-    for call in calls:
-        assert m._masked < len(m.states)
+    # itself: its answer equals the one it gives once they are current
+    for k in range(3):
+        a = replace(fig3)
+        build_layers(a)
+        b = _GlobalBuilder(a)
+        m, z = b.members, b.zdd
+        # q1 just entered with c reset in (0,1): c is punctual, t is not
+        i = next(i for i, s in enumerate(m.states)
+                 if s.loc == "q1" and s.base.val("c") == (0, True) and not m.point[i])
+        sup, node = 1 << i | 1, parse_constraint("#q1>=1")
+        call = [lambda: rule1_steps(1 << i, m), lambda: b._delays(z.single(1 << i)),
+                lambda: list(z.sets(b._filter(z.single(sup), node)))][k]
+        assert m._masked == 0
         cold = call()
-        m.sync_masks()
+        assert mask_reads(m) == recomputed_masks(m)
         assert call() == cold
-        m._masked, m.punctual, m.at = 0, 0, dict.fromkeys(m.at, 0)

@@ -248,17 +248,17 @@ def seeded_gta(seed, clocks=2, max_locs=6, max_trans=12, max_const=4):
 # dra-mode JSON answers (witnesses included) for every transition's internal
 # label; rN is seed N with two clocks, rNc3 seed N with three
 GOLDEN = {
-    "fig1": ("b4c8ca76de11da98", "72e69d948a074392", "4e6540109258f374"),
-    "fig3": ("d968bd74dd926b50", "c0d71ddabd4e5bd5", "7455afe000ca88dd"),
-    "r3": ("2960920d6979e023", "25db445ae934667e", "f45ecdf2a2c6ea99"),
-    "r20": ("d626104d128ce5f7", "cfade9d32acba8e5", "198b85bc569ec5a0"),
-    "r21": ("388aedd6b1e663d7", "433436071c28d535", "674e27ff74b63717"),
-    "r22": ("aaa0c5f86c79cde5", "a5e061a8d2543ac7", "050ba2432929232f"),
-    "r26": ("31fbac2aa223a87d", "8b5c9204e0e64d96", "635e4aede5515f8b"),
-    "r33": ("c819a45f41f27a0f", "2f518355faa9a3c0", "46f15e68f0379749"),
-    "r43c3": ("80c4355eb74ae16c", "886ebc44ffbd267b", "91c7ae615250f097"),
-    "r49c3": ("389d7fefd795db4b", "4d21d73c645a1fb9", "caf9c7d836887ef3"),
-    "r57c3": ("bd44c7d1230d1920", "c66b93c1dffaca08", "f2e117b144698b52"),
+    "fig1": ("6addc803d62151ea", "72e69d948a074392", "4e6540109258f374"),
+    "fig3": ("2698e7f7253ac2c9", "c0d71ddabd4e5bd5", "7455afe000ca88dd"),
+    "r3": ("65ccf0810ab3bf7d", "25db445ae934667e", "f45ecdf2a2c6ea99"),
+    "r20": ("6af5962c66f1597c", "cfade9d32acba8e5", "198b85bc569ec5a0"),
+    "r21": ("5d4f8e80b496ea37", "433436071c28d535", "674e27ff74b63717"),
+    "r22": ("e39aceb81b1e7335", "a5e061a8d2543ac7", "050ba2432929232f"),
+    "r26": ("7d712074b92a4ef7", "8b5c9204e0e64d96", "635e4aede5515f8b"),
+    "r33": ("b32be4238e1f75b4", "2f518355faa9a3c0", "46f15e68f0379749"),
+    "r43c3": ("a8f520d744e9027f", "886ebc44ffbd267b", "91c7ae615250f097"),
+    "r49c3": ("9d7d433ff89d8c35", "4d21d73c645a1fb9", "caf9c7d836887ef3"),
+    "r57c3": ("6019c7b9242611de", "c66b93c1dffaca08", "f2e117b144698b52"),
 }
 
 
@@ -552,3 +552,18 @@ def test_reachable_labels_read_the_outline(monkeypatch):
             kinds[answer_kind(got) if isinstance(got, str) else "labels"] += 1
         assert a.tables[Outline] is outline
     assert kinds == {"labels": 112, "cap": 243, "budget": 203}
+
+
+def test_reachable_labels_builds_streaming(monkeypatch):
+    # with no outline, reachable_labels builds in streaming mode: it leaves
+    # the outline build_layers leaves on a fresh copy and records no edge
+    built = []
+    build = _Builder.build
+    monkeypatch.setattr(_Builder, "build", lambda self: built.append(self) or build(self))
+    for name in ["fig1", "lock2"] + [f"r{s}" for s in range(20)]:
+        a, fresh = outline_model(name), outline_model(name)
+        reachable_labels(a)
+        assert [(b.streaming, b.edges, b.parent) for b in built] == [(True, {}, {})], name
+        build_layers(fresh)
+        assert a.tables[Outline] == fresh.tables[Outline], name
+        built.clear()

@@ -25,7 +25,6 @@ from dtnmc.model import (
     relabel_unique,
     strip_guarded,
     strip_receives,
-    unguard,
     validate,
 )
 
@@ -53,7 +52,7 @@ def _norm_trans(trs):
 def same_model(a, b):
     """Equality up to declaration order (pretty_model sorts everything)."""
     return (
-        (a.kind, a.name, a.initial, a.tclock) == (b.kind, b.name, b.initial, b.tclock)
+        (a.kind, a.name, a.initial) == (b.kind, b.name, b.initial)
         and set(a.clocks) == set(b.clocks)
         and set(a.locations) == set(b.locations)
         and set(a.broadcasts) == set(b.broadcasts)
@@ -162,7 +161,7 @@ def test_unguard_reserves_t():
     a = Automaton("ta", "M", ("t",), ("q", "r"), "q",
                   {"q": (Atom("t", "<=", None, 2),)},
                   (Transition("q", "r", "go", (Atom("t", ">=", None, 1),), ("t",)),))
-    for check in (unguard, lambda a: check_label_reachable(a, "go"),
+    for check in (lambda a: check_label_reachable(a, "go"),
                   lambda a: check_global(a, "#r>=1")):
         with pytest.raises(ModelError, match="reserved for the global clock"):
             check(a)
@@ -257,14 +256,8 @@ def test_duplicated_suffixed_labels_parse_again():
 
 
 def test_unguard_and_strips(fig1):
-    u = unguard(fig1)
-    assert u.kind == "ta" and u.tclock == "t"
-    assert u.clocks == fig1.clocks + ("t",)
-    assert all(tr.locguard is None for tr in u.transitions)
-    assert len(u.transitions) == len(fig1.transitions)
-
     s = strip_guarded(fig1)
-    assert s.clocks == fig1.clocks
+    assert s.kind == "ta" and s.clocks == fig1.clocks
     assert len(s.transitions) == sum(
         1 for tr in fig1.transitions if tr.locguard is None
     )

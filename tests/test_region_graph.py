@@ -389,9 +389,9 @@ def test_shared_tables_ignore_query_order(name, fig1, fig3):
         except BudgetExceeded:
             pass
         members = builder(a).members
-        for m in reversed(copy.tables[MemberTable][3].states):
+        for m in reversed(copy.tables[MemberTable].states):
             members.intern(m)
-        assert members.states != copy.tables[MemberTable][3].states
+        assert members.states != copy.tables[MemberTable].states
     shared = _query_outputs(a, queries)
     fresh = [_query_outputs(replace(a), [q])[0] for q in queries]
     assert shared == fresh
@@ -432,7 +432,7 @@ def test_warm_tables_take_empty_rows_as_rows(fig1, fig3, monkeypatch):
              lambda: find_guard_timelock(fig3)]
     for run in again:
         run()
-    members = fig1.tables[MemberTable][3]
+    members = fig1.tables[MemberTable]
     assert members.discrete_row.count(()) == 36  # fig3 has no ()
     # rule2_steps on the one-member support of each of fig1's members
     again.append(lambda: [rule2_steps(1 << i, members)
