@@ -4,7 +4,8 @@ Subcommands: validate, check-local, check-global, build-dra, summary,
 product, translate, oracle.  Every subcommand accepts --json <path> and
 --dot <path>; the layer builders (check-local, check-global, build-dra,
 summary, product) also take --max-layers and --max-states, and oracle takes
---max-states; a negative budget is a usage error.  Results printed to
+--max-states; a negative budget is a usage error.  The DOT view is rendered
+only when --dot is given.  Results printed to
 stdout are JSON (sorted keys) unless the artifact is a model or a report.
 Exit codes: 0 query answered, 1 unreachable under --fail-on-unreachable,
 2 usage or model error, 3 budget exceeded.
@@ -149,7 +150,8 @@ def _model_dot(a: Automaton) -> str:
 
 
 def _run(args):
-    """Returns (payload dict, stdout text or None, dot text or None)."""
+    """Returns (payload dict, stdout text or None, a function that renders the
+    DOT text, or None); `main` calls it only when --dot is given."""
     a = parse_file(args.file)
     cap, max_states = _budgets(args)
 
@@ -168,25 +170,22 @@ def _run(args):
         }
         if report.witness:
             payload["witness"] = list(report.witness)
-        return payload, report.summary(), _model_dot(a)
+        return payload, report.summary(), lambda: _model_dot(a)
 
     if args.command == "check-local":
         res = check_label_reachable(a, args.label, streaming=args.streaming,
                                     cap=cap, max_states=max_states)
-        dot = None
-        if args.dot:
-            if args.streaming:
-                print("note: --dot needs the full build; skipped in streaming "
-                      "mode", file=sys.stderr)
-            else:
-                dot = dra_to_dot(apply_loopback(
-                    build_layers(a, cap=cap, max_states=max_states)))
-        return res, None, dot
+        if args.dot and args.streaming:
+            print("note: --dot needs the full build; skipped in streaming mode",
+                  file=sys.stderr)
+            return res, None, None
+        return res, None, lambda: dra_to_dot(apply_loopback(
+            build_layers(a, cap=cap, max_states=max_states)))
 
     if args.command == "check-global":
         res = check_global(a, args.constraint, streaming=args.streaming,
                            cap=cap, max_states=max_states)
-        return res, None, _model_dot(a)
+        return res, None, lambda: _model_dot(a)
 
     if args.command == "build-dra":
         build = build_layers(a, cap=cap, max_states=max_states)
@@ -200,13 +199,13 @@ def _run(args):
             "states": sum(len(l.ids) for l in dra.layers),
             "slots": [str(l.slot) for l in dra.layers],
         }
-        return payload, None, dra_to_dot(dra)
+        return payload, None, lambda: dra_to_dot(dra)
 
     if args.command == "summary":
         build = build_layers(a, cap=cap, max_states=max_states)
         s = summary_automaton(apply_loopback(build))
         text = pretty_model(s)
-        return {"model": text}, text, _model_dot(s)
+        return {"model": text}, text, lambda: _model_dot(s)
 
     if args.command == "product":
         if args.k < 1:
@@ -215,7 +214,7 @@ def _run(args):
         s = summary_automaton(apply_loopback(build))
         prod = k_product(s, args.k, max_states=max_states)
         text = pretty_model(prod)
-        return {"model": text}, text, _model_dot(prod)
+        return {"model": text}, text, lambda: _model_dot(prod)
 
     if args.command == "translate":
         if args.to == "lbta":
@@ -223,7 +222,7 @@ def _run(args):
         else:
             out = lbta_to_gta(a)
         text = pretty_model(out)
-        return {"model": text}, text, _model_dot(out)
+        return {"model": text}, text, lambda: _model_dot(out)
 
     if args.command == "oracle":
         if args.label is not None and args.constraint is not None:
@@ -255,7 +254,7 @@ def _run(args):
                 raise BudgetExceeded(f"oracle exploration at n={args.n} exceeds "
                                      f"{budget} states after expanding "
                                      f"{res.states_explored}; the query is undecided")
-        return payload, None, _model_dot(a)
+        return payload, None, lambda: _model_dot(a)
 
     raise AssertionError(args.command)
 
@@ -268,6 +267,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         payload, text, dot = _run(args)
+        dot = dot() if args.dot and dot else None
     except (ModelError, NonUniformGuard, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(blob + "\n")
-    if args.dot and dot:
+    if dot:
         with open(args.dot, "w") as fh:
             fh.write(dot)
     try:

@@ -40,6 +40,12 @@ builder: `_replay` applies the build's cap and budget tests to its counts, so
 messages, the hit layer, the loop-back and `peak_layers_held` are a build's.
 The watched internal labels come from the member table's label index.  The
 outline is O(layers + labels): a streaming build still holds one layer.
+
+A summary guard is a clock-region constraint (Alur & Dill, TCS 1994): the
+C-projection of a member's base region, t taken out.  t is the context's last
+clock, so `region_to_atoms` reads the first n = |C| cells off the base region
+and builds no projected region; it ranks fractional clocks by the whole class
+order, as dropping t's class keeps every other pair's order and equality.
 """
 
 from __future__ import annotations
@@ -77,8 +83,13 @@ class DtnRegionAutomaton:
 
     def state_names(self) -> list:
         """Deterministic display names: per layer number, id -> wLnI."""
-        return [{i: prefix + str(pos) for pos, i in enumerate(layer.ids)}
-                for layer in self.layers for prefix in [f"w{layer.number}n"]]
+        return [{i: _state_name(layer.number, pos) for pos, i in enumerate(layer.ids)}
+                for layer in self.layers]
+
+
+def _state_name(number: int, pos: int) -> str:
+    """The name of the pos-th kept state of layer `number`."""
+    return f"w{number}n{pos}"
 
 
 class _Builder(LayeredBuild):
@@ -320,12 +331,13 @@ def _step_json(b: _Builder, kind, tr, node):
 # -- summary automaton and products ---------------------------------------------
 
 
-def region_to_atoms(region: Region) -> tuple:
-    """A conjunction of atoms whose solution set is exactly the region."""
-    atoms, frac = [], []  # frac: (clock, integer part, fractional rank)
+def region_to_atoms(region: Region, n=None) -> tuple:
+    """A conjunction of atoms whose solution set is exactly the region's
+    projection on its first n clocks (all by default); ranks come from the
+    whole `fracs`, whose order the dropped clocks do not change."""
+    atoms, frac = [], []  # frac: (clock, integer part)
     clocks, bounds, vals, fracs = region
-    rank = {c: r for r, cls in enumerate(fracs) for c in cls}
-    for c, b, v in zip(clocks, bounds, vals):
+    for c, b, v in zip(clocks[:n], bounds, vals):
         if v is None:
             atoms.append(new_record(Atom, (c, ">", None, b)))
         elif v[1]:
@@ -333,11 +345,14 @@ def region_to_atoms(region: Region) -> tuple:
         else:
             atoms.append(new_record(Atom, (c, ">", None, v[0])))
             atoms.append(new_record(Atom, (c, "<", None, v[0] + 1)))
-            frac.append((c, v[0], rank[c]))
+            frac.append((c, v[0]))
+    if len(frac) < 2:
+        return tuple(atoms)
     # only fractional pairs: every other difference is implied by the above
-    for k, (c, m, r) in enumerate(frac):
-        for c2, m2, r2 in frac[k + 1:]:
-            d = m - m2
+    rank = {c: r for r, cls in enumerate(fracs) for c in cls}
+    for k, (c, m) in enumerate(frac):
+        for c2, m2 in frac[k + 1:]:
+            d, r, r2 = m - m2, rank[c], rank[c2]
             if r == r2:
                 if d >= 0:
                     atoms.append(new_record(Atom, (c, "==", c2, d)))
@@ -360,41 +375,40 @@ def summary_automaton(dra: DtnRegionAutomaton) -> Automaton:
 
     Silent edges (delay, cross, loop) are guarded by the target's C-projection
     and reset nothing; labeled edges are guarded by the source's C-projection
-    and reset exactly the clocks that are 0 in the target.  Both are computed
-    once per member id, from one entry per distinct C-projection.
+    and reset exactly the clocks that are 0 in the target.  One walk names the
+    kept states and reads each first-seen member's guard off its base region
+    (see the module docstring), one entry per distinct C-projection.
     """
-    names = dra.state_names()
     ctx, states = dra.ctx, dra.states
     n = len(ctx.cclocks)  # t is the last clock
+    names, locations = [], []  # per layer number id -> name; the names in order
     guard, zeros = {}, {}  # member id -> atoms / clocks at 0
     proj = {}  # C-projection (vals, fracs without t) -> (atoms, clocks at 0)
     for layer in dra.layers:
-        for i in layer.ids:
+        names.append(named := {})
+        for pos, i in enumerate(layer.ids):
+            named[i] = name = _state_name(layer.number, pos)
+            locations.append(name)
             if i in guard:
                 continue
             base = states[i].base
             _, _, vals, fracs = base
-            tv = vals[n]
-            if tv is not None and not tv[1]:  # t is fractional
+            if not vals[n][1]:  # t, which never collapses, is fractional
                 fracs = fracs_without(fracs, (T,))
-            key = (vals[:n], fracs)
-            entry = proj.get(key)
+            entry = proj.get(key := (vals[:n], fracs))
             if entry is None:
-                entry = proj[key] = (region_to_atoms(base.eliminate((T,))),
-                                     tuple(c for c, v in zip(ctx.cclocks, vals)
-                                           if v == (0, True)))
+                entry = proj[key] = (region_to_atoms(base, n), tuple(
+                    c for c, v in zip(ctx.cclocks, vals) if v == (0, True)))
             guard[i], zeros[i] = entry
-
     trs = [new_record(Transition, (names[ls][i], names[ld][j], label, guard[i],
                                    zeros[j], None, None))
            if kind == "trans" else
            new_record(Transition, (names[ls][i], names[ld][j], None, guard[j], (),
                                    None, None))
            for ls, i, kind, label, ld, j in dra.arcs]
-    locations = tuple(name for layer in names for name in layer.values())
     # the initial state seeds W0, so it comes first
     return Automaton("ta", f"{dra.automaton.name}_summary", ctx.cclocks,
-                     locations, locations[0], {}, tuple(trs))
+                     tuple(locations), locations[0], {}, tuple(trs))
 
 
 def k_product(s: Automaton, k: int, max_states=None) -> Automaton:

@@ -8,6 +8,7 @@ import pytest
 
 import dtnmc
 from conftest import MODELS
+from dtnmc import cli
 from dtnmc.cli import main
 from dtnmc.dtn_global import constraint_node, eval_constraint
 from dtnmc.dtn_global import build_global_layers, check_global, reachable_location_sets
@@ -295,6 +296,31 @@ def test_check_global_writes_the_model_dot_in_both_modes(capsys, tmp_path):
         dots.append(dot.read_bytes())
     rc, _, _ = run(capsys, "validate", FIG3, "--dot", str(tmp_path / "model.dot"))
     assert dots[0] == dots[1] == (tmp_path / "model.dot").read_bytes()
+
+
+# one run of each subcommand
+SUBCOMMANDS = [
+    ["validate", FIG3],
+    ["check-local", FIG1, "--label", "serr"],
+    ["check-global", FIG3, "--constraint", "#q1>=1 && #init==0"],
+    ["build-dra", FIG3],
+    ["summary", FIG3],
+    ["product", FIG3, "-k", "2"],
+    ["translate", FIG3, "--to", "lbta"],
+    ["oracle", FIG3, "-n", "2", "--slot-cap", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[argv[0] for argv in SUBCOMMANDS])
+def test_dot_is_rendered_only_when_asked(capsys, monkeypatch, argv):
+    want = run(capsys, *argv)
+
+    def refuse(*_):
+        raise AssertionError("a DOT view was rendered without --dot")
+    monkeypatch.setattr(cli, "dra_to_dot", refuse)
+    monkeypatch.setattr(cli, "_model_dot", refuse)
+    assert run(capsys, *argv) == want
+    assert want[0] == 0
 
 
 def test_check_global(capsys):

@@ -7,7 +7,8 @@ the straightforward versions those replaced: each builds through the
 NamedTuple constructor and reads fields by name.  The kernel must return
 equal values of the same record class on every member of the fig1, fig3 and
 `random_gta(0..59)` member tables, on seeded random regions with 2-3 clocks
-plus t, and for the summary automata of fig1 and fig3.
+plus t, and for the summary automata of fig1, fig3, `random_gta(0..59)` and
+the golden seeded 2- and 3-clock models.
 
 The local layer closure is checked the same way: `RefBuilder` keeps the
 closure as first written, with a nested `add` per layer and the table's
@@ -33,7 +34,7 @@ from dtnmc.region_graph import (MemberTable, compile_atoms, discrete_successors,
                                 holds)
 from dtnmc.regions import (FRAC, INT, T, NonUniformGuard, Region, RegionState,
                            fracs_without)
-from test_dtn_local import seeded_gta
+from test_dtn_local import GOLDEN, seeded_gta
 
 # -- reference bodies -----------------------------------------------------------
 
@@ -305,8 +306,9 @@ def test_kernel_matches_reference_on_member_tables(name, request):
             same(rs, RegionState(m.loc, m.base, index))
             check_state(rs)
             same(discrete_successors(rs, ctx), ref_discrete_successors(rs, ctx))
-        same(region_to_atoms(m.base.eliminate((T,))),
-             ref_region_to_atoms(ref_eliminate(m.base, (T,))))
+        want = ref_region_to_atoms(ref_eliminate(m.base, (T,)))
+        same(region_to_atoms(m.base.eliminate((T,))), want)
+        same(region_to_atoms(m.base, len(ctx.cclocks)), want)  # t is the last clock
 
 
 @pytest.mark.parametrize("clocks", [("x", "y", T), ("x", "y", "z", T)])
@@ -324,15 +326,31 @@ def test_kernel_matches_reference_on_random_regions(clocks):
         compiled = [compile_atoms(atoms[:k], clocks, bounds) for k in range(4)]
         check_region(r, compiled)
         same(region_to_atoms(r), ref_region_to_atoms(r))
+        same(region_to_atoms(r, len(clocks) - 1),
+             ref_region_to_atoms(ref_eliminate(r, (T,))))
         cs = rng.choice(clocks[:-1])
         if r.val(cs) is not None:
             same(r.shift_clock(cs, 1), ref_shift_clock(r, cs, 1))
         check_state(RegionState("q", r, rng.randint(0, 3)))
 
 
-@pytest.mark.parametrize("name", ["fig1", "fig3"])
+# the golden seeded models of tests/test_dtn_local.py, as sNcK: seed N, K clocks
+GOLDEN_SEEDED = [f"s{name[1:].partition('c')[0]}c{name.partition('c')[2] or 2}"
+                 for name in sorted(GOLDEN) if name[0] == "r"]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3"] + [f"r{s}" for s in range(60)]
+                         + GOLDEN_SEEDED)
 def test_summary_matches_constructor_built_reference(name, request):
-    dra = apply_loopback(build_layers(request.getfixturevalue(name)))
+    # rN is random_gta(N), one clock
+    if name[0] == "f":
+        a = request.getfixturevalue(name)
+    elif name[0] == "r":
+        a = random_gta(int(name[1:]))
+    else:
+        seed, clocks = name[1:].split("c")
+        a = seeded_gta(int(seed), int(clocks))
+    dra = apply_loopback(build_layers(a))
     got, want = summary_automaton(dra), ref_summary_automaton(dra)
     assert got == want
     assert repr(got) == repr(want)
